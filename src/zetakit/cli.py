@@ -93,10 +93,23 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit 1 instead of 2."""
+    """argparse variant whose usage failures exit 1 instead of 2, and whose
+    parameter flags take values that start with '-' (``--s -3:3:3``)."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads "-3:3:3" or "-i" as an option; glue such a value
+        # to its parameter flag so it arrives as "--s=-3:3:3".
+        joined: list[str] = []
+        for tok in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1] in _PARAM_OPTIONS
+                    and tok.startswith("-") and not tok.startswith("--")):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +241,7 @@ FUNCTIONS: dict[str, tuple[tuple[str, ...], _Caller, bool]] = {
 }
 
 _PARAM_FLAGS = ("nu", "s", "x", "a", "z")
+_PARAM_OPTIONS = frozenset(f"--{flag}" for flag in _PARAM_FLAGS)
 
 
 # ---------------------------------------------------------------------------

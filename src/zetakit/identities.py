@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
-from .errors import DomainError, EvaluationError, ZetakitError
+from .errors import DomainError, ZetakitError
 from .extended import (
     ExtParams,
     Strategy,
@@ -159,13 +159,11 @@ def check(spec: IdentitySpec) -> IdentityReport:
             lhs = complex(spec.lhs(point))
             rhs = complex(spec.rhs(point))
         except (ZetakitError, ArithmeticError, ValueError) as exc:
-            wrapped = EvaluationError(dict(point), exc)
             if error_point is None:
                 error_point = {
                     **_point_dict(point),
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-                _ = wrapped  # recorded via the point; kept for symmetry
             continue
         gap = abs(lhs - rhs)
         rel = gap / max(abs(lhs), abs(rhs), _REL_FLOOR)

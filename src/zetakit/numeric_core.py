@@ -13,8 +13,8 @@ Floating layer
     roughly 14 significant digits on |s| <= 50, |Im s| <= 50.
 
 Summation
-    ``compensated_sum`` is Neumaier-compensated accumulation applied to the
-    real and imaginary parts separately; ``alternating_sum_cvz`` is the
+    ``compensated_sum`` is the correctly rounded ``math.fsum`` applied to
+    the real and imaginary parts separately; ``alternating_sum_cvz`` is the
     Chebyshev-polynomial acceleration of Cohen-Villegas-Zagier for series
     sum (-1)^k b_k with smooth, decaying b_k; ``euler_transform_tail``
     accelerates sum z^k b_k for z on the unit circle via the classical Euler
@@ -271,23 +271,14 @@ def euler_poly(n: int, x: ExactOrComplex):
 # ---------------------------------------------------------------------------
 
 
-def _neumaier(values: Iterable[float]) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def compensated_sum(terms: Iterable[complex]) -> complex:
-    """Neumaier-compensated sum; error stays O(eps) in the term count."""
+    """Correctly rounded sum: ``math.fsum`` of the real and imaginary parts.
+
+    Each part is the float nearest the exact sum of its inputs (Shewchuk's
+    algorithm), whatever the term count or cancellation.
+    """
     seq = [complex(t) for t in terms]
-    return complex(_neumaier(t.real for t in seq), _neumaier(t.imag for t in seq))
+    return complex(math.fsum([t.real for t in seq]), math.fsum([t.imag for t in seq]))
 
 
 def alternating_sum_cvz(term: Callable[[int], complex], n: int = 32) -> complex:

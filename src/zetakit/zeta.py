@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
@@ -371,6 +370,11 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
     |z| < 1 -> direct geometric-tail summation; z = -1 -> Chebyshev-
     accelerated alternating sum; other unimodular z -> Euler transform of
     the tail once the term moduli are monotone.
+
+    The direct sum raises ConvergenceError when N = ``cfg.max_terms`` terms
+    do not reach ``cfg.rel_tol``.  For real a > 0 it raises up front, before
+    summing, when r^N min(1, ((N+a)/a)^{-Re s}) >= 2 rel_tol (r = |z|):
+    then its stopping rule provably cannot fire within the budget.
     """
     cfg = cfg or DEFAULT_SERIES
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
@@ -388,19 +392,40 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
 
     r = abs(z)
     if r < 1.0 - 1e-14:
+        sigma = s.real
+        power = _cpow(a, -s)
+        if a.imag == 0.0 and a.real > 0.0:
+            # Refuse up front when the stopping rule cannot fire within N
+            # terms.  Here |(k+a)^{-s}| = (k+a)^{-sigma}, so |total_n| is at
+            # most a^{-sigma}/(1-r) for sigma >= 0 and (n+a)^{-sigma}/(1-r)
+            # for sigma < 0, while bound_n >= r^n (n+a)^{-sigma}/(1-r).  The
+            # ratio bound_n/|total_n| is thus at least
+            # q_n = r^n min(1, ((n+a)/a)^{-sigma}), which falls with n; if
+            # q_N >= 2 rel_tol no step can stop (the 2 absorbs the rounding
+            # in zpow).  The second clause keeps bound_n >= q_N a^{-sigma}
+            # clear of the 1e-300 floor on |total|.
+            big_n = cfg.max_terms
+            q = r ** big_n
+            if sigma > 0.0:
+                q *= ((big_n + a.real) / a.real) ** -sigma
+            if q >= 2.0 * cfg.rel_tol and q * abs(power) > 1e-290:
+                raise ConvergenceError(
+                    f"direct Lerch sum not converged in {big_n} terms"
+                )
         total = complex(0.0)
         comp_terms: list[complex] = []
         zpow = complex(1.0)
-        sigma = s.real
         n = 0
         while n < cfg.max_terms:
-            term = zpow * _cpow(n + a, -s)
+            term = zpow * power
             comp_terms.append(term)
             total += term
             zpow *= z
             n += 1
-            # Geometric tail bound with a crude polynomial-growth guard.
-            nxt = abs(zpow) * abs(_cpow(n + a, -s))
+            # Geometric tail bound with a crude polynomial-growth guard; its
+            # power is the next term's, carried into the next iteration.
+            power = _cpow(n + a, -s)
+            nxt = abs(zpow) * abs(power)
             bound = nxt / (1.0 - r)
             if sigma < 0.0:
                 bound *= (1.0 + 2.0 / (n * (1.0 - r))) ** (-sigma)

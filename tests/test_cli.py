@@ -251,6 +251,18 @@ class TestTable:
         assert lines[0].startswith("s ")
         assert len(lines) == 6
 
+    def test_negative_range_after_space(self, capsys):
+        assert main(["table", "--fn", "eta", "--s", "-3:3:3", "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [r[0] for r in rows] == ["-3", "0", "3"]
+
+    def test_negative_value_reaches_domain_check(self, capsys):
+        code = main(["table", "--fn", "ext_fd", "--nu", "0", "--s", "2:3:2", "--x", "-1"])
+        assert code == EXIT_OK
+        assert "Re(x) >= 0" in capsys.readouterr().out
+        assert main(["eval", "--fn", "ext_fd", "--nu", "0", "--s", "2", "--x", "-1"]) == EXIT_DOMAIN
+        assert "Re(x) >= 0" in capsys.readouterr().err
+
     def test_requires_a_grid(self, capsys):
         assert main(["table", "--fn", "zeta", "--s", "2"]) == EXIT_USAGE
 

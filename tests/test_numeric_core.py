@@ -166,8 +166,16 @@ class TestSummation:
     @settings(max_examples=200, deadline=None)
     def test_compensated_sum_matches_fraction_sum(self, xs):
         exact = float(sum(Fraction(x) for x in xs))
-        got = compensated_sum(xs)
-        assert got == pytest.approx(exact, rel=1e-15, abs=1e-12)
+        assert compensated_sum(xs) == exact
+
+    def test_compensated_sum_is_correctly_rounded(self):
+        # A running compensated (Neumaier) sum returns -6.92999999999999e16
+        # here, one ulp from the float nearest the exact sum.
+        xs = [1e-18, 7e14, -7e16, 100.0]
+        exact = float(sum(Fraction(x) for x in xs))
+        assert exact == -6.9299999999999896e16
+        assert compensated_sum(xs) == exact
+        assert compensated_sum([1e100, 1.0, -1e100, 1e-100]) == 1.0
 
     def test_cvz_accelerates_log_two(self):
         # sum (-1)^k / (k+1) = log 2, alternating terms a_k = 1/(k+1)

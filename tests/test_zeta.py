@@ -8,16 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zetakit.zeta as zeta_module
 from zetakit import (
     DEFAULT_SERIES,
     ConvergenceError,
     DomainError,
+    ExtParams,
     LerchParams,
     PoleError,
     SeriesConfig,
     chi_ratio,
     digamma,
     dirichlet_eta,
+    ext_be,
+    ext_fd,
     hurwitz_diff,
     hurwitz_zeta,
     lerch_phi,
@@ -189,6 +193,56 @@ class TestLerchPhi:
         tight = SeriesConfig(rel_tol=1e-13, max_terms=3, em_shift=10, em_order=12)
         with pytest.raises(ConvergenceError):
             lerch_phi(LerchParams(0.99, 1.001, 1.0), tight)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1)),
+            lambda: ext_fd(ExtParams(0, -1.5, 1e-7)),
+            lambda: ext_be(ExtParams(0, 2, 1e-6)),
+        ],
+        ids=["lerch", "fd", "be"],
+    )
+    def test_hopeless_budget_refused_with_bounded_work(self, call, monkeypatch):
+        # |z| = e^{-x} so close to 1 that 500,000 terms cannot reach 1e-13:
+        # the refusal comes before the sum, not after the whole budget.
+        calls = 0
+        cpow = zeta_module._cpow
+
+        def counting_cpow(base, expo):
+            nonlocal calls
+            calls += 1
+            return cpow(base, expo)
+
+        monkeypatch.setattr(zeta_module, "_cpow", counting_cpow)
+        with pytest.raises(ConvergenceError):
+            call()
+        assert calls < 10
+
+    @given(
+        r=st.floats(0.0, 0.999),
+        theta=st.floats(-math.pi, math.pi),
+        a=st.floats(0.01, 20.0),
+        sigma=st.floats(-6.0, 6.0),
+        t=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+        frac=st.floats(0.0, 1.5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_refusal_only_when_budget_too_small(self, r, theta, a, sigma, t, frac):
+        # A call with max_terms = M raises exactly when the same call with
+        # the default budget needs more than M terms (work - 1 > M), so the
+        # up-front refusal never turns away a sum that would have converged.
+        # M is drawn around that need, and M = need itself is always tried.
+        p = LerchParams(r * cmath.exp(1j * theta), complex(sigma, t), a)
+        full = lerch_phi(p)
+        need = full.work - 1
+        for budget in (max(1, round(frac * need)), max(1, need)):
+            small = SeriesConfig(max_terms=budget)
+            if need > budget:
+                with pytest.raises(ConvergenceError):
+                    lerch_phi(p, small)
+            else:
+                assert lerch_phi(p, small) == full
 
 
 class TestPolylog:
