@@ -19,12 +19,17 @@ picks by region:
 
 * x = 0: continuation values (alternating-accelerated or Hurwitz-based for
   fd; Hurwitz zeta for be, with its order-1 pole surfaced as PoleError).
+* be at real 0 < x < 0.05, every order s: the Taylor series in x (eqs.
+  4.14/4.15), immune to the slow geometric decay; at a positive integer
+  order the pole coefficient and the singular part x^{s-1} Gamma(1-s) are
+  replaced by their finite limit with digamma values and -log x.
+* fd at real 0 < x < 0.05: the Chebyshev-accelerated alternating sum for
+  Re(s) > 0, the defining series otherwise.
 * Re(x) >= 0.05: the defining series, geometric ratio <= 0.99.
-* tiny real x: Chebyshev-accelerated alternating sum (fd) or the Taylor
-  series in x (be), both immune to the slow geometric decay.
 * complex x on/near the unit circle in z = -+e^{-x}: accelerated or
-  Hurwitz-delegated summation, supporting the reflection x -> x + i pi
-  that exchanges the two functions.
+  Hurwitz-delegated summation for Re(s) > 0, supporting the reflection
+  x -> x + i pi that exchanges the two functions; the Taylor series in x
+  for Re(s) <= 0 inside its radius.
 """
 
 from __future__ import annotations
@@ -114,6 +119,14 @@ class ExtParams:
 
 def _cpow(base: complex, expo: complex) -> complex:
     return cmath.exp(expo * cmath.log(base))
+
+
+def _near_pos_int(s: complex) -> bool:
+    return (
+        s.imag == 0.0
+        and abs(s.real - round(s.real)) <= 1e-12
+        and round(s.real) >= 1
+    )
 
 
 def _near_nonpos_int(s: complex) -> bool:
@@ -228,43 +241,36 @@ _POWER_CAP = 40
 def _power_series_x(
     kind: str, nu: complex, s: complex, x: complex, cfg: SeriesConfig
 ) -> EvalResult:
-    if kind == "fd":
-        radius = _PI
-        if abs(x) >= 0.999 * radius:
-            raise DomainError(
-                f"Taylor-in-x route needs |x| < pi, got |x|={abs(x):.4g}"
-            )
-    else:
-        radius = 2.0 * _PI
-        if abs(x) >= 0.999 * radius:
-            raise DomainError(
-                f"Taylor-in-x route needs |x| < 2 pi, got |x|={abs(x):.4g}"
-            )
-        if (
-            s.imag == 0.0
-            and abs(s.real - round(s.real)) <= 1e-12
-            and round(s.real) >= 1
-        ):
-            raise DomainError(
-                "Taylor-in-x route degenerates at positive integer order; "
-                "use the series or quadrature routes"
-            )
+    radius, radius_name = (_PI, "pi") if kind == "fd" else (2.0 * _PI, "2 pi")
+    if abs(x) >= 0.999 * radius:
+        raise DomainError(
+            f"Taylor-in-x route needs |x| < {radius_name}, got |x|={abs(x):.4g}"
+        )
 
-    # Singular part: only the be-function carries one (the order-1 pole of
-    # the Hurwitz coefficient at k = s-1 turns into Gamma(1-s) x^{s-1}).
+    # Singular part: only the be-function carries one.  The order-1 pole of
+    # the Hurwitz coefficient at k = s-1 turns into Gamma(1-s) x^{s-1}; at a
+    # positive integer order m the two poles meet at k = m-1, and that
+    # coefficient plus the singular part become their finite limit
+    #   (-x)^{m-1}/(m-1)! [psi(m) - psi(nu+1) - log x].
     singular = complex(0.0)
     sing_err = 0.0
+    pole_k = -1
     work = 0
     if kind == "be":
-        if x == 0.0:
-            if s.real <= 1.0:
-                raise DomainError(
-                    "divergent at x = 0 for Re(s) <= 1; the x = 0 value is "
-                    "the continuation route"
-                )
-        else:
-            singular = cmath.exp(ln_gamma(1.0 - s)) * _cpow(x, s - 1.0)
-            sing_err = 5e-15 * abs(singular)
+        if x == 0.0 and s.real <= 1.0:
+            raise DomainError(
+                "divergent at x = 0 for Re(s) <= 1; the x = 0 value is "
+                "the continuation route"
+            )
+        if _near_pos_int(s):
+            pole_k = round(s.real) - 1
+        elif x != 0.0:
+            # exp turns the rounding of its exponent, log Gamma(1-s) +
+            # (s-1) log x, into a relative error of the same size.
+            ln_g = ln_gamma(1.0 - s)
+            ln_p = (s - 1.0) * cmath.log(x)
+            singular = cmath.exp(ln_g + ln_p)
+            sing_err = (5e-15 + 4.4e-16 * (abs(ln_g) + abs(ln_p))) * abs(singular)
             work += 1
 
     # Consecutive term magnitudes zigzag hard at integer s (odd-order
@@ -279,7 +285,9 @@ def _power_series_x(
     pair_cur = 0.0
     grow_streak = 0
     for k in range(_POWER_CAP):
-        if kind == "fd":
+        if k == pole_k:
+            c = _be_pole_limit(nu, s, x, k)
+        elif kind == "fd":
             c = _fd_zero(nu, s - k, cfg)
         else:
             c = hurwitz_zeta(s - k, nu + 1.0, cfg)
@@ -324,6 +332,24 @@ def _power_series_x(
     return EvalResult(value, err, f"{kind}/power-series-x", work)
 
 
+def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
+    """Coefficient of (-x)^k/k! that replaces zeta(s-k, nu+1) at s = k+1.
+
+    It absorbs the singular part: psi(k+1) - psi(nu+1) - log x, and 0 at
+    x = 0, where the term vanishes.  An order within 1e-12 of k+1 is
+    charged the first-order change of the combined term across the gap.
+    """
+    if x == 0.0:
+        return EvalResult(0.0, 0.0, "be/pole-limit", 0)
+    psi_m = digamma(k + 1.0)
+    psi_a = digamma(nu + 1.0)
+    log_x = cmath.log(x)
+    value = psi_m - psi_a - log_x
+    size = 1.0 + abs(psi_m) + abs(psi_a) + abs(log_x)
+    err = 2e-15 * size + abs(s - (k + 1)) * size * size
+    return EvalResult(value, err, "be/pole-limit", 2)
+
+
 # ---------------------------------------------------------------------------
 # Expansion in nu around the classical (nu = 0) functions
 # ---------------------------------------------------------------------------
@@ -357,14 +383,14 @@ def _nu_series(
     terms: list[complex] = []
     inner_err = 0.0
     work = 0
-    poch = complex(1.0)   # (s)_k
-    nupow = complex(1.0)  # (-nu)^k / k!
+    # (s)_k (-nu)^k / k!, carried as one product: its two factors overflow
+    # and underflow separately near k = 170, and inf * 0 would be NaN.
+    weight = complex(1.0)
     r = abs(nu)
     small_streak = 0
     for k in range(_NU_CAP):
         c = classical(s + k)
         work += c.work
-        weight = poch * nupow
         term = weight * c.value
         terms.append(term)
         total += term
@@ -381,8 +407,7 @@ def _nu_series(
                 break
         else:
             small_streak = 0
-        poch *= s + k
-        nupow *= -nu / (k + 1)
+        weight *= (s + k) * (-nu / (k + 1))
     else:
         raise ConvergenceError(
             f"nu-expansion not converged within {_NU_CAP} terms"
@@ -414,10 +439,13 @@ def _kernel_for(kind: str, nu: complex) -> KernelSpec:
         return cmath.exp(-c * u) * _logistic_like(u, kind)
 
     # m-th derivative: maintain P_m with  d/du [e^{-cu} P(f)] =
-    # e^{-cu} [ -c P(f) + P'(f) (f - f^2) ],  f' = f - f^2.
+    # e^{-cu} [ -c P(f) + P'(f) (f - f^2) ],  f' = f - f^2.  polys[m] holds
+    # the coefficients of P_m, built once per order for this kernel.
+    polys: list[list[complex]] = [[0.0, 1.0]]  # P_0(f) = f
+
     def derivative(m: int, u: float) -> complex:
-        coeffs: list[complex] = [0.0, 1.0]  # P_0(f) = f
-        for _ in range(m):
+        while len(polys) <= m:
+            coeffs = polys[-1]
             # -c * P
             nxt: list[complex] = [-c * a for a in coeffs] + [0.0, 0.0]
             # + P'(f) * (f - f^2)
@@ -427,7 +455,8 @@ def _kernel_for(kind: str, nu: complex) -> KernelSpec:
                 nxt[j + 1] -= d    # * f^{j-1} * (-f^2)
             while len(nxt) > 1 and nxt[-1] == 0.0:
                 nxt.pop()
-            coeffs = nxt
+            polys.append(nxt)
+        coeffs = polys[m]
         f = _logistic_like(u, kind)
         acc = complex(0.0)
         for a in reversed(coeffs):
@@ -540,19 +569,15 @@ def _auto(
     if kind == "fd" and _near_nonpos_int(s) and abs(x - 1j * _PI) <= 1e-12:
         return _negint_route("fd", nu, s, x)
 
+    tiny_x = x.imag == 0.0 and 0.0 < x.real < 0.05
+    if kind == "be" and tiny_x:
+        return _power_series_x("be", nu, s, x, cfg)
+
     sign = -1.0 if kind == "fd" else 1.0
     z = sign * cmath.exp(-x)
     if s.real > 0.0:
-        if x.imag == 0.0 and 0.0 < x.real < 0.05:
-            if kind == "fd":
-                return _fd_tiny_x_cvz(nu, s, x.real, cfg)
-            if not (
-                s.imag == 0.0
-                and abs(s.real - round(s.real)) <= 1e-12
-                and round(s.real) >= 1
-            ):
-                return _power_series_x("be", nu, s, x, cfg)
-            # positive integer order: grind the slow geometric series
+        if tiny_x:
+            return _fd_tiny_x_cvz(nu, s, x.real, cfg)
         return _series_route(kind, nu, s, x, cfg)
 
     # Re(s) <= 0: acceleration on the unit circle is unavailable.

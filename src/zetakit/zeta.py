@@ -52,6 +52,7 @@ __all__ = [
 _PI = math.pi
 _LN_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
+_LN_1E_M290 = math.log(1e-290)
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,30 @@ def _hurwitz_reflection(s: complex, a: float, cfg: SeriesConfig) -> EvalResult:
                       n_terms + len(reduction))
 
 
+# B_{2k}/(2k)! as floats for k = 0 .. MAX_POLY_DEGREE // 2, built on the
+# first Euler-Maclaurin call rather than at import.
+_EM_COEFFS: list[float] = []
+
+
+def _em_coeffs() -> list[float]:
+    """Float Euler-Maclaurin coefficients B_{2k}/(2k)!, indexed by k.
+
+    While the ``bernoulli-table`` fault is armed the table is rebuilt from
+    the (corrupted) exact numbers on every call, so the fault reaches the
+    Euler-Maclaurin corrections exactly as it reaches the exact layer.
+    """
+    faulty = faults.active("bernoulli-table")
+    if _EM_COEFFS and not faulty:
+        return _EM_COEFFS
+    table = [
+        float(bernoulli_number(2 * k) / math.factorial(2 * k))
+        for k in range(MAX_POLY_DEGREE // 2 + 1)
+    ]
+    if not faulty:
+        _EM_COEFFS.extend(table)
+    return table
+
+
 def hurwitz_zeta(
     s: complex, a: complex, cfg: SeriesConfig | None = None
 ) -> EvalResult:
@@ -220,14 +245,14 @@ def hurwitz_zeta(
     )
     peak = max(peak, abs(integral), abs(half))
     body = abs(head + integral + half)
+    em_coeffs = _em_coeffs()
     trunc_err = 0.0
     k = 1
     while k <= max_pairs:
         if terminating and poch == 0.0:
             trunc_err = 0.0  # finite exact formula fully summed
             break
-        b_over_fact = bernoulli_number(2 * k) / math.factorial(2 * k)
-        term = float(b_over_fact) * poch * qfac
+        term = em_coeffs[k] * poch * qfac
         mag = abs(term)
         if corrections and mag > abs(corrections[-1]) and not terminating:
             if k > base_pairs:
@@ -372,9 +397,10 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
     the tail once the term moduli are monotone.
 
     The direct sum raises ConvergenceError when N = ``cfg.max_terms`` terms
-    do not reach ``cfg.rel_tol``.  For real a > 0 it raises up front, before
-    summing, when r^N min(1, ((N+a)/a)^{-Re s}) >= 2 rel_tol (r = |z|):
-    then its stopping rule provably cannot fire within the budget.
+    do not reach ``cfg.rel_tol``.  For Re a > 0 it raises up front, before
+    summing, when r^N min(1, (|N+a|/|a|)^{-Re s}) e^{-2 |Im s| |arg a|} >=
+    2 rel_tol (r = |z|): then its stopping rule provably cannot fire within
+    the budget.
     """
     cfg = cfg or DEFAULT_SERIES
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
@@ -394,21 +420,29 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
     if r < 1.0 - 1e-14:
         sigma = s.real
         power = _cpow(a, -s)
-        if a.imag == 0.0 and a.real > 0.0:
+        if a.real > 0.0:
             # Refuse up front when the stopping rule cannot fire within N
-            # terms.  Here |(k+a)^{-s}| = (k+a)^{-sigma}, so |total_n| is at
-            # most a^{-sigma}/(1-r) for sigma >= 0 and (n+a)^{-sigma}/(1-r)
-            # for sigma < 0, while bound_n >= r^n (n+a)^{-sigma}/(1-r).  The
-            # ratio bound_n/|total_n| is thus at least
-            # q_n = r^n min(1, ((n+a)/a)^{-sigma}), which falls with n; if
-            # q_N >= 2 rel_tol no step can stop (the 2 absorbs the rounding
-            # in zpow).  The second clause keeps bound_n >= q_N a^{-sigma}
-            # clear of the 1e-300 floor on |total|.
+            # terms.  With t = Im s and alpha = |arg a| < pi/2, |k+a| grows
+            # with k and |arg(k+a)| <= alpha, so
+            #   |(k+a)^{-s}| = |k+a|^{-sigma} e^{t arg(k+a)}
+            # lies within a factor e^{+-|t| alpha} of |k+a|^{-sigma}.  Hence
+            # |total_n| <= M_n e^{|t| alpha}/(1-r), with M_n = |a|^{-sigma}
+            # for sigma >= 0 and |n+a|^{-sigma} for sigma < 0, while
+            # bound_n >= r^n |n+a|^{-sigma} e^{-|t| alpha}/(1-r).  The ratio
+            # bound_n/|total_n| is thus at least
+            #   q_n = r^n min(1, (|n+a|/|a|)^{-sigma}) e^{-2|t| alpha},
+            # which falls with n; if q_N >= 2 rel_tol no step can stop (the
+            # 2 absorbs the rounding in zpow).  Also bound_n >= q_N
+            # |a|^{-sigma}, and the second clause keeps that clear of the
+            # 1e-300 floor on |total|.
             big_n = cfg.max_terms
-            q = r ** big_n
+            abs_a = abs(a)
+            q = r ** big_n * math.exp(-2.0 * abs(s.imag) * abs(cmath.phase(a)))
             if sigma > 0.0:
-                q *= ((big_n + a.real) / a.real) ** -sigma
-            if q >= 2.0 * cfg.rel_tol and q * abs(power) > 1e-290:
+                q *= (abs(big_n + a) / abs_a) ** -sigma
+            if q >= 2.0 * cfg.rel_tol and (
+                math.log(q) - sigma * math.log(abs_a) > _LN_1E_M290
+            ):
                 raise ConvergenceError(
                     f"direct Lerch sum not converged in {big_n} terms"
                 )

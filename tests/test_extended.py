@@ -132,15 +132,82 @@ class TestStrategies:
         xs = ext_be(p, Strategy.XSERIES)
         assert rel(ps.value, xs.value) <= 1e-10
 
-    def test_be_power_series_rejects_positive_integer_order(self):
+    def test_be_power_series_positive_integer_order_limit_form(self):
+        # At s = m the pole of zeta(s-k, nu+1) at k = m-1 and the singular
+        # part Gamma(1-s) x^{s-1} combine into a finite limit term.
+        p = ExtParams(0.5, 2.0, 0.5)
+        ps = ext_be(p, Strategy.POWER_SERIES_X)
+        xs = ext_be(p, Strategy.XSERIES)
+        assert rel(ps.value, xs.value) <= 1e-12
+        for nu in (0.0, 0.125):
+            for m in (1, 3):
+                for x in (1e-6, 0.01, 1.0):
+                    p = ExtParams(nu, float(m), x)
+                    ps = ext_be(p, Strategy.POWER_SERIES_X)
+                    try:
+                        xs = ext_be(p, Strategy.XSERIES)
+                    except ConvergenceError:
+                        continue  # 500,000 terms cannot reach x = 1e-6
+                    tol = ps.err_estimate + xs.err_estimate
+                    assert abs(ps.value - xs.value) <= tol, (nu, m, x)
+
+    def test_be_power_series_limit_form_within_estimate(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for nu in (0.0, 0.125):
+            for m in (1, 3):
+                for x in (1e-6, 0.01, 1.0):
+                    got = ext_be(ExtParams(nu, float(m), x), Strategy.POWER_SERIES_X)
+                    want = complex(
+                        mpmath.exp(-(nu + 1) * mpmath.mpf(x))
+                        * mpmath.lerchphi(mpmath.exp(-mpmath.mpf(x)), m, nu + 1)
+                    )
+                    assert abs(got.value - want) <= got.err_estimate, (nu, m, x)
+
+    def test_be_power_series_positive_integer_order_at_zero(self):
+        # x = 0: the limit term vanishes for m >= 2; m = 1 is the pole.
+        for nu in (0.0, 0.5):
+            got = ext_be(ExtParams(nu, 3.0, 0.0), Strategy.POWER_SERIES_X)
+            want = hurwitz_zeta(3.0, nu + 1.0)
+            assert rel(got.value, want.value) <= 1e-14
         with pytest.raises(DomainError):
-            ext_be(ExtParams(0.5, 2.0, 0.5), Strategy.POWER_SERIES_X)
+            ext_be(ExtParams(0.0, 1.0, 0.0), Strategy.POWER_SERIES_X)
+
+    def test_be_power_series_singular_part_error_is_honest(self):
+        # Near x = 0 at negative order the singular part Gamma(1-s) x^{s-1}
+        # dominates; the rounding of its large exponent must be charged.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for nu, s, x in ((0.0, -5.5, 0.005), (0.125, -2.5 + 3.0j, 0.01)):
+            got = ext_be(ExtParams(nu, s, x), Strategy.POWER_SERIES_X)
+            xm = mpmath.mpf(x)
+            want = complex(
+                mpmath.exp(-(nu + 1) * xm)
+                * mpmath.lerchphi(mpmath.exp(-xm), mpmath.mpc(s), nu + 1)
+            )
+            assert abs(got.value - want) <= got.err_estimate, (nu, s, x)
+
+    def test_auto_be_small_x_positive_integer_order_returns(self):
+        # be(0, 2, x) = Li_2(e^{-x}); the direct sum would need far more
+        # than 500,000 terms at x = 1e-6.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        got = ext_be(ExtParams(0.0, 2.0, 1e-6))
+        want = complex(mpmath.polylog(2, mpmath.exp(-mpmath.mpf("1e-6"))))
+        assert got.strategy == "be/power-series-x"
+        assert abs(got.value - want) <= got.err_estimate
 
     def test_nu_series_matches_auto(self):
         for nu in (0.0, 0.3, 0.7):
             p = ExtParams(nu, 2.5, 0.0)
             ns = ext_fd(p, Strategy.NU_SERIES)
             assert rel(ns.value, ext_fd(p).value) <= 1e-10
+
+    def test_nu_series_does_not_overflow_at_large_k(self):
+        # nu = 7/8 needs about 250 terms; (s)_k alone overflows near k = 170.
+        p = ExtParams(0.875, 1.5, 0.0)
+        ns = ext_fd(p, Strategy.NU_SERIES)
+        assert rel(ns.value, ext_fd(p).value) <= 1e-10
 
     def test_nu_series_near_radius_edge_is_honest(self):
         # Close to nu=1 the expansion converges like 0.95^k; the route must
@@ -168,6 +235,8 @@ class TestStrategies:
         # its Taylor route; moderate x uses the defining series.
         assert ext_fd(ExtParams(0.5, 2.5, 0.01)).strategy == "fd/xseries-cvz"
         assert ext_be(ExtParams(0.5, 2.5, 0.01)).strategy == "be/power-series-x"
+        assert ext_be(ExtParams(0.5, -2.5, 0.01)).strategy == "be/power-series-x"
+        assert ext_be(ExtParams(0.5, 2.0, 0.01)).strategy == "be/power-series-x"
         assert ext_fd(ExtParams(0.5, 2.5, 0.2)).strategy == "fd/xseries-direct"
         assert ext_be(ExtParams(0.5, 2.5, 0.2)).strategy == "be/xseries-direct"
 

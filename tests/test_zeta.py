@@ -17,6 +17,7 @@ from zetakit import (
     LerchParams,
     PoleError,
     SeriesConfig,
+    Strategy,
     chi_ratio,
     digamma,
     dirichlet_eta,
@@ -198,10 +199,11 @@ class TestLerchPhi:
         "call",
         [
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1)),
+            lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1 + 1j)),
             lambda: ext_fd(ExtParams(0, -1.5, 1e-7)),
-            lambda: ext_be(ExtParams(0, 2, 1e-6)),
+            lambda: ext_be(ExtParams(0, 2, 1e-6), Strategy.XSERIES),
         ],
-        ids=["lerch", "fd", "be"],
+        ids=["lerch", "lerch-complex-a", "fd", "be"],
     )
     def test_hopeless_budget_refused_with_bounded_work(self, call, monkeypatch):
         # |z| = e^{-x} so close to 1 that 500,000 terms cannot reach 1e-13:
@@ -233,7 +235,33 @@ class TestLerchPhi:
         # the default budget needs more than M terms (work - 1 > M), so the
         # up-front refusal never turns away a sum that would have converged.
         # M is drawn around that need, and M = need itself is always tried.
-        p = LerchParams(r * cmath.exp(1j * theta), complex(sigma, t), a)
+        self._check_refusal(
+            LerchParams(r * cmath.exp(1j * theta), complex(sigma, t), a), frac
+        )
+
+    @given(
+        r=st.floats(0.0, 0.999),
+        theta=st.floats(-math.pi, math.pi),
+        a_re=st.floats(0.01, 20.0),
+        a_im=st.floats(-20.0, 20.0),
+        sigma=st.floats(-6.0, 6.0),
+        t=st.floats(-10.0, 10.0),
+        frac=st.floats(0.0, 1.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_refusal_only_when_budget_too_small_complex_a(
+        self, r, theta, a_re, a_im, sigma, t, frac
+    ):
+        # The same property for Re a > 0 off the real axis, where the
+        # refusal bound carries e^{-2 |Im s| |arg a|}.
+        self._check_refusal(
+            LerchParams(r * cmath.exp(1j * theta), complex(sigma, t),
+                        complex(a_re, a_im)),
+            frac,
+        )
+
+    @staticmethod
+    def _check_refusal(p: LerchParams, frac: float) -> None:
         full = lerch_phi(p)
         need = full.work - 1
         for budget in (max(1, round(frac * need)), max(1, need)):
