@@ -17,7 +17,6 @@ from zetakit import (
     KernelSpec,
     audit_decay,
     fd_kernel,
-    taylor_representation,
     weyl_negative_order,
     weyl_transform,
 )
@@ -70,8 +69,3 @@ print("\nOccupation kernel of the alternating family at nu = 1/2")
 kern = fd_kernel(0.5)
 res = weyl_transform(kern, 2.5, x=0.0)
 print(f"  transform at order 2.5: {res.value.real:.15g}  (err~{res.err_estimate:.1e})")
-
-print("\nTaylor recombination from transform values at x = 0")
-coeffs = [1.0] * 20  # exponential kernel: every order gives 1 at x = 0
-res = taylor_representation(coeffs, 1.5, 0.8, 18)
-print(f"  rebuilt e^-0.8 = {res.value.real:.15g}   (direct {math.exp(-0.8):.15g})")

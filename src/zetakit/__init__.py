@@ -5,7 +5,6 @@ strategies per function."""
 from .errors import (
     ConvergenceError,
     DomainError,
-    EvaluationError,
     PoleError,
     RangeError,
     ZetakitError,
@@ -51,7 +50,6 @@ from .weyl import (
     KernelSpec,
     QuadratureConfig,
     audit_decay,
-    taylor_representation,
     weyl_negative_order,
     weyl_transform,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "DomainError",
     "RangeError",
     "ConvergenceError",
-    "EvaluationError",
     "EvalResult",
     # exact rational layer
     "MAX_POLY_DEGREE",
@@ -97,7 +94,6 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "weyl_transform",
     "weyl_negative_order",
-    "taylor_representation",
     "audit_decay",
     # zeta family
     "SeriesConfig",

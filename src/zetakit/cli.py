@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -262,12 +263,7 @@ def _series_config(args: argparse.Namespace) -> SeriesConfig:
         max_terms = args.max_terms
     if rel_tol <= 0.0 or max_terms < 1:
         raise UsageError("--rel-tol must be > 0 and --max-terms >= 1")
-    return SeriesConfig(
-        rel_tol=rel_tol,
-        max_terms=max_terms,
-        em_shift=DEFAULT_SERIES.em_shift,
-        em_order=DEFAULT_SERIES.em_order,
-    )
+    return SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
 
 
 def _resolve_function(args: argparse.Namespace) -> tuple[tuple[str, ...], _Caller, bool]:
@@ -317,6 +313,28 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
         sys.stdout.write(payload)
 
 
+_RESULT_HEADER = ["value_re", "value_im", "err_estimate", "strategy", "work"]
+
+
+def _result_cells(res: EvalResult | None) -> list[str]:
+    """The ``_RESULT_HEADER`` cells of one result; blanks for a failed point."""
+    if res is None:
+        return [""] * len(_RESULT_HEADER)
+    return [
+        f"{res.value.real:.15g}",
+        f"{res.value.imag:.15g}",
+        f"{res.err_estimate:.15g}",
+        res.strategy,
+        str(res.work),
+    ]
+
+
+def _csv(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _classify(exc: ZetakitError) -> tuple[int, str]:
     if isinstance(exc, PoleError):
         return EXIT_DOMAIN, "pole"
@@ -349,19 +367,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = json.dumps(result.to_dict(), indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["value_re", "value_im", "err_estimate", "strategy", "work"])
-        writer.writerow(
-            [
-                f"{result.value.real:.15g}",
-                f"{result.value.imag:.15g}",
-                f"{result.err_estimate:.15g}",
-                result.strategy,
-                result.work,
-            ]
-        )
-        payload = buf.getvalue()
+        payload = _csv([_RESULT_HEADER, _result_cells(result)])
     else:
         payload = (
             f"value = {format_complex(result.value)}\n"
@@ -384,37 +390,19 @@ def _table_rows(
     caller: _Caller,
     strategy: Strategy,
     cfg: SeriesConfig,
-) -> list[dict]:
-    """One dict per grid point, catalog order = Cartesian product order."""
-    rows: list[dict] = []
-    ordered = [axes[name] for name in params]
-
-    def recurse(prefix: dict, depth: int) -> None:
-        if depth == len(params):
-            row: dict = {name: prefix[name] for name in params}
-            try:
-                res = caller(prefix, strategy, cfg, None)
-            except ZetakitError as exc:
-                _, kind = _classify(exc)
-                row.update(
-                    value=None, err_estimate=None, strategy_tag=None, work=None,
-                    status=f"{kind}: {exc}",
-                )
-            else:
-                row.update(
-                    value=res.value,
-                    err_estimate=res.err_estimate,
-                    strategy_tag=res.strategy,
-                    work=res.work,
-                    status="ok",
-                )
-            rows.append(row)
-            return
-        name = params[depth]
-        for value in ordered[depth]:
-            recurse({**prefix, name: value}, depth + 1)
-
-    recurse({}, 0)
+) -> list[tuple[dict, EvalResult | None, str]]:
+    """(point, result or None, status) per grid point, in Cartesian product
+    order: the last parameter varies fastest."""
+    rows: list[tuple[dict, EvalResult | None, str]] = []
+    for combo in itertools.product(*(axes[name] for name in params)):
+        point = dict(zip(params, combo))
+        try:
+            res = caller(point, strategy, cfg, None)
+        except ZetakitError as exc:
+            _, kind = _classify(exc)
+            rows.append((point, None, f"{kind}: {exc}"))
+        else:
+            rows.append((point, res, "ok"))
     return rows
 
 
@@ -427,49 +415,25 @@ def _cmd_table(args: argparse.Namespace) -> int:
     cfg = _series_config(args)
     rows = _table_rows(params, axes, caller, strategy, cfg)
 
-    header = list(params) + ["value_re", "value_im", "err_estimate", "strategy", "work", "status"]
-
-    def cells(row: dict) -> list[str]:
-        out = [format_complex(row[name]) for name in params]
-        if row["status"] == "ok":
-            out += [
-                f"{row['value'].real:.15g}",
-                f"{row['value'].imag:.15g}",
-                f"{row['err_estimate']:.15g}",
-                row["strategy_tag"],
-                str(row["work"]),
-            ]
-        else:
-            out += ["", "", "", "", ""]
-        out.append(row["status"])
-        return out
-
+    header = list(params) + _RESULT_HEADER + ["status"]
+    body = [
+        [format_complex(point[name]) for name in params] + _result_cells(res) + [status]
+        for point, res, status in rows
+    ]
     if args.format == "json":
         objs = []
-        for row in rows:
-            obj: dict = {name: {"re": row[name].real, "im": row[name].imag} for name in params}
-            if row["status"] == "ok":
-                obj["value"] = {"re": row["value"].real, "im": row["value"].imag}
-                obj["err_estimate"] = row["err_estimate"]
-                obj["strategy"] = row["strategy_tag"]
-                obj["work"] = row["work"]
-            else:
-                obj["value"] = None
-                obj["err_estimate"] = None
-                obj["strategy"] = None
-                obj["work"] = None
-            obj["status"] = row["status"]
+        for point, res, status in rows:
+            obj: dict = {name: {"re": point[name].real, "im": point[name].imag}
+                         for name in params}
+            obj.update(res.to_dict() if res else
+                       dict.fromkeys(("value", "err_estimate", "strategy", "work")))
+            obj["status"] = status
             objs.append(obj)
         payload = json.dumps(objs, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(cells(row))
-        payload = buf.getvalue()
+        payload = _csv([header] + body)
     else:
-        table = [header] + [cells(row) for row in rows]
+        table = [header] + body
         widths = [max(len(line[i]) for line in table) for i in range(len(header))]
         lines = [
             "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()

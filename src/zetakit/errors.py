@@ -13,7 +13,6 @@ __all__ = [
     "DomainError",
     "RangeError",
     "ConvergenceError",
-    "EvaluationError",
 ]
 
 
@@ -35,16 +34,3 @@ class RangeError(ZetakitError):
 
 class ConvergenceError(ZetakitError):
     """An iterative scheme could not meet its tolerance within budget."""
-
-
-class EvaluationError(ZetakitError):
-    """A sub-evaluation failed while checking an identity.
-
-    Carries the grid point and the underlying error so a report can name
-    the exact failing configuration.
-    """
-
-    def __init__(self, point: dict, cause: BaseException):
-        self.point = dict(point)
-        self.cause = cause
-        super().__init__(f"evaluation failed at {point!r}: {cause!r}")

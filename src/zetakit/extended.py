@@ -45,9 +45,10 @@ from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
 from .numeric_core import (
     MAX_POLY_DEGREE,
-    alternating_sum_cvz,
+    alternating_sum_with_error,
     bernoulli_poly_coeffs,
     compensated_sum,
+    cpow,
     euler_poly_coeffs,
     ln_gamma,
     require_finite,
@@ -66,6 +67,7 @@ from .zeta import (
     SeriesConfig,
     digamma,
     dirichlet_eta,
+    hurwitz_diff,
     hurwitz_zeta,
     lerch_phi,
     riemann_zeta,
@@ -117,10 +119,6 @@ class ExtParams:
             raise DomainError(f"require Re(x) >= 0, got x={x!r}")
 
 
-def _cpow(base: complex, expo: complex) -> complex:
-    return cmath.exp(expo * cmath.log(base))
-
-
 def _near_pos_int(s: complex) -> bool:
     return (
         s.imag == 0.0
@@ -152,29 +150,26 @@ def fd_zero_hurwitz_route(
     the digamma limit is used).  Kept public as the independent second
     route for the alternating-sum path at x = 0.
     """
-    cfg = cfg or DEFAULT_SERIES
     nu = require_finite(nu, "nu")
     s = require_finite(s, "s")
-    two_ms = _cpow(2.0, -s)
+    diff = hurwitz_diff(s, (nu + 1.0) / 2.0, (nu + 2.0) / 2.0, cfg)
     if abs(s - 1.0) < 1e-12:
-        value = 0.5 * (digamma((nu + 2.0) / 2.0) - digamma((nu + 1.0) / 2.0))
+        value = 0.5 * diff.value
         return EvalResult(value, 1e-14 * (1.0 + abs(value)),
-                          "fd/zero-digamma-limit", 2)
-    za = hurwitz_zeta(s, (nu + 1.0) / 2.0, cfg)
-    zb = hurwitz_zeta(s, (nu + 2.0) / 2.0, cfg)
-    value = two_ms * (za.value - zb.value)
-    err = abs(two_ms) * (za.err_estimate + zb.err_estimate) + 1e-16 * abs(value)
-    return EvalResult(value, err, "fd/zero-hurwitz-diff", za.work + zb.work)
+                          "fd/zero-digamma-limit", diff.work)
+    two_ms = cpow(2.0, -s)
+    value = two_ms * diff.value
+    err = abs(two_ms) * diff.err_estimate + 1e-16 * abs(value)
+    return EvalResult(value, err, "fd/zero-hurwitz-diff", diff.work)
 
 
 def _fd_zero(nu: complex, s: complex, cfg: SeriesConfig) -> EvalResult:
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
         return fd_zero_hurwitz_route(nu, s, cfg)
     a = nu + 1.0
-    v32 = alternating_sum_cvz(lambda k: _cpow(k + a, -s), 32)
-    v24 = alternating_sum_cvz(lambda k: _cpow(k + a, -s), 24)
-    err = abs(v32 - v24) + 1e-15 * abs(v32)
-    return EvalResult(v32, err, "fd/zero-alternating-cvz", 56)
+    value, err, work = alternating_sum_with_error(lambda k: cpow(k + a, -s))
+    return EvalResult(value, err + 1e-15 * abs(value),
+                      "fd/zero-alternating-cvz", work)
 
 
 def _be_zero(nu: complex, s: complex, cfg: SeriesConfig) -> EvalResult:
@@ -221,14 +216,13 @@ def _fd_tiny_x_cvz(
     a = nu + 1.0
 
     def term(k: int) -> complex:
-        return math.exp(-k * x) * _cpow(k + a, -s)
+        return math.exp(-k * x) * cpow(k + a, -s)
 
     pre = cmath.exp(-(nu + 1.0) * x)
-    v32 = alternating_sum_cvz(term, 32)
-    v24 = alternating_sum_cvz(term, 24)
-    value = pre * v32
-    err = abs(pre) * abs(v32 - v24) + 1e-15 * abs(value)
-    return EvalResult(value, err, "fd/xseries-cvz", 56)
+    total, err, work = alternating_sum_with_error(term)
+    value = pre * total
+    err = abs(pre) * err + 1e-15 * abs(value)
+    return EvalResult(value, err, "fd/xseries-cvz", work)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .extended import (
 from .numeric_core import (
     bernoulli_number,
     bernoulli_poly_coeffs,
+    cpow,
     euler_poly_coeffs,
 )
 from .weyl import DEFAULT_QUADRATURE, KernelSpec, QuadratureConfig, weyl_transform
@@ -198,23 +199,12 @@ def check(spec: IdentitySpec) -> IdentityReport:
 # Catalog construction
 # ---------------------------------------------------------------------------
 
-def _cpow(base: complex, expo: complex) -> complex:
-    if base == 0.0:
-        return complex(0.0) if (expo.real if isinstance(expo, complex) else expo) > 0 else complex(math.inf)
-    return cmath.exp(complex(expo) * cmath.log(complex(base)))
-
-
 def _grid(**axes) -> tuple[dict, ...]:
     keys = list(axes)
     return tuple(
         dict(zip(keys, combo))
         for combo in itertools.product(*(axes[k] for k in keys))
     )
-
-
-def _filtered(raw: tuple[dict, ...], guard: Callable[[Point], bool]) -> tuple[dict, ...]:
-    kept = tuple(p for p in raw if guard(p))
-    return kept
 
 
 # The subset the quick self-test runs: cheap entries that still cover
@@ -261,7 +251,7 @@ def build_catalog(
     specs: list[IdentitySpec] = []
 
     def add(name, lhs, rhs, grid, guard=lambda p: True, tol=1e-10):
-        kept = _filtered(grid, guard)
+        kept = tuple(p for p in grid if guard(p))
         if reduced:
             kept = kept[::2]
         specs.append(
@@ -277,7 +267,7 @@ def build_catalog(
     add(
         "diff-eq-7.2",
         lambda p: fd(p["nu"] + 1.0, p["s"], p["x"]) + fd(p["nu"], p["s"], p["x"]),
-        lambda p: _cpow(p["nu"] + 1.0, -complex(p["s"]))
+        lambda p: cpow(p["nu"] + 1.0, -complex(p["s"]))
         * cmath.exp(-(p["nu"] + 1.0) * p["x"]),
         _grid(nu=_NU, s=_S, x=_X),
     )
@@ -287,7 +277,7 @@ def build_catalog(
         "diff-eq-7.6",
         lambda p: fd_zero_hurwitz_route(p["nu"], p["s"], cfg).value
         + fd_zero_hurwitz_route(p["nu"] - 1.0, p["s"], cfg).value,
-        lambda p: _cpow(p["nu"], -complex(p["s"])),
+        lambda p: cpow(p["nu"], -complex(p["s"])),
         _grid(nu=(1.0, 2.3), s=_S),
         guard=lambda p: p["nu"] >= 1.0,
     )
@@ -295,7 +285,7 @@ def build_catalog(
         "lerch-diff-7.7",
         lambda p: lerch(p["z"], p["s"], p["a"])
         - p["z"] * lerch(p["z"], p["s"], p["a"] + 1.0),
-        lambda p: _cpow(p["a"], -complex(p["s"])),
+        lambda p: cpow(p["a"], -complex(p["s"])),
         _grid(
             z=tuple(
                 sign * math.exp(-x) for x in (0.25, 1.0, 3.0) for sign in (1.0, -1.0)
@@ -308,7 +298,7 @@ def build_catalog(
     add(
         "hurwitz-diff-7.11",
         lambda p: hz(p["s"], p["nu"]) - hz(p["s"], p["nu"] + 1.0),
-        lambda p: _cpow(p["nu"], -complex(p["s"])),
+        lambda p: cpow(p["nu"], -complex(p["s"])),
         _grid(nu=(1.0, 2.3), s=_S),
         guard=lambda p: p["nu"] >= 1.0,
     )
@@ -318,7 +308,7 @@ def build_catalog(
         "bisection-6.1",
         lambda p: fd(2.0 * p["nu"], p["s"], p["x"]),
         lambda p: be(2.0 * p["nu"], p["s"], p["x"])
-        - _cpow(2.0, 1.0 - complex(p["s"])) * be(p["nu"], p["s"], 2.0 * p["x"]),
+        - cpow(2.0, 1.0 - complex(p["s"])) * be(p["nu"], p["s"], 2.0 * p["x"]),
         _grid(nu=_NU, s=_S, x=_X),
         guard=lambda p: p["x"] != 0.0 or complex(p["s"]).real > 1.0,
     )
@@ -326,7 +316,7 @@ def build_catalog(
         "fd-be-6.6",
         lambda p: fd_classical(p["s"], p["x"], cfg).value,
         lambda p: be_classical(p["s"], p["x"], cfg).value
-        - _cpow(2.0, 1.0 - complex(p["s"])) * be_classical(p["s"], 2.0 * p["x"], cfg).value,
+        - cpow(2.0, 1.0 - complex(p["s"])) * be_classical(p["s"], 2.0 * p["x"], cfg).value,
         _grid(s=_S, x=(-2.0, -1.0, -0.25)),
     )
     # The phase sits with the shifted-argument side: shifting x by i*pi
@@ -345,7 +335,7 @@ def build_catalog(
     add(
         "evenodd-6.10",
         lambda p: fd(p["nu"] + 1.0, p["s"], p["x"]),
-        lambda p: _cpow(2.0, -complex(p["s"]))
+        lambda p: cpow(2.0, -complex(p["s"]))
         * (
             be(p["nu"] / 2.0, p["s"], 2.0 * p["x"])
             - be((p["nu"] + 1.0) / 2.0, p["s"], 2.0 * p["x"])
@@ -358,7 +348,7 @@ def build_catalog(
     add(
         "cor-6.12-corrected",
         lambda p: fd(p["nu"], p["s"], 0.0),
-        lambda p: _cpow(2.0, -complex(p["s"]))
+        lambda p: cpow(2.0, -complex(p["s"]))
         * (hz(p["s"], (p["nu"] + 1.0) / 2.0) - hz(p["s"], (p["nu"] + 2.0) / 2.0)),
         _grid(nu=_NU, s=_S),
     )
@@ -370,7 +360,7 @@ def build_catalog(
     add(
         "mult-5.10",
         lambda p: be(p["a"], p["s"], p["x"]),
-        lambda p: _cpow(p["q"], -complex(p["s"]))
+        lambda p: cpow(p["q"], -complex(p["s"]))
         * sum(
             cmath.exp(-(p["a"] + j) * p["x"])
             * lerch(math.exp(-p["q"] * p["x"]), p["s"], (p["a"] + j) / p["q"])
@@ -382,7 +372,7 @@ def build_catalog(
     add(
         "mult-5.12",
         lambda p: be(p["a"], p["s"], 0.0),
-        lambda p: _cpow(p["q"], -complex(p["s"]))
+        lambda p: cpow(p["q"], -complex(p["s"]))
         * sum(
             be((p["a"] + j - p["q"]) / p["q"], p["s"], 0.0)
             for j in range(1, p["q"] + 1)
@@ -393,14 +383,14 @@ def build_catalog(
     add(
         "mult-5.13",
         lambda p: hz(p["s"], p["a"] + 1.0),
-        lambda p: _cpow(p["q"], -complex(p["s"]))
+        lambda p: cpow(p["q"], -complex(p["s"]))
         * sum(hz(p["s"], (p["a"] + j) / p["q"]) for j in range(1, p["q"] + 1)),
         _grid(q=(2, 3), a=(0.0, 0.5, 1.0, 2.3), s=_S),
     )
     add(
         "mult-5.14",
         lambda p: riemann_zeta(p["s"], cfg).value,
-        lambda p: _cpow(p["q"], -complex(p["s"]))
+        lambda p: cpow(p["q"], -complex(p["s"]))
         * sum(hz(p["s"], j / p["q"]) for j in range(1, p["q"] + 1)),
         _grid(q=(2, 3), s=_S),
     )
@@ -620,7 +610,7 @@ def mult_5_10_printed_form_gap(
             for s in (2.0, 1.5):
                 for x in (0.0, 1.0):
                     lhs = ext_be(ExtParams(a, s, x), Strategy.AUTO, cfg).value
-                    rhs = _cpow(q, -s) * cmath.exp(a * x * (1.0 - q) / q) * sum(
+                    rhs = cpow(q, -s) * cmath.exp(a * x * (1.0 - q) / q) * sum(
                         cmath.exp(x * j * (1.0 - q) / q)
                         * ext_be(
                             ExtParams((a + j - q) / q, s, q * x),

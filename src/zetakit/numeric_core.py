@@ -11,12 +11,16 @@ Floating layer
     ``ln_gamma`` is a Lanczos-class rational approximation (g = 607/128,
     15 terms) with a branch-managed reflection for Re(s) < 1/2, accurate to
     roughly 14 significant digits on |s| <= 50, |Im s| <= 50.
+    ``cpow`` is the one principal-branch complex power every series term
+    is built from; ``is_nonpos_int`` is the one exact test for the poles of
+    Gamma at 0, -1, -2, ...
 
 Summation
     ``compensated_sum`` is the correctly rounded ``math.fsum`` applied to
     the real and imaginary parts separately; ``alternating_sum_cvz`` is the
     Chebyshev-polynomial acceleration of Cohen-Villegas-Zagier for series
-    sum (-1)^k b_k with smooth, decaying b_k; ``euler_transform_tail``
+    sum (-1)^k b_k with smooth, decaying b_k, and ``alternating_sum_with_error``
+    runs it at two orders to estimate its error; ``euler_transform_tail``
     accelerates sum z^k b_k for z on the unit circle via the classical Euler
     transformation written in its z/(1-z) form.
 """
@@ -44,7 +48,10 @@ __all__ = [
     "euler_poly",
     "compensated_sum",
     "alternating_sum_cvz",
+    "alternating_sum_with_error",
     "euler_transform_tail",
+    "cpow",
+    "is_nonpos_int",
     "require_finite",
 ]
 
@@ -63,6 +70,16 @@ def require_finite(z: complex, name: str = "argument") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{name} must be finite, got {z!r}")
     return z
+
+
+def is_nonpos_int(z: complex) -> bool:
+    """True exactly at z = 0, -1, -2, ..., the poles of Gamma."""
+    return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
+
+
+def cpow(base: complex, expo: complex) -> complex:
+    """Principal-branch base**expo via exp(expo * log(base)), base != 0."""
+    return cmath.exp(expo * cmath.log(base))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +139,7 @@ def ln_gamma(s: complex) -> complex:
     the tested box |s| <= 50, |Im s| <= 50.
     """
     s = require_finite(s, "s")
-    if s.imag == 0.0 and s.real <= 0.0 and s.real == math.floor(s.real):
+    if is_nonpos_int(s):
         raise PoleError(f"pole at s={s.real:g}")
     if s.real >= 0.5:
         return faults.perturb("ln_gamma", _lanczos_ln_gamma(s))
@@ -297,6 +314,19 @@ def alternating_sum_cvz(term: Callable[[int], complex], n: int = 32) -> complex:
         s += c * term(k)
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
     return s / d
+
+
+def alternating_sum_with_error(
+    term: Callable[[int], complex],
+) -> tuple[complex, float, int]:
+    """``alternating_sum_cvz`` at n = 32, with its error and work.
+
+    The error is the gap to the n = 24 sum, |S_32 - S_24|; the work is the
+    56 terms the two sums take.  Returns (value, err_estimate, work).
+    """
+    v32 = alternating_sum_cvz(term, 32)
+    v24 = alternating_sum_cvz(term, 24)
+    return v32, abs(v32 - v24), 56
 
 
 def euler_transform_tail(

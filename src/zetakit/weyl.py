@@ -3,14 +3,17 @@
     W[omega](s; x) = (1/Gamma(s)) * integral_0^inf omega(t + x) t^{s-1} dt
 
 for kernels that decay at infinity, together with its extension to
-non-positive orders by analytic differentiation and the Taylor-series
-representation around x = 0.
+non-positive orders by analytic differentiation.  The Taylor series in x
+around x = 0 is the extended pair's own route (``extended``, Strategy
+``PowerSeriesX``), not part of this engine.
 
-Quadrature design: adaptive Gauss-Kronrod (G7, K15) panels.  For
-0 < Re(s) < 1 the t^{s-1} endpoint singularity is resolved by a geometric
-graded mesh (ratio 1/4) toward t = 0; the far tail beyond the truncation
-point is bounded analytically from the kernel's observed exponential decay
-(or its declared power-law order) and charged to the error estimate.
+Quadrature design: adaptive Gauss-Kronrod (G7, K15) panels on [0, 1] and
+then on doubling intervals [1, 2], [2, 4], ... up to the truncation point.
+For 0 < Re(s) < 1 the t^{s-1} endpoint singularity is resolved by a
+geometric graded mesh on [0, 1] (ratio 1/4) toward t = 0; the far tail
+beyond the truncation point is bounded analytically from the kernel's
+observed exponential decay (or its declared power-law order) and charged
+to the error estimate.
 """
 
 from __future__ import annotations
@@ -19,19 +22,17 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError
-from .numeric_core import compensated_sum, ln_gamma, require_finite
+from .numeric_core import compensated_sum, is_nonpos_int, ln_gamma, require_finite
 from .result import EvalResult
 
 __all__ = [
     "KernelSpec",
     "QuadratureConfig",
     "weyl_transform",
-    "weyl_at_zero_order",
     "weyl_negative_order",
-    "taylor_representation",
     "audit_decay",
 ]
 
@@ -63,15 +64,12 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 240
-    endpoint_split: float = 1.0  # first graded-mesh boundary, in (0, 1]
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.max_subdivisions <= 0:
             raise DomainError("max_subdivisions must be positive")
-        if not 0.0 < self.endpoint_split <= 1.0:
-            raise DomainError("endpoint_split must lie in (0, 1]")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -203,7 +201,6 @@ def weyl_transform(
 
     # --- initial panel boundaries ---
     boundaries: list[float] = []
-    split = cfg.endpoint_split
     stub_value = complex(0.0)
     stub_err = 0.0
     if sigma < 1.0:
@@ -212,7 +209,7 @@ def weyl_transform(
         # error is set by the kernel's local derivative, so the mesh only
         # needs deriv_scale * a^{sigma+1}/(sigma+1) below tolerance.
         w0 = kernel.value(x)
-        d = split / 64.0
+        d = 1.0 / 64.0
         deriv_scale = max(
             abs(kernel.value(x + d) - w0) / d, 1e-3 * abs(w0), 1e-300
         )
@@ -221,9 +218,9 @@ def weyl_transform(
             (sigma + 1.0) * (cfg.abs_tol / 4.0) / (2.0 * deriv_scale)
         ) ** (1.0 / (sigma + 1.0))
         depth = 4
-        while split * 4.0 ** (-depth) > a_min and depth < 60:
+        while 4.0 ** (-depth) > a_min and depth < 60:
             depth += 1
-        edges = [split * 4.0 ** (-k) for k in range(depth + 1)]
+        edges = [4.0 ** (-k) for k in range(depth + 1)]
         a_last = edges[-1]
         # integral_0^a t^{s-1} dt = a^s / s exactly (complex power).
         stub_value = w0 * cmath.exp(s * math.log(a_last)) / s
@@ -234,9 +231,7 @@ def weyl_transform(
         boundaries.extend(reversed(edges))
     else:
         boundaries.append(0.0)
-        if split < 1.0:
-            boundaries.append(split)
-    level = max(1.0, split)
+    level = 1.0
     while level < t_cut:
         boundaries.append(level)
         level *= 2.0
@@ -278,14 +273,6 @@ def weyl_transform(
     return EvalResult(value, err, "weyl/gk-adaptive", work)
 
 
-def weyl_at_zero_order(kernel: KernelSpec, x: float) -> complex:
-    """Order-zero transform: the identity, omega(x) itself."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"x must be finite and >= 0, got {x!r}")
-    return complex(kernel.value(x))
-
-
 def weyl_negative_order(
     kernel: KernelSpec,
     s: complex,
@@ -310,7 +297,7 @@ def weyl_negative_order(
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"x must be finite and >= 0, got {x!r}")
 
-    if s.imag == 0.0 and s.real == math.floor(s.real):
+    if is_nonpos_int(s):
         m = int(-s.real)
         value = complex(kernel.derivative(m, x)) * (-1.0) ** m
         return EvalResult(value, 1e-14 * abs(value), "weyl/neg-int-derivative", 1)
@@ -331,46 +318,6 @@ def weyl_negative_order(
     return EvalResult(
         sign * res.value, res.err_estimate, "weyl/neg-frac-derivative", res.work
     )
-
-
-def taylor_representation(
-    coeffs: Sequence[complex],
-    s: complex,
-    x: float,
-    n_terms: int,
-) -> EvalResult:
-    """Evaluate sum_{n=0}^{N} (-1)^n coeffs[n] x^n / n! .
-
-    ``coeffs[n]`` plays the role of the order-(s-n) transform at 0; ``s``
-    is carried for labeling only.  The error estimate is the magnitude of
-    the first omitted term when one more coefficient is supplied, otherwise
-    the last included term.  Raises ConvergenceError when the term
-    magnitudes never start decreasing within the requested range.
-    """
-    if n_terms < 0:
-        raise DomainError("n_terms must be >= 0")
-    if len(coeffs) < n_terms + 1:
-        raise DomainError("need at least n_terms + 1 coefficients")
-    x = float(x)
-    terms: list[complex] = []
-    xpow = 1.0  # x^n / n!
-    for n in range(n_terms + 1):
-        terms.append((-1.0) ** n * complex(coeffs[n]) * xpow)
-        xpow *= x / (n + 1.0)
-    if n_terms >= 2 and abs(x) > 0.0:
-        mags = [abs(t) for t in terms if t != 0.0]
-        if len(mags) >= 2 and all(
-            m2 >= m1 for m1, m2 in zip(mags, mags[1:])
-        ):
-            raise ConvergenceError(
-                "Taylor terms never decreased within the truncation range"
-            )
-    value = compensated_sum(terms)
-    if len(coeffs) > n_terms + 1:
-        err = abs(complex(coeffs[n_terms + 1]) * xpow)
-    else:
-        err = abs(terms[-1]) if terms else 0.0
-    return EvalResult(value, err + 1e-16 * abs(value), "weyl/taylor", n_terms + 1)
 
 
 def audit_decay(kernel: KernelSpec, samples: int = 40) -> bool:

@@ -26,10 +26,12 @@ from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
 from .numeric_core import (
     MAX_POLY_DEGREE,
-    alternating_sum_cvz,
+    alternating_sum_with_error,
     bernoulli_number,
     compensated_sum,
+    cpow,
     euler_transform_tail,
+    is_nonpos_int,
     ln_gamma,
     monotone_onset,
     require_finite,
@@ -53,6 +55,9 @@ _PI = math.pi
 _LN_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
 _LN_1E_M290 = math.log(1e-290)
+# Euler-Maclaurin correction pairs always taken before the adaptive
+# extension may stop at the smallest term.
+_EM_MIN_PAIRS = 6
 
 
 @dataclass(frozen=True)
@@ -61,21 +66,12 @@ class SeriesConfig:
 
     rel_tol: float = 1e-13
     max_terms: int = 500_000
-    em_shift: int = 10   # baseline N in the Euler-Maclaurin formula
-    em_order: int = 12   # baseline number of correction terms, 2M
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0:
             raise DomainError("rel_tol must be positive")
-        if self.max_terms <= 0 or self.em_shift <= 0 or self.em_order <= 0:
+        if self.max_terms <= 0:
             raise DomainError("budgets must be positive")
-        if self.em_order % 2 != 0:
-            raise DomainError("em_order must be even")
-        if self.em_order + 2 > MAX_POLY_DEGREE:
-            raise DomainError(
-                f"em_order {self.em_order} needs Bernoulli numbers beyond "
-                f"the degree-{MAX_POLY_DEGREE} table"
-            )
 
 
 DEFAULT_SERIES = SeriesConfig()
@@ -92,8 +88,7 @@ class LerchParams:
     def __post_init__(self) -> None:
         require_finite(self.z, "z")
         require_finite(self.s, "s")
-        a = require_finite(self.a, "a")
-        if a.imag == 0.0 and a.real <= 0.0 and a.real == math.floor(a.real):
+        if is_nonpos_int(require_finite(self.a, "a")):
             raise DomainError("a must avoid the non-positive integers")
         if abs(self.z) > 1.0 + 1e-14:
             raise DomainError("require |z| <= 1")
@@ -101,11 +96,6 @@ class LerchParams:
         s = complex(self.s)
         if abs(abs(z) - 1.0) <= 1e-14 and abs(z - 1.0) > 1e-12 and s.real <= 0.0:
             raise DomainError("|z| = 1 with z != 1 needs Re(s) > 0")
-
-
-def _cpow(base: complex, expo: complex) -> complex:
-    """Principal-branch base**expo via exp(expo * log(base))."""
-    return cmath.exp(expo * cmath.log(base))
 
 
 def _cexpm1(u: complex) -> complex:
@@ -130,15 +120,15 @@ def _hurwitz_reflection(s: complex, a: float, cfg: SeriesConfig) -> EvalResult:
     m = max(0, math.ceil(a) - 1)
     a0 = a - m
     reduction: list[complex] = [
-        -_cpow(a0 + j, -s) for j in range(m)
+        -cpow(a0 + j, -s) for j in range(m)
     ]
 
-    amp = cmath.exp(ln_gamma(1.0 - s)) * 2.0 * _cpow(2.0 * _PI, s - 1.0)
+    amp = cmath.exp(ln_gamma(1.0 - s)) * 2.0 * cpow(2.0 * _PI, s - 1.0)
     half_arg = 0.5 * _PI * s
     n_terms = max(8, math.ceil((cfg.rel_tol * (-sigma)) ** (1.0 / sigma)))
     n_terms = min(n_terms, cfg.max_terms)
     series_terms = [
-        cmath.sin(half_arg + 2.0 * _PI * n * a0) * _cpow(n, s - 1.0)
+        cmath.sin(half_arg + 2.0 * _PI * n * a0) * cpow(n, s - 1.0)
         for n in range(1, n_terms + 1)
     ]
     series = compensated_sum(series_terms)
@@ -207,7 +197,7 @@ def hurwitz_zeta(
         return EvalResult(faults.perturb("hurwitz_zeta", out.value),
                           out.err_estimate, out.strategy, out.work)
     if sigma >= 0.0:
-        n_shift = max(cfg.em_shift, math.ceil(abs(s)) + 10)
+        n_shift = math.ceil(abs(s)) + 10
     elif terminating:
         # Negative integer order: the correction series terminates exactly
         # (the Pochhammer factor vanishes), so the smallest shift minimises
@@ -220,22 +210,20 @@ def hurwitz_zeta(
         # only like (n+a)^{|sigma|} <= q^4, a cancellation the peak-based
         # error term tracks.  The 0.8|Im s| part covers tau-driven growth.
         n_shift = max(
-            cfg.em_shift,
             math.ceil(abs(s)) + 10,
             round(2.5 + 0.8 * abs(s.imag) - a.real),
         )
 
-    direct = [_cpow(k + a, -s) for k in range(n_shift)]
+    direct = [cpow(k + a, -s) for k in range(n_shift)]
     head = compensated_sum(direct)
     q = n_shift + a
-    q_pow_ms = _cpow(q, -s)  # q^{-s}
-    integral = _cpow(q, 1.0 - s) / (s - 1.0)
+    q_pow_ms = cpow(q, -s)  # q^{-s}
+    integral = cpow(q, 1.0 - s) / (s - 1.0)
     half = q_pow_ms / 2.0
 
     # Correction terms T_k = B_{2k}/(2k)! * (s)_{2k-1} * q^{-s-2k+1};
-    # extend beyond the configured baseline while they keep shrinking
+    # extend beyond the baseline _EM_MIN_PAIRS while they keep shrinking
     # (asymptotic series: stop at the smallest term).
-    base_pairs = cfg.em_order // 2
     max_pairs = (MAX_POLY_DEGREE - 2) // 2
     poch = s                     # (s)_{2k-1}, starting at (s)_1
     qfac = q_pow_ms / q          # q^{-s-2k+1}, starting at q^{-s-1}
@@ -255,7 +243,7 @@ def hurwitz_zeta(
         term = em_coeffs[k] * poch * qfac
         mag = abs(term)
         if corrections and mag > abs(corrections[-1]) and not terminating:
-            if k > base_pairs:
+            if k > _EM_MIN_PAIRS:
                 trunc_err = abs(corrections[-1])  # asymptotic floor reached
                 break
         corrections.append(term)
@@ -263,7 +251,7 @@ def hurwitz_zeta(
         if (
             not terminating
             and mag <= 1e-18 * max(body, 1e-300)
-            and k >= base_pairs
+            and k >= _EM_MIN_PAIRS
         ):
             trunc_err = mag
             k += 1
@@ -313,7 +301,7 @@ def riemann_zeta(
                           chi.work + other.work)
     if s.real >= 30.0:
         # Fast, fully converged direct sum; the tail is below 4^{-30}.
-        terms = [_cpow(n, -s) for n in range(1, 33)]
+        terms = [cpow(n, -s) for n in range(1, 33)]
         value = compensated_sum(terms)
         return EvalResult(value, abs(terms[-1]) + 1e-16 * abs(value),
                           "riemann/direct-sum", len(terms))
@@ -346,7 +334,7 @@ def digamma(a: complex) -> complex:
     Used for the pole-cancelled Hurwitz difference at s = 1.
     """
     a = require_finite(a, "a")
-    if a.imag == 0.0 and a.real <= 0.0 and a.real == math.floor(a.real):
+    if is_nonpos_int(a):
         raise PoleError(f"pole at a={a.real:g}")
     acc = complex(0.0)
     w = complex(a)
@@ -406,7 +394,7 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
 
     if z == 0.0:
-        value = _cpow(a, -s)
+        value = cpow(a, -s)
         value = faults.perturb("lerch_phi", value)
         return EvalResult(value, 1e-16 * abs(value), "lerch/single-term", 1)
 
@@ -419,7 +407,7 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
     r = abs(z)
     if r < 1.0 - 1e-14:
         sigma = s.real
-        power = _cpow(a, -s)
+        power = cpow(a, -s)
         if a.real > 0.0:
             # Refuse up front when the stopping rule cannot fire within N
             # terms.  With t = Im s and alpha = |arg a| < pi/2, |k+a| grows
@@ -458,7 +446,7 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
             n += 1
             # Geometric tail bound with a crude polynomial-growth guard; its
             # power is the next term's, carried into the next iteration.
-            power = _cpow(n + a, -s)
+            power = cpow(n + a, -s)
             nxt = abs(zpow) * abs(power)
             bound = nxt / (1.0 - r)
             if sigma < 0.0:
@@ -474,17 +462,16 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
 
     # |z| = 1, z != 1: acceleration territory (Re(s) > 0 by precondition).
     if abs(z + 1.0) < 1e-12:
-        val32 = alternating_sum_cvz(lambda k: _cpow(k + a, -s), 32)
-        val24 = alternating_sum_cvz(lambda k: _cpow(k + a, -s), 24)
-        err = abs(val32 - val24) + 1e-15 * abs(val32)
-        value = faults.perturb("lerch_phi", val32)
-        return EvalResult(value, err, "lerch/cvz-alternating", 56)
+        value, err, work = alternating_sum_with_error(lambda k: cpow(k + a, -s))
+        err += 1e-15 * abs(value)
+        value = faults.perturb("lerch_phi", value)
+        return EvalResult(value, err, "lerch/cvz-alternating", work)
 
-    onset = monotone_onset(lambda k: abs(_cpow(k + a, -s)))
+    onset = monotone_onset(lambda k: abs(cpow(k + a, -s)))
     n0 = max(onset, 24)
-    prefix = [ _cpow(k + a, -s) * z**k for k in range(n0) ]
+    prefix = [ cpow(k + a, -s) * z**k for k in range(n0) ]
     tail, tail_err, tail_work = euler_transform_tail(
-        lambda k: _cpow(n0 + k + a, -s), z, cfg.rel_tol
+        lambda k: cpow(n0 + k + a, -s), z, cfg.rel_tol
     )
     value = compensated_sum(prefix) + z**n0 * tail
     value = faults.perturb("lerch_phi", value)
@@ -513,13 +500,9 @@ def chi_ratio(s: complex) -> EvalResult:
     s = require_finite(s, "s")
     half_one_minus = (1.0 - s) / 2.0
     half_s = s / 2.0
-
-    def _is_nonpos_int(z: complex) -> bool:
-        return z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real)
-
-    if _is_nonpos_int(half_one_minus):
+    if is_nonpos_int(half_one_minus):
         raise PoleError(f"pole at s={s.real:g} (Gamma((1-s)/2) pole)")
-    if _is_nonpos_int(half_s):
+    if is_nonpos_int(half_s):
         return EvalResult(0.0, 0.0, "chi/gamma-pole-zero", 0)
     log_chi = (s - 0.5) * _LN_PI + ln_gamma(half_one_minus) - ln_gamma(half_s)
     value = cmath.exp(log_chi)

@@ -11,7 +11,6 @@ from zetakit import (
     KernelSpec,
     QuadratureConfig,
     audit_decay,
-    taylor_representation,
     weyl_negative_order,
     weyl_transform,
 )
@@ -114,29 +113,6 @@ class TestNegativeOrders:
     def test_rejects_positive_order(self):
         with pytest.raises(DomainError):
             weyl_negative_order(EXP_KERNEL, 0.5, 0.0)
-
-
-class TestTaylorRepresentation:
-    def test_exponential_series(self):
-        # coeffs all e^{0} = 1 -> sum (-x)^n/n! = e^{-x}
-        coeffs = [1.0] * 24
-        res = taylor_representation(coeffs, 1.5, 0.8, 22)
-        assert abs(res.value - math.exp(-0.8)) < 1e-14
-
-    def test_error_estimate_from_omitted_term(self):
-        coeffs = [1.0] * 10
-        res = taylor_representation(coeffs, 1.0, 0.5, 8)
-        # first omitted term: 0.5^9/9!
-        assert res.err_estimate >= 0.5**9 / math.factorial(9) * 0.9
-
-    def test_divergent_range_raises(self):
-        coeffs = [float(math.factorial(n)) for n in range(12)]
-        with pytest.raises(ConvergenceError):
-            taylor_representation(coeffs, 1.0, 3.0, 11)
-
-    def test_input_validation(self):
-        with pytest.raises(DomainError):
-            taylor_representation([1.0], 1.0, 0.5, 3)
 
 
 class TestKernelSpecAndConfig:
