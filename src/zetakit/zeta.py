@@ -228,10 +228,9 @@ def hurwitz_zeta(
     poch = s                     # (s)_{2k-1}, starting at (s)_1
     qfac = q_pow_ms / q          # q^{-s-2k+1}, starting at q^{-s-1}
     corrections: list[complex] = []
-    peak = max(
-        (abs(t) for t in direct), default=0.0
-    )
-    peak = max(peak, abs(integral), abs(half))
+    mags = [abs(t) for t in direct] + [abs(integral), abs(half)]
+    peak = max(mags)
+    mass = sum(mags)    # grows by every correction term's size below
     body = abs(head + integral + half)
     em_coeffs = _em_coeffs()
     trunc_err = 0.0
@@ -248,6 +247,7 @@ def hurwitz_zeta(
                 break
         corrections.append(term)
         peak = max(peak, mag)
+        mass += mag
         if (
             not terminating
             and mag <= 1e-18 * max(body, 1e-300)
@@ -264,7 +264,11 @@ def hurwitz_zeta(
         trunc_err = abs(corrections[-1]) if corrections else 0.0
 
     value = head + integral + half + compensated_sum(corrections)
-    err = trunc_err + 3e-16 * peak + 1e-16 * abs(value)
+    # Every term is a power exp(e log(n+a)) with |e| <= |s| + 1 and
+    # |log(n+a)| <= max(|log a|, |log q|); it inherits the rounding of its
+    # exponent, up to 2.2e-16 |e| |log(n+a)| relative.
+    expo_err = 2.2e-16 * (abs(s) + 1.0) * max(abs(cmath.log(a)), abs(cmath.log(q)))
+    err = trunc_err + 3e-16 * peak + expo_err * mass + 1e-16 * abs(value)
     value = faults.perturb("hurwitz_zeta", value)
     return EvalResult(
         value, err, "hurwitz/euler-maclaurin", n_shift + 2 * len(corrections)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,28 @@ class TestHurwitzZeta:
         # cross-check via the forward difference equation
         lhs = hurwitz_zeta(s, 0.3).value - hurwitz_zeta(s, 1.3).value
         assert rel(lhs, 0.3 ** (-s)) <= 1e-10
+
+    def test_error_estimate_is_honest(self):
+        # Every Euler-Maclaurin term is a complex power whose exponent is
+        # rounded; the true error must stay within err_estimate, also where
+        # it reaches into the Taylor-in-x coefficients of be at tiny x.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        rng = random.Random(20261018)
+        points = [(5.0, 3.3), (-3.5, 0.5), (-2.5, 0.5), (-3.5, 1.0)]
+        for _ in range(200):
+            s = complex(rng.uniform(-6, 25), rng.choice([0.0, rng.uniform(-30, 30)]))
+            a = rng.choice([rng.uniform(0.005, 12),
+                            complex(rng.uniform(0.1, 4), rng.uniform(-3, 3))])
+            points.append((s, a))
+        for s, a in points:
+            got = hurwitz_zeta(s, a)
+            want = mpmath.zeta(mpmath.mpc(s), mpmath.mpc(a))
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+        got = ext_be(ExtParams(2.3, 5.0, 1e-6), Strategy.POWER_SERIES_X)
+        xm = mpmath.mpf("1e-6")
+        want = mpmath.exp(-3.3 * xm) * mpmath.lerchphi(mpmath.exp(-xm), 5, 3.3)
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
     def test_pole_and_domain(self):
         with pytest.raises(PoleError, match="pole at s=1"):
