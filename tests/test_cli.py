@@ -275,6 +275,25 @@ class TestTable:
         assert [r["s"]["im"] for r in rows] == [0.0, 1.0, 2.0]
         assert all(r["status"] == "ok" for r in rows)
 
+    def test_two_grid_axes_in_cartesian_order(self, capsys):
+        # nu and x are gridded: rows follow the Cartesian product, with the
+        # last parameter (x) varying fastest, and each row's cells match the
+        # eval command at the same point.
+        assert main(
+            ["table", "--fn", "ext_fd", "--nu", "0:1:2", "--s", "2.5",
+             "--x", "0:0.5:3", "--format", "csv"]
+        ) == EXIT_OK
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (nu, "2.5", x) for nu in ("0", "1") for x in ("0", "0.25", "0.5")
+        ]
+        assert all(r[-1] == "ok" for r in rows)
+        for row in (rows[1], rows[5]):
+            assert main(["eval", "--fn", "ext_fd", "--nu", row[0], "--s", row[1],
+                         "--x", row[2], "--format", "csv"]) == EXIT_OK
+            cells = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1]
+            assert cells == row[3:8]
+
 
 class TestCheck:
     def test_single_identity_report(self, capsys):
