@@ -19,10 +19,11 @@ Summation
     ``compensated_sum`` is the correctly rounded ``math.fsum`` applied to
     the real and imaginary parts separately; ``alternating_sum_cvz`` is the
     Chebyshev-polynomial acceleration of Cohen-Villegas-Zagier for series
-    sum (-1)^k b_k with smooth, decaying b_k, and ``alternating_sum_with_error``
-    runs it at two orders to estimate its error; ``euler_transform_tail``
-    accelerates sum z^k b_k for z on the unit circle via the classical Euler
-    transformation written in its z/(1-z) form.
+    sum (-1)^k b_k with smooth, decaying b_k, and
+    ``alternating_sum_with_error`` runs it at two orders to estimate its
+    error; ``euler_transform_tail`` accelerates sum z^k b_k for z on the
+    unit circle via the classical Euler transformation written in its
+    z/(1-z) form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Union
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
