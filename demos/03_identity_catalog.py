@@ -24,7 +24,7 @@ print(f"  {rep.name}: max_rel_err = {rep.max_rel_err!r} over {rep.points_tested}
 
 print("\nInjecting a 1e-6 relative fault into one function")
 for target in ("ext_fd", "hurwitz_zeta", "bernoulli-table"):
-    with faults.inject(target, rel=1e-6):
+    with faults.inject(target):
         perturbed = run_catalog(reduced=True)
     tripped = [r.name for r in perturbed if not r.passed]
     print(f"  {target:14s} -> caught by {len(tripped)} entries, e.g. {tripped[:3]}")

@@ -46,9 +46,7 @@ from .numeric_core import (
 )
 from .result import EvalResult
 from .weyl import (
-    DEFAULT_QUADRATURE,
     KernelSpec,
-    QuadratureConfig,
     audit_decay,
     weyl_negative_order,
     weyl_transform,
@@ -90,8 +88,6 @@ __all__ = [
     "compensated_sum",
     # fractional-integral engine
     "KernelSpec",
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "weyl_transform",
     "weyl_negative_order",
     "audit_decay",

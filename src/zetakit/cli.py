@@ -7,25 +7,28 @@ Four subcommands:
 * ``check``    -- run the identity catalog and report per-entry residuals.
 * ``selftest`` -- golden-value checks plus the catalog on reduced grids.
 
+``check --inject-fault TARGET`` and ``selftest --inject-fault TARGET`` arm
+one of ``faults.FAULT_TARGETS`` for the whole run (for ``selftest``, the
+golden checks as well as the catalog); a sound harness then fails.
+
 Exit codes: 0 success, 1 usage error, 2 domain error (poles included),
 3 convergence failure, 4 identity/selftest failure.
 
 Numeric output uses 15 significant digits (``%.15g``); complex numbers are
 written as ``a+bi`` literals, which the argument parser accepts back, so CSV
-tables round-trip through re-evaluation.  The environment variable
-``ZETAKIT_MAX_TERMS`` overrides ``SeriesConfig.max_terms`` (an explicit
-``--max-terms`` flag still wins over the environment).
+tables round-trip through re-evaluation.  ``--rel-tol`` and ``--max-terms``
+set the two ``SeriesConfig`` fields; nothing else is configurable.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from typing import Callable, Sequence
@@ -185,43 +188,43 @@ def _need_real(v: complex, name: str) -> float:
     return v.real
 
 
-def _call_zeta(v, strategy, cfg, quad):
+def _call_zeta(v, strategy, cfg):
     return riemann_zeta(v["s"], cfg)
 
 
-def _call_eta(v, strategy, cfg, quad):
+def _call_eta(v, strategy, cfg):
     return dirichlet_eta(v["s"], cfg)
 
 
-def _call_hurwitz(v, strategy, cfg, quad):
+def _call_hurwitz(v, strategy, cfg):
     return hurwitz_zeta(v["s"], v["a"], cfg)
 
 
-def _call_lerch(v, strategy, cfg, quad):
+def _call_lerch(v, strategy, cfg):
     return lerch_phi(LerchParams(v["z"], v["s"], v["a"]), cfg)
 
 
-def _call_polylog(v, strategy, cfg, quad):
+def _call_polylog(v, strategy, cfg):
     return polylog(v["z"], v["s"], cfg)
 
 
-def _call_chi(v, strategy, cfg, quad):
+def _call_chi(v, strategy, cfg):
     return chi_ratio(v["s"])
 
 
-def _call_ext_fd(v, strategy, cfg, quad):
-    return ext_fd(ExtParams(v["nu"], v["s"], v["x"]), strategy, cfg, quad)
+def _call_ext_fd(v, strategy, cfg):
+    return ext_fd(ExtParams(v["nu"], v["s"], v["x"]), strategy, cfg)
 
 
-def _call_ext_be(v, strategy, cfg, quad):
-    return ext_be(ExtParams(v["nu"], v["s"], v["x"]), strategy, cfg, quad)
+def _call_ext_be(v, strategy, cfg):
+    return ext_be(ExtParams(v["nu"], v["s"], v["x"]), strategy, cfg)
 
 
-def _call_fd_classical(v, strategy, cfg, quad):
-    return fd_classical(v["s"], _need_real(v["x"], "x"), cfg, quad)
+def _call_fd_classical(v, strategy, cfg):
+    return fd_classical(v["s"], _need_real(v["x"], "x"), cfg)
 
 
-def _call_be_classical(v, strategy, cfg, quad):
+def _call_be_classical(v, strategy, cfg):
     return be_classical(v["s"], _need_real(v["x"], "x"), cfg)
 
 
@@ -252,15 +255,7 @@ _PARAM_OPTIONS = frozenset(f"--{flag}" for flag in _PARAM_FLAGS)
 
 def _series_config(args: argparse.Namespace) -> SeriesConfig:
     rel_tol = DEFAULT_SERIES.rel_tol if args.rel_tol is None else args.rel_tol
-    max_terms = DEFAULT_SERIES.max_terms
-    env = os.environ.get("ZETAKIT_MAX_TERMS")
-    if env is not None:
-        try:
-            max_terms = int(env)
-        except ValueError:
-            raise UsageError(f"ZETAKIT_MAX_TERMS must be an integer, got {env!r}")
-    if args.max_terms is not None:
-        max_terms = args.max_terms
+    max_terms = DEFAULT_SERIES.max_terms if args.max_terms is None else args.max_terms
     if rel_tol <= 0.0 or max_terms < 1:
         raise UsageError("--rel-tol must be > 0 and --max-terms >= 1")
     return SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
@@ -362,7 +357,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     strategy = _resolve_strategy(args, takes_strategy)
     cfg = _series_config(args)
 
-    result = caller(point, strategy, cfg, None)
+    result = caller(point, strategy, cfg)
 
     if args.format == "json":
         payload = json.dumps(result.to_dict(), indent=2, allow_nan=False) + "\n"
@@ -397,7 +392,7 @@ def _table_rows(
     for combo in itertools.product(*(axes[name] for name in params)):
         point = dict(zip(params, combo))
         try:
-            res = caller(point, strategy, cfg, None)
+            res = caller(point, strategy, cfg)
         except ZetakitError as exc:
             _, kind = _classify(exc)
             rows.append((point, None, f"{kind}: {exc}"))
@@ -449,18 +444,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_reports(args: argparse.Namespace, names, reduced: bool):
-    cfg = _series_config(args)
-    if getattr(args, "inject_fault", None):
-        with faults.inject(args.inject_fault):
-            return run_catalog(names, cfg=cfg, reduced=reduced)
-    return run_catalog(names, cfg=cfg, reduced=reduced)
+def _armed_fault(args: argparse.Namespace):
+    """The ``--inject-fault`` target armed, or a no-op without the flag."""
+    if args.inject_fault:
+        return faults.inject(args.inject_fault)
+    return contextlib.nullcontext()
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     names: Sequence[str] | None = args.only or None
     try:
-        reports = _run_reports(args, names, reduced=args.reduced)
+        with _armed_fault(args):
+            reports = run_catalog(names, cfg=_series_config(args), reduced=args.reduced)
     except KeyError as exc:
         raise UsageError(str(exc).strip("'\""))
 
@@ -535,17 +530,11 @@ def golden_checks(cfg: SeriesConfig | None = None) -> list[dict]:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     names = list(QUICK_SUBSET) if args.quick else None
 
-    def run() -> tuple[list[dict], list]:
-        golden = golden_checks(_series_config(args))
-        reports = _run_reports(args, names, reduced=True)
-        return golden, reports
-
+    cfg = _series_config(args)
     started = time.monotonic()
-    if args.corrupt_bernoulli:
-        with faults.inject("bernoulli-table"):
-            golden, reports = run()
-    else:
-        golden, reports = run()
+    with _armed_fault(args):
+        golden = golden_checks(cfg)
+        reports = run_catalog(names, cfg=cfg, reduced=True)
     elapsed = time.monotonic() - started
 
     all_pass = all(g["pass"] for g in golden) and all(r.passed for r in reports)
@@ -609,8 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="golden values + catalog on reduced grids")
     _add_common(p_self, with_params=False)
     p_self.add_argument("--quick", action="store_true", help="quick identity subset (< 5 s)")
-    p_self.add_argument("--corrupt-bernoulli", action="store_true",
-                        help="debug: corrupt the Bernoulli table (must fail)")
     p_self.add_argument("--inject-fault", choices=faults.FAULT_TARGETS, default=None,
                         help="debug: perturb one target while testing")
     p_self.set_defaults(handler=_cmd_selftest)

@@ -55,9 +55,7 @@ from .numeric_core import (
 )
 from .result import EvalResult
 from .weyl import (
-    DEFAULT_QUADRATURE,
     KernelSpec,
-    QuadratureConfig,
     weyl_negative_order,
     weyl_transform,
 )
@@ -476,7 +474,7 @@ def be_kernel(nu: complex) -> KernelSpec:
 
 
 def _weyl_route(
-    kind: str, nu: complex, s: complex, x: complex, quad: QuadratureConfig
+    kind: str, nu: complex, s: complex, x: complex
 ) -> EvalResult:
     if x.imag != 0.0 or x.real < 0.0:
         raise DomainError("quadrature route needs real x >= 0")
@@ -488,9 +486,9 @@ def _weyl_route(
         )
     kernel = _kernel_for(kind, nu)
     if s.real > 0.0:
-        inner = weyl_transform(kernel, s, xr, quad)
+        inner = weyl_transform(kernel, s, xr)
     else:
-        inner = weyl_negative_order(kernel, s, xr, quad)
+        inner = weyl_negative_order(kernel, s, xr)
     suffix = inner.strategy.split("/", 1)[1]
     return EvalResult(inner.value, inner.err_estimate,
                       f"{kind}/weyl-{suffix}", inner.work)
@@ -556,7 +554,6 @@ def _auto(
     s: complex,
     x: complex,
     cfg: SeriesConfig,
-    quad: QuadratureConfig,
 ) -> EvalResult:
     if x == 0.0:
         return _fd_zero(nu, s, cfg) if kind == "fd" else _be_zero(nu, s, cfg)
@@ -591,13 +588,11 @@ def _dispatch(
     p: ExtParams,
     strategy: Strategy,
     cfg: SeriesConfig | None,
-    quad: QuadratureConfig | None,
 ) -> EvalResult:
     cfg = cfg or DEFAULT_SERIES
-    quad = quad or DEFAULT_QUADRATURE
     nu, s, x = complex(p.nu), complex(p.s), complex(p.x)
     if strategy is Strategy.AUTO:
-        out = _auto(kind, nu, s, x, cfg, quad)
+        out = _auto(kind, nu, s, x, cfg)
     elif strategy is Strategy.XSERIES:
         if x == 0.0:
             # z = -+1 exactly: the alternating sum accelerates (fd) and the
@@ -610,7 +605,7 @@ def _dispatch(
         else:
             out = _series_route(kind, nu, s, x, cfg)
     elif strategy is Strategy.WEYL_QUAD:
-        out = _weyl_route(kind, nu, s, x, quad)
+        out = _weyl_route(kind, nu, s, x)
     elif strategy is Strategy.POWER_SERIES_X:
         out = _power_series_x(kind, nu, s, x, cfg)
     elif strategy is Strategy.NU_SERIES:
@@ -627,20 +622,18 @@ def ext_fd(
     p: ExtParams,
     strategy: Strategy = Strategy.AUTO,
     cfg: SeriesConfig | None = None,
-    quad: QuadratureConfig | None = None,
 ) -> EvalResult:
     """Extended alternating (fd) function at p = (nu, s, x)."""
-    return _dispatch("fd", p, strategy, cfg, quad)
+    return _dispatch("fd", p, strategy, cfg)
 
 
 def ext_be(
     p: ExtParams,
     strategy: Strategy = Strategy.AUTO,
     cfg: SeriesConfig | None = None,
-    quad: QuadratureConfig | None = None,
 ) -> EvalResult:
     """Extended one-signed (be) function at p = (nu, s, x)."""
-    return _dispatch("be", p, strategy, cfg, quad)
+    return _dispatch("be", p, strategy, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +644,6 @@ def fd_classical(
     s: complex,
     x: float,
     cfg: SeriesConfig | None = None,
-    quad: QuadratureConfig | None = None,
 ) -> EvalResult:
     """Classical alternating integral (1/Gamma(s)) I[t^{s-1}/(e^{t-x}+1)].
 
@@ -664,7 +656,7 @@ def fd_classical(
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     if x <= 0.0:
-        inner = ext_fd(ExtParams(0.0, s, -x), Strategy.AUTO, cfg, quad)
+        inner = ext_fd(ExtParams(0.0, s, -x), Strategy.AUTO, cfg)
         return EvalResult(inner.value, inner.err_estimate,
                           "fd-classical/" + inner.strategy.split("/", 1)[1],
                           inner.work)
@@ -679,7 +671,7 @@ def fd_classical(
         return 1.0 / (1.0 + math.exp(u))
 
     kernel = KernelSpec(value=occupation, decay_b=math.inf)
-    inner = weyl_transform(kernel, s, 0.0, quad or DEFAULT_QUADRATURE)
+    inner = weyl_transform(kernel, s, 0.0)
     return EvalResult(inner.value, inner.err_estimate,
                       "fd-classical/weyl-gk-adaptive", inner.work)
 

@@ -3,8 +3,8 @@
 The identity harness is only trustworthy if a small wrong answer anywhere
 actually trips at least one check.  This module provides the hook: while a
 fault is armed, the instrumented function multiplies its output by
-``(1 + rel)``, and the Bernoulli table hook corrupts one exact entry.
-Production overhead is a single dict lookup per call.
+``1 + 1e-6``, and the Bernoulli table hook corrupts one exact entry.
+Production overhead is a single set lookup per call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ FAULT_TARGETS = (
     "bernoulli-table",
 )
 
-_ACTIVE: dict[str, float] = {}
+# Relative perturbation applied by an armed output fault.
+_REL = 1e-6
+
+_ACTIVE: set[str] = set()
 
 
 def active(name: str) -> bool:
@@ -32,20 +35,19 @@ def active(name: str) -> bool:
 
 
 def perturb(name: str, value: complex) -> complex:
-    """Return ``value`` scaled by (1 + rel) when fault ``name`` is armed."""
-    rel = _ACTIVE.get(name)
-    if rel is None:
+    """Return ``value`` scaled by (1 + 1e-6) when fault ``name`` is armed."""
+    if name not in _ACTIVE:
         return value
-    return value * (1.0 + rel)
+    return value * (1.0 + _REL)
 
 
 @contextmanager
-def inject(name: str, rel: float = 1e-6) -> Iterator[None]:
+def inject(name: str) -> Iterator[None]:
     """Arm fault ``name`` for the duration of the context."""
     if name not in FAULT_TARGETS:
         raise KeyError(f"unknown fault target: {name!r}")
-    _ACTIVE[name] = rel
+    _ACTIVE.add(name)
     try:
         yield
     finally:
-        _ACTIVE.pop(name, None)
+        _ACTIVE.discard(name)

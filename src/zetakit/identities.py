@@ -1,8 +1,8 @@
 """Grid-driven numerical verification of the function-family identities.
 
 Every entry in the catalog names one relation between independently
-computed quantities, carries its own parameter grid, relative tolerance,
-and a domain guard that rejects points outside the relation's stated
+computed quantities, carries its own parameter grid and relative
+tolerance; the grid holds only points inside the relation's stated
 preconditions.  Running an entry produces an :class:`IdentityReport` with
 the worst observed residual, so a regression anywhere in the evaluation
 stack surfaces as a named, reproducible failure.
@@ -41,7 +41,7 @@ from .numeric_core import (
     cpow,
     euler_poly_coeffs,
 )
-from .weyl import DEFAULT_QUADRATURE, KernelSpec, QuadratureConfig, weyl_transform
+from .weyl import KernelSpec, weyl_transform
 from .zeta import (
     DEFAULT_SERIES,
     LerchParams,
@@ -80,14 +80,13 @@ _ABS_NEAR_ZERO = 1e-12  # near-zero points compare absolutely against this
 
 @dataclass(frozen=True)
 class IdentitySpec:
-    """One named identity: evaluators, grid, tolerance, and guard."""
+    """One named identity: evaluators, grid, and tolerance."""
 
     name: str
     lhs: Evaluator
     rhs: Evaluator
     grid: tuple[dict, ...]
     tol: float = 1e-10
-    domain_guard: Callable[[Point], bool] = lambda p: True
 
     def __post_init__(self) -> None:
         if not self.grid:
@@ -139,7 +138,7 @@ def _point_dict(point: Point) -> dict:
 
 
 def check(spec: IdentitySpec) -> IdentityReport:
-    """Evaluate both sides on every guarded-in grid point.
+    """Evaluate both sides on every grid point.
 
     The per-point error is |lhs - rhs| / max(|lhs|, |rhs|, 1e-30); when
     that ratio misses the tolerance but the absolute gap is below 1e-12
@@ -151,11 +150,7 @@ def check(spec: IdentitySpec) -> IdentityReport:
     worst_err = -1.0
     worst_point: dict | None = None
     error_point: dict | None = None
-    tested = 0
     for point in spec.grid:
-        if not spec.domain_guard(point):
-            continue
-        tested += 1
         try:
             lhs = complex(spec.lhs(point))
             rhs = complex(spec.rhs(point))
@@ -177,7 +172,7 @@ def check(spec: IdentitySpec) -> IdentityReport:
     if error_point is not None:
         return IdentityReport(
             name=spec.name,
-            points_tested=tested,
+            points_tested=len(spec.grid),
             max_rel_err=math.inf,
             mean_rel_err=math.inf,
             worst_point=error_point,
@@ -187,7 +182,7 @@ def check(spec: IdentitySpec) -> IdentityReport:
     mean_err = sum(errs) / len(errs) if errs else 0.0
     return IdentityReport(
         name=spec.name,
-        points_tested=tested,
+        points_tested=len(spec.grid),
         max_rel_err=max_err,
         mean_rel_err=mean_err,
         worst_point=worst_point,
@@ -225,22 +220,21 @@ QUICK_SUBSET = (
 
 def build_catalog(
     cfg: SeriesConfig | None = None,
-    quad: QuadratureConfig | None = None,
     reduced: bool = False,
 ) -> dict[str, IdentitySpec]:
     """Assemble every identity spec, keyed by name.
 
-    ``reduced`` thins each grid to every other point (self-test mode);
-    full grids are the acceptance configuration.
+    Each grid keeps only the points its guard admits (the relation's
+    preconditions).  ``reduced`` then thins each grid to every other point
+    (self-test mode); full grids are the acceptance configuration.
     """
     cfg = cfg or DEFAULT_SERIES
-    quad = quad or DEFAULT_QUADRATURE
 
     def fd(nu, s, x, strategy=Strategy.AUTO):
-        return ext_fd(ExtParams(nu, s, x), strategy, cfg, quad).value
+        return ext_fd(ExtParams(nu, s, x), strategy, cfg).value
 
     def be(nu, s, x, strategy=Strategy.AUTO):
-        return ext_be(ExtParams(nu, s, x), strategy, cfg, quad).value
+        return ext_be(ExtParams(nu, s, x), strategy, cfg).value
 
     def hz(s, a):
         return hurwitz_zeta(s, a, cfg).value
@@ -257,7 +251,7 @@ def build_catalog(
         specs.append(
             IdentitySpec(
                 name=name, lhs=lhs, rhs=rhs, grid=kept,
-                tol=tol, domain_guard=guard,
+                tol=tol,
             )
         )
 
@@ -403,7 +397,7 @@ def build_catalog(
             return ext_fd(ExtParams(nu, beta, u), Strategy.AUTO, cfg).value
 
         kernel = KernelSpec(value=kernel_value, decay_b=math.inf)
-        return weyl_transform(kernel, p["r"], p["x"], quad).value
+        return weyl_transform(kernel, p["r"], p["x"]).value
 
     add(
         "weyl-selfrep-4.8",
@@ -568,11 +562,10 @@ def catalog_names() -> tuple[str, ...]:
 def run_catalog(
     names: Sequence[str] | None = None,
     cfg: SeriesConfig | None = None,
-    quad: QuadratureConfig | None = None,
     reduced: bool = False,
 ) -> list[IdentityReport]:
     """Check all (or the named) identities; reports sorted by name."""
-    catalog = build_catalog(cfg, quad, reduced)
+    catalog = build_catalog(cfg, reduced)
     if names:
         missing = sorted(set(names) - set(catalog))
         if missing:

@@ -13,7 +13,11 @@ For 0 < Re(s) < 1 the t^{s-1} endpoint singularity is resolved by a
 geometric graded mesh on [0, 1] (ratio 1/4) toward t = 0; the far tail
 beyond the truncation point is bounded analytically from the kernel's
 observed exponential decay (or its declared power-law order) and charged
-to the error estimate.
+to the error estimate.  The tolerances are fixed: the worst panel is split
+until the summed error estimate of the integral (before the 1/Gamma(s)
+factor) is at most max(ABS_TOL, REL_TOL |integral|) = max(1e-12,
+1e-10 |integral|), and ConvergenceError is raised after MAX_SUBDIVISIONS
+= 240 panels.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .result import EvalResult
 
 __all__ = [
     "KernelSpec",
-    "QuadratureConfig",
     "weyl_transform",
     "weyl_negative_order",
     "audit_decay",
@@ -59,20 +62,10 @@ class KernelSpec:
             raise DomainError("decay_b must be positive (math.inf allowed)")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 240
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions <= 0:
-            raise DomainError("max_subdivisions must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Fixed quadrature tolerances and panel budget; see the module docstring.
+ABS_TOL = 1e-12
+REL_TOL = 1e-10
+MAX_SUBDIVISIONS = 240
 
 # Gauss 7 / Kronrod 15 nodes and weights on [-1, 1].
 _KRONROD_NODES = (
@@ -158,13 +151,11 @@ def weyl_transform(
     kernel: KernelSpec,
     s: complex,
     x: float = 0.0,
-    cfg: QuadratureConfig | None = None,
 ) -> EvalResult:
     """Positive-order transform by adaptive Gauss-Kronrod quadrature.
 
     Requires 0 < Re(s) < kernel.decay_b and real x >= 0.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
     s = require_finite(s, "s")
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
@@ -190,11 +181,11 @@ def weyl_transform(
     t_cut_max = 1200.0 if math.isinf(kernel.decay_b) else 1e8
     tail = _tail_bound(kernel, s, x, t_cut)
     work += 2
-    while tail > cfg.abs_tol / 2.0 and t_cut < t_cut_max:
+    while tail > ABS_TOL / 2.0 and t_cut < t_cut_max:
         t_cut *= 2.0
         tail = _tail_bound(kernel, s, x, t_cut)
         work += 2
-    if tail > cfg.abs_tol / 2.0 and not tail <= cfg.abs_tol:
+    if tail > ABS_TOL / 2.0 and not tail <= ABS_TOL:
         raise ConvergenceError(
             f"tail bound {tail:.2e} above tolerance at t={t_cut:g}"
         )
@@ -215,7 +206,7 @@ def weyl_transform(
         )
         work += 2
         a_min = (
-            (sigma + 1.0) * (cfg.abs_tol / 4.0) / (2.0 * deriv_scale)
+            (sigma + 1.0) * (ABS_TOL / 4.0) / (2.0 * deriv_scale)
         ) ** (1.0 / (sigma + 1.0))
         depth = 4
         while 4.0 ** (-depth) > a_min and depth < 60:
@@ -244,10 +235,10 @@ def weyl_transform(
         work += n
 
     # --- adaptive refinement of the worst panel ---
-    while len(panels) < cfg.max_subdivisions:
+    while len(panels) < MAX_SUBDIVISIONS:
         total = sum(p[2] for p in panels) + stub_value
         err_sum = sum(p[3] for p in panels) + stub_err + tail
-        target = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        target = max(ABS_TOL, REL_TOL * abs(total))
         if err_sum <= target:
             break
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
@@ -260,7 +251,7 @@ def weyl_transform(
     else:
         raise ConvergenceError(
             f"quadrature error stuck above tolerance after "
-            f"{cfg.max_subdivisions} panels"
+            f"{MAX_SUBDIVISIONS} panels"
         )
 
     panels.sort(key=lambda p: p[0])
@@ -277,7 +268,6 @@ def weyl_negative_order(
     kernel: KernelSpec,
     s: complex,
     x: float = 0.0,
-    cfg: QuadratureConfig | None = None,
 ) -> EvalResult:
     """Transform of order s with Re(s) <= 0.
 
@@ -313,7 +303,7 @@ def weyl_negative_order(
         derivative=lambda m, t: deriv(m + n, t),
         decay_b=kernel.decay_b,
     )
-    res = weyl_transform(shifted, s + n, x, cfg)
+    res = weyl_transform(shifted, s + n, x)
     sign = (-1.0) ** n
     return EvalResult(
         sign * res.value, res.err_estimate, "weyl/neg-frac-derivative", res.work

@@ -276,19 +276,20 @@ def hurwitz_zeta(
 
 
 def riemann_zeta(
-    s: complex, cfg: SeriesConfig | None = None, via: str = "auto"
+    s: complex, cfg: SeriesConfig | None = None, via: str = "em"
 ) -> EvalResult:
     """Riemann zeta through either continuation route.
 
-    via="em" (default for "auto") evaluates zeta(s, 1) by Euler-Maclaurin;
-    via="functional" uses zeta(s) = chi(s) zeta(1-s), which is the
-    independent cross-check route for Re(s) < 0.
+    via="em" (the default) evaluates zeta(s, 1) by Euler-Maclaurin, or by
+    the direct sum for Re(s) >= 30; via="functional" uses
+    zeta(s) = chi(s) zeta(1-s), which is the independent cross-check route
+    for Re(s) < 0.
     """
     cfg = cfg or DEFAULT_SERIES
     s = require_finite(s, "s")
     if abs(s - 1.0) < 1e-12:
         raise PoleError("pole at s=1")
-    if via not in ("auto", "em", "functional"):
+    if via not in ("em", "functional"):
         raise DomainError(f"unknown route {via!r}")
     if via == "functional":
         chi = chi_ratio(s)

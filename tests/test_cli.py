@@ -175,22 +175,6 @@ class TestEval:
         assert b"\r" not in raw
         assert raw.decode("utf-8").startswith("value_re,")
 
-    def test_env_var_overrides_max_terms(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETAKIT_MAX_TERMS", "3")
-        code = main(["eval", "--fn", "lerch", "--z", "0.99", "--s", "1.001", "--a", "1"])
-        assert code == EXIT_CONVERGENCE
-        # explicit flag wins over the environment
-        monkeypatch.setenv("ZETAKIT_MAX_TERMS", "3")
-        code = main(
-            ["eval", "--fn", "lerch", "--z", "0.99", "--s", "1.001", "--a", "1",
-             "--max-terms", "500000"]
-        )
-        assert code == EXIT_OK
-
-    def test_env_var_bad_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("ZETAKIT_MAX_TERMS", "abc")
-        assert main(["eval", "--fn", "zeta", "--s", "2"]) == EXIT_USAGE
-
 
 class TestTable:
     def test_header_and_row_count(self, capsys):
@@ -341,13 +325,22 @@ class TestSelftest:
         assert all(r["pass"] for r in payload["identities"])
         assert "selftest:" in captured.err
 
-    def test_corrupt_bernoulli_fails(self, capsys):
-        assert main(["selftest", "--quick", "--corrupt-bernoulli"]) == EXIT_IDENTITY
+    def test_inject_bernoulli_table_fails(self, capsys):
+        assert main(
+            ["selftest", "--quick", "--inject-fault", "bernoulli-table"]
+        ) == EXIT_IDENTITY
         payload = json.loads(capsys.readouterr().out)
         assert payload["pass"] is False
 
     def test_inject_fault_fails(self, capsys):
         assert main(["selftest", "--quick", "--inject-fault", "ext_fd"]) == EXIT_IDENTITY
+
+    def test_inject_fault_reaches_golden_checks(self, capsys):
+        assert main(["selftest", "--quick", "--inject-fault", "ext_fd"]) == EXIT_IDENTITY
+        golden = json.loads(capsys.readouterr().out)["golden"]
+        failed = {g["name"] for g in golden if not g["pass"]}
+        assert failed == {g["name"] for g in golden if g["name"].startswith("ext_fd(")}
+        assert failed
 
     def test_stdout_is_byte_deterministic(self, capsys):
         assert main(["selftest", "--quick"]) == EXIT_OK

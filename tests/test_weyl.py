@@ -5,11 +5,9 @@ import math
 import pytest
 
 from zetakit import (
-    DEFAULT_QUADRATURE,
     ConvergenceError,
     DomainError,
     KernelSpec,
-    QuadratureConfig,
     audit_decay,
     weyl_negative_order,
     weyl_transform,
@@ -129,9 +127,3 @@ class TestKernelSpecAndConfig:
         honest = KernelSpec(value=lambda t: (1.0 + t) ** (-3.0), decay_b=3.0)
         assert audit_decay(honest) is True
         assert audit_decay(EXP_KERNEL) is True
-
-    def test_quadrature_config_fields(self):
-        assert DEFAULT_QUADRATURE.abs_tol > 0
-        tight = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=300)
-        res = weyl_transform(EXP_KERNEL, 1.5, 0.0, tight)
-        assert abs(res.value - 1.0) < 1e-11

@@ -345,8 +345,7 @@ class TestDigamma:
 
 class TestSeriesConfig:
     def test_env_is_not_read_by_library(self, monkeypatch):
-        # The library layer takes max_terms only through SeriesConfig; the
-        # environment override is a CLI concern.
+        # The library layer takes max_terms only through SeriesConfig.
         monkeypatch.setenv("ZETAKIT_MAX_TERMS", "1")
         assert rel(riemann_zeta(2.0).value, oracles.ZETA_2) <= 1e-12
 
