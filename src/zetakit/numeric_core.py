@@ -123,13 +123,23 @@ def _ln_sin_pi(z: complex) -> complex:
     # log(sin(pi z)) continued from the upper half plane:
     #   sin(pi z) = (1/2) e^{i pi/2} e^{-i pi z} (1 - e^{2 i pi z}),
     # and |e^{2 i pi z}| < 1 for Im(z) > 0, so the last log is principal.
+    # 1 - e^{2 i pi z} cancels next to the integers, so it is built as
+    # -(e^{a+ib} - 1) with a = -2 pi Im z and b = 2 pi (Re z - n), n the
+    # nearest integer: e^{a+ib} - 1 = expm1(a) cos b - 2 sin^2(b/2)
+    # + i e^a sin b.
     if z.imag < 0.0:
         return _ln_sin_pi(z.conjugate()).conjugate()
+    a = -2.0 * math.pi * z.imag
+    b = 2.0 * math.pi * (z.real - round(z.real))
+    em1 = complex(
+        math.expm1(a) * math.cos(b) - 2.0 * math.sin(0.5 * b) ** 2,
+        math.exp(a) * math.sin(b),
+    )
     return (
         -math.log(2.0)
         + 0.5j * math.pi
         - 1j * math.pi * z
-        + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
+        + cmath.log(-em1)
     )
 
 

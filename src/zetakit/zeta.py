@@ -283,7 +283,8 @@ def riemann_zeta(
     via="em" (the default) evaluates zeta(s, 1) by Euler-Maclaurin, or by
     the direct sum for Re(s) >= 30; via="functional" uses
     zeta(s) = chi(s) zeta(1-s), which is the independent cross-check route
-    for Re(s) < 0.
+    for Re(s) < 0; at s = 0, where chi's zero meets the pole of zeta(1-s),
+    it returns the limit -1/2.
     """
     cfg = cfg or DEFAULT_SERIES
     s = require_finite(s, "s")
@@ -292,15 +293,22 @@ def riemann_zeta(
     if via not in ("em", "functional"):
         raise DomainError(f"unknown route {via!r}")
     if via == "functional":
+        if s == 0.0:
+            # chi's zero meets the pole of zeta(1 - s); their product is -1/2.
+            return EvalResult(-0.5, 0.0, "riemann/functional-equation", 1)
         chi = chi_ratio(s)
         if chi.value == 0.0:
             return EvalResult(0.0, chi.err_estimate, "riemann/functional-equation",
                               chi.work)
         other = hurwitz_zeta(1.0 - s, 1.0, cfg)
         value = chi.value * other.value
+        # Rounding 1 - s (at most 1.11e-16 |1 - s|) moves zeta(1 - s) by
+        # about that over |s| relative, which is large next to its pole at
+        # s = 0; the factor 2 leaves room for the higher-order part.
         err = (
             abs(chi.value) * other.err_estimate
             + abs(other.value) * chi.err_estimate
+            + 2.2e-16 * abs(value) * abs(1.0 - s) / abs(s)
         )
         return EvalResult(value, err, "riemann/functional-equation",
                           chi.work + other.work)

@@ -1,6 +1,7 @@
 """Exact rational layer and float helpers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,20 @@ class TestLnGamma:
         rhs = cmath.log(math.pi / cmath.sin(math.pi * z))
         # Both sides defined modulo 2 pi i; compare exponentials.
         assert abs(cmath.exp(lhs) - cmath.exp(rhs)) <= 1e-12 * abs(cmath.exp(rhs))
+
+    def test_near_poles_matches_mpmath(self):
+        # The reflection formula's 1 - e^{2 pi i z} cancels next to the
+        # integers unless it is built from expm1.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        rng = random.Random(20261018)
+        points = [5e-10, -1 + 1e-7, -4 - 1e-9]
+        for _ in range(100):
+            d = 10 ** rng.uniform(-12, -2) * rng.choice((1, -1))
+            points.append(complex(d - rng.randint(0, 10), rng.choice((0.0, d))))
+        for z in points:
+            want = complex(mpmath.loggamma(mpmath.mpc(z)))
+            assert abs(ln_gamma(z) - want) <= 2e-15 * abs(want), z
 
     def test_pole_rejection(self):
         from zetakit import PoleError

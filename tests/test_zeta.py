@@ -72,6 +72,22 @@ class TestRiemannZeta:
         fe = riemann_zeta(s, via="functional")
         assert rel(em.value, fe.value) <= 1e-9
 
+    def test_functional_route_near_zero_within_estimate(self):
+        # chi(s) -> 0 and zeta(1 - s) -> infinity meet at s = 0; the rounding
+        # of 1 - s dominates the error nearby.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        assert riemann_zeta(0.0, via="functional").value == -0.5
+        rng = random.Random(20261018)
+        points = [1e-9, -1e-9, 2e-11, -8.9e-11]
+        for _ in range(100):
+            m = 10 ** rng.uniform(-10.7, -1)
+            points.append(m * rng.choice((1, -1, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))))
+        for s in points:
+            got = riemann_zeta(s, via="functional")
+            want = mpmath.zeta(mpmath.mpc(s))
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, s
+
     def test_trivial_zeros(self):
         for s in (-2.0, -4.0, -6.0):
             res = riemann_zeta(s)
@@ -331,6 +347,15 @@ class TestChiRatio:
     def test_pole_at_odd_integers(self):
         with pytest.raises(PoleError):
             chi_ratio(3.0)
+
+    def test_near_gamma_poles_within_estimate(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for s in (1e-9, 1e-6, -2 + 1e-7, -4 - 1e-9):
+            got = chi_ratio(s)
+            sm = mpmath.mpf(s)
+            want = mpmath.pi ** (sm - 0.5) * mpmath.gamma((1 - sm) / 2) / mpmath.gamma(sm / 2)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, s
 
 
 class TestDigamma:
