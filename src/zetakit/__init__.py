@@ -52,9 +52,7 @@ from .weyl import (
     weyl_transform,
 )
 from .zeta import (
-    DEFAULT_SERIES,
     LerchParams,
-    SeriesConfig,
     chi_ratio,
     digamma,
     dirichlet_eta,
@@ -92,8 +90,6 @@ __all__ = [
     "weyl_negative_order",
     "audit_decay",
     # zeta family
-    "SeriesConfig",
-    "DEFAULT_SERIES",
     "LerchParams",
     "hurwitz_zeta",
     "riemann_zeta",

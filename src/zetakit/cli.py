@@ -16,8 +16,9 @@ Exit codes: 0 success, 1 usage error, 2 domain error (poles included),
 
 Numeric output uses 15 significant digits (``%.15g``); complex numbers are
 written as ``a+bi`` literals, which the argument parser accepts back, so CSV
-tables round-trip through re-evaluation.  ``--rel-tol`` and ``--max-terms``
-set the two ``SeriesConfig`` fields; nothing else is configurable.
+tables round-trip through re-evaluation.  The series tolerance and term
+budget are the library constants ``zeta.REL_TOL`` and ``zeta.MAX_TERMS``;
+no flag changes them.
 """
 
 from __future__ import annotations
@@ -57,9 +58,7 @@ from .identities import (
 )
 from .result import EvalResult
 from .zeta import (
-    DEFAULT_SERIES,
     LerchParams,
-    SeriesConfig,
     chi_ratio,
     dirichlet_eta,
     hurwitz_zeta,
@@ -188,44 +187,44 @@ def _need_real(v: complex, name: str) -> float:
     return v.real
 
 
-def _call_zeta(v, strategy, cfg):
-    return riemann_zeta(v["s"], cfg)
+def _call_zeta(v, strategy):
+    return riemann_zeta(v["s"])
 
 
-def _call_eta(v, strategy, cfg):
-    return dirichlet_eta(v["s"], cfg)
+def _call_eta(v, strategy):
+    return dirichlet_eta(v["s"])
 
 
-def _call_hurwitz(v, strategy, cfg):
-    return hurwitz_zeta(v["s"], v["a"], cfg)
+def _call_hurwitz(v, strategy):
+    return hurwitz_zeta(v["s"], v["a"])
 
 
-def _call_lerch(v, strategy, cfg):
-    return lerch_phi(LerchParams(v["z"], v["s"], v["a"]), cfg)
+def _call_lerch(v, strategy):
+    return lerch_phi(LerchParams(v["z"], v["s"], v["a"]))
 
 
-def _call_polylog(v, strategy, cfg):
-    return polylog(v["z"], v["s"], cfg)
+def _call_polylog(v, strategy):
+    return polylog(v["z"], v["s"])
 
 
-def _call_chi(v, strategy, cfg):
+def _call_chi(v, strategy):
     return chi_ratio(v["s"])
 
 
-def _call_ext_fd(v, strategy, cfg):
-    return ext_fd(ExtParams(v["nu"], v["s"], v["x"]), strategy, cfg)
+def _call_ext_fd(v, strategy):
+    return ext_fd(ExtParams(v["nu"], v["s"], v["x"]), strategy)
 
 
-def _call_ext_be(v, strategy, cfg):
-    return ext_be(ExtParams(v["nu"], v["s"], v["x"]), strategy, cfg)
+def _call_ext_be(v, strategy):
+    return ext_be(ExtParams(v["nu"], v["s"], v["x"]), strategy)
 
 
-def _call_fd_classical(v, strategy, cfg):
-    return fd_classical(v["s"], _need_real(v["x"], "x"), cfg)
+def _call_fd_classical(v, strategy):
+    return fd_classical(v["s"], _need_real(v["x"], "x"))
 
 
-def _call_be_classical(v, strategy, cfg):
-    return be_classical(v["s"], _need_real(v["x"], "x"), cfg)
+def _call_be_classical(v, strategy):
+    return be_classical(v["s"], _need_real(v["x"], "x"))
 
 
 _Caller = Callable[..., EvalResult]
@@ -251,14 +250,6 @@ _PARAM_OPTIONS = frozenset(f"--{flag}" for flag in _PARAM_FLAGS)
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
-
-
-def _series_config(args: argparse.Namespace) -> SeriesConfig:
-    rel_tol = DEFAULT_SERIES.rel_tol if args.rel_tol is None else args.rel_tol
-    max_terms = DEFAULT_SERIES.max_terms if args.max_terms is None else args.max_terms
-    if rel_tol <= 0.0 or max_terms < 1:
-        raise UsageError("--rel-tol must be > 0 and --max-terms >= 1")
-    return SeriesConfig(rel_tol=rel_tol, max_terms=max_terms)
 
 
 def _resolve_function(args: argparse.Namespace) -> tuple[tuple[str, ...], _Caller, bool]:
@@ -355,9 +346,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
     point = {name: values[0] for name, values in axes.items()}
     strategy = _resolve_strategy(args, takes_strategy)
-    cfg = _series_config(args)
 
-    result = caller(point, strategy, cfg)
+    result = caller(point, strategy)
 
     if args.format == "json":
         payload = json.dumps(result.to_dict(), indent=2, allow_nan=False) + "\n"
@@ -384,7 +374,6 @@ def _table_rows(
     axes: dict[str, list[complex]],
     caller: _Caller,
     strategy: Strategy,
-    cfg: SeriesConfig,
 ) -> list[tuple[dict, EvalResult | None, str]]:
     """(point, result or None, status) per grid point, in Cartesian product
     order: the last parameter varies fastest."""
@@ -392,7 +381,7 @@ def _table_rows(
     for combo in itertools.product(*(axes[name] for name in params)):
         point = dict(zip(params, combo))
         try:
-            res = caller(point, strategy, cfg)
+            res = caller(point, strategy)
         except ZetakitError as exc:
             _, kind = _classify(exc)
             rows.append((point, None, f"{kind}: {exc}"))
@@ -407,8 +396,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if all(len(v) == 1 for v in axes.values()):
         raise UsageError("table requires at least one gridded parameter (start:stop:count)")
     strategy = _resolve_strategy(args, takes_strategy)
-    cfg = _series_config(args)
-    rows = _table_rows(params, axes, caller, strategy, cfg)
+    rows = _table_rows(params, axes, caller, strategy)
 
     header = list(params) + _RESULT_HEADER + ["status"]
     body = [
@@ -455,7 +443,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     names: Sequence[str] | None = args.only or None
     try:
         with _armed_fault(args):
-            reports = run_catalog(names, cfg=_series_config(args), reduced=args.reduced)
+            reports = run_catalog(names, reduced=args.reduced)
     except KeyError as exc:
         raise UsageError(str(exc).strip("'\""))
 
@@ -469,7 +457,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if names is None or "mult-5.10" in names:
-        gaps = mult_5_10_printed_form_gap(_series_config(args))
+        gaps = mult_5_10_printed_form_gap()
         print(
             "info: mult-5.10 as printed differs from the verified form for x>0 "
             f"(residual {gaps['x_positive']:.3e}) and agrees at x=0 "
@@ -488,25 +476,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def golden_checks(cfg: SeriesConfig | None = None) -> list[dict]:
+def golden_checks() -> list[dict]:
     """Closed-form reference checks used by the selftest command.
 
     Every reference is a classical constant; tolerances are relative.
     """
-    cfg = cfg or DEFAULT_SERIES
     pi2 = math.pi * math.pi
     auto = Strategy.AUTO
     cases: list[tuple[str, Callable[[], EvalResult], float]] = [
-        ("zeta(2)", lambda: riemann_zeta(2.0, cfg), pi2 / 6.0),
-        ("zeta(0)", lambda: riemann_zeta(0.0, cfg), -0.5),
-        ("zeta(-1)", lambda: riemann_zeta(-1.0, cfg), -1.0 / 12.0),
-        ("eta(1)", lambda: dirichlet_eta(1.0, cfg), math.log(2.0)),
-        ("eta(2)", lambda: dirichlet_eta(2.0, cfg), pi2 / 12.0),
-        ("hurwitz(2, 0.5)", lambda: hurwitz_zeta(2.0, 0.5, cfg), pi2 / 2.0),
-        ("ext_fd(0, 2, 0)", lambda: ext_fd(ExtParams(0.0, 2.0, 0.0), auto, cfg), pi2 / 12.0),
-        ("ext_be(0, 2, 0)", lambda: ext_be(ExtParams(0.0, 2.0, 0.0), auto, cfg), pi2 / 6.0),
-        ("ext_be(0, -1, 0)", lambda: ext_be(ExtParams(0.0, -1.0, 0.0), auto, cfg), -1.0 / 12.0),
-        ("polylog(exp(-1), 2)", lambda: polylog(math.exp(-1.0), 2.0, cfg), _LI2_INV_E),
+        ("zeta(2)", lambda: riemann_zeta(2.0), pi2 / 6.0),
+        ("zeta(0)", lambda: riemann_zeta(0.0), -0.5),
+        ("zeta(-1)", lambda: riemann_zeta(-1.0), -1.0 / 12.0),
+        ("eta(1)", lambda: dirichlet_eta(1.0), math.log(2.0)),
+        ("eta(2)", lambda: dirichlet_eta(2.0), pi2 / 12.0),
+        ("hurwitz(2, 0.5)", lambda: hurwitz_zeta(2.0, 0.5), pi2 / 2.0),
+        ("ext_fd(0, 2, 0)", lambda: ext_fd(ExtParams(0.0, 2.0, 0.0), auto), pi2 / 12.0),
+        ("ext_be(0, 2, 0)", lambda: ext_be(ExtParams(0.0, 2.0, 0.0), auto), pi2 / 6.0),
+        ("ext_be(0, -1, 0)", lambda: ext_be(ExtParams(0.0, -1.0, 0.0), auto), -1.0 / 12.0),
+        ("polylog(exp(-1), 2)", lambda: polylog(math.exp(-1.0), 2.0), _LI2_INV_E),
     ]
     out: list[dict] = []
     for name, thunk, reference in cases:
@@ -530,11 +517,10 @@ def golden_checks(cfg: SeriesConfig | None = None) -> list[dict]:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     names = list(QUICK_SUBSET) if args.quick else None
 
-    cfg = _series_config(args)
     started = time.monotonic()
     with _armed_fault(args):
-        golden = golden_checks(cfg)
-        reports = run_catalog(names, cfg=cfg, reduced=True)
+        golden = golden_checks()
+        reports = run_catalog(names, reduced=True)
     elapsed = time.monotonic() - started
 
     all_pass = all(g["pass"] for g in golden) and all(r.passed for r in reports)
@@ -561,8 +547,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, with_params: bool) -> None:
-    parser.add_argument("--rel-tol", type=float, default=None, help="series relative tolerance")
-    parser.add_argument("--max-terms", type=int, default=None, help="series term budget")
     parser.add_argument("--output", default=None, help="write output to this file instead of stdout")
     if with_params:
         parser.add_argument("--fn", required=True, help="function name (e.g. zeta, ext_fd)")

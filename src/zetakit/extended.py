@@ -60,9 +60,8 @@ from .weyl import (
     weyl_transform,
 )
 from .zeta import (
-    DEFAULT_SERIES,
+    REL_TOL,
     LerchParams,
-    SeriesConfig,
     digamma,
     dirichlet_eta,
     hurwitz_diff,
@@ -138,9 +137,7 @@ def _near_nonpos_int(s: complex) -> bool:
 # x = 0 continuation values
 # ---------------------------------------------------------------------------
 
-def fd_zero_hurwitz_route(
-    nu: complex, s: complex, cfg: SeriesConfig | None = None
-) -> EvalResult:
+def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
     """fd(nu, s, 0) through the bisected Hurwitz difference.
 
     2^{-s} [zeta(s, (nu+1)/2) - zeta(s, (nu+2)/2)] — the continuation route
@@ -150,7 +147,7 @@ def fd_zero_hurwitz_route(
     """
     nu = require_finite(nu, "nu")
     s = require_finite(s, "s")
-    diff = hurwitz_diff(s, (nu + 1.0) / 2.0, (nu + 2.0) / 2.0, cfg)
+    diff = hurwitz_diff(s, (nu + 1.0) / 2.0, (nu + 2.0) / 2.0)
     if abs(s - 1.0) < 1e-12:
         value = 0.5 * diff.value
         return EvalResult(value, 1e-14 * (1.0 + abs(value)),
@@ -161,17 +158,17 @@ def fd_zero_hurwitz_route(
     return EvalResult(value, err, "fd/zero-hurwitz-diff", diff.work)
 
 
-def _fd_zero(nu: complex, s: complex, cfg: SeriesConfig) -> EvalResult:
+def _fd_zero(nu: complex, s: complex) -> EvalResult:
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
-        return fd_zero_hurwitz_route(nu, s, cfg)
+        return fd_zero_hurwitz_route(nu, s)
     a = nu + 1.0
     value, err, work = alternating_sum_with_error(lambda k: cpow(k + a, -s))
     return EvalResult(value, err + 1e-15 * abs(value),
                       "fd/zero-alternating-cvz", work)
 
 
-def _be_zero(nu: complex, s: complex, cfg: SeriesConfig) -> EvalResult:
-    inner = hurwitz_zeta(s, nu + 1.0, cfg)  # PoleError surfaces at s = 1
+def _be_zero(nu: complex, s: complex) -> EvalResult:
+    inner = hurwitz_zeta(s, nu + 1.0)  # PoleError surfaces at s = 1
     return EvalResult(inner.value, inner.err_estimate, "be/zero-hurwitz",
                       inner.work)
 
@@ -189,13 +186,11 @@ _LERCH_TAG_MAP = {
 }
 
 
-def _series_route(
-    kind: str, nu: complex, s: complex, x: complex, cfg: SeriesConfig
-) -> EvalResult:
+def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     sign = -1.0 if kind == "fd" else 1.0
     z = sign * cmath.exp(-x)
     pre = cmath.exp(-(nu + 1.0) * x)
-    inner = lerch_phi(LerchParams(z, s, nu + 1.0), cfg)
+    inner = lerch_phi(LerchParams(z, s, nu + 1.0))
     suffix = inner.strategy.split("/", 1)[1]
     tag = f"{kind}/{_LERCH_TAG_MAP.get(suffix, 'xseries-direct')}"
     value = pre * inner.value
@@ -203,9 +198,7 @@ def _series_route(
     return EvalResult(value, err, tag, inner.work)
 
 
-def _fd_tiny_x_cvz(
-    nu: complex, s: complex, x: float, cfg: SeriesConfig
-) -> EvalResult:
+def _fd_tiny_x_cvz(nu: complex, s: complex, x: float) -> EvalResult:
     """Alternating acceleration for small positive real x, Re(s) > 0.
 
     The geometric ratio e^{-x} is too close to 1 for plain summation, but
@@ -230,9 +223,7 @@ def _fd_tiny_x_cvz(
 _POWER_CAP = 40
 
 
-def _power_series_x(
-    kind: str, nu: complex, s: complex, x: complex, cfg: SeriesConfig
-) -> EvalResult:
+def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     radius, radius_name = (_PI, "pi") if kind == "fd" else (2.0 * _PI, "2 pi")
     if abs(x) >= 0.999 * radius:
         raise DomainError(
@@ -280,9 +271,9 @@ def _power_series_x(
         if k == pole_k:
             c = _be_pole_limit(nu, s, x, k)
         elif kind == "fd":
-            c = _fd_zero(nu, s - k, cfg)
+            c = _fd_zero(nu, s - k)
         else:
-            c = hurwitz_zeta(s - k, nu + 1.0, cfg)
+            c = hurwitz_zeta(s - k, nu + 1.0)
         work += c.work
         term = c.value * xpow
         terms.append(term)
@@ -290,13 +281,13 @@ def _power_series_x(
         coeff_err += c.err_estimate * abs(xpow)
         mag = abs(term)
         scale = max(abs(total + singular), abs(total), 1e-300)
-        if max(mag, prev_mag) <= cfg.rel_tol * scale:
+        if max(mag, prev_mag) <= REL_TOL * scale:
             break
         pair_cur = max(pair_cur, mag)
         if k % 2 == 1:
             if (
                 pair_cur > pair_prev
-                and pair_cur > 1e3 * cfg.rel_tol * scale
+                and pair_cur > 1e3 * REL_TOL * scale
                 and k > _POWER_CAP // 2
             ):
                 grow_streak += 1
@@ -313,7 +304,7 @@ def _power_series_x(
         xpow *= -x / (k + 1)
     else:
         tail_mag = max(abs(t) for t in terms[-2:]) if terms else 0.0
-        if tail_mag > cfg.rel_tol * 1e3 * max(abs(total + singular), 1e-300):
+        if tail_mag > REL_TOL * 1e3 * max(abs(total + singular), 1e-300):
             raise ConvergenceError(
                 f"Taylor-in-x route not converged within {_POWER_CAP} terms"
             )
@@ -349,9 +340,7 @@ def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
 _NU_CAP = 600
 
 
-def _nu_series(
-    kind: str, nu: complex, s: complex, x: complex, cfg: SeriesConfig
-) -> EvalResult:
+def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if not (0.0 <= nu.real and abs(nu) < 1.0):
         raise DomainError(
             f"nu-expansion route needs 0 <= Re(nu) and |nu| < 1, got {nu!r}"
@@ -361,9 +350,9 @@ def _nu_series(
     def classical(order: complex) -> EvalResult:
         if x == 0.0:
             if kind == "fd":
-                return dirichlet_eta(order, cfg)
-            return riemann_zeta(order, cfg)  # PoleError at order 1
-        return _series_route(kind, 0.0, order, x, cfg)
+                return dirichlet_eta(order)
+            return riemann_zeta(order)  # PoleError at order 1
+        return _series_route(kind, 0.0, order, x)
 
     if nu == 0.0:
         inner = classical(s)
@@ -391,7 +380,7 @@ def _nu_series(
         # geometrically once the effective ratio drops below 1.
         ratio = r * abs(s + k) / (k + 1)
         mag = abs(term)
-        if ratio < 0.999 and mag * ratio / (1.0 - ratio) <= cfg.rel_tol * max(
+        if ratio < 0.999 and mag * ratio / (1.0 - ratio) <= REL_TOL * max(
             abs(total), 1e-300
         ):
             small_streak += 1
@@ -548,68 +537,56 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # AUTO dispatch and the public pair
 # ---------------------------------------------------------------------------
 
-def _auto(
-    kind: str,
-    nu: complex,
-    s: complex,
-    x: complex,
-    cfg: SeriesConfig,
-) -> EvalResult:
+def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
-        return _fd_zero(nu, s, cfg) if kind == "fd" else _be_zero(nu, s, cfg)
+        return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
     if kind == "fd" and _near_nonpos_int(s) and abs(x - 1j * _PI) <= 1e-12:
         return _negint_route("fd", nu, s, x)
 
     tiny_x = x.imag == 0.0 and 0.0 < x.real < 0.05
     if kind == "be" and tiny_x:
-        return _power_series_x("be", nu, s, x, cfg)
+        return _power_series_x("be", nu, s, x)
 
     sign = -1.0 if kind == "fd" else 1.0
     z = sign * cmath.exp(-x)
     if s.real > 0.0:
         if tiny_x:
-            return _fd_tiny_x_cvz(nu, s, x.real, cfg)
-        return _series_route(kind, nu, s, x, cfg)
+            return _fd_tiny_x_cvz(nu, s, x.real)
+        return _series_route(kind, nu, s, x)
 
     # Re(s) <= 0: acceleration on the unit circle is unavailable.
     if abs(z - 1.0) <= 1e-12 or abs(z) < 1.0 - 1e-14:
-        return _series_route(kind, nu, s, x, cfg)
+        return _series_route(kind, nu, s, x)
     radius = _PI if kind == "fd" else 2.0 * _PI
     if abs(x) < 0.999 * radius:
-        return _power_series_x(kind, nu, s, x, cfg)
+        return _power_series_x(kind, nu, s, x)
     raise DomainError(
         f"no route for Re(s) <= 0 with |z| = 1 and |x| = {abs(x):.4g} "
         f"beyond the Taylor radius"
     )
 
 
-def _dispatch(
-    kind: str,
-    p: ExtParams,
-    strategy: Strategy,
-    cfg: SeriesConfig | None,
-) -> EvalResult:
-    cfg = cfg or DEFAULT_SERIES
+def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:
     nu, s, x = complex(p.nu), complex(p.s), complex(p.x)
     if strategy is Strategy.AUTO:
-        out = _auto(kind, nu, s, x, cfg)
+        out = _auto(kind, nu, s, x)
     elif strategy is Strategy.XSERIES:
         if x == 0.0:
             # z = -+1 exactly: the alternating sum accelerates (fd) and the
             # Lerch machinery delegates (be, z = 1).
             out = (
-                _fd_zero(nu, s, cfg)
+                _fd_zero(nu, s)
                 if kind == "fd" and s.real > 0.0 and abs(s - 1.0) > 1e-12
-                else _series_route(kind, nu, s, x, cfg)
+                else _series_route(kind, nu, s, x)
             )
         else:
-            out = _series_route(kind, nu, s, x, cfg)
+            out = _series_route(kind, nu, s, x)
     elif strategy is Strategy.WEYL_QUAD:
         out = _weyl_route(kind, nu, s, x)
     elif strategy is Strategy.POWER_SERIES_X:
-        out = _power_series_x(kind, nu, s, x, cfg)
+        out = _power_series_x(kind, nu, s, x)
     elif strategy is Strategy.NU_SERIES:
-        out = _nu_series(kind, nu, s, x, cfg)
+        out = _nu_series(kind, nu, s, x)
     elif strategy is Strategy.NEG_INT_BERNOULLI:
         out = _negint_route(kind, nu, s, x)
     else:  # pragma: no cover - enum is closed
@@ -618,33 +595,21 @@ def _dispatch(
                       out.err_estimate, out.strategy, out.work)
 
 
-def ext_fd(
-    p: ExtParams,
-    strategy: Strategy = Strategy.AUTO,
-    cfg: SeriesConfig | None = None,
-) -> EvalResult:
+def ext_fd(p: ExtParams, strategy: Strategy = Strategy.AUTO) -> EvalResult:
     """Extended alternating (fd) function at p = (nu, s, x)."""
-    return _dispatch("fd", p, strategy, cfg)
+    return _dispatch("fd", p, strategy)
 
 
-def ext_be(
-    p: ExtParams,
-    strategy: Strategy = Strategy.AUTO,
-    cfg: SeriesConfig | None = None,
-) -> EvalResult:
+def ext_be(p: ExtParams, strategy: Strategy = Strategy.AUTO) -> EvalResult:
     """Extended one-signed (be) function at p = (nu, s, x)."""
-    return _dispatch("be", p, strategy, cfg)
+    return _dispatch("be", p, strategy)
 
 
 # ---------------------------------------------------------------------------
 # Classical (nu = 0, fugacity form) wrappers
 # ---------------------------------------------------------------------------
 
-def fd_classical(
-    s: complex,
-    x: float,
-    cfg: SeriesConfig | None = None,
-) -> EvalResult:
+def fd_classical(s: complex, x: float) -> EvalResult:
     """Classical alternating integral (1/Gamma(s)) I[t^{s-1}/(e^{t-x}+1)].
 
     Equals -Li_s(-e^x).  For x <= 0 this is the extended function at
@@ -656,7 +621,7 @@ def fd_classical(
     if not math.isfinite(x):
         raise DomainError("x must be finite")
     if x <= 0.0:
-        inner = ext_fd(ExtParams(0.0, s, -x), Strategy.AUTO, cfg)
+        inner = ext_fd(ExtParams(0.0, s, -x), Strategy.AUTO)
         return EvalResult(inner.value, inner.err_estimate,
                           "fd-classical/" + inner.strategy.split("/", 1)[1],
                           inner.work)
@@ -676,11 +641,7 @@ def fd_classical(
                       "fd-classical/weyl-gk-adaptive", inner.work)
 
 
-def be_classical(
-    s: complex,
-    x: float,
-    cfg: SeriesConfig | None = None,
-) -> EvalResult:
+def be_classical(s: complex, x: float) -> EvalResult:
     """Classical one-signed integral; equals Li_s(e^x) for x <= 0.
 
     Divergent for x > 0 (DomainError) and, at x = 0, finite only for
@@ -698,10 +659,10 @@ def be_classical(
                 "divergent at x = 0 for Re(s) <= 1; the extended function "
                 "carries the continuation"
             )
-        inner = riemann_zeta(s, cfg)
+        inner = riemann_zeta(s)
         return EvalResult(inner.value, inner.err_estimate,
                           "be-classical/zeta", inner.work)
-    inner = ext_be(ExtParams(0.0, s, -x), Strategy.AUTO, cfg)
+    inner = ext_be(ExtParams(0.0, s, -x), Strategy.AUTO)
     return EvalResult(inner.value, inner.err_estimate,
                       "be-classical/" + inner.strategy.split("/", 1)[1],
                       inner.work)

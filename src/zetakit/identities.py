@@ -43,9 +43,7 @@ from .numeric_core import (
 )
 from .weyl import KernelSpec, weyl_transform
 from .zeta import (
-    DEFAULT_SERIES,
     LerchParams,
-    SeriesConfig,
     chi_ratio,
     dirichlet_eta,
     hurwitz_zeta,
@@ -218,29 +216,25 @@ QUICK_SUBSET = (
 )
 
 
-def build_catalog(
-    cfg: SeriesConfig | None = None,
-    reduced: bool = False,
-) -> dict[str, IdentitySpec]:
+def build_catalog(reduced: bool = False) -> dict[str, IdentitySpec]:
     """Assemble every identity spec, keyed by name.
 
     Each grid keeps only the points its guard admits (the relation's
     preconditions).  ``reduced`` then thins each grid to every other point
     (self-test mode); full grids are the acceptance configuration.
     """
-    cfg = cfg or DEFAULT_SERIES
 
     def fd(nu, s, x, strategy=Strategy.AUTO):
-        return ext_fd(ExtParams(nu, s, x), strategy, cfg).value
+        return ext_fd(ExtParams(nu, s, x), strategy).value
 
     def be(nu, s, x, strategy=Strategy.AUTO):
-        return ext_be(ExtParams(nu, s, x), strategy, cfg).value
+        return ext_be(ExtParams(nu, s, x), strategy).value
 
     def hz(s, a):
-        return hurwitz_zeta(s, a, cfg).value
+        return hurwitz_zeta(s, a).value
 
     def lerch(z, s, a):
-        return lerch_phi(LerchParams(z, s, a), cfg).value
+        return lerch_phi(LerchParams(z, s, a)).value
 
     specs: list[IdentitySpec] = []
 
@@ -269,8 +263,8 @@ def build_catalog(
     # rather than the alternating one, so the two x = 0 paths cross-check.
     add(
         "diff-eq-7.6",
-        lambda p: fd_zero_hurwitz_route(p["nu"], p["s"], cfg).value
-        + fd_zero_hurwitz_route(p["nu"] - 1.0, p["s"], cfg).value,
+        lambda p: fd_zero_hurwitz_route(p["nu"], p["s"]).value
+        + fd_zero_hurwitz_route(p["nu"] - 1.0, p["s"]).value,
         lambda p: cpow(p["nu"], -complex(p["s"])),
         _grid(nu=(1.0, 2.3), s=_S),
         guard=lambda p: p["nu"] >= 1.0,
@@ -308,9 +302,9 @@ def build_catalog(
     )
     add(
         "fd-be-6.6",
-        lambda p: fd_classical(p["s"], p["x"], cfg).value,
-        lambda p: be_classical(p["s"], p["x"], cfg).value
-        - cpow(2.0, 1.0 - complex(p["s"])) * be_classical(p["s"], 2.0 * p["x"], cfg).value,
+        lambda p: fd_classical(p["s"], p["x"]).value,
+        lambda p: be_classical(p["s"], p["x"]).value
+        - cpow(2.0, 1.0 - complex(p["s"])) * be_classical(p["s"], 2.0 * p["x"]).value,
         _grid(s=_S, x=(-2.0, -1.0, -0.25)),
     )
     # The phase sits with the shifted-argument side: shifting x by i*pi
@@ -383,7 +377,7 @@ def build_catalog(
     )
     add(
         "mult-5.14",
-        lambda p: riemann_zeta(p["s"], cfg).value,
+        lambda p: riemann_zeta(p["s"]).value,
         lambda p: cpow(p["q"], -complex(p["s"]))
         * sum(hz(p["s"], j / p["q"]) for j in range(1, p["q"] + 1)),
         _grid(q=(2, 3), s=_S),
@@ -394,7 +388,7 @@ def build_catalog(
         nu, beta = p["nu"], p["beta"]
 
         def kernel_value(u: float, nu=nu, beta=beta) -> complex:
-            return ext_fd(ExtParams(nu, beta, u), Strategy.AUTO, cfg).value
+            return ext_fd(ExtParams(nu, beta, u), Strategy.AUTO).value
 
         kernel = KernelSpec(value=kernel_value, decay_b=math.inf)
         return weyl_transform(kernel, p["r"], p["x"]).value
@@ -423,7 +417,7 @@ def build_catalog(
         xpow = 1.0
         small = 0
         for k in range(60):
-            term = dirichlet_eta(s - k, cfg).value * xpow
+            term = dirichlet_eta(s - k).value * xpow
             acc += term
             if abs(term) <= 1e-17 * max(abs(acc), 1e-30):
                 small += 1
@@ -436,7 +430,7 @@ def build_catalog(
 
     add(
         "xseries-4.15",
-        lambda p: fd_classical(p["s"], p["x"], cfg).value,
+        lambda p: fd_classical(p["s"], p["x"]).value,
         _eta_series,
         _grid(s=_S, x=(-0.5, -0.2)),
         tol=1e-8,
@@ -498,9 +492,9 @@ def build_catalog(
     # --- classical zeta relations ----------------------------------------
     add(
         "functional-eq-1.2",
-        lambda p: riemann_zeta(p["s"], cfg, via="em").value,
+        lambda p: riemann_zeta(p["s"], via="em").value,
         lambda p: chi_ratio(p["s"]).value
-        * riemann_zeta(1.0 - complex(p["s"]), cfg, via="em").value,
+        * riemann_zeta(1.0 - complex(p["s"]), via="em").value,
         _grid(
             s=(
                 -2.5,
@@ -521,7 +515,7 @@ def build_catalog(
     # (repaired), which the n = 1 case pins down: zeta(2) = +pi^2/6.
     add(
         "corrected-2.5",
-        lambda p: riemann_zeta(complex(2 * p["n"]), cfg).value,
+        lambda p: riemann_zeta(complex(2 * p["n"])).value,
         lambda p: (
             (-1.0) ** (p["n"] + 1)
             * (2.0 * math.pi) ** (2 * p["n"])
@@ -560,12 +554,10 @@ def catalog_names() -> tuple[str, ...]:
 
 
 def run_catalog(
-    names: Sequence[str] | None = None,
-    cfg: SeriesConfig | None = None,
-    reduced: bool = False,
+    names: Sequence[str] | None = None, reduced: bool = False
 ) -> list[IdentityReport]:
     """Check all (or the named) identities; reports sorted by name."""
-    catalog = build_catalog(cfg, reduced)
+    catalog = build_catalog(reduced)
     if names:
         missing = sorted(set(names) - set(catalog))
         if missing:
@@ -583,9 +575,7 @@ def reports_to_json(reports: Sequence[IdentityReport]) -> str:
     )
 
 
-def mult_5_10_printed_form_gap(
-    cfg: SeriesConfig | None = None,
-) -> dict[str, float]:
+def mult_5_10_printed_form_gap() -> dict[str, float]:
     """Residuals of the as-printed multiplication variant (informational).
 
     The printed variant carries prefactors exp(a x (1-q)/q) and
@@ -594,7 +584,6 @@ def mult_5_10_printed_form_gap(
     prefactors make it fail, which this function documents by returning
     the maximum relative residual on each side of the x = 0 boundary.
     """
-    cfg = cfg or DEFAULT_SERIES
     gaps = {"x_zero": 0.0, "x_positive": 0.0}
     for q in (2, 3):
         for a in (1.0, 2.3):
@@ -602,13 +591,11 @@ def mult_5_10_printed_form_gap(
                 continue
             for s in (2.0, 1.5):
                 for x in (0.0, 1.0):
-                    lhs = ext_be(ExtParams(a, s, x), Strategy.AUTO, cfg).value
+                    lhs = ext_be(ExtParams(a, s, x), Strategy.AUTO).value
                     rhs = cpow(q, -s) * cmath.exp(a * x * (1.0 - q) / q) * sum(
                         cmath.exp(x * j * (1.0 - q) / q)
                         * ext_be(
-                            ExtParams((a + j - q) / q, s, q * x),
-                            Strategy.AUTO,
-                            cfg,
+                            ExtParams((a + j - q) / q, s, q * x), Strategy.AUTO
                         ).value
                         for j in range(1, q + 1)
                     )

@@ -310,7 +310,10 @@ def weyl_negative_order(
     )
 
 
-def audit_decay(kernel: KernelSpec, samples: int = 40) -> bool:
+_AUDIT_SAMPLES = 40
+
+
+def audit_decay(kernel: KernelSpec) -> bool:
     """Spot-check the declared decay class on t in [10, 1e4].
 
     For finite decay_b, |omega(t)| * t^decay_b should stay bounded; emits a
@@ -320,11 +323,11 @@ def audit_decay(kernel: KernelSpec, samples: int = 40) -> bool:
         return True
     lo, hi = math.log(10.0), math.log(1e4)
     vals = []
-    for i in range(samples):
-        t = math.exp(lo + (hi - lo) * i / (samples - 1))
+    for i in range(_AUDIT_SAMPLES):
+        t = math.exp(lo + (hi - lo) * i / (_AUDIT_SAMPLES - 1))
         vals.append(abs(kernel.value(t)) * t**kernel.decay_b)
-    head = max(vals[: samples // 4]) + 1e-300
-    tail = max(vals[-samples // 4 :])
+    head = max(vals[: _AUDIT_SAMPLES // 4]) + 1e-300
+    tail = max(vals[-_AUDIT_SAMPLES // 4 :])
     if tail > 10.0 * head:
         warnings.warn(
             f"kernel decays slower than declared t^-{kernel.decay_b:g} "

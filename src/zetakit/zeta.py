@@ -39,7 +39,8 @@ from .numeric_core import (
 from .result import EvalResult
 
 __all__ = [
-    "SeriesConfig",
+    "REL_TOL",
+    "MAX_TERMS",
     "LerchParams",
     "hurwitz_zeta",
     "hurwitz_diff",
@@ -59,22 +60,9 @@ _LN_1E_M290 = math.log(1e-290)
 # extension may stop at the smallest term.
 _EM_MIN_PAIRS = 6
 
-
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Tolerances and budgets shared by the series/continuation routines."""
-
-    rel_tol: float = 1e-13
-    max_terms: int = 500_000
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms <= 0:
-            raise DomainError("budgets must be positive")
-
-
-DEFAULT_SERIES = SeriesConfig()
+# Relative tolerance and term budget shared by the series routines.
+REL_TOL = 1e-13
+MAX_TERMS = 500_000
 
 
 @dataclass(frozen=True)
@@ -105,7 +93,7 @@ def _cexpm1(u: complex) -> complex:
     return cmath.exp(u) - 1.0
 
 
-def _hurwitz_reflection(s: complex, a: float, cfg: SeriesConfig) -> EvalResult:
+def _hurwitz_reflection(s: complex, a: float) -> EvalResult:
     """zeta(s, a) for Re(s) < 0 and real a > 0 by the Fourier reflection
 
         zeta(s, a0) = 2 Gamma(1-s) (2 pi)^{s-1}
@@ -125,8 +113,8 @@ def _hurwitz_reflection(s: complex, a: float, cfg: SeriesConfig) -> EvalResult:
 
     amp = cmath.exp(ln_gamma(1.0 - s)) * 2.0 * cpow(2.0 * _PI, s - 1.0)
     half_arg = 0.5 * _PI * s
-    n_terms = max(8, math.ceil((cfg.rel_tol * (-sigma)) ** (1.0 / sigma)))
-    n_terms = min(n_terms, cfg.max_terms)
+    n_terms = max(8, math.ceil((REL_TOL * (-sigma)) ** (1.0 / sigma)))
+    n_terms = min(n_terms, MAX_TERMS)
     series_terms = [
         cmath.sin(half_arg + 2.0 * _PI * n * a0) * cpow(n, s - 1.0)
         for n in range(1, n_terms + 1)
@@ -168,16 +156,13 @@ def _em_coeffs() -> list[float]:
     return table
 
 
-def hurwitz_zeta(
-    s: complex, a: complex, cfg: SeriesConfig | None = None
-) -> EvalResult:
+def hurwitz_zeta(s: complex, a: complex) -> EvalResult:
     """Hurwitz zeta zeta(s, a) for complex s != 1, Re(a) > 0.
 
     Euler-Maclaurin continuation on both sides of the critical strip; for
     deeply negative non-integer Re(s) with real a the Fourier reflection
     series takes over.  See the module docstring for the parameter policy.
     """
-    cfg = cfg or DEFAULT_SERIES
     s = require_finite(s, "s")
     a = require_finite(a, "a")
     if abs(s - 1.0) < 1e-12:
@@ -193,7 +178,7 @@ def hurwitz_zeta(
         and 1 - round(s.real) <= MAX_POLY_DEGREE
     )
     if sigma <= -4.0 and not terminating and a.imag == 0.0:
-        out = _hurwitz_reflection(s, a.real, cfg)
+        out = _hurwitz_reflection(s, a.real)
         return EvalResult(faults.perturb("hurwitz_zeta", out.value),
                           out.err_estimate, out.strategy, out.work)
     if sigma >= 0.0:
@@ -275,9 +260,7 @@ def hurwitz_zeta(
     )
 
 
-def riemann_zeta(
-    s: complex, cfg: SeriesConfig | None = None, via: str = "em"
-) -> EvalResult:
+def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
     """Riemann zeta through either continuation route.
 
     via="em" (the default) evaluates zeta(s, 1) by Euler-Maclaurin, or by
@@ -286,7 +269,6 @@ def riemann_zeta(
     for Re(s) < 0; at s = 0, where chi's zero meets the pole of zeta(1-s),
     it returns the limit -1/2.
     """
-    cfg = cfg or DEFAULT_SERIES
     s = require_finite(s, "s")
     if abs(s - 1.0) < 1e-12:
         raise PoleError("pole at s=1")
@@ -300,7 +282,7 @@ def riemann_zeta(
         if chi.value == 0.0:
             return EvalResult(0.0, chi.err_estimate, "riemann/functional-equation",
                               chi.work)
-        other = hurwitz_zeta(1.0 - s, 1.0, cfg)
+        other = hurwitz_zeta(1.0 - s, 1.0)
         value = chi.value * other.value
         # Rounding 1 - s (at most 1.11e-16 |1 - s|) moves zeta(1 - s) by
         # about that over |s| relative, which is large next to its pole at
@@ -318,24 +300,23 @@ def riemann_zeta(
         value = compensated_sum(terms)
         return EvalResult(value, abs(terms[-1]) + 1e-16 * abs(value),
                           "riemann/direct-sum", len(terms))
-    inner = hurwitz_zeta(s, 1.0, cfg)
+    inner = hurwitz_zeta(s, 1.0)
     return EvalResult(inner.value, inner.err_estimate,
                       "riemann/euler-maclaurin", inner.work)
 
 
-def dirichlet_eta(s: complex, cfg: SeriesConfig | None = None) -> EvalResult:
+def dirichlet_eta(s: complex) -> EvalResult:
     """Alternating zeta eta(s) = (1 - 2^{1-s}) zeta(s); entire in s.
 
     The removable point s = 1 returns the limit value log 2 whenever
     |s - 1| < 1e-8; elsewhere the prefactor is computed via a
     cancellation-free expm1 so the zeta pole divides out cleanly.
     """
-    cfg = cfg or DEFAULT_SERIES
     s = require_finite(s, "s")
     if abs(s - 1.0) < 1e-8:
         return EvalResult(complex(_LN2), 2e-9, "eta/limit-ln2", 1)
     factor = -_cexpm1((1.0 - s) * _LN2)  # 1 - 2^{1-s}
-    z = riemann_zeta(s, cfg)
+    z = riemann_zeta(s)
     value = factor * z.value
     err = abs(factor) * z.err_estimate + 1e-15 * abs(value)
     return EvalResult(value, err, "eta/zeta-scaled", z.work + 1)
@@ -368,9 +349,7 @@ def digamma(a: complex) -> complex:
     return acc + cmath.log(w) - 0.5 / w - series
 
 
-def hurwitz_diff(
-    s: complex, a: complex, b: complex, cfg: SeriesConfig | None = None
-) -> EvalResult:
+def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
     """zeta(s, a) - zeta(s, b) with the s = 1 pole cancelled.
 
     At s = 1 the simple poles cancel and the finite limit is
@@ -382,14 +361,14 @@ def hurwitz_diff(
         value = digamma(b) - digamma(a)
         return EvalResult(value, 1e-13 * (1.0 + abs(value)),
                           "hurwitz/pole-cancelled-digamma", 2)
-    za = hurwitz_zeta(s, a, cfg)
-    zb = hurwitz_zeta(s, b, cfg)
+    za = hurwitz_zeta(s, a)
+    zb = hurwitz_zeta(s, b)
     value = za.value - zb.value
     return EvalResult(value, za.err_estimate + zb.err_estimate,
                       "hurwitz/euler-maclaurin-diff", za.work + zb.work)
 
 
-def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
+def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
     Dispatch: z = 0 -> single term; z = 1 -> Hurwitz-zeta continuation;
@@ -397,13 +376,12 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
     accelerated alternating sum; other unimodular z -> Euler transform of
     the tail once the term moduli are monotone.
 
-    The direct sum raises ConvergenceError when N = ``cfg.max_terms`` terms
-    do not reach ``cfg.rel_tol``.  For Re a > 0 it raises up front, before
+    The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms
+    do not reach ``REL_TOL``.  For Re a > 0 it raises up front, before
     summing, when r^N min(1, (|N+a|/|a|)^{-Re s}) e^{-2 |Im s| |arg a|} >=
-    2 rel_tol (r = |z|): then its stopping rule provably cannot fire within
+    2 REL_TOL (r = |z|): then its stopping rule provably cannot fire within
     the budget.
     """
-    cfg = cfg or DEFAULT_SERIES
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
 
     if z == 0.0:
@@ -412,7 +390,7 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
         return EvalResult(value, 1e-16 * abs(value), "lerch/single-term", 1)
 
     if abs(z - 1.0) < 1e-12:
-        inner = hurwitz_zeta(s, a, cfg)
+        inner = hurwitz_zeta(s, a)
         value = faults.perturb("lerch_phi", inner.value)
         return EvalResult(value, inner.err_estimate, "lerch/hurwitz-delegate",
                           inner.work)
@@ -432,16 +410,16 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
             # bound_n >= r^n |n+a|^{-sigma} e^{-|t| alpha}/(1-r).  The ratio
             # bound_n/|total_n| is thus at least
             #   q_n = r^n min(1, (|n+a|/|a|)^{-sigma}) e^{-2|t| alpha},
-            # which falls with n; if q_N >= 2 rel_tol no step can stop (the
+            # which falls with n; if q_N >= 2 REL_TOL no step can stop (the
             # 2 absorbs the rounding in zpow).  Also bound_n >= q_N
             # |a|^{-sigma}, and the second clause keeps that clear of the
             # 1e-300 floor on |total|.
-            big_n = cfg.max_terms
+            big_n = MAX_TERMS
             abs_a = abs(a)
             q = r ** big_n * math.exp(-2.0 * abs(s.imag) * abs(cmath.phase(a)))
             if sigma > 0.0:
                 q *= (abs(big_n + a) / abs_a) ** -sigma
-            if q >= 2.0 * cfg.rel_tol and (
+            if q >= 2.0 * REL_TOL and (
                 math.log(q) - sigma * math.log(abs_a) > _LN_1E_M290
             ):
                 raise ConvergenceError(
@@ -451,7 +429,7 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
         comp_terms: list[complex] = []
         zpow = complex(1.0)
         n = 0
-        while n < cfg.max_terms:
+        while n < MAX_TERMS:
             term = zpow * power
             comp_terms.append(term)
             total += term
@@ -464,13 +442,13 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
             bound = nxt / (1.0 - r)
             if sigma < 0.0:
                 bound *= (1.0 + 2.0 / (n * (1.0 - r))) ** (-sigma)
-            if bound <= cfg.rel_tol * max(abs(total), 1e-300) and n >= 4:
+            if bound <= REL_TOL * max(abs(total), 1e-300) and n >= 4:
                 value = compensated_sum(comp_terms)
                 value = faults.perturb("lerch_phi", value)
                 return EvalResult(value, bound + 1e-16 * abs(value),
                                   "lerch/direct-sum", n + 1)
         raise ConvergenceError(
-            f"direct Lerch sum not converged in {cfg.max_terms} terms"
+            f"direct Lerch sum not converged in {MAX_TERMS} terms"
         )
 
     # |z| = 1, z != 1: acceleration territory (Re(s) > 0 by precondition).
@@ -484,7 +462,7 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
     n0 = max(onset, 24)
     prefix = [ cpow(k + a, -s) * z**k for k in range(n0) ]
     tail, tail_err, tail_work = euler_transform_tail(
-        lambda k: cpow(n0 + k + a, -s), z, cfg.rel_tol
+        lambda k: cpow(n0 + k + a, -s), z, REL_TOL
     )
     value = compensated_sum(prefix) + z**n0 * tail
     value = faults.perturb("lerch_phi", value)
@@ -492,12 +470,12 @@ def lerch_phi(p: LerchParams, cfg: SeriesConfig | None = None) -> EvalResult:
                       "lerch/euler-transform", n0 + tail_work)
 
 
-def polylog(z: complex, s: complex, cfg: SeriesConfig | None = None) -> EvalResult:
+def polylog(z: complex, s: complex) -> EvalResult:
     """Polylogarithm Li_s(z) = z * Phi(z, s, 1) on the closed unit disk."""
     z = require_finite(z, "z")
     if z == 0.0:
         return EvalResult(0.0, 0.0, "polylog/zero", 0)
-    inner = lerch_phi(LerchParams(z, s, 1.0), cfg)
+    inner = lerch_phi(LerchParams(z, s, 1.0))
     value = z * inner.value
     return EvalResult(value, abs(z) * inner.err_estimate,
                       "polylog/" + inner.strategy.split("/", 1)[1], inner.work)

@@ -117,11 +117,17 @@ class TestEval:
         assert main(["eval", "--fn", "hurwitz", "--s", "2", "--a", "-1"]) == EXIT_DOMAIN
 
     def test_convergence_exit_code(self, capsys):
+        # |z| so close to 1 that the term budget cannot reach the tolerance:
+        # the direct sum refuses up front.
         code = main(
-            ["eval", "--fn", "lerch", "--z", "0.99", "--s", "1.001", "--a", "1",
-             "--max-terms", "3"]
+            ["eval", "--fn", "lerch", "--z", "0.999999", "--s", "2", "--a", "1"]
         )
         assert code == EXIT_CONVERGENCE
+
+    @pytest.mark.parametrize("flag", ["--rel-tol=1e-6", "--max-terms=3"])
+    def test_series_flags_are_usage_errors(self, flag, capsys):
+        code = main(["eval", "--fn", "zeta", "--s", "2", flag])
+        assert code == EXIT_USAGE
 
     def test_usage_missing_param(self, capsys):
         assert main(["eval", "--fn", "zeta"]) == EXIT_USAGE

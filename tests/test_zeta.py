@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,11 @@ from hypothesis import strategies as st
 
 import zetakit.zeta as zeta_module
 from zetakit import (
-    DEFAULT_SERIES,
     ConvergenceError,
     DomainError,
     ExtParams,
     LerchParams,
     PoleError,
-    SeriesConfig,
     Strategy,
     chi_ratio,
     digamma,
@@ -230,9 +229,9 @@ class TestLerchPhi:
             lerch_phi(LerchParams(1.5, 2.0, 1.0))
 
     def test_budget_exhaustion_raises(self):
-        tight = SeriesConfig(rel_tol=1e-13, max_terms=3)
-        with pytest.raises(ConvergenceError):
-            lerch_phi(LerchParams(0.99, 1.001, 1.0), tight)
+        with mock.patch.object(zeta_module, "MAX_TERMS", 3):
+            with pytest.raises(ConvergenceError):
+                lerch_phi(LerchParams(0.99, 1.001, 1.0))
 
     @pytest.mark.parametrize(
         "call",
@@ -270,7 +269,7 @@ class TestLerchPhi:
     )
     @settings(max_examples=150, deadline=None)
     def test_refusal_only_when_budget_too_small(self, r, theta, a, sigma, t, frac):
-        # A call with max_terms = M raises exactly when the same call with
+        # A call with MAX_TERMS = M raises exactly when the same call with
         # the default budget needs more than M terms (work - 1 > M), so the
         # up-front refusal never turns away a sum that would have converged.
         # M is drawn around that need, and M = need itself is always tried.
@@ -304,12 +303,12 @@ class TestLerchPhi:
         full = lerch_phi(p)
         need = full.work - 1
         for budget in (max(1, round(frac * need)), max(1, need)):
-            small = SeriesConfig(max_terms=budget)
-            if need > budget:
-                with pytest.raises(ConvergenceError):
-                    lerch_phi(p, small)
-            else:
-                assert lerch_phi(p, small) == full
+            with mock.patch.object(zeta_module, "MAX_TERMS", budget):
+                if need > budget:
+                    with pytest.raises(ConvergenceError):
+                        lerch_phi(p)
+                else:
+                    assert lerch_phi(p) == full
 
 
 class TestPolylog:
@@ -368,12 +367,8 @@ class TestDigamma:
             assert abs(digamma(a + 1.0) - digamma(a) - 1.0 / a) <= 1e-12
 
 
-class TestSeriesConfig:
+class TestSeriesConstants:
     def test_env_is_not_read_by_library(self, monkeypatch):
-        # The library layer takes max_terms only through SeriesConfig.
+        # The term budget is the constant MAX_TERMS; no variable overrides it.
         monkeypatch.setenv("ZETAKIT_MAX_TERMS", "1")
         assert rel(riemann_zeta(2.0).value, oracles.ZETA_2) <= 1e-12
-
-    def test_validation(self):
-        with pytest.raises((DomainError, ValueError)):
-            SeriesConfig(rel_tol=-1.0, max_terms=10)
