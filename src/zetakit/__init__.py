@@ -27,7 +27,6 @@ from .identities import (
     IdentityReport,
     IdentitySpec,
     build_catalog,
-    catalog_names,
     check,
     reports_to_json,
     run_catalog,
@@ -42,7 +41,6 @@ from .numeric_core import (
     euler_poly,
     euler_poly_coeffs,
     ln_gamma,
-    pochhammer,
 )
 from .result import EvalResult
 from .weyl import (
@@ -77,7 +75,6 @@ __all__ = [
     "MAX_POLY_DEGREE",
     "PolyCoeffs",
     "ln_gamma",
-    "pochhammer",
     "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_coeffs",
@@ -116,7 +113,6 @@ __all__ = [
     "IdentityReport",
     "build_catalog",
     "run_catalog",
-    "catalog_names",
     "check",
     "reports_to_json",
     "QUICK_SUBSET",

@@ -56,7 +56,6 @@ __all__ = [
     "IdentityReport",
     "check",
     "build_catalog",
-    "catalog_names",
     "run_catalog",
     "reports_to_json",
     "mult_5_10_printed_form_gap",
@@ -546,11 +545,6 @@ def build_catalog(reduced: bool = False) -> dict[str, IdentitySpec]:
     if len(catalog) != len(specs):  # pragma: no cover - construction bug
         raise DomainError("duplicate identity names in catalog")
     return catalog
-
-
-def catalog_names() -> tuple[str, ...]:
-    """All identity names, lexicographic."""
-    return tuple(sorted(build_catalog().keys()))
 
 
 def run_catalog(

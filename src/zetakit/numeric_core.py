@@ -41,7 +41,6 @@ __all__ = [
     "MAX_POLY_DEGREE",
     "PolyCoeffs",
     "ln_gamma",
-    "pochhammer",
     "bernoulli_number",
     "bernoulli_poly_coeffs",
     "bernoulli_poly",
@@ -158,17 +157,6 @@ def ln_gamma(s: complex) -> complex:
     return faults.perturb(
         "ln_gamma", _LN_PI - _ln_sin_pi(s) - _lanczos_ln_gamma(1.0 - s)
     )
-
-
-def pochhammer(s: complex, n: int) -> complex:
-    """Rising factorial (s)_n = s (s+1) ... (s+n-1), with (s)_0 = 1."""
-    s = require_finite(s, "s")
-    if n < 0:
-        raise DomainError("pochhammer needs n >= 0")
-    out = complex(1.0)
-    for k in range(n):
-        out *= s + k
-    return out
 
 
 # ---------------------------------------------------------------------------

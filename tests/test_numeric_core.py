@@ -20,7 +20,6 @@ from zetakit import (
     euler_poly,
     euler_poly_coeffs,
     ln_gamma,
-    pochhammer,
 )
 from zetakit.numeric_core import alternating_sum_cvz
 
@@ -160,16 +159,6 @@ class TestLnGamma:
             ln_gamma(complex(0.0))
         with pytest.raises(PoleError):
             ln_gamma(complex(-3.0))
-
-
-class TestPochhammer:
-    def test_integer_cases(self):
-        assert pochhammer(complex(3.0), 4) == complex(3 * 4 * 5 * 6)
-        assert pochhammer(complex(1.0), 5) == complex(math.factorial(5))
-        assert pochhammer(complex(2.5), 0) == complex(1.0)
-
-    def test_terminates_at_zero_factor(self):
-        assert pochhammer(complex(-3.0), 5) == complex(0.0)
 
 
 class TestSummation:
