@@ -571,16 +571,7 @@ def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:
     if strategy is Strategy.AUTO:
         out = _auto(kind, nu, s, x)
     elif strategy is Strategy.XSERIES:
-        if x == 0.0:
-            # z = -+1 exactly: the alternating sum accelerates (fd) and the
-            # Lerch machinery delegates (be, z = 1).
-            out = (
-                _fd_zero(nu, s)
-                if kind == "fd" and s.real > 0.0 and abs(s - 1.0) > 1e-12
-                else _series_route(kind, nu, s, x)
-            )
-        else:
-            out = _series_route(kind, nu, s, x)
+        out = _series_route(kind, nu, s, x)
     elif strategy is Strategy.WEYL_QUAD:
         out = _weyl_route(kind, nu, s, x)
     elif strategy is Strategy.POWER_SERIES_X:

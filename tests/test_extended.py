@@ -65,6 +65,16 @@ class TestZeroArgument:
                 assert via_hurwitz.strategy != auto.strategy or nu == 0.0
                 assert rel(via_hurwitz.value, auto.value) <= 1e-11
 
+    def test_forced_xseries_at_zero_is_the_lerch_alternating_sum(self):
+        # z = -1 exactly: the forced defining series reaches lerch_phi's
+        # alternating branch under its own tag, with AUTO's value.
+        for nu in (0.0, 0.5, 2.3):
+            for s in (2.5, 0.5, 2.0 + 1.0j):
+                forced = ext_fd(ExtParams(nu, s, 0.0), Strategy.XSERIES)
+                auto = ext_fd(ExtParams(nu, s, 0.0))
+                assert forced.strategy == "fd/xseries-cvz"
+                assert forced.value == auto.value
+
     def test_be_pole_at_s_one(self):
         with pytest.raises(PoleError, match="pole at s=1"):
             ext_be(ExtParams(0.5, 1.0, 0.0))
