@@ -194,7 +194,10 @@ def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     suffix = inner.strategy.split("/", 1)[1]
     tag = f"{kind}/{_LERCH_TAG_MAP.get(suffix, 'xseries-direct')}"
     value = pre * inner.value
-    err = abs(pre) * inner.err_estimate + 2e-16 * abs(value)
+    # pre inherits the rounding of its exponent, 2.2e-16 |(nu+1) x|.
+    err = abs(pre) * inner.err_estimate + (
+        2e-16 + 2.2e-16 * abs((nu + 1.0) * x)
+    ) * abs(value)
     return EvalResult(value, err, tag, inner.work)
 
 

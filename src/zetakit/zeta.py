@@ -368,6 +368,18 @@ def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
                       "hurwitz/euler-maclaurin-diff", za.work + zb.work)
 
 
+def _max_abs_log(a: complex, n: int) -> float:
+    """A bound on |log(k + a)| over 0 <= k < n.
+
+    |log w|^2 = log^2 |w| + arg^2 w: |arg(k + a)| falls as k grows, and
+    |k + a| is smallest at the k nearest -Re a, so log^2 |k + a| peaks at
+    that k or at an end of the range.
+    """
+    k0 = min(max(round(-a.real), 0), n - 1)
+    ln_mod = max(abs(math.log(abs(k + a))) for k in (0, k0, n - 1))
+    return math.hypot(ln_mod, cmath.phase(a))
+
+
 def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
@@ -380,7 +392,8 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     do not reach ``REL_TOL``.  For Re a > 0 it raises up front, before
     summing, when r^N min(1, (|N+a|/|a|)^{-Re s}) e^{-2 |Im s| |arg a|} >=
     2 REL_TOL (r = |z|): then its stopping rule provably cannot fire within
-    the budget.
+    the budget.  Its estimate adds the rounding of every term to the tail
+    bound, so it holds where the terms cancel.
     """
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
 
@@ -428,6 +441,8 @@ def lerch_phi(p: LerchParams) -> EvalResult:
         total = complex(0.0)
         comp_terms: list[complex] = []
         zpow = complex(1.0)
+        mass = abs(power)   # sum of |term_k| over the terms taken
+        kmass = 0.0         # sum of k |term_k|
         n = 0
         while n < MAX_TERMS:
             term = zpow * power
@@ -445,8 +460,19 @@ def lerch_phi(p: LerchParams) -> EvalResult:
             if bound <= REL_TOL * max(abs(total), 1e-300) and n >= 4:
                 value = compensated_sum(comp_terms)
                 value = faults.perturb("lerch_phi", value)
-                return EvalResult(value, bound + 1e-16 * abs(value),
+                # Term k = z^k (k+a)^{-s} carries 2.2e-16 relative error
+                # from its own rounding, 2.2e-16 k from the k products
+                # building z^k, and 2.2e-16 |s| |log(k+a)| from the
+                # rounding of the power's exponent.  With the terms summed
+                # exactly, that rounding is the error, however much the
+                # terms cancel.
+                err = bound + 2.2e-16 * (
+                    (1.0 + abs(s) * _max_abs_log(a, n)) * mass + kmass
+                )
+                return EvalResult(value, err + 1e-16 * abs(value),
                                   "lerch/direct-sum", n + 1)
+            mass += nxt
+            kmass += n * nxt
         raise ConvergenceError(
             f"direct Lerch sum not converged in {MAX_TERMS} terms"
         )

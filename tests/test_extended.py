@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,33 @@ class TestLerchBridge:
         scale = cmath.exp(-(nu + 1.0) * x)
         want = scale * lerch_phi(LerchParams(math.exp(-x), s, nu + 1.0)).value
         assert rel(got, want) <= 1e-11
+
+
+    def test_xseries_estimate_is_honest(self):
+        # At Re s < 0 the terms of the defining series grow before the
+        # geometric factor wins and cancel in the sum, so the estimate must
+        # charge the rounding of every term, not only the tail.  The fixed
+        # points are short sums at large (nu + 1) x, where the rounding of
+        # the prefactor's exponent dominates.  Twenty digits agree with
+        # forty on this domain to 1.3e-18 relative.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        rng = random.Random(20261018)
+        points = [(ext_be, 1, 2.0, 0.0, 3.95), (ext_be, 1, 2.0, 0.5, 3.95)]
+        for _ in range(40):
+            fn, sign = rng.choice(((ext_fd, -1), (ext_be, 1)))
+            nu = rng.uniform(0.0, 3.0)
+            s = complex(rng.uniform(-6.0, 6.0), rng.choice((0.0, rng.uniform(-4.0, 4.0))))
+            points.append((fn, sign, nu, s, 10 ** rng.uniform(-3.0, math.log10(4.0))))
+        for fn, sign, nu, s, x in points:
+            got = fn(ExtParams(nu, s, x), Strategy.XSERIES)
+            xm, am = mpmath.mpf(x), mpmath.mpf(nu) + 1
+            want = mpmath.exp(-am * xm) * mpmath.lerchphi(
+                sign * mpmath.exp(-xm), mpmath.mpc(s), am
+            )
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (
+                fn.__name__, nu, s, x,
+            )
 
 
 class TestStrategies:
