@@ -371,13 +371,13 @@ def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
 def _max_abs_log(a: complex, n: int) -> float:
     """A bound on |log(k + a)| over 0 <= k < n.
 
-    |log w|^2 = log^2 |w| + arg^2 w: |arg(k + a)| falls as k grows, and
-    |k + a| is smallest at the k nearest -Re a, so log^2 |k + a| peaks at
-    that k or at an end of the range.
+    |log w|^2 = log^2 |w| + arg^2 w.  |arg(k + a)| falls as k grows, and
+    |k + a| is smallest at the k nearest -Re a and largest at an end of
+    the range, so |log |k + a|| peaks at one of those.
     """
-    k0 = min(max(round(-a.real), 0), n - 1)
-    ln_mod = max(abs(math.log(abs(k + a))) for k in (0, k0, n - 1))
-    return math.hypot(ln_mod, cmath.phase(a))
+    lo = abs(min(max(round(-a.real), 0), n - 1) + a)
+    hi = max(abs(a), abs(n - 1 + a))
+    return math.hypot(max(-math.log(lo), math.log(hi)), cmath.phase(a))
 
 
 def lerch_phi(p: LerchParams) -> EvalResult:
