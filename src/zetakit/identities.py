@@ -220,7 +220,9 @@ def build_catalog(reduced: bool = False) -> dict[str, IdentitySpec]:
 
     Each grid keeps only the points its guard admits (the relation's
     preconditions).  ``reduced`` then thins each grid to every other point
-    (self-test mode); full grids are the acceptance configuration.
+    (self-test mode); full grids are the acceptance configuration.  The
+    evaluators run at the library's fixed series tolerance and budget
+    (``zeta.REL_TOL``, ``zeta.MAX_TERMS``).
     """
 
     def fd(nu, s, x, strategy=Strategy.AUTO):
