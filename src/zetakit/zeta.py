@@ -39,8 +39,6 @@ from .numeric_core import (
 from .result import EvalResult
 
 __all__ = [
-    "REL_TOL",
-    "MAX_TERMS",
     "LerchParams",
     "hurwitz_zeta",
     "hurwitz_diff",
@@ -377,7 +375,8 @@ def _max_abs_log(a: complex, n: int) -> float:
     """
     lo = abs(min(max(round(-a.real), 0), n - 1) + a)
     hi = max(abs(a), abs(n - 1 + a))
-    return math.hypot(max(-math.log(lo), math.log(hi)), cmath.phase(a))
+    arg = math.atan2(a.imag, a.real)
+    return math.hypot(max(-math.log(lo), math.log(hi)), arg)
 
 
 def lerch_phi(p: LerchParams) -> EvalResult:
@@ -429,7 +428,10 @@ def lerch_phi(p: LerchParams) -> EvalResult:
             # 1e-300 floor on |total|.
             big_n = MAX_TERMS
             abs_a = abs(a)
-            q = r ** big_n * math.exp(-2.0 * abs(s.imag) * abs(cmath.phase(a)))
+            # math.atan2, not cmath.phase: the latter raises OverflowError
+            # when the angle underflows (a = 2 + 5e-324j).
+            alpha = abs(math.atan2(a.imag, a.real))
+            q = r ** big_n * math.exp(-2.0 * abs(s.imag) * alpha)
             if sigma > 0.0:
                 q *= (abs(big_n + a) / abs_a) ** -sigma
             if q >= 2.0 * REL_TOL and (

@@ -228,6 +228,11 @@ class TestLerchPhi:
         with pytest.raises(DomainError):
             lerch_phi(LerchParams(1.5, 2.0, 1.0))
 
+    def test_subnormal_imaginary_a(self):
+        # The angle of a underflows; the sum is the one at real a.
+        got = lerch_phi(LerchParams(0.5, 2.0, complex(2.0, 5e-324)))
+        assert rel(got.value, lerch_phi(LerchParams(0.5, 2.0, 2.0)).value) <= 1e-15
+
     def test_budget_exhaustion_raises(self):
         with mock.patch.object(zeta_module, "MAX_TERMS", 3):
             with pytest.raises(ConvergenceError):
