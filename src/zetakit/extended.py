@@ -24,7 +24,12 @@ picks by region:
   order the pole coefficient and the singular part x^{s-1} Gamma(1-s) are
   replaced by their finite limit with digamma values and -log x.
 * fd at real 0 < x < 0.05: the Chebyshev-accelerated alternating sum for
-  Re(s) > 0, the defining series otherwise.
+  Re(s) > 0; the same Taylor series for Re(s) <= 0, where the defining
+  series needs about 1/x growing, cancelling terms (and refuses x = 1e-7
+  outright).  Its coefficients fd(nu, s-k, 0) are Hurwitz differences:
+  Euler-Maclaurin with a small shift for -4 < Re(s-k) < 0 (typically
+  1e-13 relative, at worst about 1e-9 next to Re(s-k) = -4), the
+  reflection series below that.
 * Re(x) >= 0.05: the defining series, geometric ratio <= 0.99.
 * complex x on/near the unit circle in z = -+e^{-x}: accelerated or
   Hurwitz-delegated summation for Re(s) > 0, supporting the reflection
@@ -51,6 +56,7 @@ from .numeric_core import (
     cpow,
     euler_poly_coeffs,
     ln_gamma,
+    max_abs_log,
     require_finite,
 )
 from .result import EvalResult
@@ -162,7 +168,9 @@ def _fd_zero(nu: complex, s: complex) -> EvalResult:
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
         return fd_zero_hurwitz_route(nu, s)
     a = nu + 1.0
-    value, err, work = alternating_sum_with_error(lambda k: cpow(k + a, -s))
+    value, err, work = alternating_sum_with_error(
+        lambda k: cpow(k + a, -s), abs(s) * max_abs_log(a, 32)
+    )
     return EvalResult(value, err + 1e-15 * abs(value),
                       "fd/zero-alternating-cvz", work)
 
@@ -213,7 +221,10 @@ def _fd_tiny_x_cvz(nu: complex, s: complex, x: float) -> EvalResult:
         return math.exp(-k * x) * cpow(k + a, -s)
 
     pre = cmath.exp(-(nu + 1.0) * x)
-    total, err, work = alternating_sum_with_error(term)
+    # e^{-k x} adds k x <= 31 x to each term's exponent.
+    total, err, work = alternating_sum_with_error(
+        term, abs(s) * max_abs_log(a, 32) + 31.0 * x
+    )
     value = pre * total
     err = abs(pre) * err + 1e-15 * abs(value)
     return EvalResult(value, err, "fd/xseries-cvz", work)
@@ -547,14 +558,14 @@ def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         return _negint_route("fd", nu, s, x)
 
     tiny_x = x.imag == 0.0 and 0.0 < x.real < 0.05
-    if kind == "be" and tiny_x:
-        return _power_series_x("be", nu, s, x)
+    if tiny_x:
+        if kind == "fd" and s.real > 0.0:
+            return _fd_tiny_x_cvz(nu, s, x.real)
+        return _power_series_x(kind, nu, s, x)
 
     sign = -1.0 if kind == "fd" else 1.0
     z = sign * cmath.exp(-x)
     if s.real > 0.0:
-        if tiny_x:
-            return _fd_tiny_x_cvz(nu, s, x.real)
         return _series_route(kind, nu, s, x)
 
     # Re(s) <= 0: acceleration on the unit circle is unavailable.

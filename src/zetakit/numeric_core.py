@@ -12,8 +12,9 @@ Floating layer
     15 terms) with a branch-managed reflection for Re(s) < 1/2, accurate to
     roughly 14 significant digits on |s| <= 50, |Im s| <= 50.
     ``cpow`` is the one principal-branch complex power every series term
-    is built from; ``is_nonpos_int`` is the one exact test for the poles of
-    Gamma at 0, -1, -2, ...
+    is built from, and ``max_abs_log`` bounds the rounding its exponent
+    passes on to a run of terms (k + a)^{-s}; ``is_nonpos_int`` is the one
+    exact test for the poles of Gamma at 0, -1, -2, ...
 
 Summation
     ``compensated_sum`` is the correctly rounded ``math.fsum`` applied to
@@ -51,6 +52,7 @@ __all__ = [
     "alternating_sum_with_error",
     "euler_transform_tail",
     "cpow",
+    "max_abs_log",
     "is_nonpos_int",
     "require_finite",
 ]
@@ -80,6 +82,21 @@ def is_nonpos_int(z: complex) -> bool:
 def cpow(base: complex, expo: complex) -> complex:
     """Principal-branch base**expo via exp(expo * log(base)), base != 0."""
     return cmath.exp(expo * cmath.log(base))
+
+
+def max_abs_log(a: complex, n: int) -> float:
+    """A bound on |log(k + a)| over 0 <= k < n.
+
+    |log w|^2 = log^2 |w| + arg^2 w.  |arg(k + a)| falls as k grows, and
+    |k + a| is smallest at the k nearest -Re a and largest at an end of
+    the range, so |log |k + a|| peaks at one of those.  A term (k + a)^{-s}
+    built by ``cpow`` thus carries at most 2.2e-16 |s| max_abs_log(a, n)
+    relative rounding from its exponent.
+    """
+    lo = abs(min(max(round(-a.real), 0), n - 1) + a)
+    hi = max(abs(a), abs(n - 1 + a))
+    arg = math.atan2(a.imag, a.real)
+    return math.hypot(max(-math.log(lo), math.log(hi)), arg)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +333,28 @@ def alternating_sum_cvz(term: Callable[[int], complex], n: int = 32) -> complex:
 
 
 def alternating_sum_with_error(
-    term: Callable[[int], complex],
+    term: Callable[[int], complex], expo: float
 ) -> tuple[complex, float, int]:
     """``alternating_sum_cvz`` at n = 32, with its error and work.
 
-    The error is the gap to the n = 24 sum, |S_32 - S_24|; the work is the
+    Each term is taken to be an exponential whose exponent is at most
+    ``expo`` in modulus, so it carries 2.2e-16 (1 + expo) relative rounding.
+    The error is the gap to the n = 24 sum, |S_32 - S_24|, plus that
+    rounding on the weighted terms |c_k term_k|/d; the CVZ weights c_k/d
+    lie in [-1, 1], so sum_{k<32} |term_k| bounds those.  The work is the
     56 terms the two sums take.  Returns (value, err_estimate, work).
     """
-    v32 = alternating_sum_cvz(term, 32)
+    mass = 0.0
+
+    def summed(k: int) -> complex:
+        nonlocal mass
+        t = term(k)
+        mass += abs(t)
+        return t
+
+    v32 = alternating_sum_cvz(summed, 32)
     v24 = alternating_sum_cvz(term, 24)
-    return v32, abs(v32 - v24), 56
+    return v32, abs(v32 - v24) + 2.2e-16 * (1.0 + expo) * mass, 56
 
 
 def euler_transform_tail(

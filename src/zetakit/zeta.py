@@ -9,11 +9,12 @@ Continuation backbone: Euler-Maclaurin for the Hurwitz zeta,
                + sum_{k=1}^{M} [B_{2k}/(2k)!] (s)_{2k-1} (N+a)^{-s-2k+1},
 
 valid for all s != 1 with Re(a) > 0.  The shift N adapts to s: for
-Re(s) >= 0 it grows like |s|; for Re(s) < 0 it *shrinks* so the huge
-power-law direct terms cannot cancel catastrophically against the integral
-term, while the correction sum is extended adaptively (terms are added
-while they keep decreasing) far enough to reach the asymptotic floor.
-Every path reports a rounding-aware error estimate.
+Re(s) >= 0 it grows like |s|; for Re(s) < 0 it *shrinks*, to
+N + a ~ 4.5 + |Im s|/4, so the power-law direct terms cannot cancel
+catastrophically against the integral term, while the correction sum is
+extended adaptively (terms are added while they keep decreasing) far
+enough to reach the asymptotic floor.  Every path reports a
+rounding-aware error estimate.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .numeric_core import (
     euler_transform_tail,
     is_nonpos_int,
     ln_gamma,
+    max_abs_log,
     monotone_onset,
     require_finite,
 )
@@ -53,6 +55,7 @@ __all__ = [
 _PI = math.pi
 _LN_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
+_LN_2PI = math.log(2.0 * math.pi)
 _LN_1E_M290 = math.log(1e-290)
 # Euler-Maclaurin correction pairs always taken before the adaptive
 # extension may stop at the smallest term.
@@ -109,7 +112,8 @@ def _hurwitz_reflection(s: complex, a: float) -> EvalResult:
         -cpow(a0 + j, -s) for j in range(m)
     ]
 
-    amp = cmath.exp(ln_gamma(1.0 - s)) * 2.0 * cpow(2.0 * _PI, s - 1.0)
+    ln_g = ln_gamma(1.0 - s)
+    amp = cmath.exp(ln_g) * 2.0 * cpow(2.0 * _PI, s - 1.0)
     half_arg = 0.5 * _PI * s
     n_terms = max(8, math.ceil((REL_TOL * (-sigma)) ** (1.0 / sigma)))
     n_terms = min(n_terms, MAX_TERMS)
@@ -125,7 +129,17 @@ def _hurwitz_reflection(s: complex, a: float) -> EvalResult:
         (abs(t) for t in reduction), default=0.0
     )
     peak = max(peak, abs(reflected))
-    err = abs(amp) * tail + 3e-16 * peak + 5e-15 * abs(value)
+    # The two exponentials in amp pass on the rounding of their exponents,
+    # log Gamma(1-s) and (s-1) log 2 pi, which exceed 100 for Re(s) < -40.
+    expo_err = 2.2e-16 * (abs(ln_g) + abs(s - 1.0) * _LN_2PI) * abs(reflected)
+    # Each sine moves by the rounding of its argument, 2.2e-16 (|pi s/2| +
+    # 2 pi n a0), times |cos| <= cosh(pi Im(s)/2); weighted by n^{Re(s)-1}
+    # the sum over n stays below 1.1 (|pi s/2| + 2 pi a0) for Re(s) <= -4.
+    # It matters where the leading sine nearly vanishes.
+    arg_err = (2.4e-16 * abs(amp) * math.cosh(0.5 * _PI * s.imag)
+               * (abs(half_arg) + 2.0 * _PI * a0))
+    err = (abs(amp) * tail + 3e-16 * peak + 5e-15 * abs(value)
+           + expo_err + arg_err)
     return EvalResult(value, err, "hurwitz/reflection",
                       n_terms + len(reduction))
 
@@ -160,6 +174,12 @@ def hurwitz_zeta(s: complex, a: complex) -> EvalResult:
     Euler-Maclaurin continuation on both sides of the critical strip; for
     deeply negative non-integer Re(s) with real a the Fourier reflection
     series takes over.  See the module docstring for the parameter policy.
+
+    ``work`` counts the powers taken: N head terms plus two per correction
+    pair (the reflection route: its series terms plus the reduction).  At
+    Re(s) < 0 the small shift trades head terms for correction pairs, which
+    cost about as much, so ``work`` there is not comparable with releases
+    that used a shift of |s| + 10.
     """
     s = require_finite(s, "s")
     a = require_finite(a, "a")
@@ -187,15 +207,14 @@ def hurwitz_zeta(s: complex, a: complex) -> EvalResult:
         # the power-law term growth and with it the cancellation error.
         n_shift = 1
     else:
-        # Moderately negative order (the reflection route owns the deep
-        # range): a generous shift keeps the asymptotic correction ratio
-        # ((|s|+2k)/(2 pi q))^2 well under 1, while the direct terms grow
-        # only like (n+a)^{|sigma|} <= q^4, a cancellation the peak-based
-        # error term tracks.  The 0.8|Im s| part covers tau-driven growth.
-        n_shift = max(
-            math.ceil(abs(s)) + 10,
-            round(2.5 + 0.8 * abs(s.imag) - a.real),
-        )
+        # Negative order: a small shift, q = N + a near 4.5 + |Im s|/4.
+        # The head and the integral term grow like |q|^{1-sigma} and cancel
+        # down to |zeta| ~ Gamma(1-sigma)/(2 pi)^{1-sigma}, so each unit of
+        # q costs digits to rounding; the corrections, extended to their
+        # smallest term, leave about e^{pi |Im s|/2 - 2 pi q} relative.
+        # q = 4.5 balances the two for -4 < sigma < 0, and the |Im s|/4
+        # offsets the 1/Gamma(s) growth of the corrections.
+        n_shift = max(1, round(4.5 + 0.25 * abs(s.imag) - a.real))
 
     direct = [cpow(k + a, -s) for k in range(n_shift)]
     head = compensated_sum(direct)
@@ -366,19 +385,6 @@ def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
                       "hurwitz/euler-maclaurin-diff", za.work + zb.work)
 
 
-def _max_abs_log(a: complex, n: int) -> float:
-    """A bound on |log(k + a)| over 0 <= k < n.
-
-    |log w|^2 = log^2 |w| + arg^2 w.  |arg(k + a)| falls as k grows, and
-    |k + a| is smallest at the k nearest -Re a and largest at an end of
-    the range, so |log |k + a|| peaks at one of those.
-    """
-    lo = abs(min(max(round(-a.real), 0), n - 1) + a)
-    hi = max(abs(a), abs(n - 1 + a))
-    arg = math.atan2(a.imag, a.real)
-    return math.hypot(max(-math.log(lo), math.log(hi)), arg)
-
-
 def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
@@ -469,7 +475,7 @@ def lerch_phi(p: LerchParams) -> EvalResult:
                 # exactly, that rounding is the error, however much the
                 # terms cancel.
                 err = bound + 2.2e-16 * (
-                    (1.0 + abs(s) * _max_abs_log(a, n)) * mass + kmass
+                    (1.0 + abs(s) * max_abs_log(a, n)) * mass + kmass
                 )
                 return EvalResult(value, err + 1e-16 * abs(value),
                                   "lerch/direct-sum", n + 1)
@@ -481,7 +487,9 @@ def lerch_phi(p: LerchParams) -> EvalResult:
 
     # |z| = 1, z != 1: acceleration territory (Re(s) > 0 by precondition).
     if abs(z + 1.0) < 1e-12:
-        value, err, work = alternating_sum_with_error(lambda k: cpow(k + a, -s))
+        value, err, work = alternating_sum_with_error(
+            lambda k: cpow(k + a, -s), abs(s) * max_abs_log(a, 32)
+        )
         err += 1e-15 * abs(value)
         value = faults.perturb("lerch_phi", value)
         return EvalResult(value, err, "lerch/cvz-alternating", work)

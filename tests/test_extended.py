@@ -1,9 +1,12 @@
 """Extended Fermi-Dirac / Bose-Einstein pair: strategies, bridges, duals."""
 
 import cmath
+import decimal
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,11 @@ from zetakit import (
 
 import oracles
 from oracles import fd_negint_reference
+
+
+NEAR_CIRCLE_REFS = (
+    Path(__file__).resolve().parents[1] / "bench" / "refs" / "table-near-circle.json"
+)
 
 
 def rel(a: complex, b: complex) -> float:
@@ -75,6 +83,28 @@ class TestZeroArgument:
                 auto = ext_fd(ExtParams(nu, s, 0.0))
                 assert forced.strategy == "fd/xseries-cvz"
                 assert forced.value == auto.value
+
+    def test_alternating_sum_estimate_is_honest(self):
+        # With the S_32 - S_24 gap near zero, the rounding of each term's
+        # exponent is the error; at the first point it is 1.6e-18 on a
+        # value of 1.3e-3.  The same sum runs at small x for Re s > 0.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        rng = random.Random(20261018)
+        points = [(3.125, 4.5, 0.0)]
+        for _ in range(30):
+            s = complex(rng.uniform(0.1, 8.0), rng.choice((0.0, rng.uniform(-4.0, 4.0))))
+            points.append((rng.uniform(0.0, 4.0), s, rng.choice((0.0, 10 ** rng.uniform(-6.0, -1.4)))))
+        for nu, s, x in points:
+            got = ext_fd(ExtParams(nu, s, x))
+            assert got.strategy in ("fd/zero-alternating-cvz", "fd/xseries-cvz")
+            sm, am = mpmath.mpc(s), mpmath.mpf(nu) + 1
+            if x == 0.0:
+                want = 2 ** -sm * (mpmath.zeta(sm, am / 2) - mpmath.zeta(sm, (am + 1) / 2))
+            else:
+                xm = mpmath.mpf(x)
+                want = mpmath.exp(-am * xm) * mpmath.lerchphi(-mpmath.exp(-xm), sm, am)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (nu, s, x)
 
     def test_be_pole_at_s_one(self):
         with pytest.raises(PoleError, match="pole at s=1"):
@@ -235,6 +265,66 @@ class TestStrategies:
         assert got.strategy == "be/power-series-x"
         assert abs(got.value - want) <= got.err_estimate
 
+    def test_auto_fd_small_x_nonpositive_order_within_estimate(self):
+        # Re s <= 0 at real 0 < x < 0.05 takes the Taylor route, whose
+        # coefficients fd(nu, s - k, 0) come from Euler-Maclaurin Hurwitz
+        # zeta (-4 < Re s < 0) and its reflection route (Re s <= -4).  The
+        # defining series would need about 1/x terms, beyond the budget at
+        # x = 1e-7.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+
+        def want(nu, s, x):
+            xm, am = mpmath.mpf(x), mpmath.mpf(nu) + 1
+            return mpmath.exp(-am * xm) * mpmath.lerchphi(
+                -mpmath.exp(-xm), mpmath.mpc(s), am
+            )
+
+        # Euler-Maclaurin still loses about 3e-10 relative on the
+        # coefficient fd(0.5, -3.5, 0), hence the one looser tolerance.
+        named = [(0.0, -5.5, 0.005, 1e-10), (0.125, -2.5, 0.045, 1e-10),
+                 (0.0, -2.5, 0.045, 1e-10), (0.0, -1.5, 1e-7, 1e-10),
+                 (1.0, -0.5, 0.01, 1e-10), (0.5, -3.5, 0.02, 1e-9)]
+        for nu, s, x, tol in named:
+            got = ext_fd(ExtParams(nu, s, x))
+            ref = want(nu, s, x)
+            assert got.strategy == "fd/power-series-x"
+            assert abs(mpmath.mpc(got.value) - ref) <= tol * abs(ref), (nu, s, x)
+        rng = random.Random(20261018)
+        for _ in range(30):
+            nu = rng.uniform(0.0, 3.0)
+            s = complex(rng.uniform(-8.0, 0.0), rng.choice((0.0, rng.uniform(-4.0, 4.0))))
+            x = 10 ** rng.uniform(-8.0, math.log10(0.05))
+            got = ext_fd(ExtParams(nu, s, x))
+            err = abs(mpmath.mpc(got.value) - want(nu, s, x))
+            assert err <= got.err_estimate, (nu, s, x)
+
+    def test_auto_fd_small_x_nonpositive_order_matches_bench_refs(self):
+        # Every AUTO fd point of the near-circle benchmark universe at real
+        # 0 < x < 0.05 and Re s <= 0 returns, within its estimate and
+        # accurate as the benchmark grades it: relative 1e-10, or absolute
+        # 1e-12 next to a zero.  The references are 30-digit values.
+        refs = json.loads(NEAR_CIRCLE_REFS.read_text())["refs"]
+        checked = 0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for key, (ref_re, ref_im) in refs.items():
+                fn, strategy, *coords = key.split("|")
+                nu, s, x = (complex(*map(float, c.split(","))) for c in coords)
+                if (fn, strategy) != ("ext_fd", "Auto") or x.imag != 0.0:
+                    continue
+                if not (0.0 < x.real < 0.05 and s.real <= 0.0):
+                    continue
+                got = ext_fd(ExtParams(nu, s, x))
+                d_re = decimal.Decimal(got.value.real) - decimal.Decimal(ref_re)
+                d_im = decimal.Decimal(got.value.imag) - decimal.Decimal(ref_im)
+                gap = (d_re * d_re + d_im * d_im).sqrt()
+                ref_abs = decimal.Decimal(abs(complex(float(ref_re), float(ref_im))))
+                assert gap <= decimal.Decimal(got.err_estimate), key
+                assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
+                checked += 1
+        assert checked == 200
+
     def test_nu_series_matches_auto(self):
         for nu in (0.0, 0.3, 0.7):
             p = ExtParams(nu, 2.5, 0.0)
@@ -269,12 +359,14 @@ class TestStrategies:
             ext_fd(ExtParams(1.0, -2.5, 0.0), Strategy.NEG_INT_BERNOULLI)
 
     def test_auto_dispatch_tags(self):
-        # tiny x: fd switches to the accelerated alternating route, be to
-        # its Taylor route; moderate x uses the defining series.
+        # tiny x: fd switches to the accelerated alternating route at
+        # Re s > 0 and to the Taylor route otherwise, be always to its
+        # Taylor route; moderate x uses the defining series.
         assert ext_fd(ExtParams(0.5, 2.5, 0.01)).strategy == "fd/xseries-cvz"
         assert ext_be(ExtParams(0.5, 2.5, 0.01)).strategy == "be/power-series-x"
         assert ext_be(ExtParams(0.5, -2.5, 0.01)).strategy == "be/power-series-x"
         assert ext_be(ExtParams(0.5, 2.0, 0.01)).strategy == "be/power-series-x"
+        assert ext_fd(ExtParams(0.5, -2.5, 0.01)).strategy == "fd/power-series-x"
         assert ext_fd(ExtParams(0.5, 2.5, 0.2)).strategy == "fd/xseries-direct"
         assert ext_be(ExtParams(0.5, 2.5, 0.2)).strategy == "be/xseries-direct"
 

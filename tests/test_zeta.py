@@ -161,6 +161,44 @@ class TestHurwitzZeta:
         want = mpmath.exp(-3.3 * xm) * mpmath.lerchphi(mpmath.exp(-xm), 5, 3.3)
         assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
+    def test_negative_order_band_accurate_and_honest(self):
+        # At -4 < Re s < 0 the head sum and the integral term of
+        # Euler-Maclaurin cancel down to the value; the small shift keeps
+        # that cancellation, and with it the error, near 1e-12 relative.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for s, a in ((-3.5, 0.5), (-2.5, 0.5625), (-3.5, 1.0)):
+            got = hurwitz_zeta(s, a)
+            want = mpmath.zeta(s, a)
+            assert abs(mpmath.mpc(got.value) - want) <= 1e-10 * abs(want), (s, a)
+        rng = random.Random(20261018)
+        for _ in range(200):
+            s = complex(rng.uniform(-4.0, 0.0), rng.choice((0.0, rng.uniform(-30.0, 30.0))))
+            a = rng.choice([rng.uniform(0.005, 12.0),
+                            complex(rng.uniform(0.1, 4.0), rng.uniform(-3.0, 3.0))])
+            got = hurwitz_zeta(s, a)
+            want = mpmath.zeta(mpmath.mpc(s), mpmath.mpc(a))
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+
+    def test_reflection_estimate_is_honest(self):
+        # The prefactor Gamma(1-s) (2 pi)^{s-1} is an exponential of a large
+        # exponent, and each sine's argument pi s/2 + 2 pi n a0 is rounded;
+        # near a zero of the leading sine that rounding dominates, as at
+        # the first fixed point.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        rng = random.Random(20261018)
+        points = [(-18.205877053803828, 1.558446970216324), (-56.00457904458702, 1.0),
+                  (-70.5, 1.0)]
+        for _ in range(60):
+            s = complex(rng.uniform(-20.0, -4.0), rng.choice((0.0, rng.uniform(-5.0, 5.0))))
+            points.append((s, rng.uniform(0.01, 4.0)))
+        for s, a in points:
+            got = hurwitz_zeta(s, a)
+            assert got.strategy == "hurwitz/reflection"
+            want = mpmath.zeta(mpmath.mpc(s), a)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+
     def test_pole_and_domain(self):
         with pytest.raises(PoleError, match="pole at s=1"):
             hurwitz_zeta(1.0, 2.0)
@@ -243,7 +281,7 @@ class TestLerchPhi:
         [
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1)),
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1 + 1j)),
-            lambda: ext_fd(ExtParams(0, -1.5, 1e-7)),
+            lambda: ext_fd(ExtParams(0, -1.5, 1e-7), Strategy.XSERIES),
             lambda: ext_be(ExtParams(0, 2, 1e-6), Strategy.XSERIES),
         ],
         ids=["lerch", "lerch-complex-a", "fd", "be"],
@@ -263,6 +301,18 @@ class TestLerchPhi:
         with pytest.raises(ConvergenceError):
             call()
         assert calls < 10
+
+    def test_auto_fd_at_hopeless_budget_takes_taylor_route(self):
+        # The point the defining series refuses returns through the Taylor
+        # series in x, in a few thousand units of work.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        got = ext_fd(ExtParams(0, -1.5, 1e-7))
+        xm = mpmath.mpf("1e-7")
+        want = mpmath.exp(-xm) * mpmath.lerchphi(-mpmath.exp(-xm), -1.5, 1)
+        assert got.strategy == "fd/power-series-x"
+        assert got.work < 5_000
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
     @given(
         r=st.floats(0.0, 0.999),
