@@ -341,20 +341,15 @@ def alternating_sum_with_error(
     ``expo`` in modulus, so it carries 2.2e-16 (1 + expo) relative rounding.
     The error is the gap to the n = 24 sum, |S_32 - S_24|, plus that
     rounding on the weighted terms |c_k term_k|/d; the CVZ weights c_k/d
-    lie in [-1, 1], so sum_{k<32} |term_k| bounds those.  The work is the
-    56 terms the two sums take.  Returns (value, err_estimate, work).
+    lie in [-1, 1], so sum_{k<32} |term_k| bounds those.  The two sums
+    share their terms, so the work is the 32 terms computed.  Returns
+    (value, err_estimate, work).
     """
-    mass = 0.0
-
-    def summed(k: int) -> complex:
-        nonlocal mass
-        t = term(k)
-        mass += abs(t)
-        return t
-
-    v32 = alternating_sum_cvz(summed, 32)
-    v24 = alternating_sum_cvz(term, 24)
-    return v32, abs(v32 - v24) + 2.2e-16 * (1.0 + expo) * mass, 56
+    terms = [term(k) for k in range(32)]
+    v32 = alternating_sum_cvz(terms.__getitem__, 32)
+    v24 = alternating_sum_cvz(terms.__getitem__, 24)
+    mass = math.fsum(map(abs, terms))
+    return v32, abs(v32 - v24) + 2.2e-16 * (1.0 + expo) * mass, len(terms)
 
 
 def euler_transform_tail(
