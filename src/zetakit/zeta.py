@@ -175,11 +175,10 @@ def hurwitz_zeta(s: complex, a: complex) -> EvalResult:
     deeply negative non-integer Re(s) with real a the Fourier reflection
     series takes over.  See the module docstring for the parameter policy.
 
-    ``work`` counts the powers taken: N head terms plus two per correction
-    pair (the reflection route: its series terms plus the reduction).  At
-    Re(s) < 0 the small shift trades head terms for correction pairs, which
-    cost about as much, so ``work`` there is not comparable with releases
-    that used a shift of |s| + 10.
+    ``work`` counts N head terms plus two per correction pair (the
+    reflection route: its series terms plus the reduction).  At Re(s) < 0
+    the shift is small, so there most of ``work`` is correction pairs; a
+    pair costs about as much time as a head term.
     """
     s = require_finite(s, "s")
     a = require_finite(a, "a")
