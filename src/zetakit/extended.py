@@ -55,6 +55,7 @@ from .numeric_core import (
     compensated_sum,
     cpow,
     euler_poly_coeffs,
+    is_nonpos_int,
     ln_gamma,
     max_abs_log,
     require_finite,
@@ -70,6 +71,7 @@ from .zeta import (
     LerchParams,
     digamma,
     dirichlet_eta,
+    fourier_reflection,
     hurwitz_diff,
     hurwitz_zeta,
     lerch_phi,
@@ -164,7 +166,11 @@ def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
     return EvalResult(value, err, "fd/zero-hurwitz-diff", diff.work)
 
 
-def _fd_zero(nu: complex, s: complex) -> EvalResult:
+def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
+    """fd(nu, s, 0) = Phi(-1, s, nu+1); ``abs_tol`` as for hurwitz_zeta."""
+    if s.real <= -4.0 and nu.imag == 0.0 and not is_nonpos_int(s):
+        value, err, work = fourier_reflection(s, nu.real + 1.0, 2, abs_tol)
+        return EvalResult(value, err, "fd/zero-reflection", work)
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
         return fd_zero_hurwitz_route(nu, s)
     a = nu + 1.0
@@ -281,13 +287,20 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     pair_prev = math.inf
     pair_cur = 0.0
     grow_streak = 0
+    scale = 0.0
     for k in range(_POWER_CAP):
+        # Coefficient k is weighted by |x^k/k!|: an absolute error of
+        # REL_TOL scale / 8 in the term is all the stopping rule can see,
+        # so the coefficient need not be more accurate than that over the
+        # weight.  Term 0 (and a weight of 0, as at x = 0) keeps full
+        # accuracy.
+        abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
         if k == pole_k:
             c = _be_pole_limit(nu, s, x, k)
         elif kind == "fd":
-            c = _fd_zero(nu, s - k)
+            c = _fd_zero(nu, s - k, abs_tol)
         else:
-            c = hurwitz_zeta(s - k, nu + 1.0)
+            c = hurwitz_zeta(s - k, nu + 1.0, abs_tol=abs_tol)
         work += c.work
         term = c.value * xpow
         terms.append(term)

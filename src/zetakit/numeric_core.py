@@ -310,7 +310,7 @@ def compensated_sum(terms: Iterable[complex]) -> complex:
     Each part is the float nearest the exact sum of its inputs (Shewchuk's
     algorithm), whatever the term count or cancellation.
     """
-    seq = [complex(t) for t in terms]
+    seq = terms if isinstance(terms, list) else list(terms)
     return complex(math.fsum([t.real for t in seq]), math.fsum([t.imag for t in seq]))
 
 

@@ -94,54 +94,88 @@ def _cexpm1(u: complex) -> complex:
     return cmath.exp(u) - 1.0
 
 
-def _hurwitz_reflection(s: complex, a: float) -> EvalResult:
-    """zeta(s, a) for Re(s) < 0 and real a > 0 by the Fourier reflection
+def fourier_reflection(
+    s: complex, a: float, step: int, abs_tol: float = 0.0
+) -> tuple[complex, float, int]:
+    """Fourier reflection series for Re(s) < 0 and real a > 0.
+
+    Returns (value, err, work).  With step = 1 the value is zeta(s, a),
 
         zeta(s, a0) = 2 Gamma(1-s) (2 pi)^{s-1}
-                      * sum_{n>=1} sin(pi s / 2 + 2 pi n a0) / n^{1-s},
+                      * sum_{n>=1} sin(pi s / 2 + 2 pi n a0) / n^{1-s};
 
-    valid for a0 in (0, 1]; larger a is first reduced by the recurrence
-    zeta(s, a) = zeta(s, a - m) - sum_{j<m} (a - m + j)^{-s}.  The series
-    gains accuracy as Re(s) decreases — the regime where Euler-Maclaurin
-    loses it — so it serves as the deep-left-half-plane route.
+    with step = 2 it is the alternating sum Phi(-1, s, a) =
+    sum_{n>=0} (-1)^n (n+a)^{-s}, whose bisection 2^{-s} [zeta(s, a0/2) -
+    zeta(s, (a0+1)/2)] keeps only the odd terms of the two series:
+
+        Phi(-1, s, a0) = 4 2^{-s} Gamma(1-s) (2 pi)^{s-1}
+                         * sum_{n odd} sin(pi s / 2 + pi n a0) / n^{1-s}.
+
+    Both hold for a0 in (0, 1]; larger a is first reduced by
+    zeta(s, a) = zeta(s, a0) - sum_{j<m} (a0 + j)^{-s} and
+    Phi(-1, s, a) = (-1)^m [Phi(-1, s, a0) - sum_{j<m} (-1)^j (a0 + j)^{-s}],
+    a0 = a - m.  The series gains accuracy as Re(s) decreases — the regime
+    where Euler-Maclaurin loses it — so it serves as the deep-left-half-plane
+    route.
+
+    The series stops once its tail bound, relative to the prefactor's
+    modulus |amp|, is below max(REL_TOL, abs_tol / (|amp| cosh(pi Im(s)/2)));
+    ``work`` counts the series terms summed plus the m reduction terms.
     """
     sigma = s.real
     m = max(0, math.ceil(a) - 1)
     a0 = a - m
     reduction: list[complex] = [
-        -cpow(a0 + j, -s) for j in range(m)
+        -cpow(a0 + j, -s) if step == 1 or j % 2 == 0 else cpow(a0 + j, -s)
+        for j in range(m)
     ]
 
     ln_g = ln_gamma(1.0 - s)
     amp = cmath.exp(ln_g) * 2.0 * cpow(2.0 * _PI, s - 1.0)
+    if step == 2:
+        amp *= 2.0 * cpow(2.0, -s)
     half_arg = 0.5 * _PI * s
-    n_terms = max(8, math.ceil((REL_TOL * (-sigma)) ** (1.0 / sigma)))
+    freq = 2.0 * _PI / step
+    cosh_t = math.cosh(0.5 * _PI * s.imag)
+    tol = REL_TOL
+    if abs_tol > 0.0 and abs(amp) * cosh_t > 0.0:
+        tol = max(REL_TOL, abs_tol / (abs(amp) * cosh_t))
+    # Terms n = 1, 1 + step, ... up to the last n; the rest of the series is
+    # at most 1/step of the integral of t^{sigma-1} beyond the last n.
+    n_terms = max(8, math.ceil(
+        ((step * tol * (-sigma)) ** (1.0 / sigma) + step - 1) / step
+    ))
     n_terms = min(n_terms, MAX_TERMS)
+    last = 1 + step * (n_terms - 1)
     series_terms = [
-        cmath.sin(half_arg + 2.0 * _PI * n * a0) * cpow(n, s - 1.0)
-        for n in range(1, n_terms + 1)
+        cmath.sin(half_arg + freq * n * a0) * cpow(n, s - 1.0)
+        for n in range(1, last + 1, step)
     ]
     series = compensated_sum(series_terms)
-    tail = (n_terms ** sigma) / (-sigma) * math.cosh(0.5 * _PI * s.imag)
+    tail = (last ** sigma) / (step * -sigma) * cosh_t
     reflected = amp * series
     value = reflected + compensated_sum(reduction)
+    if step == 2 and m % 2 == 1:
+        value = -value
     peak = max(
         (abs(t) for t in reduction), default=0.0
     )
     peak = max(peak, abs(reflected))
-    # The two exponentials in amp pass on the rounding of their exponents,
-    # log Gamma(1-s) and (s-1) log 2 pi, which exceed 100 for Re(s) < -40.
-    expo_err = 2.2e-16 * (abs(ln_g) + abs(s - 1.0) * _LN_2PI) * abs(reflected)
+    # The exponentials in amp pass on the rounding of their exponents,
+    # log Gamma(1-s), (s-1) log 2 pi and, for step = 2, -s log 2; the first
+    # two exceed 100 for Re(s) < -40.
+    expo_err = 2.2e-16 * (
+        abs(ln_g) + abs(s - 1.0) * _LN_2PI + (step - 1) * abs(s) * _LN2
+    ) * abs(reflected)
     # Each sine moves by the rounding of its argument, 2.2e-16 (|pi s/2| +
-    # 2 pi n a0), times |cos| <= cosh(pi Im(s)/2); weighted by n^{Re(s)-1}
-    # the sum over n stays below 1.1 (|pi s/2| + 2 pi a0) for Re(s) <= -4.
+    # freq n a0), times |cos| <= cosh(pi Im(s)/2); weighted by n^{Re(s)-1}
+    # the sum over n stays below 1.1 (|pi s/2| + freq a0) for Re(s) <= -4.
     # It matters where the leading sine nearly vanishes.
-    arg_err = (2.4e-16 * abs(amp) * math.cosh(0.5 * _PI * s.imag)
-               * (abs(half_arg) + 2.0 * _PI * a0))
+    arg_err = (2.4e-16 * abs(amp) * cosh_t
+               * (abs(half_arg) + freq * a0))
     err = (abs(amp) * tail + 3e-16 * peak + 5e-15 * abs(value)
            + expo_err + arg_err)
-    return EvalResult(value, err, "hurwitz/reflection",
-                      n_terms + len(reduction))
+    return value, err, n_terms + len(reduction)
 
 
 # B_{2k}/(2k)! as floats for k = 0 .. MAX_POLY_DEGREE // 2, built on the
@@ -168,17 +202,26 @@ def _em_coeffs() -> list[float]:
     return table
 
 
-def hurwitz_zeta(s: complex, a: complex) -> EvalResult:
+def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
     """Hurwitz zeta zeta(s, a) for complex s != 1, Re(a) > 0.
 
     Euler-Maclaurin continuation on both sides of the critical strip; for
     deeply negative non-integer Re(s) with real a the Fourier reflection
     series takes over.  See the module docstring for the parameter policy.
 
+    ``abs_tol`` is an absolute accuracy the caller can live with.  Only the
+    reflection series uses it: it stops once its tail bound is below
+    max(REL_TOL |amp|, abs_tol / cosh(pi Im(s)/2)), |amp| the modulus of its
+    prefactor (see :func:`fourier_reflection`), so a caller that weights
+    the value by a small factor pays for fewer terms.  The estimate reports
+    the tail of the terms actually summed; the default 0 asks for full
+    accuracy.  Euler-Maclaurin ignores it.
+
     ``work`` counts N head terms plus two per correction pair (the
-    reflection route: its series terms plus the reduction).  At Re(s) < 0
-    the shift is small, so there most of ``work`` is correction pairs; a
-    pair costs about as much time as a head term.
+    reflection route: its series terms actually summed plus the
+    reduction, fewer when ``abs_tol`` is set).  At Re(s) < 0 the shift is
+    small, so there most of ``work`` is correction pairs; a pair costs
+    about as much time as a head term.
     """
     s = require_finite(s, "s")
     a = require_finite(a, "a")
@@ -195,9 +238,9 @@ def hurwitz_zeta(s: complex, a: complex) -> EvalResult:
         and 1 - round(s.real) <= MAX_POLY_DEGREE
     )
     if sigma <= -4.0 and not terminating and a.imag == 0.0:
-        out = _hurwitz_reflection(s, a.real)
-        return EvalResult(faults.perturb("hurwitz_zeta", out.value),
-                          out.err_estimate, out.strategy, out.work)
+        value, err, work = fourier_reflection(s, a.real, 1, abs_tol)
+        return EvalResult(faults.perturb("hurwitz_zeta", value), err,
+                          "hurwitz/reflection", work)
     if sigma >= 0.0:
         n_shift = math.ceil(abs(s)) + 10
     elif terminating:
