@@ -99,3 +99,45 @@ def fd_negint_reference(n: int, nu: Fraction) -> Fraction:
         hurwitz_negint_reference(n, (nu + 1) / 2)
         - hurwitz_negint_reference(n, (nu + 2) / 2)
     )
+
+
+
+def alternating_zeta_boole(mpmath, s: complex, a):
+    """sum_{n>=0} (-1)^n (n+a)^{-s} for any s, by Euler-Boole summation.
+
+    ``a`` is taken exactly as given: pass an mpmath number for a = nu + 1,
+    whose float sum would round.
+
+    The first N terms are summed directly; the alternating tail from N on is
+    (1/2) sum_k E_k(0)/k! f^(k)(N) with f(t) = (t+a)^{-s}, so
+    f^(k)(N) = (-1)^k (s)_k (N+a)^{-s-k}, and E_k(0) = -2 (2^{k+1} - 1)
+    B_{k+1}/(k+1) vanishes at even k > 0.  The tail series is asymptotic:
+    its terms fall like (|s+k| / (pi (N+a)))^k, and it is summed to its
+    smallest term, about e^{-pi (N+a)} (N+a)^{-Re s}, below 1e-70 times
+    the first one for N + a >= |s| + 60.  Head and tail cancel by up to
+    (N+a)^{-Re s} against the value, hence the generous working precision.
+    Independent of the Fourier series the package sums.
+    """
+    with mpmath.workdps(160):
+        sm, am = mpmath.mpc(s), mpmath.mpf(a)
+        big_n = int(abs(s)) + 60
+        head = mpmath.fsum((-1) ** n * (n + am) ** -sm for n in range(big_n))
+        q = big_n + am
+        tail = qpow = q ** -sm      # k = 0: E_0(0) = 1
+        poch = mpmath.mpf(1)        # (s)_k
+        fact = mpmath.mpf(1)        # k!
+        prev = math.inf
+        for k in range(1, 1000):
+            poch *= sm + k - 1
+            qpow /= q
+            fact *= k
+            if k % 2 == 0:
+                continue
+            ek0 = -2 * (2 ** (k + 1) - 1) * mpmath.bernoulli(k + 1) / (k + 1)
+            term = -ek0 / fact * poch * qpow
+            if abs(term) > prev:
+                break
+            prev = abs(term)
+            tail += term
+        value = head + (-1) ** big_n * tail / 2
+    return +value

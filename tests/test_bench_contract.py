@@ -30,7 +30,12 @@ def test_tracer_patches_and_restores_every_target():
         # return the tracer reads its work from.
         zetakit.ext_fd(ExtParams(0.5, 2.0, 0.3))
         zetakit.ext_be(ExtParams(0.0, 2.0, 2j))
+        # The Taylor-in-x route passes hurwitz_zeta a keyword argument, and
+        # fd at x = 0, Re s <= -4 runs the odd-term reflection series.
+        zetakit.ext_be(ExtParams(0.125, 0.5, 0.01))
+        zetakit.ext_fd(ExtParams(0.125, -4.5, 0.0))
     assert {"extended.ext_fd", "extended.ext_be", "zeta.lerch_phi",
+            "zeta.hurwitz_zeta",
             "numeric_core.euler_transform_tail"} <= set(recorder.name)
     assert all(error is None for error in recorder.error)
     assert spans.traced_bindings() == []

@@ -106,6 +106,37 @@ class TestZeroArgument:
                 want = mpmath.exp(-am * xm) * mpmath.lerchphi(-mpmath.exp(-xm), sm, am)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (nu, s, x)
 
+    @staticmethod
+    def _odd_term_grid():
+        # nu in [0, 3] and non-integer Re s in [-40, -4], |Im s| <= 10: the
+        # region where fd(nu, s, 0) is one reflection series over odd n.
+        rng = random.Random(20261018)
+        for _ in range(200):
+            sigma = rng.uniform(-40.0, -4.0)
+            s = complex(sigma, rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+            yield rng.uniform(0.0, 3.0), s
+
+    def test_odd_term_reflection_estimate_is_honest(self):
+        # The reference sums the alternating series by Euler-Boole
+        # summation, a route that shares nothing with the Fourier series
+        # (mpmath's Hurwitz zeta takes about 0.15 s a point here).
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for nu, s in self._odd_term_grid():
+            got = ext_fd(ExtParams(nu, s, 0.0))
+            assert got.strategy == "fd/zero-reflection"
+            want = oracles.alternating_zeta_boole(mpmath, s, mpmath.mpf(nu) + 1)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (nu, s)
+
+    def test_odd_term_reflection_matches_hurwitz_difference(self):
+        # The Hurwitz-difference route sums two full reflection series; the
+        # two routes share no series term.
+        for nu, s in self._odd_term_grid():
+            got = ext_fd(ExtParams(nu, s, 0.0))
+            other = fd_zero_hurwitz_route(nu, s)
+            assert other.strategy == "fd/zero-hurwitz-diff"
+            assert abs(got.value - other.value) <= got.err_estimate + other.err_estimate, (nu, s)
+
     def test_be_pole_at_s_one(self):
         with pytest.raises(PoleError, match="pole at s=1"):
             ext_be(ExtParams(0.5, 1.0, 0.0))
@@ -268,9 +299,9 @@ class TestStrategies:
     def test_auto_fd_small_x_nonpositive_order_within_estimate(self):
         # Re s <= 0 at real 0 < x < 0.05 takes the Taylor route, whose
         # coefficients fd(nu, s - k, 0) come from Euler-Maclaurin Hurwitz
-        # zeta (-4 < Re s < 0) and its reflection route (Re s <= -4).  The
-        # defining series would need about 1/x terms, beyond the budget at
-        # x = 1e-7.
+        # differences (-4 < Re s < 0) and the odd-term reflection series
+        # (Re s <= -4).  The defining series would need about 1/x terms,
+        # beyond the budget at x = 1e-7.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
 
@@ -324,6 +355,48 @@ class TestStrategies:
                 assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
                 checked += 1
         assert checked == 200
+
+    def test_power_series_x_weighted_coefficients_are_honest(self):
+        # Coefficient k is computed only to the accuracy its weight
+        # |x^k/k!| needs; the returned estimate must still cover the error,
+        # forced and through AUTO, on the imaginary axis up to 0.9 of the
+        # radius and at small real x.  Points past the 40-term cap raise.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        rng = random.Random(20261018)
+        returned = 0
+        for kind, f, radius in (("fd", ext_fd, math.pi), ("be", ext_be, 2.0 * math.pi)):
+            for strategy in (Strategy.POWER_SERIES_X, Strategy.AUTO):
+                for _ in range(20):
+                    nu = rng.uniform(0.0, 3.0)
+                    sigma = rng.uniform(-6.0, 3.0 if strategy is Strategy.POWER_SERIES_X else 0.0)
+                    s = complex(sigma, rng.choice((0.0, rng.uniform(-4.0, 4.0))))
+                    x = rng.choice((1j * rng.uniform(0.0, 0.9 * radius),
+                                    complex(rng.uniform(0.001, 0.05))))
+                    try:
+                        got = f(ExtParams(nu, s, x), strategy)
+                    except ConvergenceError:
+                        continue
+                    assert got.strategy == f"{kind}/power-series-x"
+                    xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+                    z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                    want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+                    err = abs(mpmath.mpc(got.value) - want)
+                    assert err <= got.err_estimate, (kind, strategy, nu, s, x)
+                    returned += 1
+        assert returned >= 50
+
+    @pytest.mark.parametrize("f, p, bound", [
+        (ext_be, ExtParams(0.125, 0.5, 0.01), 200),
+        (ext_fd, ExtParams(0.5, -2.5, 0.01), 260),
+        (ext_fd, ExtParams(0.125, -4.5, 0.0), 280),
+        (ext_be, ExtParams(0.0, -0.5, 0.045), 210),
+    ])
+    def test_taylor_and_reflection_work_is_bounded(self, f, p, bound):
+        # Weighted coefficient accuracy and the odd-term series: with every
+        # coefficient at full accuracy and fd's reflection as two Hurwitz
+        # series these took 883, 1926, 1111 and 957.
+        assert f(p).work <= bound
 
     def test_nu_series_matches_auto(self):
         for nu in (0.0, 0.3, 0.7):

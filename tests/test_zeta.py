@@ -199,6 +199,22 @@ class TestHurwitzZeta:
             want = mpmath.zeta(mpmath.mpc(s), a)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
 
+    def test_reflection_abs_tol_moves_value_within_estimate(self):
+        # A loose abs_tol stops the reflection series early; the value moves
+        # by no more than the estimate it reports, which stays within the
+        # tolerance asked for plus the full-accuracy estimate.
+        for s, a in ((-4.5, 0.3), (-4.01, 1.7), (-7.25 + 3.0j, 0.9), (-25.5, 2.2)):
+            full = hurwitz_zeta(s, a)
+            for rel_tol in (1e-10, 1e-6, 1e-2):
+                abs_tol = rel_tol * abs(full.value)
+                loose = hurwitz_zeta(s, a, abs_tol=abs_tol)
+                assert loose.strategy == "hurwitz/reflection"
+                assert abs(loose.value - full.value) <= loose.err_estimate, (s, a, rel_tol)
+                assert loose.err_estimate <= abs_tol + 1.01 * full.err_estimate
+                assert loose.work <= full.work
+        # Euler-Maclaurin ignores it.
+        assert hurwitz_zeta(-2.5, 0.5, abs_tol=1.0) == hurwitz_zeta(-2.5, 0.5)
+
     def test_pole_and_domain(self):
         with pytest.raises(PoleError, match="pole at s=1"):
             hurwitz_zeta(1.0, 2.0)
