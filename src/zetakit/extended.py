@@ -17,7 +17,8 @@ results can be cross-audited; the identity suite exercises every pairing.
 Route selection is explicit through :class:`Strategy`; ``Strategy.AUTO``
 picks by region:
 
-* x = 0: continuation values (alternating-accelerated or Hurwitz-based for
+* x = 0: continuation values (alternating-accelerated, Hurwitz-based, or
+  at Re(s) <= -4 with real nu one Fourier reflection series over odd n, for
   fd; Hurwitz zeta for be, with its order-1 pole surfaced as PoleError).
 * be at real 0 < x < 0.05, every order s: the Taylor series in x (eqs.
   4.14/4.15), immune to the slow geometric decay; at a positive integer
@@ -26,10 +27,13 @@ picks by region:
 * fd at real 0 < x < 0.05: the Chebyshev-accelerated alternating sum for
   Re(s) > 0; the same Taylor series for Re(s) <= 0, where the defining
   series needs about 1/x growing, cancelling terms (and refuses x = 1e-7
-  outright).  Its coefficients fd(nu, s-k, 0) are Hurwitz differences:
-  Euler-Maclaurin with a small shift for -4 < Re(s-k) < 0 (typically
-  1e-13 relative, at worst about 1e-9 next to Re(s-k) = -4), the
-  reflection series below that.
+  outright).  Its coefficients fd(nu, s-k, 0) are the x = 0 values:
+  Euler-Maclaurin Hurwitz differences with a small shift for
+  -4 < Re(s-k) < 0 (typically 1e-13 relative, at worst about 1e-9 next to
+  Re(s-k) = -4) and, for real nu, the odd-term reflection series below
+  that.  For both functions coefficient k is asked only for the absolute
+  accuracy its weight |x^k/k!| leaves visible, REL_TOL times the running
+  sum over 8 |x^k/k!|, which cuts the reflection series short.
 * Re(x) >= 0.05: the defining series, geometric ratio <= 0.99.
 * complex x on/near the unit circle in z = -+e^{-x}: accelerated or
   Hurwitz-delegated summation for Re(s) > 0, supporting the reflection
@@ -289,11 +293,11 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     grow_streak = 0
     scale = 0.0
     for k in range(_POWER_CAP):
-        # Coefficient k is weighted by |x^k/k!|: an absolute error of
-        # REL_TOL scale / 8 in the term is all the stopping rule can see,
-        # so the coefficient need not be more accurate than that over the
-        # weight.  Term 0 (and a weight of 0, as at x = 0) keeps full
-        # accuracy.
+        # Coefficient k enters weighted by |x^k/k!|.  The sum is only
+        # resolved to REL_TOL times its scale (the stopping rule's), so the
+        # coefficient needs an absolute accuracy of no more than an eighth
+        # of that over the weight.  Term 0, and a weight of 0 (x = 0 or
+        # underflow), keep full accuracy.
         abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
         if k == pole_k:
             c = _be_pole_limit(nu, s, x, k)
