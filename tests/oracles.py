@@ -101,7 +101,6 @@ def fd_negint_reference(n: int, nu: Fraction) -> Fraction:
     )
 
 
-
 def alternating_zeta_boole(mpmath, s: complex, a):
     """sum_{n>=0} (-1)^n (n+a)^{-s} for any s, by Euler-Boole summation.
 
@@ -112,11 +111,12 @@ def alternating_zeta_boole(mpmath, s: complex, a):
     (1/2) sum_k E_k(0)/k! f^(k)(N) with f(t) = (t+a)^{-s}, so
     f^(k)(N) = (-1)^k (s)_k (N+a)^{-s-k}, and E_k(0) = -2 (2^{k+1} - 1)
     B_{k+1}/(k+1) vanishes at even k > 0.  The tail series is asymptotic:
-    its terms fall like (|s+k| / (pi (N+a)))^k, and it is summed to its
-    smallest term, about e^{-pi (N+a)} (N+a)^{-Re s}, below 1e-70 times
-    the first one for N + a >= |s| + 60.  Head and tail cancel by up to
-    (N+a)^{-Re s} against the value, hence the generous working precision.
-    Independent of the Fourier series the package sums.
+    its terms first fall like (|s+k| / (pi (N+a)))^k, and it is summed to
+    its smallest term.  Head and tail cancel by up to (N+a)^{-Re s} against
+    the value, hence the generous working precision.  With N + a >= |s| + 60
+    it agrees with mpmath's bisected Hurwitz difference to 40 digits for
+    Re s in [-40, -4] and |Im s| <= 10, and it shares nothing with the
+    Fourier series the package sums.
     """
     with mpmath.workdps(160):
         sm, am = mpmath.mpc(s), mpmath.mpf(a)
