@@ -34,6 +34,10 @@ picks by region:
   that.  For both functions coefficient k is asked only for the absolute
   accuracy its weight |x^k/k!| leaves visible, REL_TOL times the running
   sum over 8 |x^k/k!|, which cuts the reflection series short.
+  The series stops at 40 terms.  For real nu it refuses up front, at the
+  first k with Re(s-k) <= -4 and before that coefficient, when bounds on
+  the reflection series prove that the 40 terms cannot converge; complex
+  nu keeps the full sum and its detector of terms that stop decreasing.
 * Re(x) >= 0.05: the defining series, geometric ratio <= 0.99.
 * complex x on/near the unit circle in z = -+e^{-x}: accelerated or
   Hurwitz-delegated summation for Re(s) > 0, supporting the reflection
@@ -97,6 +101,8 @@ __all__ = [
 ]
 
 _PI = math.pi
+_LN2 = math.log(2.0)
+_LN_2PI = math.log(2.0 * math.pi)
 
 
 class Strategy(enum.Enum):
@@ -283,6 +289,14 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     # Consecutive term magnitudes zigzag hard at integer s (odd-order
     # coefficients are tiny next to even ones), so both the stopping rule
     # and the divergence detector work on maxima of adjacent pairs.
+    # For real nu and x != 0 the route refuses up front, at the first k
+    # with Re(s-k) <= -4 and before computing that coefficient, when
+    # closed-form bounds on the coefficients left (_taylor_cannot_converge)
+    # prove that no pair can pass the stopping rule and that the last pair
+    # fails the 40-term test: the full sum would raise as well.  Complex nu
+    # keeps the full sum and the grow-streak detector below.
+    check_k = (max(0, math.ceil(s.real + 4.0))
+               if nu.imag == 0.0 and x != 0.0 else _POWER_CAP)
     total = complex(0.0)
     terms: list[complex] = []
     coeff_err = 0.0
@@ -299,6 +313,14 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
         # of that over the weight.  Term 0, and a weight of 0 (x = 0 or
         # underflow), keep full accuracy.
         abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
+        if k == check_k and _taylor_cannot_converge(
+            kind, nu.real, s, abs(x), k, abs(xpow), prev_mag,
+            abs(singular) + sum(abs(t) for t in terms),
+        ):
+            raise ConvergenceError(
+                f"Taylor-in-x route cannot converge within {_POWER_CAP} "
+                f"terms (coefficient bounds from k={k})"
+            )
         if k == pole_k:
             c = _be_pole_limit(nu, s, x, k)
         elif kind == "fd":
@@ -344,6 +366,103 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     trunc = max((abs(t) for t in terms[-2:]), default=0.0)
     err = trunc + coeff_err + sing_err + 1e-16 * abs(value)
     return EvalResult(value, err, f"{kind}/power-series-x", work)
+
+
+# Room the coefficient bounds of _taylor_cannot_converge leave for the
+# computed coefficients' own error, relative to the upper bound: the
+# reflection series is good to about 1e-13 of it, an armed fault moves a
+# value by 1e-6, and Euler-Maclaurin at real integer orders down to -50
+# stayed within 3e-4 of it for every nu in [0, 12] (measured against
+# mpmath).  Below order -50 that sum loses all digits, so real integer s is
+# checked only while s - 39 >= -50.
+_BOUND_SLACK = 1e-2
+_LOWEST_EM_ORDER = -50
+
+
+def _taylor_cannot_converge(
+    kind: str, nu: float, s: complex, r: float, k0: int,
+    weight: float, prev_mag: float, known: float,
+) -> bool:
+    """Whether the Taylor-in-x sum provably ends in ConvergenceError.
+
+    Called at the first k0 with Re(s - k0) <= -4, before coefficient k0,
+    for real nu and r = |x| > 0: ``weight`` is |x^k0/k0!|, ``prev_mag`` the
+    modulus of term k0 - 1 (inf at k0 = 0) and ``known`` |singular part|
+    plus the moduli of the terms before k0.
+
+    From k0 on every coefficient is the Fourier reflection series (step 1
+    for be, 2 for fd, see zeta.fourier_reflection), with a = nu + 1 =
+    a0 + m, a0 in (0, 1], order s' = s - k and sigma' = Re s':
+
+        +-[amp (sin(theta - pi k/2) + rest) + sum_{j<m} +-(a0 + j)^{-s'}],
+
+    |amp| = 2 |Gamma(1-s')| (2 pi)^{sigma'-1} (times 2^{1-sigma'} for fd),
+    theta the n = 1 sine argument at order s, and, with b = 1 + step the
+    first frequency after n = 1 and C = cosh(pi Im(s)/2),
+
+        |rest| <= R = C (b^{sigma'-1} + b^{sigma'} / (step (-sigma'))).
+
+    So |coefficient| <= |amp| (C + R) + red (red the sum of the
+    (a0 + j)^{-sigma'}) and >= the larger of |amp| (|sin| - R) - red and
+    red_lo - |amp| (C + R), red_lo the largest reduction term less the
+    others.  |sin(theta - pi k/2)| alternates between |sin theta| and
+    |cos theta|, one of which is at least 1/sqrt(2).  A truncated series
+    obeys the same bounds, so ``abs_tol`` does not matter.
+
+    The answer is True only when, with scale the sum of ``known`` and every
+    upper bound, no pair from k0 - 1 on can pass the stopping rule (both
+    above REL_TOL scale) and the last pair fails the 40-term test (above
+    1e3 REL_TOL scale): then the full sum would have raised as well.
+    """
+    if s.imag == 0.0 and s.real == round(s.real) and (
+        s.real - (_POWER_CAP - 1) < _LOWEST_EM_ORDER
+    ):
+        return False
+    step = 2 if kind == "fd" else 1
+    a = nu + 1.0
+    m = max(0, math.ceil(a) - 1)
+    a0 = a - m
+    # Walk down from the last order, so the last pair comes first: when its
+    # upper bounds already pass the 40-term test against ``known`` alone,
+    # the sum may converge and the check stops after two orders.
+    last = _POWER_CAP - 1
+    sigma = s.real - last
+    ln_amp = (ln_gamma(1.0 - s + last).real + _LN2
+              + (sigma - 1.0) * _LN_2PI + (step - 1) * (1.0 - sigma) * _LN2)
+    if ln_amp > 600.0:
+        return False
+    amp = math.exp(ln_amp)
+    weight *= math.exp((last - k0) * math.log(r)
+                       - math.lgamma(last + 1.0) + math.lgamma(k0 + 1.0))
+    cosh_t = math.cosh(0.5 * _PI * s.imag)
+    theta = 0.5 * _PI * (s - k0) + (2.0 * _PI / step) * a0
+    sines = (abs(cmath.sin(theta)), abs(cmath.cos(theta)))
+    base = 1.0 + step
+    base_pow = base ** sigma
+    reds = [(a0 + j) ** -sigma for j in range(m)]
+    ups = 0.0
+    lows = []
+    for k in range(last, k0 - 1, -1):
+        rest = cosh_t * base_pow * (1.0 / base + 1.0 / (step * -sigma))
+        red = sum(reds)
+        red_lo = 2.0 * reds[-1] - red if m else 0.0
+        hi = amp * (cosh_t + rest) + red
+        lo = max(amp * (sines[(k - k0) % 2] - rest) - red,
+                 red_lo - amp * (cosh_t + rest))
+        ups += weight * hi
+        lows.append(weight * (lo - _BOUND_SLACK * hi))
+        if k == last - 1 and ups <= 1e3 * REL_TOL * known:
+            return False
+        amp *= 2.0 * _PI / (step * abs(s - k))
+        weight *= k / r
+        sigma += 1.0
+        base_pow *= base
+        reds = [p / (a0 + j) for j, p in enumerate(reds)]
+    lows.append(prev_mag)
+    threshold = REL_TOL * (1.0 + _BOUND_SLACK) * max(known + ups, 1e-300)
+    if not math.isfinite(threshold) or max(lows[:2]) <= 1e3 * threshold:
+        return False
+    return all(max(p, q) > threshold for p, q in zip(lows, lows[1:]))
 
 
 def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
@@ -425,7 +544,7 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
             f"nu-expansion not converged within {_NU_CAP} terms"
         )
 
-    tail = abs(terms[-1]) * r / (1.0 - r) if r < 1.0 else abs(terms[-1])
+    tail = abs(terms[-1]) * r / (1.0 - r)
     value = pre * compensated_sum(terms)
     err = abs(pre) * (inner_err + tail) + 1e-16 * abs(value)
     return EvalResult(value, err, f"{kind}/nu-series", work + len(terms))
