@@ -52,7 +52,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
@@ -368,31 +368,26 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     return EvalResult(value, err, f"{kind}/power-series-x", work)
 
 
-# Room the coefficient bounds of _taylor_cannot_converge leave for the
-# computed coefficients' own error, relative to the upper bound: the
-# reflection series is good to about 1e-13 of it, an armed fault moves a
-# value by 1e-6, and Euler-Maclaurin at real integer orders down to -50
-# stayed within 3e-4 of it for every nu in [0, 12] (measured against
-# mpmath).  Below order -50 that sum loses all digits, so real integer s is
-# checked only while s - 39 >= -50.
+# Room the coefficient bounds of _coefficient_bounds leave for the computed
+# coefficients' own error, relative to the upper bound: the reflection
+# series is good to about 1e-13 of it, an armed fault moves a value by
+# 1e-6, and Euler-Maclaurin at real integer orders down to -50 stayed
+# within 3e-4 of it for every nu in [0, 12] (measured against mpmath).
+# Below order -50 that sum's error grows, to the whole value at order -62,
+# so real integer s is bounded only while s - 39 >= -50.
 _BOUND_SLACK = 1e-2
 _LOWEST_EM_ORDER = -50
 
 
-def _taylor_cannot_converge(
-    kind: str, nu: float, s: complex, r: float, k0: int,
-    weight: float, prev_mag: float, known: float,
-) -> bool:
-    """Whether the Taylor-in-x sum provably ends in ConvergenceError.
+def _coefficient_bounds(
+    kind: str, nu: float, s: complex, k0: int
+) -> Iterator[tuple[int, float, float]]:
+    """(k, lower, upper) bounds on |coefficient k|, for k = 39 down to k0.
 
-    Called at the first k0 with Re(s - k0) <= -4, before coefficient k0,
-    for real nu and r = |x| > 0: ``weight`` is |x^k0/k0!|, ``prev_mag`` the
-    modulus of term k0 - 1 (inf at k0 = 0) and ``known`` |singular part|
-    plus the moduli of the terms before k0.
-
-    From k0 on every coefficient is the Fourier reflection series (step 1
-    for be, 2 for fd, see zeta.fourier_reflection), with a = nu + 1 =
-    a0 + m, a0 in (0, 1], order s' = s - k and sigma' = Re s':
+    For real nu and Re(s - k0) <= -4.  Each coefficient is then the Fourier
+    reflection series (step 1 for be, 2 for fd, see
+    zeta.fourier_reflection), with a = nu + 1 = a0 + m, a0 in (0, 1], order
+    s' = s - k and sigma' = Re s':
 
         +-[amp (sin(theta - pi k/2) + rest) + sum_{j<m} +-(a0 + j)^{-s'}],
 
@@ -407,41 +402,31 @@ def _taylor_cannot_converge(
     red_lo - |amp| (C + R), red_lo the largest reduction term less the
     others.  |sin(theta - pi k/2)| alternates between |sin theta| and
     |cos theta|, one of which is at least 1/sqrt(2).  A truncated series
-    obeys the same bounds, so ``abs_tol`` does not matter.
-
-    The answer is True only when, with scale the sum of ``known`` and every
-    upper bound, no pair from k0 - 1 on can pass the stopping rule (both
-    above REL_TOL scale) and the last pair fails the 40-term test (above
-    1e3 REL_TOL scale): then the full sum would have raised as well.
+    obeys the same bounds, so ``abs_tol`` does not matter.  The computed
+    coefficient lies within [lower, (1 + _BOUND_SLACK) upper]; nothing is
+    yielded where that is not known, or where a bound would overflow.
     """
     if s.imag == 0.0 and s.real == round(s.real) and (
         s.real - (_POWER_CAP - 1) < _LOWEST_EM_ORDER
     ):
-        return False
+        return
     step = 2 if kind == "fd" else 1
     a = nu + 1.0
     m = max(0, math.ceil(a) - 1)
     a0 = a - m
-    # Walk down from the last order, so the last pair comes first: when its
-    # upper bounds already pass the 40-term test against ``known`` alone,
-    # the sum may converge and the check stops after two orders.
     last = _POWER_CAP - 1
     sigma = s.real - last
     ln_amp = (ln_gamma(1.0 - s + last).real + _LN2
               + (sigma - 1.0) * _LN_2PI + (step - 1) * (1.0 - sigma) * _LN2)
-    if ln_amp > 600.0:
-        return False
+    if ln_amp > 600.0 or (m and -sigma * math.log(a - 1.0) > 600.0):
+        return
     amp = math.exp(ln_amp)
-    weight *= math.exp((last - k0) * math.log(r)
-                       - math.lgamma(last + 1.0) + math.lgamma(k0 + 1.0))
     cosh_t = math.cosh(0.5 * _PI * s.imag)
     theta = 0.5 * _PI * (s - k0) + (2.0 * _PI / step) * a0
     sines = (abs(cmath.sin(theta)), abs(cmath.cos(theta)))
     base = 1.0 + step
     base_pow = base ** sigma
     reds = [(a0 + j) ** -sigma for j in range(m)]
-    ups = 0.0
-    lows = []
     for k in range(last, k0 - 1, -1):
         rest = cosh_t * base_pow * (1.0 / base + 1.0 / (step * -sigma))
         red = sum(reds)
@@ -449,15 +434,45 @@ def _taylor_cannot_converge(
         hi = amp * (cosh_t + rest) + red
         lo = max(amp * (sines[(k - k0) % 2] - rest) - red,
                  red_lo - amp * (cosh_t + rest))
-        ups += weight * hi
-        lows.append(weight * (lo - _BOUND_SLACK * hi))
-        if k == last - 1 and ups <= 1e3 * REL_TOL * known:
-            return False
+        yield k, lo - _BOUND_SLACK * hi, hi
         amp *= 2.0 * _PI / (step * abs(s - k))
-        weight *= k / r
         sigma += 1.0
         base_pow *= base
         reds = [p / (a0 + j) for j, p in enumerate(reds)]
+
+
+def _taylor_cannot_converge(
+    kind: str, nu: float, s: complex, r: float, k0: int,
+    weight: float, prev_mag: float, known: float,
+) -> bool:
+    """Whether the Taylor-in-x sum provably ends in ConvergenceError.
+
+    Called at the first k0 with Re(s - k0) <= -4, before coefficient k0,
+    for real nu and r = |x| > 0: ``weight`` is |x^k0/k0!|, ``prev_mag`` the
+    modulus of term k0 - 1 (inf at k0 = 0) and ``known`` |singular part|
+    plus the moduli of the terms before k0.  The term bounds are the
+    coefficient bounds of :func:`_coefficient_bounds` times |x^k/k!|.
+
+    True only when, with scale the sum of ``known`` and every upper bound,
+    no pair from k0 - 1 on can pass the stopping rule (both above REL_TOL
+    scale) and the last pair fails the 40-term test (above 1e3 REL_TOL
+    scale): then the full sum would have raised as well.  The bounds come
+    last order first, so when the last pair's upper bounds already pass the
+    40-term test against ``known`` alone, the check stops after two orders.
+    """
+    last = _POWER_CAP - 1
+    weight *= math.exp((last - k0) * math.log(r)
+                       - math.lgamma(last + 1.0) + math.lgamma(k0 + 1.0))
+    ups = 0.0
+    lows = []
+    for k, lo, hi in _coefficient_bounds(kind, nu, s, k0):
+        ups += weight * hi
+        lows.append(weight * lo)
+        if k == last - 1 and ups <= 1e3 * REL_TOL * known:
+            return False
+        weight *= k / r
+    if not lows:
+        return False
     lows.append(prev_mag)
     threshold = REL_TOL * (1.0 + _BOUND_SLACK) * max(known + ups, 1e-300)
     if not math.isfinite(threshold) or max(lows[:2]) <= 1e3 * threshold:

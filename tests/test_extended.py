@@ -2,9 +2,12 @@
 
 import cmath
 import decimal
+import functools
+import importlib.util
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from zetakit import (
     LerchParams,
     PoleError,
     Strategy,
+    ZetakitError,
     be_classical,
     be_kernel,
     ext_be,
@@ -32,14 +36,15 @@ from zetakit import (
     lerch_phi,
     riemann_zeta,
 )
+from zetakit import extended
 
 import oracles
 from oracles import fd_negint_reference
 
 
-NEAR_CIRCLE_REFS = (
-    Path(__file__).resolve().parents[1] / "bench" / "refs" / "table-near-circle.json"
-)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+NEAR_CIRCLE_REFS = BENCH / "refs" / "table-near-circle.json"
+BENCH_WORKLOADS = BENCH / "workloads.py"
 
 
 def rel(a: complex, b: complex) -> float:
@@ -453,6 +458,152 @@ class TestStrategies:
             LerchParams(-cmath.exp(-x), s, nu + 1.0)
         ).value
         assert rel(got, want) <= 1e-11
+
+
+def _outcome(call):
+    """(value, estimate, tag, work) of a returned call, or (class, message)."""
+    try:
+        got = call()
+    except Exception as exc:  # the class is what the refusal must keep
+        return type(exc), str(exc)
+    return got.value, got.err_estimate, got.strategy, got.work
+
+
+def _refused(outcome) -> bool:
+    return outcome[0] is ConvergenceError and "cannot converge" in outcome[1]
+
+
+class TestTaylorRefusal:
+    """The Taylor route's up-front refusal changes no outcome.
+
+    The reference is the full 40-term sum, obtained by making the check
+    never refuse: every returned point must come back bit-identical, and
+    every refused point must raise the same class without the check.
+    """
+
+    @staticmethod
+    def _same_without_check(monkeypatch, calls, outcomes):
+        monkeypatch.setattr(extended, "_taylor_cannot_converge", lambda *a: False)
+        for call, got in zip(calls, outcomes):
+            full = _outcome(call)
+            if isinstance(got[0], type):
+                assert full[0] is got[0], (call, got, full)
+            else:
+                assert full == got, call
+
+    def test_refusal_changes_no_outcome(self, monkeypatch):
+        rng = random.Random(20261019)
+        calls = []
+        for f, radius in ((ext_fd, math.pi), (ext_be, 2.0 * math.pi)):
+            for nu in (0.0, 0.125, 1.0, 2.125, 3.125):
+                for _ in range(30):
+                    rho = rng.uniform(0.3, 0.99) * radius
+                    x = rng.choice((complex(rho), 1j * rho,
+                                    cmath.rect(rho, rng.uniform(0.1, 1.4))))
+                    sigma = rng.uniform(-6.0, 3.0)
+                    s = rng.choice((complex(sigma), complex(round(sigma)),
+                                    complex(sigma, rng.uniform(-3.0, 3.0))))
+                    p = ExtParams(nu, s, x)
+                    calls.append(lambda f=f, p=p: f(p, Strategy.POWER_SERIES_X))
+        outcomes = [_outcome(call) for call in calls]
+        assert sum(map(_refused, outcomes)) >= 50
+        self._same_without_check(monkeypatch, calls, outcomes)
+
+    def test_coefficient_bounds_hold(self):
+        # The refusal's proof: every deep-order coefficient, at full
+        # accuracy and cut to the series' minimum of 8 terms by a loose
+        # abs_tol, lies within the bounds.  s = -24 reaches orders where
+        # Euler-Maclaurin's integer-order values have lost all digits; no
+        # bounds are given there.
+        rng = random.Random(20261020)
+        checked = 0
+        for kind in ("fd", "be"):
+            for nu in (0.0, 0.125, 1.0, 2.125, 3.125):
+                orders = [complex(-24.0)]
+                for _ in range(6):
+                    sigma = rng.uniform(-6.0, 3.0)
+                    orders.append(rng.choice((complex(sigma), complex(round(sigma)),
+                                              complex(sigma, rng.uniform(-3.0, 3.0)))))
+                for s in orders:
+                    k0 = max(0, math.ceil(s.real + 4.0))
+                    for k, lo, hi in extended._coefficient_bounds(kind, nu, s, k0):
+                        for abs_tol in (0.0, hi):
+                            if kind == "fd":
+                                c = extended._fd_zero(complex(nu), s - k, abs_tol)
+                            else:
+                                c = hurwitz_zeta(s - k, nu + 1.0, abs_tol=abs_tol)
+                            assert lo <= abs(c.value) <= (1.0 + extended._BOUND_SLACK) * hi, (
+                                kind, nu, s, k, abs_tol)
+                            checked += 1
+        assert checked >= 2000
+
+    def test_refusal_needs_every_pair_above_the_stopping_rule(self, monkeypatch):
+        # Bounds that make every term 1 at x = 1 (the weights are 1/k!):
+        # refused; with a pair of zero lower bounds the sum could stop
+        # there, so it is not.
+        def bounds(kind, nu, s, k0, dip):
+            for k in range(39, k0 - 1, -1):
+                size = float(math.factorial(k))
+                yield k, (0.0 if k in dip else size), size
+
+        for dip, refused in (((), True), ((20, 21), False)):
+            monkeypatch.setattr(extended, "_coefficient_bounds",
+                                functools.partial(bounds, dip=dip))
+            got = extended._taylor_cannot_converge("be", 0.0, -5 + 0j, 1.0, 0, 1.0, math.inf, 0.0)
+            assert got is refused
+
+    @pytest.mark.parametrize("f, p, strategy, k0", [
+        (ext_be, ExtParams(0, -0.5, 3.5357142857142856j), Strategy.AUTO, 4),
+        (ext_fd, ExtParams(1, -2, 2.7142857142857144j), Strategy.AUTO, 2),
+        (ext_fd, ExtParams(0.5, 2.5, 3.0), Strategy.POWER_SERIES_X, 7),
+    ])
+    def test_refusal_work_is_bounded(self, monkeypatch, f, p, strategy, k0):
+        # A refused point computes only the coefficients before the first
+        # order k0 with Re(s - k0) <= -4; the full sum computed all 40.
+        calls = []
+        for name in ("hurwitz_zeta", "_fd_zero"):
+            def counted(*args, _inner=getattr(extended, name), **kwargs):
+                calls.append(args)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(extended, name, counted)
+        with pytest.raises(ConvergenceError, match="cannot converge"):
+            f(p, strategy)
+        assert len(calls) <= k0
+
+    def test_refusal_changes_no_table_universe_outcome(self, monkeypatch):
+        # Every point of the two table workloads' universes that reaches
+        # the Taylor route, replayed without the check.
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        taylor = extended._power_series_x
+        reached: dict[tuple, tuple] = {}
+
+        def recorded(*args):
+            try:
+                got = taylor(*args)
+            except Exception as exc:
+                reached[(name,) + args] = (type(exc), str(exc))
+                raise
+            reached[(name,) + args] = (got.value, got.err_estimate, got.strategy, got.work)
+            return got
+
+        monkeypatch.setattr(extended, "_power_series_x", recorded)
+        for name in ("table-bulk", "table-near-circle"):
+            for p in workloads.universe(name):
+                f = ext_fd if p.fn == "ext_fd" else ext_be
+                try:
+                    f(ExtParams(p.nu, p.s, p.x), Strategy(p.strategy))
+                except ZetakitError:
+                    pass
+        monkeypatch.undo()
+        refused = {name: sum(_refused(o) for key, o in reached.items() if key[0] == name)
+                   for name in ("table-bulk", "table-near-circle")}
+        # 125 and 288 of these points fail; the bounds prove most of them.
+        assert refused["table-bulk"] >= 80 and refused["table-near-circle"] >= 250
+        calls = [lambda args=key[1:]: taylor(*args) for key in reached]
+        self._same_without_check(monkeypatch, calls, list(reached.values()))
 
 
 class TestDomain:
