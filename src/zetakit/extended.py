@@ -34,10 +34,11 @@ picks by region:
   that.  For both functions coefficient k is asked only for the absolute
   accuracy its weight |x^k/k!| leaves visible, REL_TOL times the running
   sum over 8 |x^k/k!|, which cuts the reflection series short.
-  The series stops at 40 terms.  For real nu it refuses up front, at the
-  first k with Re(s-k) <= -4 and before that coefficient, when bounds on
-  the reflection series prove that the 40 terms cannot converge; complex
-  nu keeps the full sum and its detector of terms that stop decreasing.
+  The series stops at 40 terms.  For real nu <= 12 it refuses up front,
+  at the first k with Re(s-k) <= -4 and before that coefficient, when
+  bounds on the reflection series prove that the 40 terms cannot
+  converge; larger or complex nu keeps the full sum and its detector of
+  terms that stop decreasing.
 * Re(x) >= 0.05: the defining series, geometric ratio <= 0.99.
 * complex x on/near the unit circle in z = -+e^{-x}: accelerated or
   Hurwitz-delegated summation for Re(s) > 0, supporting the reflection
@@ -83,6 +84,7 @@ from .zeta import (
     hurwitz_diff,
     hurwitz_zeta,
     lerch_phi,
+    reflection_bounds,
     riemann_zeta,
 )
 
@@ -101,8 +103,6 @@ __all__ = [
 ]
 
 _PI = math.pi
-_LN2 = math.log(2.0)
-_LN_2PI = math.log(2.0 * math.pi)
 
 
 class Strategy(enum.Enum):
@@ -289,12 +289,13 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     # Consecutive term magnitudes zigzag hard at integer s (odd-order
     # coefficients are tiny next to even ones), so both the stopping rule
     # and the divergence detector work on maxima of adjacent pairs.
-    # For real nu and x != 0 the route refuses up front, at the first k
-    # with Re(s-k) <= -4 and before computing that coefficient, when
-    # closed-form bounds on the coefficients left (_taylor_cannot_converge)
-    # prove that no pair can pass the stopping rule and that the last pair
-    # fails the 40-term test: the full sum would raise as well.  Complex nu
-    # keeps the full sum and the grow-streak detector below.
+    # For real nu <= 12 and x != 0 the route refuses up front, at the
+    # first k with Re(s-k) <= -4 and before computing that coefficient,
+    # when closed-form bounds on the coefficients left
+    # (_taylor_cannot_converge) prove that no pair can pass the stopping
+    # rule and that the last pair fails the 40-term test: the full sum
+    # would raise as well.  Larger or complex nu keeps the full sum and
+    # the grow-streak detector below.
     check_k = (max(0, math.ceil(s.real + 4.0))
                if nu.imag == 0.0 and x != 0.0 else _POWER_CAP)
     total = complex(0.0)
@@ -374,9 +375,12 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
 # 1e-6, and Euler-Maclaurin at real integer orders down to -50 stayed
 # within 3e-4 of it for every nu in [0, 12] (measured against mpmath).
 # Below order -50 that sum's error grows, to the whole value at order -62,
-# so real integer s is bounded only while s - 39 >= -50.
+# so real integer s is bounded only while s - 39 >= -50, and no nu above
+# 12 is bounded: that keeps the measured range and caps the reduction
+# powers each order costs at 12.
 _BOUND_SLACK = 1e-2
 _LOWEST_EM_ORDER = -50
+_MAX_BOUNDED_NU = 12.0
 
 
 def _coefficient_bounds(
@@ -384,61 +388,22 @@ def _coefficient_bounds(
 ) -> Iterator[tuple[int, float, float]]:
     """(k, lower, upper) bounds on |coefficient k|, for k = 39 down to k0.
 
-    For real nu and Re(s - k0) <= -4.  Each coefficient is then the Fourier
-    reflection series (step 1 for be, 2 for fd, see
-    zeta.fourier_reflection), with a = nu + 1 = a0 + m, a0 in (0, 1], order
-    s' = s - k and sigma' = Re s':
-
-        +-[amp (sin(theta - pi k/2) + rest) + sum_{j<m} +-(a0 + j)^{-s'}],
-
-    |amp| = 2 |Gamma(1-s')| (2 pi)^{sigma'-1} (times 2^{1-sigma'} for fd),
-    theta the n = 1 sine argument at order s, and, with b = 1 + step the
-    first frequency after n = 1 and C = cosh(pi Im(s)/2),
-
-        |rest| <= R = C (b^{sigma'-1} + b^{sigma'} / (step (-sigma'))).
-
-    So |coefficient| <= |amp| (C + R) + red (red the sum of the
-    (a0 + j)^{-sigma'}) and >= the larger of |amp| (|sin| - R) - red and
-    red_lo - |amp| (C + R), red_lo the largest reduction term less the
-    others.  |sin(theta - pi k/2)| alternates between |sin theta| and
-    |cos theta|, one of which is at least 1/sqrt(2).  A truncated series
-    obeys the same bounds, so ``abs_tol`` does not matter.  The computed
-    coefficient lies within [lower, (1 + _BOUND_SLACK) upper]; nothing is
-    yielded where that is not known, or where a bound would overflow.
+    For real nu and Re(s - k0) <= -4, where every coefficient is the
+    Fourier reflection series' value (step 1 for be, 2 for fd) and
+    zeta.reflection_bounds bounds it.  The computed coefficient lies within
+    [lower, (1 + _BOUND_SLACK) upper]; nothing is yielded where that is not
+    known.
     """
-    if s.imag == 0.0 and s.real == round(s.real) and (
-        s.real - (_POWER_CAP - 1) < _LOWEST_EM_ORDER
+    last = _POWER_CAP - 1
+    if nu > _MAX_BOUNDED_NU or (
+        s.imag == 0.0 and s.real == round(s.real)
+        and s.real - last < _LOWEST_EM_ORDER
     ):
         return
-    step = 2 if kind == "fd" else 1
-    a = nu + 1.0
-    m = max(0, math.ceil(a) - 1)
-    a0 = a - m
-    last = _POWER_CAP - 1
-    sigma = s.real - last
-    ln_amp = (ln_gamma(1.0 - s + last).real + _LN2
-              + (sigma - 1.0) * _LN_2PI + (step - 1) * (1.0 - sigma) * _LN2)
-    if ln_amp > 600.0 or (m and -sigma * math.log(a - 1.0) > 600.0):
-        return
-    amp = math.exp(ln_amp)
-    cosh_t = math.cosh(0.5 * _PI * s.imag)
-    theta = 0.5 * _PI * (s - k0) + (2.0 * _PI / step) * a0
-    sines = (abs(cmath.sin(theta)), abs(cmath.cos(theta)))
-    base = 1.0 + step
-    base_pow = base ** sigma
-    reds = [(a0 + j) ** -sigma for j in range(m)]
-    for k in range(last, k0 - 1, -1):
-        rest = cosh_t * base_pow * (1.0 / base + 1.0 / (step * -sigma))
-        red = sum(reds)
-        red_lo = 2.0 * reds[-1] - red if m else 0.0
-        hi = amp * (cosh_t + rest) + red
-        lo = max(amp * (sines[(k - k0) % 2] - rest) - red,
-                 red_lo - amp * (cosh_t + rest))
+    bounds = reflection_bounds(s - k0, nu + 1.0, 2 if kind == "fd" else 1,
+                               _POWER_CAP - k0)
+    for k, (lo, hi) in zip(range(last, k0 - 1, -1), bounds):
         yield k, lo - _BOUND_SLACK * hi, hi
-        amp *= 2.0 * _PI / (step * abs(s - k))
-        sigma += 1.0
-        base_pow *= base
-        reds = [p / (a0 + j) for j, p in enumerate(reds)]
 
 
 def _taylor_cannot_converge(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
@@ -176,6 +177,64 @@ def fourier_reflection(
     err = (abs(amp) * tail + 3e-16 * peak + 5e-15 * abs(value)
            + expo_err + arg_err)
     return value, err, n_terms + len(reduction)
+
+
+def reflection_bounds(
+    s: complex, a: float, step: int, count: int
+) -> Iterator[tuple[float, float]]:
+    """(lower, upper) bounds on the modulus of the value
+    :func:`fourier_reflection` sums, at the orders s - j for j = count - 1
+    down to 0, deepest first.
+
+    For Re(s) <= -4 and real a > 0.  In the notation there, with
+    s' = s - j, sigma' = Re s', C = cosh(pi Im(s)/2) and b = 1 + step the
+    first frequency after n = 1, the value is
+
+        +-[amp (sin(theta - pi j/2) + rest) + sum_{j'<m} +-(a0 + j')^{-s'}],
+
+    theta the n = 1 sine argument at order s and, bounding the sines by C
+    and the terms after n = b by their integral,
+
+        |rest| <= R = C (b^{sigma'-1} + b^{sigma'} / (step (-sigma'))).
+
+    So |value| <= |amp| (C + R) + red, red the sum of the
+    (a0 + j')^{-sigma'}, and >= the larger of |amp| (|sin| - R) - red and
+    red_lo - |amp| (C + R), red_lo the largest reduction power less the
+    others; |sin(theta - pi j/2)| alternates between |sin theta| and
+    |cos theta|.  A truncated series obeys the same bounds.  |amp| comes
+    from one ln_gamma call at the deepest order and its recurrence, so each
+    order costs O(m) float operations for its m reduction powers.  Nothing
+    is yielded where the deepest |amp|, C or reduction power would pass
+    e^600.
+    """
+    deepest = count - 1
+    sigma = s.real - deepest
+    m = max(0, math.ceil(a) - 1)
+    a0 = a - m
+    ln_amp = (ln_gamma(1.0 - s + deepest).real + _LN2
+              + (sigma - 1.0) * _LN_2PI + (step - 1) * (1.0 - sigma) * _LN2)
+    cosh_arg = 0.5 * _PI * abs(s.imag)
+    if max(ln_amp, cosh_arg, -sigma * math.log(a - 1.0) if m else 0.0) > 600.0:
+        return
+    amp = math.exp(ln_amp)
+    cosh_t = math.cosh(cosh_arg)
+    theta = 0.5 * _PI * s + (2.0 * _PI / step) * a0
+    sines = (abs(cmath.sin(theta)), abs(cmath.cos(theta)))
+    base = 1.0 + step
+    base_pow = base ** sigma
+    reds = [(a0 + j) ** -sigma for j in range(m)]
+    for j in range(deepest, -1, -1):
+        rest = cosh_t * base_pow * (1.0 / base + 1.0 / (step * -sigma))
+        red = sum(reds)
+        red_lo = 2.0 * reds[-1] - red if m else 0.0
+        hi = amp * (cosh_t + rest) + red
+        lo = max(amp * (sines[j % 2] - rest) - red,
+                 red_lo - amp * (cosh_t + rest))
+        yield lo, hi
+        amp *= 2.0 * _PI / (step * abs(s - j))
+        sigma += 1.0
+        base_pow *= base
+        reds = [p / (a0 + i) for i, p in enumerate(reds)]
 
 
 # B_{2k}/(2k)! as floats for k = 0 .. MAX_POLY_DEGREE // 2, built on the

@@ -495,7 +495,7 @@ class TestTaylorRefusal:
         rng = random.Random(20261019)
         calls = []
         for f, radius in ((ext_fd, math.pi), (ext_be, 2.0 * math.pi)):
-            for nu in (0.0, 0.125, 1.0, 2.125, 3.125):
+            for nu in (0.0, 0.125, 1.0, 2.125, 3.125, 7.5, 11.875):
                 for _ in range(30):
                     rho = rng.uniform(0.3, 0.99) * radius
                     x = rng.choice((complex(rho), 1j * rho,
@@ -505,6 +505,14 @@ class TestTaylorRefusal:
                                     complex(sigma, rng.uniform(-3.0, 3.0))))
                     p = ExtParams(nu, s, x)
                     calls.append(lambda f=f, p=p: f(p, Strategy.POWER_SERIES_X))
+        # nu above the bounded range, and orders so deep or so far off the
+        # real axis that |amp|, cosh or a reduction power leaves the floats.
+        for f in (ext_fd, ext_be):
+            for p in (ExtParams(3e4, -30, 1.0), ExtParams(50, -3.5, 1.0),
+                      ExtParams(1e3, -2.5, 2.0), ExtParams(1e3, -2, 3j),
+                      ExtParams(12.5, -6.5, 3.0), ExtParams(0.5, -180.5, 0.02),
+                      ExtParams(0.5, -165.5, 0.02), ExtParams(0.5, -5 + 460j, 0.5)):
+                calls.append(lambda f=f, p=p: f(p, Strategy.POWER_SERIES_X))
         outcomes = [_outcome(call) for call in calls]
         assert sum(map(_refused, outcomes)) >= 50
         self._same_without_check(monkeypatch, calls, outcomes)
@@ -514,11 +522,13 @@ class TestTaylorRefusal:
         # accuracy and cut to the series' minimum of 8 terms by a loose
         # abs_tol, lies within the bounds.  s = -24 reaches orders where
         # Euler-Maclaurin's integer-order values have lost all digits; no
-        # bounds are given there.
+        # bounds are given there, nor above nu = 12.
         rng = random.Random(20261020)
         checked = 0
         for kind in ("fd", "be"):
-            for nu in (0.0, 0.125, 1.0, 2.125, 3.125):
+            for nu in (12.5, 50.0, 1e3, 3e4):
+                assert not list(extended._coefficient_bounds(kind, nu, -6.5 + 0j, 0))
+            for nu in (0.0, 0.125, 1.0, 2.125, 3.125, 7.5, 11.875):
                 orders = [complex(-24.0)]
                 for _ in range(6):
                     sigma = rng.uniform(-6.0, 3.0)
@@ -535,7 +545,7 @@ class TestTaylorRefusal:
                             assert lo <= abs(c.value) <= (1.0 + extended._BOUND_SLACK) * hi, (
                                 kind, nu, s, k, abs_tol)
                             checked += 1
-        assert checked >= 2000
+        assert checked >= 2800
 
     def test_refusal_needs_every_pair_above_the_stopping_rule(self, monkeypatch):
         # Bounds that make every term 1 at x = 1 (the weights are 1/k!):
@@ -569,6 +579,24 @@ class TestTaylorRefusal:
         with pytest.raises(ConvergenceError, match="cannot converge"):
             f(p, strategy)
         assert len(calls) <= k0
+
+    @pytest.mark.parametrize("f, p", [
+        (ext_be, ExtParams(1e6, 15, 0.01)),
+        (ext_fd, ExtParams(1e6, -2, 0.01)),
+    ])
+    def test_large_nu_keeps_the_full_sum(self, monkeypatch, f, p):
+        # Above nu = 12 no bounds are computed, whose cost would grow with
+        # the nu reduction powers per order; the grow-streak detector
+        # refuses these terms, which grow like (nu x)^k / k!, at k = 23.
+        calls = []
+        for name in ("hurwitz_zeta", "_fd_zero", "reflection_bounds"):
+            def counted(*args, _name=name, _inner=getattr(extended, name), **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(extended, name, counted)
+        with pytest.raises(ConvergenceError, match="stopped decreasing"):
+            f(p)
+        assert "reflection_bounds" not in calls and len(calls) <= 24
 
     def test_refusal_changes_no_table_universe_outcome(self, monkeypatch):
         # Every point of the two table workloads' universes that reaches
