@@ -9,15 +9,18 @@ around x = 0 is the extended pair's own route (``extended``, Strategy
 
 Quadrature design: adaptive Gauss-Kronrod (G7, K15) panels on [0, 1] and
 then on doubling intervals [1, 2], [2, 4], ... up to the truncation point.
-For 0 < Re(s) < 1 the t^{s-1} endpoint singularity is resolved by a
-geometric graded mesh on [0, 1] (ratio 1/4) toward t = 0; the far tail
-beyond the truncation point is bounded analytically from the kernel's
-observed exponential decay (or its declared power-law order) and charged
-to the error estimate.  The tolerances are fixed: the worst panel is split
-until the summed error estimate of the integral (before the 1/Gamma(s)
-factor) is at most max(ABS_TOL, REL_TOL |integral|) = max(1e-12,
-1e-10 |integral|), and ConvergenceError is raised after MAX_SUBDIVISIONS
-= 240 panels.
+For 0 < sigma = Re(s) < 1 a stub [0, a] next to the t^{s-1} endpoint
+singularity is integrated exactly with the kernel frozen at omega(x), and
+[a, 1] in u = t^sigma, where t^{s-1} dt = u^{i Im(s)/sigma} du / sigma is
+bounded: its panels split log u evenly, each spanning at most one turn of
+t^{i Im(s)} (a single panel for real s).  The far tail beyond the
+truncation point is bounded analytically from the kernel's observed
+exponential decay (or its declared power-law order) and charged to the
+error estimate.  The tolerances are fixed: the worst panel is split until
+the summed error estimate of the integral (before the 1/Gamma(s) factor)
+is at most max(ABS_TOL, REL_TOL |integral|) = max(1e-12, 1e-10
+|integral|), and ConvergenceError is raised after MAX_SUBDIVISIONS = 240
+panels, or at once when [a, 1] alone would need more.
 """
 
 from __future__ import annotations
@@ -174,6 +177,17 @@ def weyl_transform(
     def integrand(t: float) -> complex:
         return kernel.value(t + x) * cmath.exp(sm1 * math.log(t))
 
+    inv_sigma = 1.0 / sigma
+    u_phase = 1j * s.imag * inv_sigma
+
+    def u_integrand(v: float) -> complex:
+        # u = t^sigma, so t^{s-1} dt = u^{i Im(s)/sigma} du / sigma; u is
+        # held as v = 1 - u, which keeps the precision of t = u^{1/sigma}
+        # and of the phase where sigma is small and u near 1.
+        lu = math.log1p(-v)
+        return (kernel.value(math.exp(lu * inv_sigma) + x)
+                * cmath.exp(u_phase * lu) * inv_sigma)
+
     work = 0
 
     # --- truncation point with an analytic tail bound ---
@@ -190,15 +204,14 @@ def weyl_transform(
             f"tail bound {tail:.2e} above tolerance at t={t_cut:g}"
         )
 
-    # --- initial panel boundaries ---
-    boundaries: list[float] = []
+    # --- initial panels: (lo, hi, value, err, integrand) ---
+    u_edges: list[float] = []
     stub_value = complex(0.0)
     stub_err = 0.0
     if sigma < 1.0:
-        # Graded mesh toward the t^{sigma-1} singularity (ratio 1/4).  The
-        # un-meshed stub [0, a] contributes omega(x) a^sigma / sigma; its
-        # error is set by the kernel's local derivative, so the mesh only
-        # needs deriv_scale * a^{sigma+1}/(sigma+1) below tolerance.
+        # The stub [0, a] contributes omega(x) a^s / s; its error is set by
+        # the kernel's local derivative, so a only needs deriv_scale *
+        # a^{sigma+1}/(sigma+1) below tolerance.
         w0 = kernel.value(x)
         d = 1.0 / 64.0
         deriv_scale = max(
@@ -211,28 +224,37 @@ def weyl_transform(
         depth = 4
         while 4.0 ** (-depth) > a_min and depth < 60:
             depth += 1
-        edges = [4.0 ** (-k) for k in range(depth + 1)]
-        a_last = edges[-1]
+        a_last = 4.0 ** (-depth)
+        ln_a = math.log(a_last)
         # integral_0^a t^{s-1} dt = a^s / s exactly (complex power).
-        stub_value = w0 * cmath.exp(s * math.log(a_last)) / s
+        stub_value = w0 * cmath.exp(s * ln_a) / s
         stub_err = (
             2.0 * deriv_scale * a_last ** (sigma + 1.0) / abs(s + 1.0)
             + 1e-16 * abs(stub_value)
         )
-        boundaries.extend(reversed(edges))
-    else:
-        boundaries.append(0.0)
-    level = 1.0
-    while level < t_cut:
-        boundaries.append(level)
-        level *= 2.0
+        # [a, 1] in u = t^sigma (held as v = 1 - u): t^{i Im(s)} turns
+        # |Im s| log(1/a) / (2 pi) times there, so log u is split evenly
+        # into panels of at most one turn, a single one for real s.
+        turns = abs(s.imag) * -ln_a / (2.0 * math.pi)
+        if turns > MAX_SUBDIVISIONS:
+            raise ConvergenceError(
+                f"t^(i Im s) turns {turns:.0f} times on [{a_last:.1e}, 1], "
+                f"more than {MAX_SUBDIVISIONS} panels"
+            )
+        n_u = max(1, math.ceil(turns))
+        u_edges = [-math.expm1(sigma * ln_a * k / n_u)
+                   for k in range(n_u + 1)]
+    boundaries = [1.0] if u_edges else [0.0, 1.0]
+    while boundaries[-1] * 2.0 < t_cut:
+        boundaries.append(boundaries[-1] * 2.0)
     boundaries.append(t_cut)
 
-    panels: list[tuple[float, float, complex, float]] = []
-    for a, b in zip(boundaries, boundaries[1:]):
-        val, err, n = _panel(integrand, a, b)
-        panels.append((a, b, val, err))
-        work += n
+    panels: list[tuple[float, float, complex, float, Callable]] = []
+    for f, edges in ((u_integrand, u_edges), (integrand, boundaries)):
+        for a, b in zip(edges, edges[1:]):
+            val, err, n = _panel(f, a, b)
+            panels.append((a, b, val, err, f))
+            work += n
 
     # --- adaptive refinement of the worst panel ---
     while len(panels) < MAX_SUBDIVISIONS:
@@ -242,11 +264,11 @@ def weyl_transform(
         if err_sum <= target:
             break
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels.pop(worst)
+        a, b, _, _, f = panels.pop(worst)
         mid = 0.5 * (a + b)
         for lo, hi in ((a, mid), (mid, b)):
-            val, err, n = _panel(integrand, lo, hi)
-            panels.append((lo, hi, val, err))
+            val, err, n = _panel(f, lo, hi)
+            panels.append((lo, hi, val, err, f))
             work += n
     else:
         raise ConvergenceError(

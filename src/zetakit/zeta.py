@@ -132,9 +132,10 @@ def fourier_reflection(
     ]
 
     ln_g = ln_gamma(1.0 - s)
-    amp = cmath.exp(ln_g) * 2.0 * cpow(2.0 * _PI, s - 1.0)
-    if step == 2:
-        amp *= 2.0 * cpow(2.0, -s)
+    # One exponential of the summed logarithms: Gamma(1-s) alone overflows
+    # from Re(s) ~ -170, |amp| only near -218 (step 2) and -259 (step 1).
+    amp = cmath.exp(ln_g + _LN2 + (s - 1.0) * _LN_2PI
+                    + (step - 1) * (1.0 - s) * _LN2)
     half_arg = 0.5 * _PI * s
     freq = 2.0 * _PI / step
     cosh_t = math.cosh(0.5 * _PI * s.imag)
@@ -158,15 +159,17 @@ def fourier_reflection(
     value = reflected + compensated_sum(reduction)
     if step == 2 and m % 2 == 1:
         value = -value
+    if not cmath.isfinite(value):
+        raise OverflowError(f"reflection series overflows at s={s!r}")
     peak = max(
         (abs(t) for t in reduction), default=0.0
     )
     peak = max(peak, abs(reflected))
-    # The exponentials in amp pass on the rounding of their exponents,
-    # log Gamma(1-s), (s-1) log 2 pi and, for step = 2, -s log 2; the first
-    # two exceed 100 for Re(s) < -40.
+    # The exponential amp passes on the rounding of its exponent's terms,
+    # log Gamma(1-s), (s-1) log 2 pi and, for step = 2, (1-s) log 2; the
+    # first two exceed 100 for Re(s) < -40.
     expo_err = 2.2e-16 * (
-        abs(ln_g) + abs(s - 1.0) * _LN_2PI + (step - 1) * abs(s) * _LN2
+        abs(ln_g) + abs(s - 1.0) * (_LN_2PI + (step - 1) * _LN2)
     ) * abs(reflected)
     # Each sine moves by the rounding of its argument, 2.2e-16 (|pi s/2| +
     # freq n a0), times |cos| <= cosh(pi Im(s)/2); weighted by n^{Re(s)-1}
@@ -264,9 +267,10 @@ def _em_coeffs() -> list[float]:
 def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
     """Hurwitz zeta zeta(s, a) for complex s != 1, Re(a) > 0.
 
-    Euler-Maclaurin continuation on both sides of the critical strip; for
-    deeply negative non-integer Re(s) with real a the Fourier reflection
-    series takes over.  See the module docstring for the parameter policy.
+    Euler-Maclaurin continuation on both sides of the critical strip; with
+    real a the Fourier reflection series takes over at non-integer
+    Re(s) <= -4 and at integer orders below -49.  See the module docstring
+    for the parameter policy.
 
     ``abs_tol`` is an absolute accuracy the caller can live with.  Only the
     reflection series uses it: it stops once its tail bound is below
@@ -296,7 +300,9 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
         and s.real == round(s.real)
         and 1 - round(s.real) <= MAX_POLY_DEGREE
     )
-    if sigma <= -4.0 and not terminating and a.imag == 0.0:
+    # Below order -49 the terminating sum cancels away its digits and, from
+    # -61, needs more correction pairs than the Bernoulli table holds.
+    if a.imag == 0.0 and (sigma < -49.0 or sigma <= -4.0 and not terminating):
         value, err, work = fourier_reflection(s, a.real, 1, abs_tol)
         return EvalResult(faults.perturb("hurwitz_zeta", value), err,
                           "hurwitz/reflection", work)
@@ -381,8 +387,9 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
 def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
     """Riemann zeta through either continuation route.
 
-    via="em" (the default) evaluates zeta(s, 1) by Euler-Maclaurin, or by
-    the direct sum for Re(s) >= 30; via="functional" uses
+    via="em" (the default) evaluates zeta(s, 1) by :func:`hurwitz_zeta`,
+    whose route the tag names, or by the direct sum for Re(s) >= 30;
+    via="functional" uses
     zeta(s) = chi(s) zeta(1-s), which is the independent cross-check route
     for Re(s) < 0; at s = 0, where chi's zero meets the pole of zeta(1-s),
     it returns the limit -1/2.
@@ -419,8 +426,9 @@ def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
         return EvalResult(value, abs(terms[-1]) + 1e-16 * abs(value),
                           "riemann/direct-sum", len(terms))
     inner = hurwitz_zeta(s, 1.0)
-    return EvalResult(inner.value, inner.err_estimate,
-                      "riemann/euler-maclaurin", inner.work)
+    route = inner.strategy.split("/", 1)[1]
+    return EvalResult(inner.value, inner.err_estimate, f"riemann/{route}",
+                      inner.work)
 
 
 def dirichlet_eta(s: complex) -> EvalResult:

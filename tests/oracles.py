@@ -82,6 +82,25 @@ def bernoulli_poly_reference(n: int, x: Fraction) -> Fraction:
     )
 
 
+def bernoulli_numbers(m: int) -> list[Fraction]:
+    """B_0..B_m (B_1 = -1/2) from sum_{k<=j} C(j+1, k) B_k = 0 for j >= 1.
+
+    Agrees with BERNOULLI_TABLE where that has entries; serves the deep
+    orders beyond it.
+    """
+    b = [Fraction(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(math.comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b
+
+
+def hurwitz_negint_deep_reference(n: int, a: Fraction) -> Fraction:
+    """zeta(-n, a) = -B_{n+1}(a)/(n+1), exact, for any n >= 0."""
+    b = bernoulli_numbers(n + 1)
+    poly = sum(math.comb(n + 1, k) * b[k] * a ** (n + 1 - k) for k in range(n + 2))
+    return -poly / (n + 1)
+
+
 def hurwitz_negint_reference(n: int, a: Fraction) -> Fraction:
     """zeta(-n, a) = -B_{n+1}(a)/(n+1), exact."""
     return -bernoulli_poly_reference(n + 1, a) / (n + 1)

@@ -208,6 +208,32 @@ class TestLerchBridge:
 
 
 class TestStrategies:
+    def test_weyl_quad_estimate_is_honest(self):
+        # Forced quadrature at fractional Re s in (-3, 1): the sub-unit
+        # orders integrate t^{s-1} near t = 0, the negative ones through the
+        # kernel's derivatives shifted into (0, 1].  be needs x > 0.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        points = []
+        while len(points) < 40:
+            fn, sign = rng.choice(((ext_fd, -1), (ext_be, 1)))
+            x = rng.choice((0.0, 0.3, 1.0, 2.5))
+            sigma = rng.uniform(-3.0, 1.0)
+            if (fn is ext_be and x == 0.0) or abs(sigma - round(sigma)) < 0.05:
+                continue
+            s = complex(sigma, rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+            points.append((fn, sign, rng.choice((0.0, 0.5, 2.3)), s, x))
+        with mpmath.workdps(20):
+            for fn, sign, nu, s, x in points:
+                got = fn(ExtParams(nu, s, x), Strategy.WEYL_QUAD)
+                xm, am = mpmath.mpf(x), mpmath.mpf(nu) + 1
+                want = mpmath.exp(-am * xm) * mpmath.lerchphi(
+                    sign * mpmath.exp(-xm), mpmath.mpc(s), am
+                )
+                assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (
+                    fn.__name__, nu, s, x,
+                )
+
     def test_explicit_strategies_agree_fd(self):
         p = ExtParams(0.5, 2.5, 1.0)
         xs = ext_fd(p, Strategy.XSERIES)
@@ -703,6 +729,14 @@ class TestClassicalWrappers:
         got = fd_classical(s, x)
         assert got.strategy == "fd-classical/weyl-gk-adaptive"
         assert rel(got.value, oracle) <= 1e-7
+
+    def test_fd_positive_x_half_order_is_honest(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            for x in (0.3, 1.0, 2.5, 6.0):
+                got = fd_classical(0.5, x)
+                want = -mpmath.polylog(0.5, -mpmath.exp(x))
+                assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, x
 
     def test_fd_positive_x_needs_positive_order(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,11 @@
 """Fractional-integral engine: quadrature, negative orders, decay audit."""
 
+import cmath
 import math
 
 import pytest
 
+from zetakit import weyl
 from zetakit import (
     ConvergenceError,
     DomainError,
@@ -87,6 +89,55 @@ class TestWeylTransform:
         res = weyl_transform(EXP_KERNEL, 1.5, 0.0)
         assert res.work > 0
         assert "weyl" in res.strategy
+
+    def test_scaled_exponential_estimate_is_honest_at_every_order(self):
+        # W(s; x) = b^{-s} e^{-bx} for the kernel e^{-bt} at every s, so the
+        # sub-unit orders, where t^{s-1} is singular at t = 0, are checked
+        # without an oracle: small and near-unit sigma, complex s of both
+        # signs, and the negative orders that shift into (0, 1].
+        points = []
+        for b in (0.5, 2.5):
+            kern = scaled_exp_kernel(b)
+            for sigma in (0.001, 0.02, 0.1, 0.5, 0.9, 0.999):
+                for tau in (0.0, 0.5, -3.0, 10.0):
+                    for x in (0.0, 1.3):
+                        s = complex(sigma, tau)
+                        points.append((b, s, x, weyl_transform(kern, s, x)))
+            for s in (-0.5, -1.5, -2.7):
+                for x in (0.0, 1.3):
+                    points.append((b, s, x, weyl_negative_order(kern, s, x)))
+        for b, s, x, res in points:
+            want = cmath.exp(-s * math.log(b)) * math.exp(-b * x)
+            assert abs(res.value - want) <= res.err_estimate, (b, s, x)
+
+    def test_sub_unit_order_work(self):
+        # e^{-t} at s = 1/2: one panel in u = t^{1/2} on [a, 1], the five
+        # doubling panels up to t = 32 and the stub and tail samples.
+        assert weyl_transform(EXP_KERNEL, 0.5, 0.0).work <= 150
+
+    def test_no_zero_width_panel(self, monkeypatch):
+        widths = []
+        panel = weyl._panel
+
+        def recording_panel(f, a, b):
+            widths.append(b - a)
+            return panel(f, a, b)
+
+        monkeypatch.setattr(weyl, "_panel", recording_panel)
+        for s in (0.5, 0.02, 0.9 - 3.0j, 0.3 + 10.0j):
+            weyl_transform(EXP_KERNEL, s, 0.7)
+        weyl_negative_order(EXP_KERNEL, -1.5, 0.7)
+        assert widths and min(widths) > 0.0
+
+    def test_too_many_turns_refused_up_front(self, monkeypatch):
+        # t^{i Im s} would turn about 1,100 times on [a, 1]: more than the
+        # panel budget, so the call refuses before any panel.
+        calls = []
+        monkeypatch.setattr(weyl, "_panel",
+                            lambda f, a, b: calls.append(a) or (0j, 0.0, 15))
+        with pytest.raises(ConvergenceError):
+            weyl_transform(EXP_KERNEL, 0.5 + 300.0j, 0.0)
+        assert calls == []
 
 
 class TestNegativeOrders:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zetakit.zeta as zeta_module
+from zetakit import extended
 from zetakit import (
     ConvergenceError,
     DomainError,
@@ -113,6 +114,42 @@ class TestHurwitzZeta:
                     assert abs(got - want) <= 1e-12
                 else:
                     assert abs(got - want) / abs(want) <= 1e-11
+
+    def test_deep_integer_orders_take_the_reflection_series(self):
+        # Below order -49 the terminating Euler-Maclaurin sum cancels its
+        # digits away (zeta(-63) came out as 4.4e24 for 3.3e36); the
+        # reflection series handles integer orders through its sine.
+        assert oracles.bernoulli_numbers(12) == oracles.BERNOULLI_TABLE
+        for n in range(51, 64, 2):
+            for a in (Fraction(1), Fraction(3, 2), Fraction(17, 8)):
+                want = float(oracles.hurwitz_negint_deep_reference(n, a))
+                got = hurwitz_zeta(-float(n), float(a))
+                assert got.strategy == "hurwitz/reflection"
+                assert abs(got.value - want) <= got.err_estimate, (n, a)
+                assert rel(got.value, want) <= 1e-13, (n, a)
+        assert riemann_zeta(-63.0).strategy == "riemann/reflection"
+        assert riemann_zeta(-4.5).strategy == "riemann/reflection"
+        assert riemann_zeta(-49.0).strategy == "riemann/euler-maclaurin"
+        assert riemann_zeta(2.0).strategy == "riemann/euler-maclaurin"
+
+    def test_reflection_prefactor_is_one_exponential(self):
+        # Gamma(1 - s) alone overflows from Re s ~ -170, the prefactor only
+        # near -218 (alternating, fd at x = 0) and -259 (zeta); beyond that
+        # the series raises OverflowError, never a NaN.
+        mpmath = pytest.importorskip("mpmath")
+        got = extended._fd_zero(0.5 + 0j, -170.5 + 0j)
+        with mpmath.workdps(30):
+            s = mpmath.mpf(-170.5)
+            want = 2 ** -s * (mpmath.zeta(s, 0.75) - mpmath.zeta(s, 1.25))
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+            s = mpmath.mpf(-255.5)
+            want = mpmath.zeta(s, 1.5)
+            got = hurwitz_zeta(-255.5, 1.5)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+        with pytest.raises(OverflowError):
+            extended._fd_zero(0.5 + 0j, -218.5 + 0j)
+        with pytest.raises(OverflowError):
+            hurwitz_zeta(-260.5, 1.5)
 
     def test_forward_difference(self):
         for s in (2.5, 1.2 + 0.7j):
