@@ -372,12 +372,12 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
 # Room the coefficient bounds of _coefficient_bounds leave for the computed
 # coefficients' own error, relative to the upper bound: the reflection
 # series is good to about 1e-13 of it, an armed fault moves a value by
-# 1e-6, and Euler-Maclaurin at real integer orders down to -49 stayed
+# 1e-6, and Euler-Maclaurin at real integer orders down to -50 stayed
 # within 3e-4 of it for every nu in [0, 12] (measured against mpmath).
-# Below -49 hurwitz_zeta takes the reflection series instead, but the
-# slack was measured down to -50 only: real integer s is bounded only
-# while s - 39 >= -50, and no nu above 12 is bounded.  That keeps the
-# measured range and caps the reduction powers each order costs at 12.
+# hurwitz_zeta now takes the reflection series below -49, where that sum's
+# error grew, but the bounds keep to the measured range: real integer s is
+# bounded only while s - 39 >= -50, and no nu above 12 is bounded, which
+# also caps the reduction powers each order costs at 12.
 _BOUND_SLACK = 1e-2
 _LOWEST_EM_ORDER = -50
 _MAX_BOUNDED_NU = 12.0

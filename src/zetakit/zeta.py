@@ -122,6 +122,9 @@ def fourier_reflection(
     The series stops once its tail bound, relative to the prefactor's
     modulus |amp|, is below max(REL_TOL, abs_tol / (|amp| cosh(pi Im(s)/2)));
     ``work`` counts the series terms summed plus the m reduction terms.
+    OverflowError is raised where the prefactor or the value passes the
+    double range; the prefactor does so below about Re(s) = -218 (step 2)
+    and -259 (step 1).
     """
     sigma = s.real
     m = max(0, math.ceil(a) - 1)
@@ -389,10 +392,9 @@ def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
 
     via="em" (the default) evaluates zeta(s, 1) by :func:`hurwitz_zeta`,
     whose route the tag names, or by the direct sum for Re(s) >= 30;
-    via="functional" uses
-    zeta(s) = chi(s) zeta(1-s), which is the independent cross-check route
-    for Re(s) < 0; at s = 0, where chi's zero meets the pole of zeta(1-s),
-    it returns the limit -1/2.
+    via="functional" uses zeta(s) = chi(s) zeta(1-s), which is the
+    independent cross-check route for Re(s) < 0; at s = 0, where chi's zero
+    meets the pole of zeta(1-s), it returns the limit -1/2.
     """
     s = require_finite(s, "s")
     if abs(s - 1.0) < 1e-12:

@@ -74,19 +74,10 @@ BERNOULLI_TABLE = [
 EULER_NUMBER_TABLE = {0: 1, 2: -1, 4: 5, 6: -61, 8: 1385}
 
 
-def bernoulli_poly_reference(n: int, x: Fraction) -> Fraction:
-    """B_n(x) from the explicit sum over the frozen number table."""
-    return sum(
-        Fraction(math.comb(n, k)) * BERNOULLI_TABLE[k] * x ** (n - k)
-        for k in range(n + 1)
-    )
-
-
 def bernoulli_numbers(m: int) -> list[Fraction]:
     """B_0..B_m (B_1 = -1/2) from sum_{k<=j} C(j+1, k) B_k = 0 for j >= 1.
 
-    Agrees with BERNOULLI_TABLE where that has entries; serves the deep
-    orders beyond it.
+    The test suite checks it against BERNOULLI_TABLE, which it extends.
     """
     b = [Fraction(1)]
     for j in range(1, m + 1):
@@ -94,11 +85,10 @@ def bernoulli_numbers(m: int) -> list[Fraction]:
     return b
 
 
-def hurwitz_negint_deep_reference(n: int, a: Fraction) -> Fraction:
-    """zeta(-n, a) = -B_{n+1}(a)/(n+1), exact, for any n >= 0."""
-    b = bernoulli_numbers(n + 1)
-    poly = sum(math.comb(n + 1, k) * b[k] * a ** (n + 1 - k) for k in range(n + 2))
-    return -poly / (n + 1)
+def bernoulli_poly_reference(n: int, x: Fraction) -> Fraction:
+    """B_n(x) from the explicit sum over the Bernoulli numbers."""
+    b = bernoulli_numbers(n)
+    return sum(Fraction(math.comb(n, k)) * b[k] * x ** (n - k) for k in range(n + 1))
 
 
 def hurwitz_negint_reference(n: int, a: Fraction) -> Fraction:

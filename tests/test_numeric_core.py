@@ -23,13 +23,15 @@ from zetakit import (
 )
 from zetakit.numeric_core import alternating_sum_cvz
 
-from oracles import BERNOULLI_TABLE, EULER_NUMBER_TABLE
+from oracles import BERNOULLI_TABLE, EULER_NUMBER_TABLE, bernoulli_numbers
 
 
 class TestBernoulliNumbers:
     def test_matches_published_table(self):
         for n, want in enumerate(BERNOULLI_TABLE):
             assert bernoulli_number(n) == want
+        # The test oracle's own recurrence, which extends the table.
+        assert bernoulli_numbers(len(BERNOULLI_TABLE) - 1) == BERNOULLI_TABLE
 
     def test_defining_recurrence_is_exact(self):
         # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1 (B_1 = -1/2 convention).

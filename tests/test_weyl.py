@@ -130,7 +130,7 @@ class TestWeylTransform:
         assert widths and min(widths) > 0.0
 
     def test_too_many_turns_refused_up_front(self, monkeypatch):
-        # t^{i Im s} would turn about 1,100 times on [a, 1]: more than the
+        # t^{i Im s} would turn about 1,000 times on [a, 1]: more than the
         # panel budget, so the call refuses before any panel.
         calls = []
         monkeypatch.setattr(weyl, "_panel",
