@@ -51,6 +51,13 @@ print("\nComplex arguments ride the defining series")
 res = ext_fd(ExtParams(0.5, 2.5 + 2.0j, 1.0 + 1.5j), Strategy.XSERIES)
 print(f"  fd(0.5, 2.5+2i, 1+1.5i) = {res.value:.15g}  ({res.strategy})")
 
+print("\nOn the unit circle: reduce, then expand")
+# At Re s <= 0 the period 2 pi i and the duality x -> x - i pi move x to
+# within a third of a Taylor radius of a centre; the tag names the centre.
+res = ext_fd(ExtParams(0.5, -1.5, 3j))
+print(f"  fd(0.5, -1.5, 3i) = {res.value:.15g}")
+print(f"  err est {res.err_estimate:.1e}  ({res.strategy})")
+
 print("\nNon-positive integer orders collapse to exact polynomials")
 for n in (0, 1, 3, 5):
     exact = ext_fd_negint_exact(Fraction(1, 2), n)

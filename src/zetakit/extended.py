@@ -34,16 +34,15 @@ picks by region:
   that.  For both functions coefficient k is asked only for the absolute
   accuracy its weight |x^k/k!| leaves visible, REL_TOL times the running
   sum over 8 |x^k/k!|, which cuts the reflection series short.
-  The series stops at 40 terms.  For real nu <= 12 it refuses up front,
-  at the first k with Re(s-k) <= -4 and before that coefficient, when
-  bounds on the reflection series prove that the 40 terms cannot
-  converge; larger or complex nu keeps the full sum and its detector of
-  terms that stop decreasing.
-* Re(x) >= 0.05: the defining series, geometric ratio <= 0.99.
-* complex x on/near the unit circle in z = -+e^{-x}: accelerated or
-  Hurwitz-delegated summation for Re(s) > 0, supporting the reflection
-  x -> x + i pi that exchanges the two functions; the Taylor series in x
-  for Re(s) <= 0 inside its radius.
+  An unconverged sum raises ConvergenceError at 40 terms, or earlier once
+  its terms stop decreasing.
+* complex x with Re(x) < 0.05 at Re(s) <= 0: reduce, then expand.  The
+  period 2 pi i and the duality x -> x - i pi move x to within a third of
+  a Taylor radius of a be or fd centre, where the Taylor series in x sums
+  (tags fd/circle-be, fd/circle-fd, be/circle-be, be/circle-fd).
+* otherwise the defining series: geometric ratio <= 0.99 for
+  Re(x) >= 0.05, accelerated or Hurwitz-delegated summation on the unit
+  circle for Re(s) > 0.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
@@ -84,7 +83,6 @@ from .zeta import (
     hurwitz_diff,
     hurwitz_zeta,
     lerch_phi,
-    reflection_bounds,
     riemann_zeta,
 )
 
@@ -253,7 +251,11 @@ def _fd_tiny_x_cvz(nu: complex, s: complex, x: float) -> EvalResult:
 _POWER_CAP = 40
 
 
-def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
+def _power_series_x(
+    kind: str, nu: complex, s: complex, x: complex
+) -> tuple[EvalResult, float]:
+    """Taylor series in x about 0, and a bound on |d value/dx| read off its
+    terms: (sum_k k |term_k| + |s-1| |singular part|) / |x|."""
     radius, radius_name = (_PI, "pi") if kind == "fd" else (2.0 * _PI, "2 pi")
     if abs(x) >= 0.999 * radius:
         raise DomainError(
@@ -289,15 +291,6 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     # Consecutive term magnitudes zigzag hard at integer s (odd-order
     # coefficients are tiny next to even ones), so both the stopping rule
     # and the divergence detector work on maxima of adjacent pairs.
-    # For real nu <= 12 and x != 0 the route refuses up front, at the
-    # first k with Re(s-k) <= -4 and before computing that coefficient,
-    # when closed-form bounds on the coefficients left
-    # (_taylor_cannot_converge) prove that no pair can pass the stopping
-    # rule and that the last pair fails the 40-term test: the full sum
-    # would raise as well.  Larger or complex nu keeps the full sum and
-    # the grow-streak detector below.
-    check_k = (max(0, math.ceil(s.real + 4.0))
-               if nu.imag == 0.0 and x != 0.0 else _POWER_CAP)
     total = complex(0.0)
     terms: list[complex] = []
     coeff_err = 0.0
@@ -307,6 +300,7 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     pair_cur = 0.0
     grow_streak = 0
     scale = 0.0
+    moment = 0.0   # sum of k |term_k|
     for k in range(_POWER_CAP):
         # Coefficient k enters weighted by |x^k/k!|.  The sum is only
         # resolved to REL_TOL times its scale (the stopping rule's), so the
@@ -314,14 +308,6 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
         # of that over the weight.  Term 0, and a weight of 0 (x = 0 or
         # underflow), keep full accuracy.
         abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
-        if k == check_k and _taylor_cannot_converge(
-            kind, nu.real, s, abs(x), k, abs(xpow), prev_mag,
-            abs(singular) + sum(abs(t) for t in terms),
-        ):
-            raise ConvergenceError(
-                f"Taylor-in-x route cannot converge within {_POWER_CAP} "
-                f"terms (coefficient bounds from k={k})"
-            )
         if k == pole_k:
             c = _be_pole_limit(nu, s, x, k)
         elif kind == "fd":
@@ -334,6 +320,7 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
         total += term
         coeff_err += c.err_estimate * abs(xpow)
         mag = abs(term)
+        moment += k * mag
         scale = max(abs(total + singular), abs(total), 1e-300)
         if max(mag, prev_mag) <= REL_TOL * scale:
             break
@@ -366,83 +353,8 @@ def _power_series_x(kind: str, nu: complex, s: complex, x: complex) -> EvalResul
     value = singular + compensated_sum(terms)
     trunc = max((abs(t) for t in terms[-2:]), default=0.0)
     err = trunc + coeff_err + sing_err + 1e-16 * abs(value)
-    return EvalResult(value, err, f"{kind}/power-series-x", work)
-
-
-# Room the coefficient bounds of _coefficient_bounds leave for the computed
-# coefficients' own error, relative to the upper bound: the reflection
-# series is good to about 1e-13 of it, an armed fault moves a value by
-# 1e-6, and Euler-Maclaurin at real integer orders down to -50 stayed
-# within 3e-4 of it for every nu in [0, 12] (measured against mpmath).
-# hurwitz_zeta now takes the reflection series below -49, where that sum's
-# error grew, but the bounds keep to the measured range: real integer s is
-# bounded only while s - 39 >= -50, and no nu above 12 is bounded, which
-# also caps the reduction powers each order costs at 12.
-_BOUND_SLACK = 1e-2
-_LOWEST_EM_ORDER = -50
-_MAX_BOUNDED_NU = 12.0
-
-
-def _coefficient_bounds(
-    kind: str, nu: float, s: complex, k0: int
-) -> Iterator[tuple[int, float, float]]:
-    """(k, lower, upper) bounds on |coefficient k|, for k = 39 down to k0.
-
-    For real nu and Re(s - k0) <= -4, where every coefficient is the
-    Fourier reflection series' value (step 1 for be, 2 for fd) and
-    zeta.reflection_bounds bounds it.  The computed coefficient lies within
-    [lower, (1 + _BOUND_SLACK) upper]; nothing is yielded where that is not
-    known.
-    """
-    last = _POWER_CAP - 1
-    if nu > _MAX_BOUNDED_NU or (
-        s.imag == 0.0 and s.real == round(s.real)
-        and s.real - last < _LOWEST_EM_ORDER
-    ):
-        return
-    bounds = reflection_bounds(s - k0, nu + 1.0, 2 if kind == "fd" else 1,
-                               _POWER_CAP - k0)
-    for k, (lo, hi) in zip(range(last, k0 - 1, -1), bounds):
-        yield k, lo - _BOUND_SLACK * hi, hi
-
-
-def _taylor_cannot_converge(
-    kind: str, nu: float, s: complex, r: float, k0: int,
-    weight: float, prev_mag: float, known: float,
-) -> bool:
-    """Whether the Taylor-in-x sum provably ends in ConvergenceError.
-
-    Called at the first k0 with Re(s - k0) <= -4, before coefficient k0,
-    for real nu and r = |x| > 0: ``weight`` is |x^k0/k0!|, ``prev_mag`` the
-    modulus of term k0 - 1 (inf at k0 = 0) and ``known`` |singular part|
-    plus the moduli of the terms before k0.  The term bounds are the
-    coefficient bounds of :func:`_coefficient_bounds` times |x^k/k!|.
-
-    True only when, with scale the sum of ``known`` and every upper bound,
-    no pair from k0 - 1 on can pass the stopping rule (both above REL_TOL
-    scale) and the last pair fails the 40-term test (above 1e3 REL_TOL
-    scale): then the full sum would have raised as well.  The bounds come
-    last order first, so when the last pair's upper bounds already pass the
-    40-term test against ``known`` alone, the check stops after two orders.
-    """
-    last = _POWER_CAP - 1
-    weight *= math.exp((last - k0) * math.log(r)
-                       - math.lgamma(last + 1.0) + math.lgamma(k0 + 1.0))
-    ups = 0.0
-    lows = []
-    for k, lo, hi in _coefficient_bounds(kind, nu, s, k0):
-        ups += weight * hi
-        lows.append(weight * lo)
-        if k == last - 1 and ups <= 1e3 * REL_TOL * known:
-            return False
-        weight *= k / r
-    if not lows:
-        return False
-    lows.append(prev_mag)
-    threshold = REL_TOL * (1.0 + _BOUND_SLACK) * max(known + ups, 1e-300)
-    if not math.isfinite(threshold) or max(lows[:2]) <= 1e3 * threshold:
-        return False
-    return all(max(p, q) > threshold for p, q in zip(lows, lows[1:]))
+    slope = (moment + abs(s - 1.0) * abs(singular)) / abs(x) if x else 0.0
+    return EvalResult(value, err, f"{kind}/power-series-x", work), slope
 
 
 def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
@@ -667,33 +579,58 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # AUTO dispatch and the public pair
 # ---------------------------------------------------------------------------
 
+def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
+    """Reduce, then expand: complex x, Re(x) < 0.05, Re(s) <= 0.
+
+    Moving x by j i pi multiplies term n of the defining series by
+    e^{-i j pi (n+nu+1)}, so f(nu, s, x) = e^{-i j pi (nu+1)} f'(nu, s,
+    x - i j pi), with f' = f for even j (the period) and the other function
+    for odd j (duality-6.7).  j puts x within 2 pi/3 of a be centre, else
+    within pi/3 of an fd centre: a third of either Taylor radius.  A
+    reduced x on the real axis takes AUTO's real-x rules, the input
+    standing for an exact multiple of i pi.  The estimate adds the rounding
+    of the phase's exponent and of the reduced argument (|j| 1.3e-16 for
+    the double nearest pi, 2.2e-16 |Im x| for j pi and the difference)
+    times the Taylor route's bound on |df'/dx|; DomainError where that
+    rounding is not small next to the distance to a singularity.
+    """
+    u = x.imag / _PI
+    j = round(u)
+    centre = kind if j % 2 == 0 else ("be" if kind == "fd" else "fd")
+    if centre == "fd" and abs(u - j) > 1.0 / 3.0:
+        j += 1 if u > j else -1
+        centre = "be"
+    x_red = complex(x.real, x.imag - j * _PI)
+    shift_err = 1.3e-16 * abs(j) + 2.2e-16 * abs(x.imag) if j else 0.0
+    if x_red.imag == 0.0:
+        inner, slope = _auto(centre, nu, s, x_red), 0.0
+    elif shift_err > 1e-3 * (abs(x_red) if centre == "be" else 2.0):
+        # The charge below is first order in the shift's rounding, which
+        # must stay small next to the distance to the nearest singularity:
+        # x = 0 for be, more than 2 away for fd.
+        raise DomainError(f"shifting Im x = {x.imag:.6g} by {j} pi rounds "
+                          "by more than 1e-3 of the distance to a singularity")
+    else:
+        inner, slope = _power_series_x(centre, nu, s, x_red)
+    expo = -1j * _PI * j * (nu + 1.0)
+    phase = cmath.exp(expo)
+    value = phase * inner.value
+    err = abs(phase) * (inner.err_estimate + shift_err * slope) + (
+        2e-16 + 4.4e-16 * abs(expo)
+    ) * abs(value)
+    return EvalResult(value, err, f"{kind}/circle-{centre}", inner.work)
+
+
 def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
         return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
-    if kind == "fd" and _near_nonpos_int(s) and abs(x - 1j * _PI) <= 1e-12:
-        return _negint_route("fd", nu, s, x)
-
-    tiny_x = x.imag == 0.0 and 0.0 < x.real < 0.05
-    if tiny_x:
-        if kind == "fd" and s.real > 0.0:
-            return _fd_tiny_x_cvz(nu, s, x.real)
-        return _power_series_x(kind, nu, s, x)
-
-    sign = -1.0 if kind == "fd" else 1.0
-    z = sign * cmath.exp(-x)
-    if s.real > 0.0:
+    if x.real >= 0.05 or (x.imag != 0.0 and s.real > 0.0):
         return _series_route(kind, nu, s, x)
-
-    # Re(s) <= 0: acceleration on the unit circle is unavailable.
-    if abs(z - 1.0) <= 1e-12 or abs(z) < 1.0 - 1e-14:
-        return _series_route(kind, nu, s, x)
-    radius = _PI if kind == "fd" else 2.0 * _PI
-    if abs(x) < 0.999 * radius:
-        return _power_series_x(kind, nu, s, x)
-    raise DomainError(
-        f"no route for Re(s) <= 0 with |z| = 1 and |x| = {abs(x):.4g} "
-        f"beyond the Taylor radius"
-    )
+    if x.imag != 0.0:
+        return _circle(kind, nu, s, x)
+    if kind == "fd" and s.real > 0.0:
+        return _fd_tiny_x_cvz(nu, s, x.real)
+    return _power_series_x(kind, nu, s, x)[0]
 
 
 def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:
@@ -705,7 +642,7 @@ def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:
     elif strategy is Strategy.WEYL_QUAD:
         out = _weyl_route(kind, nu, s, x)
     elif strategy is Strategy.POWER_SERIES_X:
-        out = _power_series_x(kind, nu, s, x)
+        out = _power_series_x(kind, nu, s, x)[0]
     elif strategy is Strategy.NU_SERIES:
         out = _nu_series(kind, nu, s, x)
     elif strategy is Strategy.NEG_INT_BERNOULLI:

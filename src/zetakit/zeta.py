@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
@@ -117,7 +117,8 @@ def fourier_reflection(
     Phi(-1, s, a) = (-1)^m [Phi(-1, s, a0) - sum_{j<m} (-1)^j (a0 + j)^{-s}],
     a0 = a - m.  The series gains accuracy as Re(s) decreases — the regime
     where Euler-Maclaurin loses it — so it serves as the deep-left-half-plane
-    route.
+    route.  At a real integer order the sines' arguments are reduced
+    exactly, so the trivial zeros come out as 0.
 
     The series stops once its tail bound, relative to the prefactor's
     modulus |amp|, is below max(REL_TOL, abs_tol / (|amp| cosh(pi Im(s)/2)));
@@ -152,9 +153,34 @@ def fourier_reflection(
     ))
     n_terms = min(n_terms, MAX_TERMS)
     last = 1 + step * (n_terms - 1)
+    if s.imag == 0.0 and sigma == round(sigma):
+        # Real integer order: each sine's argument in turns, s/4 + n a0/step,
+        # is an exact rational.  Reduced mod 1, whole quarter turns give
+        # exact 0 and +-1 (zeta's trivial zeros); any other sine is off by
+        # the rounding of its reduced argument, below 2.4e-15.
+        start, turn = Fraction(round(sigma), 4), Fraction(a0) / step
+        sines = []
+        arg_err = 0.0
+        for n in range(1, last + 1, step):
+            quarters = 4 * ((start + n * turn) % 1)
+            if quarters.denominator == 1:
+                sines.append((0.0, 1.0, 0.0, -1.0)[int(quarters)])
+            else:
+                sines.append(math.sin(0.5 * _PI * float(quarters)))
+                arg_err += 2.4e-15 * abs(amp) * n ** (sigma - 1.0)
+    else:
+        sines = [cmath.sin(half_arg + freq * n * a0)
+                 for n in range(1, last + 1, step)]
+        # Each sine moves by the rounding of its argument, 2.2e-16 (|pi s/2|
+        # + freq n a0), times |cos| <= cosh(pi Im(s)/2); weighted by
+        # n^{Re(s)-1} the sum over n stays below 1.1 (|pi s/2| + freq a0)
+        # for Re(s) <= -4.  It matters where the leading sine nearly
+        # vanishes.
+        arg_err = (2.4e-16 * abs(amp) * cosh_t
+                   * (abs(half_arg) + freq * a0))
     series_terms = [
-        cmath.sin(half_arg + freq * n * a0) * cpow(n, s - 1.0)
-        for n in range(1, last + 1, step)
+        sine * cpow(n, s - 1.0)
+        for sine, n in zip(sines, range(1, last + 1, step))
     ]
     series = compensated_sum(series_terms)
     tail = (last ** sigma) / (step * -sigma) * cosh_t
@@ -174,73 +200,9 @@ def fourier_reflection(
     expo_err = 2.2e-16 * (
         abs(ln_g) + abs(s - 1.0) * (_LN_2PI + (step - 1) * _LN2)
     ) * abs(reflected)
-    # Each sine moves by the rounding of its argument, 2.2e-16 (|pi s/2| +
-    # freq n a0), times |cos| <= cosh(pi Im(s)/2); weighted by n^{Re(s)-1}
-    # the sum over n stays below 1.1 (|pi s/2| + freq a0) for Re(s) <= -4.
-    # It matters where the leading sine nearly vanishes.
-    arg_err = (2.4e-16 * abs(amp) * cosh_t
-               * (abs(half_arg) + freq * a0))
     err = (abs(amp) * tail + 3e-16 * peak + 5e-15 * abs(value)
            + expo_err + arg_err)
     return value, err, n_terms + len(reduction)
-
-
-def reflection_bounds(
-    s: complex, a: float, step: int, count: int
-) -> Iterator[tuple[float, float]]:
-    """(lower, upper) bounds on the modulus of the value
-    :func:`fourier_reflection` sums, at the orders s - j for j = count - 1
-    down to 0, deepest first.
-
-    For Re(s) <= -4 and real a > 0.  In the notation there, with
-    s' = s - j, sigma' = Re s', C = cosh(pi Im(s)/2) and b = 1 + step the
-    first frequency after n = 1, the value is
-
-        +-[amp (sin(theta - pi j/2) + rest) + sum_{j'<m} +-(a0 + j')^{-s'}],
-
-    theta the n = 1 sine argument at order s and, bounding the sines by C
-    and the terms after n = b by their integral,
-
-        |rest| <= R = C (b^{sigma'-1} + b^{sigma'} / (step (-sigma'))).
-
-    So |value| <= |amp| (C + R) + red, red the sum of the
-    (a0 + j')^{-sigma'}, and >= the larger of |amp| (|sin| - R) - red and
-    red_lo - |amp| (C + R), red_lo the largest reduction power less the
-    others; |sin(theta - pi j/2)| alternates between |sin theta| and
-    |cos theta|.  A truncated series obeys the same bounds.  |amp| comes
-    from one ln_gamma call at the deepest order and its recurrence, so each
-    order costs O(m) float operations for its m reduction powers.  Nothing
-    is yielded where the deepest |amp|, C or reduction power would pass
-    e^600.
-    """
-    deepest = count - 1
-    sigma = s.real - deepest
-    m = max(0, math.ceil(a) - 1)
-    a0 = a - m
-    ln_amp = (ln_gamma(1.0 - s + deepest).real + _LN2
-              + (sigma - 1.0) * _LN_2PI + (step - 1) * (1.0 - sigma) * _LN2)
-    cosh_arg = 0.5 * _PI * abs(s.imag)
-    if max(ln_amp, cosh_arg, -sigma * math.log(a - 1.0) if m else 0.0) > 600.0:
-        return
-    amp = math.exp(ln_amp)
-    cosh_t = math.cosh(cosh_arg)
-    theta = 0.5 * _PI * s + (2.0 * _PI / step) * a0
-    sines = (abs(cmath.sin(theta)), abs(cmath.cos(theta)))
-    base = 1.0 + step
-    base_pow = base ** sigma
-    reds = [(a0 + j) ** -sigma for j in range(m)]
-    for j in range(deepest, -1, -1):
-        rest = cosh_t * base_pow * (1.0 / base + 1.0 / (step * -sigma))
-        red = sum(reds)
-        red_lo = 2.0 * reds[-1] - red if m else 0.0
-        hi = amp * (cosh_t + rest) + red
-        lo = max(amp * (sines[j % 2] - rest) - red,
-                 red_lo - amp * (cosh_t + rest))
-        yield lo, hi
-        amp *= 2.0 * _PI / (step * abs(s - j))
-        sigma += 1.0
-        base_pow *= base
-        reds = [p / (a0 + i) for i, p in enumerate(reds)]
 
 
 # B_{2k}/(2k)! as floats for k = 0 .. MAX_POLY_DEGREE // 2, built on the

@@ -2,12 +2,9 @@
 
 import cmath
 import decimal
-import functools
-import importlib.util
 import json
 import math
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +19,6 @@ from zetakit import (
     LerchParams,
     PoleError,
     Strategy,
-    ZetakitError,
     be_classical,
     be_kernel,
     ext_be,
@@ -44,11 +40,30 @@ from oracles import fd_negint_reference
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 NEAR_CIRCLE_REFS = BENCH / "refs" / "table-near-circle.json"
-BENCH_WORKLOADS = BENCH / "workloads.py"
 
 
 def rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def near_circle_refs():
+    """(key, fn, strategy, nu, s, x, reference) of every near-circle
+    benchmark point; the reference is a pair of 30-digit strings."""
+    refs = json.loads(NEAR_CIRCLE_REFS.read_text())["refs"]
+    for key, ref in refs.items():
+        fn, strategy, *coords = key.split("|")
+        nu, s, x = (complex(*map(float, c.split(","))) for c in coords)
+        yield key, fn, strategy, nu, s, x, ref
+
+
+def ref_gap(value: complex, ref) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """|value - reference| and |reference|, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ref_re, ref_im = decimal.Decimal(ref[0]), decimal.Decimal(ref[1])
+        d_re = decimal.Decimal(value.real) - ref_re
+        d_im = decimal.Decimal(value.imag) - ref_im
+        return (d_re * d_re + d_im * d_im).sqrt(), (ref_re * ref_re + ref_im * ref_im).sqrt()
 
 
 # Bridge-invariant grid: nu x s x x covering boundary nu=0, fractional nu,
@@ -366,32 +381,98 @@ class TestStrategies:
         # 0 < x < 0.05 and Re s <= 0 returns, within its estimate and
         # accurate as the benchmark grades it: relative 1e-10, or absolute
         # 1e-12 next to a zero.  The references are 30-digit values.
-        refs = json.loads(NEAR_CIRCLE_REFS.read_text())["refs"]
         checked = 0
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            for key, (ref_re, ref_im) in refs.items():
-                fn, strategy, *coords = key.split("|")
-                nu, s, x = (complex(*map(float, c.split(","))) for c in coords)
-                if (fn, strategy) != ("ext_fd", "Auto") or x.imag != 0.0:
-                    continue
-                if not (0.0 < x.real < 0.05 and s.real <= 0.0):
-                    continue
-                got = ext_fd(ExtParams(nu, s, x))
-                d_re = decimal.Decimal(got.value.real) - decimal.Decimal(ref_re)
-                d_im = decimal.Decimal(got.value.imag) - decimal.Decimal(ref_im)
-                gap = (d_re * d_re + d_im * d_im).sqrt()
-                ref_abs = decimal.Decimal(abs(complex(float(ref_re), float(ref_im))))
-                assert gap <= decimal.Decimal(got.err_estimate), key
-                assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
-                checked += 1
+        for key, fn, strategy, nu, s, x, ref in near_circle_refs():
+            if (fn, strategy) != ("ext_fd", "Auto") or x.imag != 0.0:
+                continue
+            if not (0.0 < x.real < 0.05 and s.real <= 0.0):
+                continue
+            got = ext_fd(ExtParams(nu, s, x))
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), key
+            assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
+            checked += 1
         assert checked == 200
+
+    def test_auto_unit_circle_nonpositive_order_matches_bench_refs(self):
+        # Every AUTO point of the near-circle benchmark universe at complex
+        # x with Re s <= 0 returns within its estimate.  On the imaginary
+        # axis these reduce to a Taylor centre; the parent refused 480 of
+        # them, by coefficient bounds, the 40-term cap or |x| past the
+        # Taylor radius.
+        checked = circled = 0
+        for key, fn, strategy, nu, s, x, ref in near_circle_refs():
+            if strategy != "Auto" or x.imag == 0.0 or s.real > 0.0:
+                continue
+            got = (ext_fd if fn == "ext_fd" else ext_be)(ExtParams(nu, s, x))
+            gap, _ = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), key
+            circled += "/circle-" in got.strategy
+            checked += 1
+        assert checked == 1056 and circled == 768
+
+    def test_auto_unit_circle_grid_against_mpmath(self):
+        # Seeded grid over both kinds: Re x in [0, 0.05), Im x in
+        # [-2 pi, 4 pi], Re s in [-6, 0] (real, integer and complex) and
+        # nu in [0, 3].  AUTO returns every point within its estimate.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        rng = random.Random(20261101)
+        for _ in range(500):
+            kind = rng.choice(("fd", "be"))
+            nu = rng.uniform(0.0, 3.0)
+            sigma = rng.uniform(-6.0, 0.0)
+            s = rng.choice((complex(sigma), complex(round(sigma)),
+                            complex(sigma, rng.uniform(-4.0, 4.0))))
+            x = complex(rng.choice((0.0, rng.uniform(0.0, 0.05))),
+                        rng.uniform(-2.0 * math.pi, 4.0 * math.pi))
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+            assert got.strategy.startswith(f"{kind}/circle-")
+            xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+            z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+            want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
+
+    def test_auto_reduced_onto_a_centre_takes_the_real_x_rules(self):
+        # x = i j pi (the double j * math.pi standing for the exact
+        # multiple) lands on a centre: the x = 0 value there, times the
+        # phase e^{-i j pi (nu+1)}, whose exponent's rounding (up to 1e-13
+        # at j = 10) the estimate must charge.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for f, kind, nu, s, j, centre in (
+            (ext_fd, "fd", 0.5, -3.0, 1, "be"), (ext_be, "be", 2.9, -3.0, 6, "be"),
+            (ext_fd, "fd", 2.875, -2.5, 7, "be"), (ext_be, "be", 2.7, -1.5, 10, "be"),
+            (ext_fd, "fd", 0.3, -4.0, 3, "be"), (ext_fd, "fd", 1.5, -2.5, -2, "fd"),
+        ):
+            got = f(ExtParams(nu, s, 1j * (j * math.pi)))
+            assert got.strategy == f"{kind}/circle-{centre}"
+            a, sm = mpmath.mpf(nu) + 1, mpmath.mpf(s)
+            value = mpmath.zeta(sm, a) if centre == "be" else 2 ** -sm * (
+                mpmath.zeta(sm, a / 2) - mpmath.zeta(sm, (a + 1) / 2))
+            want = mpmath.exp(-1j * mpmath.pi * j * a) * value
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, j)
+
+    def test_auto_refuses_a_reduction_its_rounding_undetermines(self):
+        # One ulp past 2 pi (be) or 3 pi (fd) the reduced be argument is
+        # about 1e-15 i, below the rounding of the shift, next to be's
+        # singularity at 0; at Im x = 1e15 the shift's rounding is 0.2.  A
+        # charge first order in that rounding would not bound the error,
+        # so AUTO refuses.  fd is smooth at its centre and returns.
+        for f, x in ((ext_be, 1j * math.nextafter(2.0 * math.pi, 7.0)),
+                     (ext_fd, 1j * math.nextafter(3.0 * math.pi, 10.0)),
+                     (ext_be, 1e15j), (ext_fd, 1e15j)):
+            with pytest.raises(DomainError, match="rounds by more than"):
+                f(ExtParams(0.5, -1.5, x))
+        got = ext_fd(ExtParams(0.5, -1.5, 1j * math.nextafter(2.0 * math.pi, 7.0)))
+        assert got.strategy == "fd/circle-fd"
 
     def test_power_series_x_weighted_coefficients_are_honest(self):
         # Coefficient k is computed only to the accuracy its weight
         # |x^k/k!| needs; the returned estimate must still cover the error,
         # forced and through AUTO, on the imaginary axis up to 0.9 of the
-        # radius and at small real x.  Points past the 40-term cap raise.
+        # radius and at small real x.  Forced points past the 40-term cap
+        # raise; AUTO reduces imaginary x to a centre first.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         rng = random.Random(20261018)
@@ -408,7 +489,8 @@ class TestStrategies:
                         got = f(ExtParams(nu, s, x), strategy)
                     except ConvergenceError:
                         continue
-                    assert got.strategy == f"{kind}/power-series-x"
+                    if strategy is Strategy.POWER_SERIES_X or x.imag == 0.0:
+                        assert got.strategy == f"{kind}/power-series-x"
                     xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
                     z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
                     want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
@@ -486,178 +568,44 @@ class TestStrategies:
         assert rel(got, want) <= 1e-11
 
 
-def _outcome(call):
-    """(value, estimate, tag, work) of a returned call, or (class, message)."""
-    try:
-        got = call()
-    except Exception as exc:  # the class is what the refusal must keep
-        return type(exc), str(exc)
-    return got.value, got.err_estimate, got.strategy, got.work
-
-
-def _refused(outcome) -> bool:
-    return outcome[0] is ConvergenceError and "cannot converge" in outcome[1]
-
-
 class TestTaylorRefusal:
-    """The Taylor route's up-front refusal changes no outcome.
-
-    The reference is the full 40-term sum, obtained by making the check
-    never refuse: every returned point must come back bit-identical, and
-    every refused point must raise the same class without the check.
-    """
+    """The Taylor route refuses a sum it cannot finish with bounded work:
+    through its grow-streak detector or its 40-term cap."""
 
     @staticmethod
-    def _same_without_check(monkeypatch, calls, outcomes):
-        monkeypatch.setattr(extended, "_taylor_cannot_converge", lambda *a: False)
-        for call, got in zip(calls, outcomes):
-            full = _outcome(call)
-            if isinstance(got[0], type):
-                assert full[0] is got[0], (call, got, full)
-            else:
-                assert full == got, call
-
-    def test_refusal_changes_no_outcome(self, monkeypatch):
-        rng = random.Random(20261019)
+    def _counted(monkeypatch, names):
         calls = []
-        for f, radius in ((ext_fd, math.pi), (ext_be, 2.0 * math.pi)):
-            for nu in (0.0, 0.125, 1.0, 2.125, 3.125, 7.5, 11.875):
-                for _ in range(30):
-                    rho = rng.uniform(0.3, 0.99) * radius
-                    x = rng.choice((complex(rho), 1j * rho,
-                                    cmath.rect(rho, rng.uniform(0.1, 1.4))))
-                    sigma = rng.uniform(-6.0, 3.0)
-                    s = rng.choice((complex(sigma), complex(round(sigma)),
-                                    complex(sigma, rng.uniform(-3.0, 3.0))))
-                    p = ExtParams(nu, s, x)
-                    calls.append(lambda f=f, p=p: f(p, Strategy.POWER_SERIES_X))
-        # nu above the bounded range, and orders so deep or so far off the
-        # real axis that |amp|, cosh or a reduction power leaves the floats.
-        for f in (ext_fd, ext_be):
-            for p in (ExtParams(3e4, -30, 1.0), ExtParams(50, -3.5, 1.0),
-                      ExtParams(1e3, -2.5, 2.0), ExtParams(1e3, -2, 3j),
-                      ExtParams(12.5, -6.5, 3.0), ExtParams(0.5, -180.5, 0.02),
-                      ExtParams(0.5, -165.5, 0.02), ExtParams(0.5, -5 + 460j, 0.5)):
-                calls.append(lambda f=f, p=p: f(p, Strategy.POWER_SERIES_X))
-        outcomes = [_outcome(call) for call in calls]
-        assert sum(map(_refused, outcomes)) >= 50
-        self._same_without_check(monkeypatch, calls, outcomes)
-
-    def test_coefficient_bounds_hold(self):
-        # The refusal's proof: every deep-order coefficient, at full
-        # accuracy and cut to the series' minimum of 8 terms by a loose
-        # abs_tol, lies within the bounds.  s = -24 reaches orders where
-        # Euler-Maclaurin's integer-order values have lost all digits; no
-        # bounds are given there, nor above nu = 12.
-        rng = random.Random(20261020)
-        checked = 0
-        for kind in ("fd", "be"):
-            for nu in (12.5, 50.0, 1e3, 3e4):
-                assert not list(extended._coefficient_bounds(kind, nu, -6.5 + 0j, 0))
-            for nu in (0.0, 0.125, 1.0, 2.125, 3.125, 7.5, 11.875):
-                orders = [complex(-24.0)]
-                for _ in range(6):
-                    sigma = rng.uniform(-6.0, 3.0)
-                    orders.append(rng.choice((complex(sigma), complex(round(sigma)),
-                                              complex(sigma, rng.uniform(-3.0, 3.0)))))
-                for s in orders:
-                    k0 = max(0, math.ceil(s.real + 4.0))
-                    for k, lo, hi in extended._coefficient_bounds(kind, nu, s, k0):
-                        for abs_tol in (0.0, hi):
-                            if kind == "fd":
-                                c = extended._fd_zero(complex(nu), s - k, abs_tol)
-                            else:
-                                c = hurwitz_zeta(s - k, nu + 1.0, abs_tol=abs_tol)
-                            assert lo <= abs(c.value) <= (1.0 + extended._BOUND_SLACK) * hi, (
-                                kind, nu, s, k, abs_tol)
-                            checked += 1
-        assert checked >= 6000
-
-    def test_refusal_needs_every_pair_above_the_stopping_rule(self, monkeypatch):
-        # Bounds that make every term 1 at x = 1 (the weights are 1/k!):
-        # refused; with a pair of zero lower bounds the sum could stop
-        # there, so it is not.
-        def bounds(kind, nu, s, k0, dip):
-            for k in range(39, k0 - 1, -1):
-                size = float(math.factorial(k))
-                yield k, (0.0 if k in dip else size), size
-
-        for dip, refused in (((), True), ((20, 21), False)):
-            monkeypatch.setattr(extended, "_coefficient_bounds",
-                                functools.partial(bounds, dip=dip))
-            got = extended._taylor_cannot_converge("be", 0.0, -5 + 0j, 1.0, 0, 1.0, math.inf, 0.0)
-            assert got is refused
-
-    @pytest.mark.parametrize("f, p, strategy, k0", [
-        (ext_be, ExtParams(0, -0.5, 3.5357142857142856j), Strategy.AUTO, 4),
-        (ext_fd, ExtParams(1, -2, 2.7142857142857144j), Strategy.AUTO, 2),
-        (ext_fd, ExtParams(0.5, 2.5, 3.0), Strategy.POWER_SERIES_X, 7),
-    ])
-    def test_refusal_work_is_bounded(self, monkeypatch, f, p, strategy, k0):
-        # A refused point computes only the coefficients before the first
-        # order k0 with Re(s - k0) <= -4; the full sum computed all 40.
-        calls = []
-        for name in ("hurwitz_zeta", "_fd_zero"):
-            def counted(*args, _inner=getattr(extended, name), **kwargs):
-                calls.append(args)
+        for name in names:
+            def counted(*args, _name=name, _inner=getattr(extended, name), **kwargs):
+                calls.append(_name)
                 return _inner(*args, **kwargs)
             monkeypatch.setattr(extended, name, counted)
-        with pytest.raises(ConvergenceError, match="cannot converge"):
-            f(p, strategy)
-        assert len(calls) <= k0
+        return calls
 
     @pytest.mark.parametrize("f, p", [
         (ext_be, ExtParams(1e6, 15, 0.01)),
         (ext_fd, ExtParams(1e6, -2, 0.01)),
     ])
     def test_large_nu_keeps_the_full_sum(self, monkeypatch, f, p):
-        # Above nu = 12 no bounds are computed, whose cost would grow with
-        # the nu reduction powers per order; the grow-streak detector
-        # refuses these terms, which grow like (nu x)^k / k!, at k = 23.
-        calls = []
-        for name in ("hurwitz_zeta", "_fd_zero", "reflection_bounds"):
-            def counted(*args, _name=name, _inner=getattr(extended, name), **kwargs):
-                calls.append(_name)
-                return _inner(*args, **kwargs)
-            monkeypatch.setattr(extended, name, counted)
+        # The grow-streak detector refuses these terms, which grow like
+        # (nu x)^k / k!, at k = 23.
+        calls = self._counted(monkeypatch, ("hurwitz_zeta", "_fd_zero"))
         with pytest.raises(ConvergenceError, match="stopped decreasing"):
             f(p)
-        assert "reflection_bounds" not in calls and len(calls) <= 24
+        assert len(calls) <= 24
 
-    def test_refusal_changes_no_table_universe_outcome(self, monkeypatch):
-        # Every point of the two table workloads' universes that reaches
-        # the Taylor route, replayed without the check.
-        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-        spec.loader.exec_module(workloads)
-        taylor = extended._power_series_x
-        reached: dict[tuple, tuple] = {}
-
-        def recorded(*args):
-            try:
-                got = taylor(*args)
-            except Exception as exc:
-                reached[(name,) + args] = (type(exc), str(exc))
-                raise
-            reached[(name,) + args] = (got.value, got.err_estimate, got.strategy, got.work)
-            return got
-
-        monkeypatch.setattr(extended, "_power_series_x", recorded)
-        for name in ("table-bulk", "table-near-circle"):
-            for p in workloads.universe(name):
-                f = ext_fd if p.fn == "ext_fd" else ext_be
-                try:
-                    f(ExtParams(p.nu, p.s, p.x), Strategy(p.strategy))
-                except ZetakitError:
-                    pass
-        monkeypatch.undo()
-        refused = {name: sum(_refused(o) for key, o in reached.items() if key[0] == name)
-                   for name in ("table-bulk", "table-near-circle")}
-        # 125 and 288 of these points fail; the bounds prove most of them.
-        assert refused["table-bulk"] >= 80 and refused["table-near-circle"] >= 250
-        calls = [lambda args=key[1:]: taylor(*args) for key in reached]
-        self._same_without_check(monkeypatch, calls, list(reached.values()))
+    @pytest.mark.parametrize("f, p", [
+        (ext_fd, ExtParams(0.5, 2.5, 3.0)),
+        (ext_fd, ExtParams(0, -2.5, 2.5)),
+        (ext_be, ExtParams(1, -2, 6j)),
+    ])
+    def test_divergent_forced_point_stops_at_the_cap(self, monkeypatch, f, p):
+        # Forced PowerSeriesX still expands about 0, so points near its
+        # radius diverge; they raise after at most 40 coefficients.
+        calls = self._counted(monkeypatch, ("hurwitz_zeta", "_fd_zero"))
+        with pytest.raises(ConvergenceError):
+            f(p, Strategy.POWER_SERIES_X)
+        assert len(calls) <= 40
 
 
 class TestDomain:

@@ -125,11 +125,44 @@ class TestHurwitzZeta:
                 got = hurwitz_zeta(-float(n), float(a))
                 assert got.strategy == "hurwitz/reflection"
                 assert abs(got.value - want) <= got.err_estimate, (n, a)
-                assert rel(got.value, want) <= 1e-13, (n, a)
+                assert rel(got.value, want) <= 4e-14, (n, a)
         assert riemann_zeta(-63.0).strategy == "riemann/reflection"
         assert riemann_zeta(-4.5).strategy == "riemann/reflection"
         assert riemann_zeta(-49.0).strategy == "riemann/euler-maclaurin"
         assert riemann_zeta(2.0).strategy == "riemann/euler-maclaurin"
+
+    def test_integer_order_reflection_reduces_its_sines_exactly(self):
+        # At a real integer order each sine's argument is reduced in exact
+        # turns, so quarter turns give exact 0 and +-1: the trivial zero
+        # zeta(-50) is 0 (it was 9.4e9, with estimate 2.4e10), and
+        # zeta(-50, 3/2) = -2^-50 comes out within its estimate.
+        assert riemann_zeta(-50.0).value == 0.0
+        got = hurwitz_zeta(-50.0, 1.5)
+        assert abs(got.value + 2.0 ** -50) <= got.err_estimate
+        # Sines next to a quarter turn lose the rounding of their reduced
+        # argument, which the estimate must charge.
+        points = [(n, a) for n in (50, 52, 60) for a in (1.0, 1.5, 2.125, 0.3, 3.7)]
+        for n, a in points + [(52, 1.5 + 1e-12), (51, 1.25 + 1e-12), (52, 0.5 + 2e-12)]:
+            want = float(hurwitz_negint_reference(n, Fraction(a)))
+            got = hurwitz_zeta(-float(n), a)
+            assert abs(got.value - want) <= got.err_estimate, (n, a)
+
+    def test_non_integer_order_reflection_values_unchanged(self):
+        # Away from real integer orders the sines keep their radian
+        # arguments: values, estimates and work are bit for bit those of
+        # the route before the exact turn reduction.
+        got = [(r.value, r.err_estimate, r.work) for r in (
+            hurwitz_zeta(-4.5, 0.3), hurwitz_zeta(-7.25 + 2j, 2.6),
+            hurwitz_zeta(-60.5, 1.5), hurwitz_zeta(-9.5, 1.25, abs_tol=1e-3),
+            extended._fd_zero(2.125 + 0j, -6.75 - 1.5j, 1e-6),
+        )]
+        assert got == [
+            ((0.0038058819301665784+0j), 4.651137306448815e-16, 555),
+            ((-17.84902158453652+24.384206913444412j), 1.6400794764974146e-13, 50),
+            ((7.488639476304268e+33+0j), 7.895874851856758e+20, 9),
+            ((-0.0066647408839414085+0j), 2.614686730664855e-12, 9),
+            ((68.63105329540237+142.76605697433527j), 3.3420664242568435e-09, 11),
+        ]
 
     def test_reflection_prefactor_is_one_exponential(self):
         # Gamma(1 - s) alone overflows from Re s ~ -170, the prefactor only
