@@ -397,9 +397,9 @@ class TestStrategies:
     def test_auto_unit_circle_nonpositive_order_matches_bench_refs(self):
         # Every AUTO point of the near-circle benchmark universe at complex
         # x with Re s <= 0 returns within its estimate.  On the imaginary
-        # axis these reduce to a Taylor centre; the parent refused 480 of
-        # them, by coefficient bounds, the 40-term cap or |x| past the
-        # Taylor radius.
+        # axis these reduce to a Taylor centre; expanded about 0 instead,
+        # 480 of them fail, at the 40-term cap, by the grow-streak
+        # detector or with |x| past the Taylor radius.
         checked = circled = 0
         for key, fn, strategy, nu, s, x, ref in near_circle_refs():
             if strategy != "Auto" or x.imag == 0.0 or s.real > 0.0:
