@@ -11,8 +11,8 @@ Four subcommands:
 one of ``faults.FAULT_TARGETS`` for the whole run (for ``selftest``, the
 golden checks as well as the catalog); a sound harness then fails.
 
-Exit codes: 0 success, 1 usage error, 2 domain error (poles included),
-3 convergence failure, 4 identity/selftest failure.
+Exit codes: 0 success, 1 usage error, 2 domain error (poles and overflow
+included), 3 convergence failure, 4 identity/selftest failure.
 
 Numeric output uses 15 significant digits (``%.15g``); complex numbers are
 written as ``a+bi`` literals, which the argument parser accepts back, so CSV
@@ -321,7 +321,9 @@ def _csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _classify(exc: ZetakitError) -> tuple[int, str]:
+def _classify(exc: ZetakitError | OverflowError) -> tuple[int, str]:
+    if isinstance(exc, OverflowError):
+        return EXIT_DOMAIN, "overflow"
     if isinstance(exc, PoleError):
         return EXIT_DOMAIN, "pole"
     if isinstance(exc, (DomainError, RangeError)):
@@ -382,7 +384,7 @@ def _table_rows(
         point = dict(zip(params, combo))
         try:
             res = caller(point, strategy)
-        except ZetakitError as exc:
+        except (ZetakitError, OverflowError) as exc:
             _, kind = _classify(exc)
             rows.append((point, None, f"{kind}: {exc}"))
         else:
@@ -596,9 +598,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ZetakitError as exc:
+    except (ZetakitError, OverflowError) as exc:
         code, kind = _classify(exc)
-        print(f"error: {exc}", file=sys.stderr)
+        prefix = "overflow: " if kind == "overflow" else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

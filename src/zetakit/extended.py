@@ -24,10 +24,11 @@ picks by region:
   4.14/4.15), immune to the slow geometric decay; at a positive integer
   order the pole coefficient and the singular part x^{s-1} Gamma(1-s) are
   replaced by their finite limit with digamma values and -log x.
-* fd at real 0 < x < 0.05: the Chebyshev-accelerated alternating sum for
-  Re(s) > 0; the same Taylor series for Re(s) <= 0, where the defining
-  series needs about 1/x growing, cancelling terms (and refuses x = 1e-7
-  outright).  Its coefficients fd(nu, s-k, 0) are the x = 0 values:
+* fd at real 0 < x < 0.05: the defining series for Re(s) > 0, which
+  lerch_phi sums by its alternating acceleration; the same Taylor series
+  for Re(s) <= 0, where the defining series needs about 1/x growing,
+  cancelling terms (and refuses x = 1e-7 outright).  Its coefficients
+  fd(nu, s-k, 0) are the x = 0 values:
   Euler-Maclaurin Hurwitz differences with a small shift for
   -4 < Re(s-k) < 0 (typically 1e-13 relative, at worst about 1e-9 next to
   Re(s-k) = -4) and, for real nu, the odd-term reflection series below
@@ -36,10 +37,10 @@ picks by region:
   sum over 8 |x^k/k!|, which cuts the reflection series short.
   An unconverged sum raises ConvergenceError at 40 terms, or earlier once
   its terms stop decreasing.
-* complex x with Re(x) < 0.05 at Re(s) <= 0: reduce, then expand.  The
-  period 2 pi i and the duality x -> x - i pi move x to within a third of
-  a Taylor radius of a be or fd centre, where the Taylor series in x sums
-  (tags fd/circle-be, fd/circle-fd, be/circle-be, be/circle-fd).
+* complex x with Re(x) < 0.05, but not Re(x) = 0 at Re(s) > 0: reduce,
+  then expand.  The period 2 pi i and the duality x -> x - i pi move x to
+  within a third of a Taylor radius of a be or fd centre, where the Taylor
+  series in x sums (tags {fd,be}/circle-{be,fd}).
 * otherwise the defining series: geometric ratio <= 0.99 for
   Re(x) >= 0.05, accelerated or Hurwitz-delegated summation on the unit
   circle for Re(s) > 0.
@@ -58,14 +59,12 @@ from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
 from .numeric_core import (
     MAX_POLY_DEGREE,
-    alternating_sum_with_error,
     bernoulli_poly_coeffs,
     compensated_sum,
     cpow,
     euler_poly_coeffs,
     is_nonpos_int,
     ln_gamma,
-    max_abs_log,
     require_finite,
 )
 from .result import EvalResult
@@ -75,8 +74,10 @@ from .weyl import (
     weyl_transform,
 )
 from .zeta import (
+    NEAR_CIRCLE,
     REL_TOL,
     LerchParams,
+    alternating_lerch,
     digamma,
     dirichlet_eta,
     fourier_reflection,
@@ -181,12 +182,8 @@ def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
         return EvalResult(value, err, "fd/zero-reflection", work)
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
         return fd_zero_hurwitz_route(nu, s)
-    a = nu + 1.0
-    value, err, work = alternating_sum_with_error(
-        lambda k: cpow(k + a, -s), abs(s) * max_abs_log(a, 32)
-    )
-    return EvalResult(value, err + 1e-15 * abs(value),
-                      "fd/zero-alternating-cvz", work)
+    value, err, work = alternating_lerch(s, nu + 1.0)
+    return EvalResult(value, err, "fd/zero-alternating-cvz", work)
 
 
 def _be_zero(nu: complex, s: complex) -> EvalResult:
@@ -223,27 +220,6 @@ def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     return EvalResult(value, err, tag, inner.work)
 
 
-def _fd_tiny_x_cvz(nu: complex, s: complex, x: float) -> EvalResult:
-    """Alternating acceleration for small positive real x, Re(s) > 0.
-
-    The geometric ratio e^{-x} is too close to 1 for plain summation, but
-    the terms stay totally monotone, so the Chebyshev weights apply.
-    """
-    a = nu + 1.0
-
-    def term(k: int) -> complex:
-        return math.exp(-k * x) * cpow(k + a, -s)
-
-    pre = cmath.exp(-(nu + 1.0) * x)
-    # e^{-k x} adds k x <= 31 x to each term's exponent.
-    total, err, work = alternating_sum_with_error(
-        term, abs(s) * max_abs_log(a, 32) + 31.0 * x
-    )
-    value = pre * total
-    err = abs(pre) * err + 1e-15 * abs(value)
-    return EvalResult(value, err, "fd/xseries-cvz", work)
-
-
 # ---------------------------------------------------------------------------
 # Taylor series in x with shifted-order coefficients
 # ---------------------------------------------------------------------------
@@ -255,7 +231,7 @@ def _power_series_x(
     kind: str, nu: complex, s: complex, x: complex
 ) -> tuple[EvalResult, float]:
     """Taylor series in x about 0, and a bound on |d value/dx| read off its
-    terms: (sum_k k |term_k| + |s-1| |singular part|) / |x|."""
+    terms: (sum_k |x d term_k/dx| + |s-1| |singular part|) / |x|."""
     radius, radius_name = (_PI, "pi") if kind == "fd" else (2.0 * _PI, "2 pi")
     if abs(x) >= 0.999 * radius:
         raise DomainError(
@@ -300,7 +276,7 @@ def _power_series_x(
     pair_cur = 0.0
     grow_streak = 0
     scale = 0.0
-    moment = 0.0   # sum of k |term_k|
+    moment = 0.0   # sum of k |term_k|, plus |x^k/k!| for a pole limit's -log x
     for k in range(_POWER_CAP):
         # Coefficient k enters weighted by |x^k/k!|.  The sum is only
         # resolved to REL_TOL times its scale (the stopping rule's), so the
@@ -320,7 +296,7 @@ def _power_series_x(
         total += term
         coeff_err += c.err_estimate * abs(xpow)
         mag = abs(term)
-        moment += k * mag
+        moment += k * mag + (abs(xpow) if k == pole_k else 0.0)
         scale = max(abs(total + singular), abs(total), 1e-300)
         if max(mag, prev_mag) <= REL_TOL * scale:
             break
@@ -580,7 +556,8 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    """Reduce, then expand: complex x, Re(x) < 0.05, Re(s) <= 0.
+    """Reduce, then expand: complex x, Re(x) < 0.05, with Re(x) > 0 at
+    Re(s) > 0 (the imaginary axis there takes the defining series).
 
     Moving x by j i pi multiplies term n of the defining series by
     e^{-i j pi (n+nu+1)}, so f(nu, s, x) = e^{-i j pi (nu+1)} f'(nu, s,
@@ -624,13 +601,12 @@ def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
         return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
-    if x.real >= 0.05 or (x.imag != 0.0 and s.real > 0.0):
-        return _series_route(kind, nu, s, x)
-    if x.imag != 0.0:
+    near = x.real < NEAR_CIRCLE
+    if near and x.imag != 0.0 and (s.real <= 0.0 or x.real > 0.0):
         return _circle(kind, nu, s, x)
-    if kind == "fd" and s.real > 0.0:
-        return _fd_tiny_x_cvz(nu, s, x.real)
-    return _power_series_x(kind, nu, s, x)[0]
+    if near and x.imag == 0.0 and (kind == "be" or s.real <= 0.0):
+        return _power_series_x(kind, nu, s, x)[0]
+    return _series_route(kind, nu, s, x)
 
 
 def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:

@@ -65,6 +65,9 @@ _EM_MIN_PAIRS = 6
 # Relative tolerance and term budget shared by the series routines.
 REL_TOL = 1e-13
 MAX_TERMS = 500_000
+# Below this |log |z|| a Lerch sum at z next to -1 (fd at real x < 0.05)
+# is summed by the alternating acceleration, not the slow geometric sum.
+NEAR_CIRCLE = 0.05
 
 
 @dataclass(frozen=True)
@@ -356,7 +359,8 @@ def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
     whose route the tag names, or by the direct sum for Re(s) >= 30;
     via="functional" uses zeta(s) = chi(s) zeta(1-s), which is the
     independent cross-check route for Re(s) < 0; at s = 0, where chi's zero
-    meets the pole of zeta(1-s), it returns the limit -1/2.
+    meets the pole of zeta(1-s), it returns the limit -1/2.  At s = 3, 5,
+    ... it raises DomainError: chi's pole meets a trivial zero of zeta(1-s).
     """
     s = require_finite(s, "s")
     if abs(s - 1.0) < 1e-12:
@@ -367,6 +371,9 @@ def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
         if s == 0.0:
             # chi's zero meets the pole of zeta(1 - s); their product is -1/2.
             return EvalResult(-0.5, 0.0, "riemann/functional-equation", 1)
+        if is_nonpos_int((1.0 - s) / 2.0):
+            raise DomainError(f"s={s.real:g}: chi's pole meets the trivial "
+                              "zero of zeta(1-s), whose limit needs zeta'(1-s)")
         chi = chi_ratio(s)
         if chi.value == 0.0:
             return EvalResult(0.0, chi.err_estimate, "riemann/functional-equation",
@@ -458,13 +465,28 @@ def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
                       "hurwitz/euler-maclaurin-diff", za.work + zb.work)
 
 
+def alternating_lerch(s: complex, a: complex,
+                      log_w: complex = 0.0) -> tuple[complex, float, int]:
+    """(value, err, work) of Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s},
+    w = e^{log_w}, by the Cohen-Rodriguez Villegas-Zagier weights, which
+    need smooth, decaying terms: Re(s) > 0, w next to (e^{-NEAR_CIRCLE}, 1].
+    Term k is e^{k log_w - s log(k+a)}, at log_w = 0 cpow(k + a, -s) exactly.
+    """
+    value, err, work = alternating_sum_with_error(
+        lambda k: cmath.exp(k * log_w - s * cmath.log(k + a)),
+        abs(s) * max_abs_log(a, 32) + 31.0 * abs(log_w),
+    )
+    return value, err + 1e-15 * abs(value), work
+
+
 def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
     Dispatch: z = 0 -> single term; z = 1 -> Hurwitz-zeta continuation;
-    |z| < 1 -> direct geometric-tail summation; z = -1 -> Chebyshev-
-    accelerated alternating sum; other unimodular z -> Euler transform of
-    the tail once the term moduli are monotone.
+    Re(s) > 0 and z within 1e-12 of the real segment [-1, -e^{-NEAR_CIRCLE})
+    -> Chebyshev-accelerated alternating sum (:func:`alternating_lerch`);
+    other |z| < 1 -> direct geometric-tail summation; other unimodular z
+    -> Euler transform of the tail once the term moduli are monotone.
 
     The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms
     do not reach ``REL_TOL``.  For Re a > 0 it raises up front, before
@@ -485,6 +507,11 @@ def lerch_phi(p: LerchParams) -> EvalResult:
         value = faults.perturb("lerch_phi", inner.value)
         return EvalResult(value, inner.err_estimate, "lerch/hurwitz-delegate",
                           inner.work)
+
+    if s.real > 0.0 and -z.real > math.exp(-NEAR_CIRCLE) and abs(z.imag) < 1e-12:
+        value, err, work = alternating_lerch(s, a, cmath.log(-z))
+        value = faults.perturb("lerch_phi", value)
+        return EvalResult(value, err, "lerch/cvz-alternating", work)
 
     r = abs(z)
     if r < 1.0 - 1e-14:
@@ -558,15 +585,7 @@ def lerch_phi(p: LerchParams) -> EvalResult:
             f"direct Lerch sum not converged in {MAX_TERMS} terms"
         )
 
-    # |z| = 1, z != 1: acceleration territory (Re(s) > 0 by precondition).
-    if abs(z + 1.0) < 1e-12:
-        value, err, work = alternating_sum_with_error(
-            lambda k: cpow(k + a, -s), abs(s) * max_abs_log(a, 32)
-        )
-        err += 1e-15 * abs(value)
-        value = faults.perturb("lerch_phi", value)
-        return EvalResult(value, err, "lerch/cvz-alternating", work)
-
+    # |z| = 1, z != +-1: Re(s) > 0 by precondition.
     onset = monotone_onset(lambda k: abs(cpow(k + a, -s)))
     n0 = max(onset, 24)
     prefix = [ cpow(k + a, -s) * z**k for k in range(n0) ]

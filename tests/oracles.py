@@ -150,3 +150,39 @@ def alternating_zeta_boole(mpmath, s: complex, a):
             tail += term
         value = head + (-1) ** big_n * tail / 2
     return +value
+
+
+def alternating_lerch_boole(mpmath, s: complex, a: complex, u):
+    """Phi(-e^{-u}, s, a) = sum_{n>=0} (-1)^n e^{-u n} (n+a)^{-s} for
+    Re s > 0, u >= 0 and complex a off the non-positive integers.
+
+    The Euler-Boole summation of :func:`alternating_zeta_boole` with
+    g(t) = e^{-u t} (t+a)^{-s}: the first N terms directly, the tail as
+    (1/2) sum_j E_j(0) g^(j)(N)/j!.  g's Taylor coefficients at N are the
+    convolution of those of e^{-u h} and (1 + h/q)^{-s}, q = N + a, times
+    e^{-u N} q^{-s}.  With Re s > 0 nothing cancels, so 40 digits suffice,
+    and the tail stops once a term is below 1e-45 of it.  Pass u as the
+    exact -log|z| of the double z the package sees.
+    """
+    with mpmath.workdps(40):
+        sm, am, um = mpmath.mpc(s), mpmath.mpc(a), mpmath.mpf(u)
+        big_n = int(abs(s) + abs(a)) + 60
+        head = mpmath.fsum((-1) ** n * mpmath.exp(-um * n) * mpmath.power(n + am, -sm)
+                           for n in range(big_n))
+        q = big_n + am
+        c_exp = [mpmath.mpf(1)]    # (-u)^j / j!
+        c_pow = [mpmath.mpc(1)]    # binomial(-s, j) q^{-j}
+        tail = mpmath.mpc(1)       # j = 0: E_0(0) = 1
+        for j in range(1, 400):
+            c_exp.append(c_exp[-1] * -um / j)
+            c_pow.append(c_pow[-1] * (-sm - j + 1) / (j * q))
+            if j % 2 == 0:
+                continue
+            ej0 = -2 * (2 ** (j + 1) - 1) * mpmath.bernoulli(j + 1) / (j + 1)
+            term = ej0 * mpmath.fsum(c_exp[j - i] * c_pow[i] for i in range(j + 1))
+            tail += term
+            if abs(term) < mpmath.mpf(10) ** -45 * abs(tail):
+                break
+        tail *= mpmath.exp(-um * big_n) * mpmath.power(q, -sm)
+        value = head + (-1) ** big_n * tail / 2
+    return +value

@@ -34,9 +34,14 @@ def test_tracer_patches_and_restores_every_target():
         # fd at x = 0, Re s <= -4 runs the odd-term reflection series.
         zetakit.ext_be(ExtParams(0.125, 0.5, 0.01))
         zetakit.ext_fd(ExtParams(0.125, -4.5, 0.0))
+        # fd at small real x sums the defining series in lerch_phi's
+        # alternating branch.
+        zetakit.ext_fd(ExtParams(0.5, 2.5, 0.01))
     assert {"extended.ext_fd", "extended.ext_be", "zeta.lerch_phi",
             "zeta.hurwitz_zeta",
             "numeric_core.euler_transform_tail"} <= set(recorder.name)
+    assert ("zeta.lerch_phi", "lerch/cvz-alternating") in set(
+        zip(recorder.name, recorder.tag))
     assert all(error is None for error in recorder.error)
     assert spans.traced_bindings() == []
     assert zetakit.ext_fd is ext_fd and zetakit.ext_be is ext_be

@@ -124,6 +124,16 @@ class TestEval:
         )
         assert code == EXIT_CONVERGENCE
 
+    @pytest.mark.parametrize("flags", [
+        ["--nu", "1+1i", "--s=1.5", "--x", "1000i"],
+        ["--nu", "0", "--s=-300", "--x", "0"],
+    ], ids=["series-prefactor", "reflection-prefactor"])
+    def test_overflow_is_a_one_line_domain_error(self, flags, capsys):
+        # A value past the double range ends in a message, not a traceback.
+        assert main(["eval", "--fn", "ext_fd", *flags]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("error: overflow: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--rel-tol=1e-6", "--max-terms=3"])
     def test_series_flags_are_usage_errors(self, flag, capsys):
         code = main(["eval", "--fn", "zeta", "--s", "2", flag])
@@ -208,6 +218,13 @@ class TestTable:
         statuses = [r[-1] for r in rows]
         assert statuses[0] == "ok" and statuses[2] == "ok"
         assert statuses[1] != "ok" and "pole at s=1" in statuses[1]
+
+    def test_overflow_row_continues(self, capsys):
+        args = ["table", "--fn", "ext_fd", "--nu", "0", "--s=-300:-1:3", "--x", "0",
+                "--format", "csv"]
+        assert main(args) == EXIT_OK
+        statuses = [r[-1] for r in csv.reader(io.StringIO(capsys.readouterr().out))][1:]
+        assert statuses[0].startswith("overflow: ") and statuses[1:] == ["ok", "ok"]
 
     def test_csv_round_trip_reevaluation(self, capsys):
         assert main(

@@ -433,6 +433,36 @@ class TestStrategies:
             want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
 
+    def test_auto_near_circle_positive_order_grid_against_mpmath(self):
+        # Complex x with 0 < Re x < 0.05 at Re s > 0 takes the same
+        # reduction.  Half the grid sits next to a be centre at integer s,
+        # where the pole limit's -log x enters the slope that the shift's
+        # rounding is charged with.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        rng = random.Random(20261102)
+        for i in range(200):
+            kind = rng.choice(("fd", "be"))
+            nu = rng.uniform(0.0, 3.0)
+            if i % 2:
+                s = complex(rng.choice((1, 2, 3)))
+                # fd has a be centre at odd multiples of i pi, be at even.
+                j = rng.choice((-1, 1, 3)) + (kind == "be")
+                x = complex(10 ** rng.uniform(-6.0, math.log10(0.05)),
+                            j * math.pi + rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-8.0, 0.0))
+            else:
+                sigma = rng.uniform(0.05, 4.0)
+                s = rng.choice((complex(sigma), complex(max(1, round(sigma))),
+                                complex(sigma, rng.uniform(-4.0, 4.0))))
+                x = complex(10 ** rng.uniform(-6.0, math.log10(0.05)),
+                            rng.uniform(-2.0 * math.pi, 4.0 * math.pi))
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+            assert got.strategy.startswith(f"{kind}/circle-")
+            xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+            z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+            want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
+
     def test_auto_reduced_onto_a_centre_takes_the_real_x_rules(self):
         # x = i j pi (the double j * math.pi standing for the exact
         # multiple) lands on a centre: the x = 0 value there, times the

@@ -88,6 +88,15 @@ class TestRiemannZeta:
             want = mpmath.zeta(mpmath.mpc(s))
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, s
 
+    def test_functional_route_refuses_odd_positive_integers(self):
+        # zeta(3) is finite, but chi's pole there meets the trivial zero of
+        # zeta(-2); the route would need zeta'(-2), so it is a domain limit
+        # of the route, not a pole of zeta.
+        for s in (3.0, 5.0, 31.0):
+            with pytest.raises(DomainError, match="trivial zero"):
+                riemann_zeta(s, via="functional")
+        assert rel(riemann_zeta(3.0).value, oracles.ZETA_3) <= 1e-12
+
     def test_trivial_zeros(self):
         for s in (-2.0, -4.0, -6.0):
             res = riemann_zeta(s)
@@ -337,6 +346,39 @@ class TestLerchPhi:
         # Phi(-1, s, 1) = eta(s)
         p = LerchParams(-1.0, 1.5, 1.0)
         assert rel(lerch_phi(p).value, dirichlet_eta(1.5).value) <= 1e-11
+
+    def test_alternating_next_to_minus_one_returns_fast(self):
+        # The plain sum at |z| = 0.99999 would need far more than MAX_TERMS
+        # terms; the alternating acceleration takes 32.
+        got = lerch_phi(LerchParams(-0.99999, 2, 1))
+        assert got.strategy == "lerch/cvz-alternating" and got.work == 32
+        assert rel(got.value, lerch_phi(LerchParams(-0.99999, 2, 2)).value
+                   * -0.99999 + 1.0) <= 1e-13
+
+    def test_alternating_segment_against_euler_boole(self):
+        # Real z in [-1, -e^{-0.05}), Re s in (0, 8], |Im s| <= 6, real and
+        # complex a (Re a <= 0 included): lerch_phi and polylog take the
+        # alternating acceleration and return within their estimates.  The
+        # reference sums by Euler-Boole, which shares nothing with the
+        # Chebyshev weights.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261104)
+        for _ in range(300):
+            u = rng.choice((0.0, 10 ** rng.uniform(-8.0, -3.0), rng.uniform(0.0, 0.05)))
+            z = -math.exp(-u)
+            s = complex(rng.uniform(0.05, 8.0), rng.choice((0.0, rng.uniform(-6.0, 6.0))))
+            a = rng.choice((1.0, complex(rng.uniform(0.1, 4.0)),
+                            complex(rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 3.0))))
+            with mpmath.workdps(40):
+                want = oracles.alternating_lerch_boole(
+                    mpmath, s, a, -mpmath.log(-mpmath.mpf(z)))
+            if a == 1.0:
+                got, want = polylog(z, s), z * want
+                assert got.strategy == "polylog/cvz-alternating"
+            else:
+                got = lerch_phi(LerchParams(z, s, a))
+                assert got.strategy == "lerch/cvz-alternating"
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (z, s, a)
 
     def test_difference_contraction(self):
         # Phi(z,s,a) - z Phi(z,s,a+1) = a^{-s}
