@@ -37,12 +37,13 @@ picks by region:
   sum over 8 |x^k/k!|, which cuts the reflection series short.
   An unconverged sum raises ConvergenceError at 40 terms, or earlier once
   its terms stop decreasing.
-* complex x with Re(x) < 0.05, but not Re(x) = 0 at Re(s) > 0: reduce,
-  then expand.  The period 2 pi i and the duality x -> x - i pi move x to
-  within a third of a Taylor radius of a be or fd centre, where the Taylor
-  series in x sums (tags {fd,be}/circle-{be,fd}).
-* otherwise the defining series: geometric ratio <= 0.99 for
-  Re(x) >= 0.05, accelerated or Hurwitz-delegated summation on the unit
+* complex x, Re(x) < 0.05, at Re(s) <= 0 or where the defining series
+  cannot finish (Re(x) > 0): reduce, then expand.  The period 2 pi i and
+  the duality x -> x - i pi move x to within a third of a Taylor radius of
+  a be or fd centre, where the Taylor series in x sums (tags
+  {fd,be}/circle-{be,fd}).
+* otherwise the defining series: geometric ratio e^{-Re(x)} for
+  Re(x) > 0, accelerated or Hurwitz-delegated summation on the unit
   circle for Re(s) > 0.
 """
 
@@ -556,8 +557,8 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    """Reduce, then expand: complex x, Re(x) < 0.05, with Re(x) > 0 at
-    Re(s) > 0 (the imaginary axis there takes the defining series).
+    """Reduce, then expand: complex x, Re(x) < 0.05; at Re(s) > 0 only for
+    Re(x) > 0 where the defining series cannot finish within its budget.
 
     Moving x by j i pi multiplies term n of the defining series by
     e^{-i j pi (n+nu+1)}, so f(nu, s, x) = e^{-i j pi (nu+1)} f'(nu, s,
@@ -602,10 +603,16 @@ def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
         return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
     near = x.real < NEAR_CIRCLE
-    if near and x.imag != 0.0 and (s.real <= 0.0 or x.real > 0.0):
+    if near and x.imag != 0.0 and s.real <= 0.0:
         return _circle(kind, nu, s, x)
     if near and x.imag == 0.0 and (kind == "be" or s.real <= 0.0):
         return _power_series_x(kind, nu, s, x)[0]
+    if near and x.imag != 0.0 and x.real > 0.0:
+        try:
+            return _series_route(kind, nu, s, x)
+        except ConvergenceError:
+            # MAX_TERMS terms of ratio e^{-Re x} cannot reach REL_TOL.
+            return _circle(kind, nu, s, x)
     return _series_route(kind, nu, s, x)
 
 

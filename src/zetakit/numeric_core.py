@@ -20,9 +20,7 @@ Summation
     ``compensated_sum`` is the correctly rounded ``math.fsum`` applied to
     the real and imaginary parts separately; ``alternating_sum_cvz`` is the
     Chebyshev-polynomial acceleration of Cohen-Villegas-Zagier for series
-    sum (-1)^k b_k with smooth, decaying b_k, and
-    ``alternating_sum_with_error`` runs it at two orders to estimate its
-    error; ``euler_transform_tail`` accelerates sum z^k b_k for z on the
+    sum (-1)^k b_k with smooth, decaying b_k; ``euler_transform_tail`` accelerates sum z^k b_k for z on the
     unit circle via the classical Euler transformation written in its
     z/(1-z) form.
 """
@@ -49,7 +47,6 @@ __all__ = [
     "euler_poly",
     "compensated_sum",
     "alternating_sum_cvz",
-    "alternating_sum_with_error",
     "euler_transform_tail",
     "cpow",
     "max_abs_log",
@@ -330,26 +327,6 @@ def alternating_sum_cvz(term: Callable[[int], complex], n: int = 32) -> complex:
         s += c * term(k)
         b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
     return s / d
-
-
-def alternating_sum_with_error(
-    term: Callable[[int], complex], expo: float
-) -> tuple[complex, float, int]:
-    """``alternating_sum_cvz`` at n = 32, with its error and work.
-
-    Each term is taken to be an exponential whose exponent is at most
-    ``expo`` in modulus, so it carries 2.2e-16 (1 + expo) relative rounding.
-    The error is the gap to the n = 24 sum, |S_32 - S_24|, plus that
-    rounding on the weighted terms |c_k term_k|/d; the CVZ weights c_k/d
-    lie in [-1, 1], so sum_{k<32} |term_k| bounds those.  The two sums
-    share their terms, so the work is the 32 terms computed.  Returns
-    (value, err_estimate, work).
-    """
-    terms = [term(k) for k in range(32)]
-    v32 = alternating_sum_cvz(terms.__getitem__, 32)
-    v24 = alternating_sum_cvz(terms.__getitem__, 24)
-    mass = math.fsum(map(abs, terms))
-    return v32, abs(v32 - v24) + 2.2e-16 * (1.0 + expo) * mass, len(terms)
 
 
 def euler_transform_tail(

@@ -28,7 +28,7 @@ from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
 from .numeric_core import (
     MAX_POLY_DEGREE,
-    alternating_sum_with_error,
+    alternating_sum_cvz,
     bernoulli_number,
     compensated_sum,
     cpow,
@@ -467,16 +467,91 @@ def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
 
 def alternating_lerch(s: complex, a: complex,
                       log_w: complex = 0.0) -> tuple[complex, float, int]:
-    """(value, err, work) of Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s},
-    w = e^{log_w}, by the Cohen-Rodriguez Villegas-Zagier weights, which
-    need smooth, decaying terms: Re(s) > 0, w next to (e^{-NEAR_CIRCLE}, 1].
-    Term k is e^{k log_w - s log(k+a)}, at log_w = 0 cpow(k + a, -s) exactly.
+    """(value, err, work) of Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s} by
+    the Cohen-Rodriguez Villegas-Zagier weights: w = e^{log_w} in
+    (e^{-NEAR_CIRCLE}, 1], Re(s) > 0.  err is |S_32 - S_24|, growing like
+    e^{pi |Im s|/2} 5.8^{-32}, plus 2.2e-16 (1 + expo) |term_k| per term.
     """
-    value, err, work = alternating_sum_with_error(
-        lambda k: cmath.exp(k * log_w - s * cmath.log(k + a)),
-        abs(s) * max_abs_log(a, 32) + 31.0 * abs(log_w),
+    terms = [cmath.exp(k * log_w - s * cmath.log(k + a)) for k in range(32)]
+    value = alternating_sum_cvz(terms.__getitem__, 32)
+    gap = abs(value - alternating_sum_cvz(terms.__getitem__, 24))
+    expo = abs(s) * max_abs_log(a, 32) + 31.0 * abs(log_w)
+    err = gap + 2.2e-16 * (1.0 + expo) * math.fsum(map(abs, terms))
+    return value, err + 1e-15 * abs(value), len(terms)
+
+
+def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
+    """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1; see lerch_phi."""
+    r = abs(z)
+    sigma = s.real
+    power = cpow(a, -s)
+    if a.real > 0.0:
+        # Refuse up front when the stopping rule cannot fire within N
+        # terms.  With t = Im s and alpha = |arg a| < pi/2, |k+a| grows
+        # with k and |arg(k+a)| <= alpha, so
+        #   |(k+a)^{-s}| = |k+a|^{-sigma} e^{t arg(k+a)}
+        # lies within a factor e^{+-|t| alpha} of |k+a|^{-sigma}.  Hence
+        # |total_n| <= M_n e^{|t| alpha}/(1-r), with M_n = |a|^{-sigma}
+        # for sigma >= 0 and |n+a|^{-sigma} for sigma < 0, while
+        # bound_n >= r^n |n+a|^{-sigma} e^{-|t| alpha}/(1-r).  The ratio
+        # bound_n/|total_n| is thus at least
+        #   q_n = r^n min(1, (|n+a|/|a|)^{-sigma}) e^{-2|t| alpha},
+        # which falls with n; if q_N >= 2 REL_TOL no step can stop (the
+        # 2 absorbs the rounding in zpow).  Also bound_n >= q_N
+        # |a|^{-sigma}, and the second clause keeps that clear of the
+        # 1e-300 floor on |total|.
+        big_n = MAX_TERMS
+        abs_a = abs(a)
+        # math.atan2, not cmath.phase: the latter raises OverflowError
+        # when the angle underflows (a = 2 + 5e-324j).
+        alpha = abs(math.atan2(a.imag, a.real))
+        q = r ** big_n * math.exp(-2.0 * abs(s.imag) * alpha)
+        if sigma > 0.0:
+            q *= (abs(big_n + a) / abs_a) ** -sigma
+        if q >= 2.0 * REL_TOL and (
+            math.log(q) - sigma * math.log(abs_a) > _LN_1E_M290
+        ):
+            raise ConvergenceError(
+                f"direct Lerch sum not converged in {big_n} terms"
+            )
+    total = complex(0.0)
+    comp_terms: list[complex] = []
+    zpow = complex(1.0)
+    mass = abs(power)   # sum of |term_k| over the terms taken
+    kmass = 0.0         # sum of k |term_k|
+    n = 0
+    while n < MAX_TERMS:
+        term = zpow * power
+        comp_terms.append(term)
+        total += term
+        zpow *= z
+        n += 1
+        # Geometric tail bound with a crude polynomial-growth guard; its
+        # power is the next term's, carried into the next iteration.
+        power = cpow(n + a, -s)
+        nxt = abs(zpow) * abs(power)
+        bound = nxt / (1.0 - r)
+        if sigma < 0.0:
+            bound *= (1.0 + 2.0 / (n * (1.0 - r))) ** (-sigma)
+        if bound <= REL_TOL * max(abs(total), 1e-300) and n >= 4:
+            value = compensated_sum(comp_terms)
+            value = faults.perturb("lerch_phi", value)
+            # Term k = z^k (k+a)^{-s} carries 2.2e-16 relative error
+            # from its own rounding, 2.2e-16 k from the k products
+            # building z^k, and 2.2e-16 |s| |log(k+a)| from the
+            # rounding of the power's exponent.  With the terms summed
+            # exactly, that rounding is the error, however much the
+            # terms cancel.
+            err = bound + 2.2e-16 * (
+                (1.0 + abs(s) * max_abs_log(a, n)) * mass + kmass
+            )
+            return EvalResult(value, err + 1e-16 * abs(value),
+                              "lerch/direct-sum", n + 1)
+        mass += nxt
+        kmass += n * nxt
+    raise ConvergenceError(
+        f"direct Lerch sum not converged in {MAX_TERMS} terms"
     )
-    return value, err + 1e-15 * abs(value), work
 
 
 def lerch_phi(p: LerchParams) -> EvalResult:
@@ -485,8 +560,10 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     Dispatch: z = 0 -> single term; z = 1 -> Hurwitz-zeta continuation;
     Re(s) > 0 and z within 1e-12 of the real segment [-1, -e^{-NEAR_CIRCLE})
     -> Chebyshev-accelerated alternating sum (:func:`alternating_lerch`);
-    other |z| < 1 -> direct geometric-tail summation; other unimodular z
-    -> Euler transform of the tail once the term moduli are monotone.
+    where its estimate passes REL_TOL relative (large |Im s|) and |z| < 1,
+    the direct sum below, if it finishes with a smaller estimate; other
+    |z| < 1 -> direct geometric-tail summation; other unimodular z ->
+    Euler transform of the tail once the term moduli are monotone.
 
     The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms
     do not reach ``REL_TOL``.  For Re a > 0 it raises up front, before
@@ -508,82 +585,22 @@ def lerch_phi(p: LerchParams) -> EvalResult:
         return EvalResult(value, inner.err_estimate, "lerch/hurwitz-delegate",
                           inner.work)
 
+    r = abs(z)
     if s.real > 0.0 and -z.real > math.exp(-NEAR_CIRCLE) and abs(z.imag) < 1e-12:
         value, err, work = alternating_lerch(s, a, cmath.log(-z))
-        value = faults.perturb("lerch_phi", value)
-        return EvalResult(value, err, "lerch/cvz-alternating", work)
+        alt = EvalResult(faults.perturb("lerch_phi", value), err,
+                         "lerch/cvz-alternating", work)
+        if err <= REL_TOL * abs(value) or r >= 1.0 - 1e-14:
+            return alt
+        # Large |Im s| costs CVZ digits; the smaller estimate wins.
+        try:
+            direct = _lerch_direct(z, s, a)
+        except ConvergenceError:
+            return alt
+        return direct if direct.err_estimate < err else alt
 
-    r = abs(z)
     if r < 1.0 - 1e-14:
-        sigma = s.real
-        power = cpow(a, -s)
-        if a.real > 0.0:
-            # Refuse up front when the stopping rule cannot fire within N
-            # terms.  With t = Im s and alpha = |arg a| < pi/2, |k+a| grows
-            # with k and |arg(k+a)| <= alpha, so
-            #   |(k+a)^{-s}| = |k+a|^{-sigma} e^{t arg(k+a)}
-            # lies within a factor e^{+-|t| alpha} of |k+a|^{-sigma}.  Hence
-            # |total_n| <= M_n e^{|t| alpha}/(1-r), with M_n = |a|^{-sigma}
-            # for sigma >= 0 and |n+a|^{-sigma} for sigma < 0, while
-            # bound_n >= r^n |n+a|^{-sigma} e^{-|t| alpha}/(1-r).  The ratio
-            # bound_n/|total_n| is thus at least
-            #   q_n = r^n min(1, (|n+a|/|a|)^{-sigma}) e^{-2|t| alpha},
-            # which falls with n; if q_N >= 2 REL_TOL no step can stop (the
-            # 2 absorbs the rounding in zpow).  Also bound_n >= q_N
-            # |a|^{-sigma}, and the second clause keeps that clear of the
-            # 1e-300 floor on |total|.
-            big_n = MAX_TERMS
-            abs_a = abs(a)
-            # math.atan2, not cmath.phase: the latter raises OverflowError
-            # when the angle underflows (a = 2 + 5e-324j).
-            alpha = abs(math.atan2(a.imag, a.real))
-            q = r ** big_n * math.exp(-2.0 * abs(s.imag) * alpha)
-            if sigma > 0.0:
-                q *= (abs(big_n + a) / abs_a) ** -sigma
-            if q >= 2.0 * REL_TOL and (
-                math.log(q) - sigma * math.log(abs_a) > _LN_1E_M290
-            ):
-                raise ConvergenceError(
-                    f"direct Lerch sum not converged in {big_n} terms"
-                )
-        total = complex(0.0)
-        comp_terms: list[complex] = []
-        zpow = complex(1.0)
-        mass = abs(power)   # sum of |term_k| over the terms taken
-        kmass = 0.0         # sum of k |term_k|
-        n = 0
-        while n < MAX_TERMS:
-            term = zpow * power
-            comp_terms.append(term)
-            total += term
-            zpow *= z
-            n += 1
-            # Geometric tail bound with a crude polynomial-growth guard; its
-            # power is the next term's, carried into the next iteration.
-            power = cpow(n + a, -s)
-            nxt = abs(zpow) * abs(power)
-            bound = nxt / (1.0 - r)
-            if sigma < 0.0:
-                bound *= (1.0 + 2.0 / (n * (1.0 - r))) ** (-sigma)
-            if bound <= REL_TOL * max(abs(total), 1e-300) and n >= 4:
-                value = compensated_sum(comp_terms)
-                value = faults.perturb("lerch_phi", value)
-                # Term k = z^k (k+a)^{-s} carries 2.2e-16 relative error
-                # from its own rounding, 2.2e-16 k from the k products
-                # building z^k, and 2.2e-16 |s| |log(k+a)| from the
-                # rounding of the power's exponent.  With the terms summed
-                # exactly, that rounding is the error, however much the
-                # terms cancel.
-                err = bound + 2.2e-16 * (
-                    (1.0 + abs(s) * max_abs_log(a, n)) * mass + kmass
-                )
-                return EvalResult(value, err + 1e-16 * abs(value),
-                                  "lerch/direct-sum", n + 1)
-            mass += nxt
-            kmass += n * nxt
-        raise ConvergenceError(
-            f"direct Lerch sum not converged in {MAX_TERMS} terms"
-        )
+        return _lerch_direct(z, s, a)
 
     # |z| = 1, z != +-1: Re(s) > 0 by precondition.
     onset = monotone_onset(lambda k: abs(cpow(k + a, -s)))

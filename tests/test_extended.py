@@ -433,11 +433,26 @@ class TestStrategies:
             want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
 
-    def test_auto_near_circle_positive_order_grid_against_mpmath(self):
-        # Complex x with 0 < Re x < 0.05 at Re s > 0 takes the same
-        # reduction.  Half the grid sits next to a be centre at integer s,
-        # where the pole limit's -log x enters the slope that the shift's
-        # rounding is charged with.
+    def test_auto_near_circle_positive_order_keeps_the_defining_series(self):
+        # Complex x with 0 < Re x < 0.05 at Re s > 0: where the defining
+        # series finishes, AUTO returns it, also at |Im s| = 20 to 25, where
+        # the reduction loses digits; where it refuses, AUTO reduces.
+        for f, kind in ((ext_fd, "fd"), (ext_be, "be")):
+            for nu, s, x in ((0.5, 0.5 + 25j, 0.004 + 2.0j),
+                             (1.5, 3.0 - 20j, 0.03 - 1.6j),
+                             (2.0, 1.5 + 1j, 0.001 + 7.0j)):
+                p = ExtParams(nu, s, x)
+                assert f(p) == f(p, Strategy.XSERIES), (kind, nu, s, x)
+            p = ExtParams(0.5, 1.0 + 2j, 1e-6 + 2.0j)
+            with pytest.raises(ConvergenceError, match="not converged"):
+                f(p, Strategy.XSERIES)
+            assert f(p).strategy.startswith(f"{kind}/circle-")
+
+    def test_circle_positive_order_grid_against_mpmath(self):
+        # The reduction at Re s > 0 (AUTO's route where the defining series
+        # cannot finish), called directly.  Half the grid sits next to a be
+        # centre at integer s, where the pole limit's -log x enters the
+        # slope that the shift's rounding is charged with.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 20
         rng = random.Random(20261102)
@@ -456,7 +471,7 @@ class TestStrategies:
                                 complex(sigma, rng.uniform(-4.0, 4.0))))
                 x = complex(10 ** rng.uniform(-6.0, math.log10(0.05)),
                             rng.uniform(-2.0 * math.pi, 4.0 * math.pi))
-            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+            got = extended._circle(kind, complex(nu), s, x)
             assert got.strategy.startswith(f"{kind}/circle-")
             xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
             z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)

@@ -358,7 +358,8 @@ class TestLerchPhi:
     def test_alternating_segment_against_euler_boole(self):
         # Real z in [-1, -e^{-0.05}), Re s in (0, 8], |Im s| <= 6, real and
         # complex a (Re a <= 0 included): lerch_phi and polylog take the
-        # alternating acceleration and return within their estimates.  The
+        # alternating acceleration, or the direct sum where that returns a
+        # smaller estimate, and return within their estimates.  The
         # reference sums by Euler-Boole, which shares nothing with the
         # Chebyshev weights.
         mpmath = pytest.importorskip("mpmath")
@@ -372,13 +373,35 @@ class TestLerchPhi:
             with mpmath.workdps(40):
                 want = oracles.alternating_lerch_boole(
                     mpmath, s, a, -mpmath.log(-mpmath.mpf(z)))
+            alt_err = zeta_module.alternating_lerch(s, complex(a), cmath.log(-complex(z)))[1]
             if a == 1.0:
-                got, want = polylog(z, s), z * want
-                assert got.strategy == "polylog/cvz-alternating"
+                got, want, alt_err = polylog(z, s), z * want, -z * alt_err
             else:
                 got = lerch_phi(LerchParams(z, s, a))
-                assert got.strategy == "lerch/cvz-alternating"
+            assert got.strategy.endswith(("/cvz-alternating", "/direct-sum"))
+            assert got.err_estimate <= alt_err, (z, s, a)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (z, s, a)
+
+    def test_alternating_segment_at_large_imaginary_order(self):
+        # The Chebyshev error grows like e^{pi |Im s|/2} 5.8^{-32}: at
+        # |Im s| = 20 to 40 it passes REL_TOL, so lerch_phi sums directly
+        # where the direct sum finishes, to the direct sum's accuracy.
+        mpmath = pytest.importorskip("mpmath")
+        for z, s, a in ((-0.99, 0.5 + 30j, 1.0), (-0.96, 2 - 40j, 2.5),
+                        (-0.999, 1 + 20j, 0.5), (-0.97, 1 - 15j, 0.5 + 1j)):
+            got = lerch_phi(LerchParams(z, s, a))
+            want = oracles.alternating_lerch_boole(
+                mpmath, s, a, -mpmath.log(-mpmath.mpf(z)))
+            assert got.strategy == "lerch/direct-sum", (z, s, a)
+            assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want), (z, s, a)
+        # Where the direct sum refuses (and at z = -1, where it does not
+        # apply), the alternating sum is returned with its honest estimate.
+        for z in (-0.99999, -1.0):
+            got = lerch_phi(LerchParams(z, 0.5 + 30j, 1.0))
+            want = oracles.alternating_lerch_boole(
+                mpmath, 0.5 + 30j, 1.0, -mpmath.log(-mpmath.mpf(z)))
+            assert got.strategy == "lerch/cvz-alternating" and got.work == 32
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, z
 
     def test_difference_contraction(self):
         # Phi(z,s,a) - z Phi(z,s,a+1) = a^{-s}
