@@ -384,7 +384,7 @@ class TestLerchPhi:
 
     def test_alternating_segment_at_large_imaginary_order(self):
         # The Chebyshev error grows like e^{pi |Im s|/2} 5.8^{-32}: at
-        # |Im s| = 20 to 40 it passes REL_TOL, so lerch_phi sums directly
+        # |Im s| = 15 to 40 it passes REL_TOL, so lerch_phi sums directly
         # where the direct sum finishes, to the direct sum's accuracy.
         mpmath = pytest.importorskip("mpmath")
         for z, s, a in ((-0.99, 0.5 + 30j, 1.0), (-0.96, 2 - 40j, 2.5),
