@@ -10,16 +10,19 @@ fd = e^{-(nu+1)x} Phi(-e^{-x}, s, nu+1) and
 be = e^{-(nu+1)x} Phi(+e^{-x}, s, nu+1), which supplies the series family
 of evaluation routes.  Independent routes — quadrature of the fractional
 integral, the Taylor expansion in x with shifted-order coefficients at
-x = 0, the expansion in nu with classical (nu = 0) coefficients, and exact
-Bernoulli/Euler polynomial values at non-positive integer orders — exist so
-results can be cross-audited; the identity suite exercises every pairing.
+x = 0, the expansion in nu about the nearest integer shift with coefficients
+at that shift, and exact Bernoulli/Euler polynomial values at non-positive
+integer orders — exist so results can be cross-audited; the identity suite
+exercises every pairing.
 
 Route selection is explicit through :class:`Strategy`; ``Strategy.AUTO``
 picks by region:
 
-* x = 0: continuation values (alternating-accelerated, Hurwitz-based, or
-  at Re(s) <= -4 with real nu one Fourier reflection series over odd n, for
-  fd; Hurwitz zeta for be, with its order-1 pole surfaced as PoleError).
+* x = 0: continuation values (alternating-accelerated, or the Hurwitz
+  halves where that misses REL_TOL at large |Im s| and they do better;
+  Hurwitz-based; or at Re(s) <= -4 with real nu one Fourier reflection
+  series over odd n, for fd; Hurwitz zeta for be, with its order-1 pole
+  surfaced as PoleError).
 * be at real 0 < x < 0.05, every order s: the Taylor series in x (eqs.
   4.14/4.15), immune to the slow geometric decay; at a positive integer
   order the pole coefficient and the singular part x^{s-1} Gamma(1-s) are
@@ -62,7 +65,6 @@ from .numeric_core import (
     MAX_POLY_DEGREE,
     bernoulli_poly_coeffs,
     compensated_sum,
-    cpow,
     euler_poly_coeffs,
     is_nonpos_int,
     ln_gamma,
@@ -82,7 +84,7 @@ from .zeta import (
     digamma,
     dirichlet_eta,
     fourier_reflection,
-    hurwitz_diff,
+    hurwitz_halves,
     hurwitz_zeta,
     lerch_phi,
     riemann_zeta,
@@ -111,7 +113,7 @@ class Strategy(enum.Enum):
     XSERIES = "XSeries"            # defining series in powers of e^{-x}
     WEYL_QUAD = "WeylQuad"         # fractional-integral quadrature
     POWER_SERIES_X = "PowerSeriesX"  # Taylor in x, shifted-order coefficients
-    NU_SERIES = "NuSeries"         # expansion in nu about the classical case
+    NU_SERIES = "NuSeries"         # expansion in nu about the nearest integer
     NEG_INT_BERNOULLI = "NegIntBernoulli"  # exact polynomial values
     AUTO = "Auto"
 
@@ -156,24 +158,15 @@ def _near_nonpos_int(s: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
-    """fd(nu, s, 0) through the bisected Hurwitz difference.
-
-    2^{-s} [zeta(s, (nu+1)/2) - zeta(s, (nu+2)/2)] — the continuation route
-    that stays valid for every s (the two order-1 poles cancel; at s = 1
-    the digamma limit is used).  Kept public as the independent second
-    route for the alternating-sum path at x = 0.
-    """
+    """fd(nu, s, 0) = Phi(-1, s, nu+1) for every s by the bisected Hurwitz
+    difference (:func:`zeta.hurwitz_halves`); public as the independent
+    second route beside the alternating sum at x = 0."""
     nu = require_finite(nu, "nu")
     s = require_finite(s, "s")
-    diff = hurwitz_diff(s, (nu + 1.0) / 2.0, (nu + 2.0) / 2.0)
-    if abs(s - 1.0) < 1e-12:
-        value = 0.5 * diff.value
-        return EvalResult(value, 1e-14 * (1.0 + abs(value)),
-                          "fd/zero-digamma-limit", diff.work)
-    two_ms = cpow(2.0, -s)
-    value = two_ms * diff.value
-    err = abs(two_ms) * diff.err_estimate + 1e-16 * abs(value)
-    return EvalResult(value, err, "fd/zero-hurwitz-diff", diff.work)
+    inner = hurwitz_halves(s, nu + 1.0)
+    route = "digamma-limit" if inner.strategy.endswith("limit") else "hurwitz-diff"
+    return EvalResult(inner.value, inner.err_estimate, f"fd/zero-{route}",
+                      inner.work)
 
 
 def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
@@ -184,7 +177,12 @@ def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
         return fd_zero_hurwitz_route(nu, s)
     value, err, work = alternating_lerch(s, nu + 1.0)
-    return EvalResult(value, err, "fd/zero-alternating-cvz", work)
+    alt = EvalResult(value, err, "fd/zero-alternating-cvz", work)
+    if err <= REL_TOL * abs(value):
+        return alt
+    # Large |Im s| costs CVZ digits; the smaller estimate wins.
+    halves = fd_zero_hurwitz_route(nu, s)
+    return halves if halves.err_estimate < err else alt
 
 
 def _be_zero(nu: complex, s: complex) -> EvalResult:
@@ -353,50 +351,58 @@ def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# Expansion in nu around the classical (nu = 0) functions
+# Expansion in nu about the nearest integer shift
 # ---------------------------------------------------------------------------
 
 _NU_CAP = 600
 
 
 def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    if not (0.0 <= nu.real and abs(nu) < 1.0):
+    """f(nu, s, x) = e^{-(nu-m)x} sum_k (s)_k (m-nu)^k / k! f(m, s+k, x):
+    eqs. 4.7/5.8 moved by diff-eq-7.2 to the integer m next to Re(nu) of
+    least ratio r = |nu - m|/(m + 1), at most 1/3 for real nu.  The
+    coefficients are values at the shift m (eta/zeta at x = 0, m = 0)."""
+    lo = math.floor(nu.real)
+    m = min(lo, lo + 1, key=lambda c: abs(nu - c) / (c + 1))
+    r = abs(nu - m) / (m + 1)
+    if r >= 1.0:
         raise DomainError(
-            f"nu-expansion route needs 0 <= Re(nu) and |nu| < 1, got {nu!r}"
+            f"nu-expansion route needs |nu - m| < m + 1 for m = {m}, got {nu!r}"
         )
-    pre = cmath.exp(-nu * x)
+    d = m - nu
+    pre = cmath.exp(d * x)
 
-    def classical(order: complex) -> EvalResult:
-        if x == 0.0:
-            if kind == "fd":
-                return dirichlet_eta(order)
-            return riemann_zeta(order)  # PoleError at order 1
-        return _series_route(kind, 0.0, order, x)
+    def coefficient(order: complex) -> EvalResult:
+        if x != 0.0:
+            return _series_route(kind, complex(m), order, x)
+        if m == 0:
+            return dirichlet_eta(order) if kind == "fd" else riemann_zeta(order)
+        return _fd_zero(complex(m), order) if kind == "fd" else _be_zero(complex(m), order)
 
-    if nu == 0.0:
-        inner = classical(s)
-        value = pre * inner.value
-        return EvalResult(value, abs(pre) * inner.err_estimate + 1e-16 * abs(value),
-                          f"{kind}/nu-series", inner.work + 1)
-
-    total = complex(0.0)
     terms: list[complex] = []
+    total = complex(0.0)
     inner_err = 0.0
     work = 0
-    # (s)_k (-nu)^k / k!, carried as one product: its two factors overflow
+    # (s)_k d^k / k!, carried as one product: its two factors overflow
     # and underflow separately near k = 170, and inf * 0 would be NaN.
     weight = complex(1.0)
-    r = abs(nu)
     small_streak = 0
     for k in range(_NU_CAP):
-        c = classical(s + k)
+        c = coefficient(s + k)
         work += c.work
         term = weight * c.value
         terms.append(term)
         total += term
         inner_err += abs(weight) * c.err_estimate
-        # |(s)_{k+1}/(s)_k * nu/(k+1)| -> r as k grows; bound the tail
-        # geometrically once the effective ratio drops below 1.
+        if s + k == 0.0 and kind == "be" and x == 0.0:
+            # (s)_{k+1} = 0 meets zeta's order-1 pole at order s + k + 1;
+            # (s + k) zeta(s + k + 1, m + 1) -> 1 leaves one last term.
+            terms.append(weight * (d / (k + 1)))
+        weight *= (s + k) * (d / (k + 1))
+        if weight == 0.0:
+            break  # nu = m, or (s)_{k+1} = 0: the sum is finite
+        # |(s)_{k+1}/(s)_k * d/(k+1)| / (m+1) -> r as k grows; bound the
+        # tail geometrically once the effective ratio drops below 1.
         ratio = r * abs(s + k) / (k + 1)
         mag = abs(term)
         if ratio < 0.999 and mag * ratio / (1.0 - ratio) <= REL_TOL * max(
@@ -407,13 +413,10 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
                 break
         else:
             small_streak = 0
-        weight *= (s + k) * (-nu / (k + 1))
     else:
-        raise ConvergenceError(
-            f"nu-expansion not converged within {_NU_CAP} terms"
-        )
+        raise ConvergenceError(f"nu-expansion not converged within {_NU_CAP} terms")
 
-    tail = abs(terms[-1]) * r / (1.0 - r)
+    tail = abs(terms[-1]) * r / (1.0 - r) if weight else 0.0
     value = pre * compensated_sum(terms)
     err = abs(pre) * (inner_err + tail) + 1e-16 * abs(value)
     return EvalResult(value, err, f"{kind}/nu-series", work + len(terms))

@@ -438,19 +438,20 @@ def build_catalog(reduced: bool = False) -> dict[str, IdentitySpec]:
     )
 
     # --- series in nu ---------------------------------------------------------
+    # Eqs. 4.7/5.8 expand about nu = 0; the route moves the centre to the
+    # nearest integer by the difference equation (diff-eq-7.2), so every
+    # Re(nu) >= 0 is in its domain.
     add(
         "nuseries-4.7",
         lambda p: fd(p["nu"], p["s"], 0.0, Strategy.NU_SERIES),
         lambda p: fd(p["nu"], p["s"], 0.0),
         _grid(nu=(0.0, 0.5), s=_S),
-        guard=lambda p: 0.0 <= p["nu"] < 1.0,
     )
     add(
         "nuseries-5.8",
         lambda p: be(p["nu"], p["s"], 0.0, Strategy.NU_SERIES),
         lambda p: be(p["nu"], p["s"], 0.0),
         _grid(nu=(0.0, 0.5), s=_S),
-        guard=lambda p: 0.0 <= p["nu"] < 1.0,
     )
 
     # --- negative integer orders ------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import faults
@@ -465,6 +465,20 @@ def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
                       "hurwitz/euler-maclaurin-diff", za.work + zb.work)
 
 
+def hurwitz_halves(s: complex, a: complex) -> EvalResult:
+    """Phi(-1, s, a) = 2^{-s} [zeta(s, a/2) - zeta(s, (a+1)/2)] for every s:
+    the two order-1 poles cancel, and s = 1 takes the digamma limit."""
+    diff = hurwitz_diff(s, a / 2.0, (a + 1.0) / 2.0)
+    if abs(s - 1.0) < 1e-12:
+        value = 0.5 * diff.value
+        return EvalResult(value, 1e-14 * (1.0 + abs(value)),
+                          "lerch/halves-digamma-limit", diff.work)
+    two_ms = cpow(2.0, -s)
+    value = two_ms * diff.value
+    err = abs(two_ms) * diff.err_estimate + 1e-16 * abs(value)
+    return EvalResult(value, err, "lerch/hurwitz-halves", diff.work)
+
+
 def alternating_lerch(s: complex, a: complex,
                       log_w: complex = 0.0) -> tuple[complex, float, int]:
     """(value, err, work) of Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s} by
@@ -560,8 +574,9 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     Dispatch: z = 0 -> single term; z = 1 -> Hurwitz-zeta continuation;
     Re(s) > 0 and z within 1e-12 of the real segment [-1, -e^{-NEAR_CIRCLE})
     -> Chebyshev-accelerated alternating sum (:func:`alternating_lerch`);
-    where its estimate passes REL_TOL relative (large |Im s|) and |z| < 1,
-    the direct sum below, if it finishes with a smaller estimate; other
+    where its estimate passes REL_TOL relative (large |Im s|), the direct
+    sum below at |z| < 1, or the Hurwitz halves (:func:`hurwitz_halves`) at
+    z = -1 with Re(a) > 0, if that has a smaller estimate; other
     |z| < 1 -> direct geometric-tail summation; other unimodular z ->
     Euler transform of the tail once the term moduli are monotone.
 
@@ -590,14 +605,20 @@ def lerch_phi(p: LerchParams) -> EvalResult:
         value, err, work = alternating_lerch(s, a, cmath.log(-z))
         alt = EvalResult(faults.perturb("lerch_phi", value), err,
                          "lerch/cvz-alternating", work)
-        if err <= REL_TOL * abs(value) or r >= 1.0 - 1e-14:
+        if err <= REL_TOL * abs(value):
             return alt
         # Large |Im s| costs CVZ digits; the smaller estimate wins.
-        try:
-            direct = _lerch_direct(z, s, a)
-        except ConvergenceError:
+        if z == -1.0 and a.real > 0.0:
+            halves = hurwitz_halves(s, a)
+            other = replace(halves, value=faults.perturb("lerch_phi", halves.value))
+        elif r >= 1.0 - 1e-14:
             return alt
-        return direct if direct.err_estimate < err else alt
+        else:
+            try:
+                other = _lerch_direct(z, s, a)
+            except ConvergenceError:
+                return alt
+        return other if other.err_estimate < err else alt
 
     if r < 1.0 - 1e-14:
         return _lerch_direct(z, s, a)

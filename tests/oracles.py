@@ -186,3 +186,25 @@ def alternating_lerch_boole(mpmath, s: complex, a: complex, u):
         tail *= mpmath.exp(-um * big_n) * mpmath.power(q, -sm)
         value = head + (-1) ** big_n * tail / 2
     return +value
+
+
+def ext_defining_sum(mpmath, kind: str, nu: float, s: complex, x: float):
+    """fd (kind "fd") or be at real x > 0 by the defining series
+    sum_n (-+1)^n e^{-(n+nu+1) x} (n+nu+1)^{-s}, summed directly at 40
+    digits until a term past the largest one falls below 1e-40 of it.
+    """
+    with mpmath.workdps(40):
+        sm, xm, am = mpmath.mpc(s), mpmath.mpf(x), mpmath.mpf(nu) + 1
+        sign = -1 if kind == "fd" else 1
+        terms = []
+        big = mpmath.mpf(0)
+        for n in range(10**6):
+            a = am + n
+            term = sign ** n * mpmath.exp(-a * xm) * mpmath.power(a, -sm)
+            terms.append(term)
+            big = max(big, abs(term))
+            # Past a x = -Re s the terms fall geometrically.
+            if a * xm > -s.real and abs(term) < mpmath.mpf(10) ** -40 * big:
+                break
+        value = mpmath.fsum(terms)
+    return +value

@@ -562,21 +562,90 @@ class TestStrategies:
             ns = ext_fd(p, Strategy.NU_SERIES)
             assert rel(ns.value, ext_fd(p).value) <= 1e-10
 
-    def test_nu_series_does_not_overflow_at_large_k(self):
-        # nu = 7/8 needs about 250 terms; (s)_k alone overflows near k = 170.
-        p = ExtParams(0.875, 1.5, 0.0)
-        ns = ext_fd(p, Strategy.NU_SERIES)
-        assert rel(ns.value, ext_fd(p).value) <= 1e-10
+    def test_nu_series_work_at_seven_eighths_is_bounded(self):
+        # Centred at m = 1, nu = 7/8 converges like (1/16)^k.  About nu = 0
+        # it converges like (7/8)^k, and these 18 points take 68,432 units.
+        work = 0
+        for f in (ext_fd, ext_be):
+            for s in (1.5, 2.5, -2.5):
+                for x in (0.0, 0.3, 1.0):
+                    p = ExtParams(0.875, s, x)
+                    ns = f(p, Strategy.NU_SERIES)
+                    assert rel(ns.value, f(p).value) <= 1e-10, (f, s, x)
+                    work += ns.work
+        assert work <= 10_000
 
     def test_nu_series_near_radius_edge_is_honest(self):
-        # Close to nu=1 the expansion converges like 0.95^k; the route must
-        # either deliver the right value or refuse, never return garbage.
-        p = ExtParams(0.95, 2.5, 0.0)
-        try:
-            ns = ext_fd(p, Strategy.NU_SERIES)
-        except ConvergenceError:
-            return
-        assert rel(ns.value, ext_fd(p).value) <= 1e-9
+        # About nu = 0 these converge like 0.95^k and 0.944^k, the second
+        # beyond 600 orders; about m = 1 the ratio is below 0.03.
+        for f, p in ((ext_fd, ExtParams(0.95, 2.5, 0.0)),
+                     (ext_fd, ExtParams(0.944, 1.65, 0.3)),
+                     (ext_be, ExtParams(0.944, 1.65, 0.3))):
+            ns = f(p, Strategy.NU_SERIES)
+            assert rel(ns.value, f(p).value) <= 1e-10, p
+
+    def test_nu_series_past_one_matches_auto(self):
+        for nu in (1.5, 2.375):
+            for s in (-2.5, 0.5, 2.5, 1.5 + 2j):
+                for x in (0.0, 0.3, 2.0):
+                    for f in (ext_fd, ext_be):
+                        p = ExtParams(nu, s, x)
+                        ns = f(p, Strategy.NU_SERIES)
+                        assert ns.strategy.endswith("/nu-series")
+                        assert rel(ns.value, f(p).value) <= 1e-10, (f, p)
+
+    def test_nu_series_at_nonpositive_integer_order_is_finite(self):
+        # (s)_k vanishes past k = -s.  fd's coefficients are entire, so the
+        # sum stops there; be's at x = 0 has its pole at order 1, and the
+        # product leaves one last term.  Exact values are polynomials.
+        for nu in (Fraction(1, 4), Fraction(1, 2), Fraction(19, 8)):
+            for n in (0, 2, 3):
+                p = ExtParams(float(nu), -n, 0.0)
+                be = ext_be(p, Strategy.NU_SERIES)
+                fd = ext_fd(p, Strategy.NU_SERIES)
+                want_be = float(ext_be_negint_exact(nu, n))
+                want_fd = float(ext_fd_negint_exact(nu, n))
+                assert abs(be.value - want_be) <= max(be.err_estimate, 1e-14), (nu, n)
+                assert abs(fd.value - want_fd) <= max(fd.err_estimate, 1e-14), (nu, n)
+                assert rel(be.value, want_be) <= 1e-12 and rel(fd.value, want_fd) <= 1e-12
+        p = ExtParams(0.5, -2, 0.7)
+        assert rel(ext_be(p, Strategy.NU_SERIES).value, ext_be(p).value) <= 1e-12
+
+    def test_nu_series_grid_against_mpmath(self):
+        # nu in [0, 8], Re s in [-4, 5] real and complex, x in {0, 0.3,
+        # 1, 2.5}, both kinds: every point returns within its estimate.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        for _ in range(160):
+            kind = rng.choice(("fd", "be"))
+            nu = rng.uniform(0.0, 8.0)
+            s = complex(rng.uniform(-4.0, 5.0), rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+            x = rng.choice((0.0, 0.3, 1.0, 2.5))
+            f = ext_fd if kind == "fd" else ext_be
+            got = f(ExtParams(nu, s, x), Strategy.NU_SERIES)
+            if x:
+                want = oracles.ext_defining_sum(mpmath, kind, nu, s, x)
+            else:
+                with mpmath.workdps(30):
+                    a = mpmath.mpf(nu) + 1
+                    want = mpmath.zeta(s, a) if kind == "be" else (
+                        mpmath.mpf(2) ** -mpmath.mpc(s)
+                        * (mpmath.zeta(s, a / 2) - mpmath.zeta(s, (a + 1) / 2)))
+            gap = abs(mpmath.mpc(got.value) - want)
+            assert gap <= got.err_estimate, (kind, nu, s, x)
+            assert gap <= 1e-10 * abs(want), (kind, nu, s, x)
+
+    def test_nu_series_bench_grid_work(self):
+        # table-bulk's two NuSeries grids and their nu + 1/8 twins.  The
+        # work counter is deterministic; about nu = 0 these 336 points take
+        # 361,419 units, 150,296 of them at nu = 7/8.
+        work = 0
+        for f in (ext_fd, ext_be):
+            for nu in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875):
+                for s in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5):
+                    for x in (0.0, 1.0, 2.0):
+                        work += f(ExtParams(nu, s, x), Strategy.NU_SERIES).work
+        assert work <= 0.4 * 361_419
 
     def test_negint_strategy_exact_polynomial(self):
         p = ExtParams(1.0, -3.0, 0.0)

@@ -394,14 +394,27 @@ class TestLerchPhi:
                 mpmath, s, a, -mpmath.log(-mpmath.mpf(z)))
             assert got.strategy == "lerch/direct-sum", (z, s, a)
             assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want), (z, s, a)
-        # Where the direct sum refuses (and at z = -1, where it does not
-        # apply), the alternating sum is returned with its honest estimate.
-        for z in (-0.99999, -1.0):
-            got = lerch_phi(LerchParams(z, 0.5 + 30j, 1.0))
-            want = oracles.alternating_lerch_boole(
-                mpmath, 0.5 + 30j, 1.0, -mpmath.log(-mpmath.mpf(z)))
-            assert got.strategy == "lerch/cvz-alternating" and got.work == 32
-            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, z
+        # Where the direct sum refuses, the alternating sum is returned with
+        # its honest estimate.
+        got = lerch_phi(LerchParams(-0.99999, 0.5 + 30j, 1.0))
+        want = oracles.alternating_lerch_boole(
+            mpmath, 0.5 + 30j, 1.0, -mpmath.log(mpmath.mpf(0.99999)))
+        assert got.strategy == "lerch/cvz-alternating" and got.work == 32
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+        # At z = -1 with Re a > 0 the Hurwitz halves take over where they do
+        # better (the CVZ sum is off by 8e-7 at Im s = 30 and by 0.14 at
+        # Im s = 60), and so does fd at x = 0, which sums the same series.
+        for s, a in ((0.5 + 30j, 1.0), (0.5 + 60j, 1.0), (2 - 45j, 2.5),
+                     (2 - 45j, 0.5 + 1j)):
+            got = lerch_phi(LerchParams(-1.0, s, a))
+            want = oracles.alternating_lerch_boole(mpmath, s, a, 0)
+            assert got.strategy == "lerch/hurwitz-halves", (s, a)
+            assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want), (s, a)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+            if a.imag == 0.0:
+                fd = ext_fd(ExtParams(a - 1.0, s, 0.0))
+                assert fd.strategy == "fd/zero-hurwitz-diff", (s, a)
+                assert abs(mpmath.mpc(fd.value) - want) <= 1e-12 * abs(want), (s, a)
 
     def test_difference_contraction(self):
         # Phi(z,s,a) - z Phi(z,s,a+1) = a^{-s}
