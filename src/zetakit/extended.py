@@ -416,7 +416,7 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     else:
         raise ConvergenceError(f"nu-expansion not converged within {_NU_CAP} terms")
 
-    tail = abs(terms[-1]) * r / (1.0 - r) if weight else 0.0
+    tail = abs(terms[-1]) * r / (1.0 - r) if weight else 0.0  # 0: finite sum
     value = pre * compensated_sum(terms)
     err = abs(pre) * (inner_err + tail) + 1e-16 * abs(value)
     return EvalResult(value, err, f"{kind}/nu-series", work + len(terms))
