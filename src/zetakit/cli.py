@@ -187,29 +187,60 @@ def _need_real(v: complex, name: str) -> float:
     return v.real
 
 
+def _call_zeta(v, strategy):
+    return riemann_zeta(v["s"])
+
+
+def _call_eta(v, strategy):
+    return dirichlet_eta(v["s"])
+
+
+def _call_hurwitz(v, strategy):
+    return hurwitz_zeta(v["s"], v["a"])
+
+
+def _call_lerch(v, strategy):
+    return lerch_phi(LerchParams(v["z"], v["s"], v["a"]))
+
+
+def _call_polylog(v, strategy):
+    return polylog(v["z"], v["s"])
+
+
+def _call_chi(v, strategy):
+    return chi_ratio(v["s"])
+
+
+def _call_ext_fd(v, strategy):
+    return ext_fd(ExtParams(v["nu"], v["s"], v["x"]), strategy)
+
+
+def _call_ext_be(v, strategy):
+    return ext_be(ExtParams(v["nu"], v["s"], v["x"]), strategy)
+
+
+def _call_fd_classical(v, strategy):
+    return fd_classical(v["s"], _need_real(v["x"], "x"))
+
+
+def _call_be_classical(v, strategy):
+    return be_classical(v["s"], _need_real(v["x"], "x"))
+
+
 _Caller = Callable[..., EvalResult]
 
-
-def _ext(f: _Caller) -> _Caller:
-    return lambda v, strategy: f(ExtParams(v["nu"], v["s"], v["x"]), strategy)
-
-
-# name -> (ordered parameter flags, callable of (values, strategy), accepts
-# --strategy)
+# name -> (ordered parameter flags, callable, accepts --strategy)
 FUNCTIONS: dict[str, tuple[tuple[str, ...], _Caller, bool]] = {
-    "zeta": (("s",), lambda v, _: riemann_zeta(v["s"]), False),
-    "eta": (("s",), lambda v, _: dirichlet_eta(v["s"]), False),
-    "hurwitz": (("s", "a"), lambda v, _: hurwitz_zeta(v["s"], v["a"]), False),
-    "lerch": (("z", "s", "a"),
-              lambda v, _: lerch_phi(LerchParams(v["z"], v["s"], v["a"])), False),
-    "polylog": (("z", "s"), lambda v, _: polylog(v["z"], v["s"]), False),
-    "chi": (("s",), lambda v, _: chi_ratio(v["s"]), False),
-    "ext_fd": (("nu", "s", "x"), _ext(ext_fd), True),
-    "ext_be": (("nu", "s", "x"), _ext(ext_be), True),
-    "fd_classical": (("s", "x"),
-                     lambda v, _: fd_classical(v["s"], _need_real(v["x"], "x")), False),
-    "be_classical": (("s", "x"),
-                     lambda v, _: be_classical(v["s"], _need_real(v["x"], "x")), False),
+    "zeta": (("s",), _call_zeta, False),
+    "eta": (("s",), _call_eta, False),
+    "hurwitz": (("s", "a"), _call_hurwitz, False),
+    "lerch": (("z", "s", "a"), _call_lerch, False),
+    "polylog": (("z", "s"), _call_polylog, False),
+    "chi": (("s",), _call_chi, False),
+    "ext_fd": (("nu", "s", "x"), _call_ext_fd, True),
+    "ext_be": (("nu", "s", "x"), _call_ext_be, True),
+    "fd_classical": (("s", "x"), _call_fd_classical, False),
+    "be_classical": (("s", "x"), _call_be_classical, False),
 }
 
 _PARAM_FLAGS = ("nu", "s", "x", "a", "z")

@@ -80,7 +80,7 @@ from .zeta import (
     NEAR_CIRCLE,
     REL_TOL,
     LerchParams,
-    alternating_lerch,
+    alternating_minus_one,
     digamma,
     dirichlet_eta,
     fourier_reflection,
@@ -157,16 +157,25 @@ def _near_nonpos_int(s: complex) -> bool:
 # x = 0 continuation values
 # ---------------------------------------------------------------------------
 
+_FD_ZERO_TAGS = {
+    "lerch/cvz-alternating": "fd/zero-alternating-cvz",
+    "lerch/hurwitz-halves": "fd/zero-hurwitz-diff",
+    "lerch/halves-digamma-limit": "fd/zero-digamma-limit",
+}
+
+
+def _fd_zero_tagged(inner: EvalResult) -> EvalResult:
+    return EvalResult(inner.value, inner.err_estimate,
+                      _FD_ZERO_TAGS[inner.strategy], inner.work)
+
+
 def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
     """fd(nu, s, 0) = Phi(-1, s, nu+1) for every s by the bisected Hurwitz
     difference (:func:`zeta.hurwitz_halves`); public as the independent
     second route beside the alternating sum at x = 0."""
     nu = require_finite(nu, "nu")
     s = require_finite(s, "s")
-    inner = hurwitz_halves(s, nu + 1.0)
-    route = "digamma-limit" if inner.strategy.endswith("limit") else "hurwitz-diff"
-    return EvalResult(inner.value, inner.err_estimate, f"fd/zero-{route}",
-                      inner.work)
+    return _fd_zero_tagged(hurwitz_halves(s, nu + 1.0))
 
 
 def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
@@ -176,13 +185,7 @@ def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
         return EvalResult(value, err, "fd/zero-reflection", work)
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
         return fd_zero_hurwitz_route(nu, s)
-    value, err, work = alternating_lerch(s, nu + 1.0)
-    alt = EvalResult(value, err, "fd/zero-alternating-cvz", work)
-    if err <= REL_TOL * abs(value):
-        return alt
-    # Large |Im s| costs CVZ digits; the smaller estimate wins.
-    halves = fd_zero_hurwitz_route(nu, s)
-    return halves if halves.err_estimate < err else alt
+    return _fd_zero_tagged(alternating_minus_one(s, nu + 1.0))
 
 
 def _be_zero(nu: complex, s: complex) -> EvalResult:
@@ -361,7 +364,10 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     """f(nu, s, x) = e^{-(nu-m)x} sum_k (s)_k (m-nu)^k / k! f(m, s+k, x):
     eqs. 4.7/5.8 moved by diff-eq-7.2 to the integer m next to Re(nu) of
     least ratio r = |nu - m|/(m + 1), at most 1/3 for real nu.  The
-    coefficients are values at the shift m (eta/zeta at x = 0, m = 0)."""
+    coefficients are values at the shift m (eta/zeta at x = 0, m = 0); at
+    x > 0 they are the bare Phi(-+e^{-x}, s+k, m+1), and the whole decay
+    e^{-(nu+1)x} is applied once to the sum, so no factor of it underflows
+    or overflows ahead of the value."""
     lo = math.floor(nu.real)
     m = min(lo, lo + 1, key=lambda c: abs(nu - c) / (c + 1))
     r = abs(nu - m) / (m + 1)
@@ -370,17 +376,18 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
             f"nu-expansion route needs |nu - m| < m + 1 for m = {m}, got {nu!r}"
         )
     d = m - nu
-    pre = cmath.exp(d * x)
+    pre = cmath.exp(-(nu + 1.0) * x)
+    z = (-1.0 if kind == "fd" else 1.0) * cmath.exp(-x)
 
     def coefficient(order: complex) -> EvalResult:
         if x != 0.0:
-            return _series_route(kind, complex(m), order, x)
+            return lerch_phi(LerchParams(z, order, m + 1.0))
         if m == 0:
             return dirichlet_eta(order) if kind == "fd" else riemann_zeta(order)
         return _fd_zero(complex(m), order) if kind == "fd" else _be_zero(complex(m), order)
 
-    terms: list[complex] = []
     total = complex(0.0)
+    terms: list[complex] = []
     inner_err = 0.0
     work = 0
     # (s)_k d^k / k!, carried as one product: its two factors overflow
@@ -414,11 +421,16 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         else:
             small_streak = 0
     else:
-        raise ConvergenceError(f"nu-expansion not converged within {_NU_CAP} terms")
+        raise ConvergenceError(
+            f"nu-expansion not converged within {_NU_CAP} terms"
+        )
 
     tail = abs(terms[-1]) * r / (1.0 - r) if weight else 0.0  # 0: finite sum
     value = pre * compensated_sum(terms)
-    err = abs(pre) * (inner_err + tail) + 1e-16 * abs(value)
+    # pre inherits the rounding of its exponent, as in _series_route.
+    err = abs(pre) * (inner_err + tail) + (
+        1e-16 + 2.2e-16 * abs((nu + 1.0) * x)
+    ) * abs(value)
     return EvalResult(value, err, f"{kind}/nu-series", work + len(terms))
 
 

@@ -494,6 +494,18 @@ def alternating_lerch(s: complex, a: complex,
     return value, err + 1e-15 * abs(value), len(terms)
 
 
+def alternating_minus_one(s: complex, a: complex) -> EvalResult:
+    """Phi(-1, s, a) at Re(s) > 0, Re(a) > 0 by :func:`alternating_lerch`;
+    where its estimate misses REL_TOL relative (large |Im s|), by
+    :func:`hurwitz_halves` instead if that has the smaller estimate."""
+    value, err, work = alternating_lerch(s, a)
+    alt = EvalResult(value, err, "lerch/cvz-alternating", work)
+    if err <= REL_TOL * abs(value):
+        return alt
+    halves = hurwitz_halves(s, a)
+    return halves if halves.err_estimate < err else alt
+
+
 def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
     """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1; see lerch_phi."""
     r = abs(z)
@@ -575,8 +587,8 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     Re(s) > 0 and z within 1e-12 of the real segment [-1, -e^{-NEAR_CIRCLE})
     -> Chebyshev-accelerated alternating sum (:func:`alternating_lerch`);
     where its estimate passes REL_TOL relative (large |Im s|), the direct
-    sum below at |z| < 1, or the Hurwitz halves (:func:`hurwitz_halves`) at
-    z = -1 with Re(a) > 0, if that has a smaller estimate; other
+    sum below at |z| < 1, or at z = -1 with Re(a) > 0 the Hurwitz halves
+    (:func:`alternating_minus_one`), if that has a smaller estimate; other
     |z| < 1 -> direct geometric-tail summation; other unimodular z ->
     Euler transform of the tail once the term moduli are monotone.
 
@@ -602,23 +614,20 @@ def lerch_phi(p: LerchParams) -> EvalResult:
 
     r = abs(z)
     if s.real > 0.0 and -z.real > math.exp(-NEAR_CIRCLE) and abs(z.imag) < 1e-12:
+        if z == -1.0 and a.real > 0.0:
+            out = alternating_minus_one(s, a)
+            return replace(out, value=faults.perturb("lerch_phi", out.value))
         value, err, work = alternating_lerch(s, a, cmath.log(-z))
         alt = EvalResult(faults.perturb("lerch_phi", value), err,
                          "lerch/cvz-alternating", work)
-        if err <= REL_TOL * abs(value):
+        if err <= REL_TOL * abs(value) or r >= 1.0 - 1e-14:
             return alt
         # Large |Im s| costs CVZ digits; the smaller estimate wins.
-        if z == -1.0 and a.real > 0.0:
-            halves = hurwitz_halves(s, a)
-            other = replace(halves, value=faults.perturb("lerch_phi", halves.value))
-        elif r >= 1.0 - 1e-14:
+        try:
+            direct = _lerch_direct(z, s, a)
+        except ConvergenceError:
             return alt
-        else:
-            try:
-                other = _lerch_direct(z, s, a)
-            except ConvergenceError:
-                return alt
-        return other if other.err_estimate < err else alt
+        return direct if direct.err_estimate < err else alt
 
     if r < 1.0 - 1e-14:
         return _lerch_direct(z, s, a)

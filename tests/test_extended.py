@@ -562,19 +562,6 @@ class TestStrategies:
             ns = ext_fd(p, Strategy.NU_SERIES)
             assert rel(ns.value, ext_fd(p).value) <= 1e-10
 
-    def test_nu_series_work_at_seven_eighths_is_bounded(self):
-        # Centred at m = 1, nu = 7/8 converges like (1/16)^k.  About nu = 0
-        # it converges like (7/8)^k, and these 18 points take 68,432 units.
-        work = 0
-        for f in (ext_fd, ext_be):
-            for s in (1.5, 2.5, -2.5):
-                for x in (0.0, 0.3, 1.0):
-                    p = ExtParams(0.875, s, x)
-                    ns = f(p, Strategy.NU_SERIES)
-                    assert rel(ns.value, f(p).value) <= 1e-10, (f, s, x)
-                    work += ns.work
-        assert work <= 10_000
-
     def test_nu_series_near_radius_edge_is_honest(self):
         # About nu = 0 these converge like 0.95^k and 0.944^k, the second
         # beyond 600 orders; about m = 1 the ratio is below 0.03.
@@ -593,6 +580,21 @@ class TestStrategies:
                         ns = f(p, Strategy.NU_SERIES)
                         assert ns.strategy.endswith("/nu-series")
                         assert rel(ns.value, f(p).value) <= 1e-10, (f, p)
+
+    def test_nu_series_at_large_x_keeps_the_decay_whole(self):
+        # e^{-(nu+1)x} is applied once: split as e^{(m-nu)x} e^{-(m+1)x},
+        # the second factor underflows (nu = 0.6, x = 400: e^{-800}) while
+        # the value, about 4e-279, is a normal float.
+        for nu in (0.6, 2.6):
+            for x in (190.0, 400.0):
+                for f in (ext_fd, ext_be):
+                    p = ExtParams(nu, 2.0, x)
+                    ns = f(p, Strategy.NU_SERIES)
+                    want = f(p, Strategy.XSERIES).value
+                    assert abs(ns.value - want) <= ns.err_estimate, (f, p)
+                    assert rel(ns.value, want) <= 1e-12, (f, p)
+        # Here e^{(m-nu)x} would pass the double range; the value underflows.
+        assert ext_fd(ExtParams(0.6, 2.0, 2000.0), Strategy.NU_SERIES).value == 0.0
 
     def test_nu_series_at_nonpositive_integer_order_is_finite(self):
         # (s)_k vanishes past k = -s.  fd's coefficients are entire, so the
@@ -638,13 +640,23 @@ class TestStrategies:
     def test_nu_series_bench_grid_work(self):
         # table-bulk's two NuSeries grids and their nu + 1/8 twins.  The
         # work counter is deterministic; about nu = 0 these 336 points take
-        # 361,419 units, 150,296 of them at nu = 7/8.
+        # 361,419 units, 150,296 of them at nu = 7/8, where the series
+        # converged like (7/8)^k and (s)_k overflowed near k = 170.  About
+        # m = 1 it converges like (1/16)^k; there every point, and x = 0.3,
+        # must also agree with AUTO.
         work = 0
         for f in (ext_fd, ext_be):
             for nu in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875):
                 for s in (-2.5, -1.5, -0.5, 0.5, 1.5, 2.5, 3.5):
-                    for x in (0.0, 1.0, 2.0):
-                        work += f(ExtParams(nu, s, x), Strategy.NU_SERIES).work
+                    for x in (0.0, 0.3, 1.0, 2.0):
+                        if x == 0.3 and nu != 0.875:
+                            continue
+                        p = ExtParams(nu, s, x)
+                        ns = f(p, Strategy.NU_SERIES)
+                        if nu == 0.875:
+                            assert rel(ns.value, f(p).value) <= 1e-10, (f, p)
+                        if x != 0.3:
+                            work += ns.work
         assert work <= 0.4 * 361_419
 
     def test_negint_strategy_exact_polynomial(self):
