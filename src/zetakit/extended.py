@@ -18,11 +18,11 @@ exercises every pairing.
 Route selection is explicit through :class:`Strategy`; ``Strategy.AUTO``
 picks by region:
 
-* x = 0: continuation values (alternating-accelerated, or the Hurwitz
-  halves where that misses REL_TOL at large |Im s| and they do better;
-  Hurwitz-based; or at Re(s) <= -4 with real nu one Fourier reflection
-  series over odd n, for fd; Hurwitz zeta for be, with its order-1 pole
-  surfaced as PoleError).
+* x = 0: continuation values (for fd the alternating-accelerated sum at
+  Re(s) > 0, its length set by |Im s|; the Hurwitz halves at Re(s) <= 0
+  and s = 1; or at Re(s) <= -4 with real nu one Fourier reflection series
+  over odd n; Hurwitz zeta for be, with its order-1 pole surfaced as
+  PoleError).
 * be at real 0 < x < 0.05, every order s: the Taylor series in x (eqs.
   4.14/4.15), immune to the slow geometric decay; at a positive integer
   order the pole coefficient and the singular part x^{s-1} Gamma(1-s) are
@@ -80,7 +80,7 @@ from .zeta import (
     NEAR_CIRCLE,
     REL_TOL,
     LerchParams,
-    alternating_minus_one,
+    alternating_lerch,
     digamma,
     dirichlet_eta,
     fourier_reflection,
@@ -158,15 +158,9 @@ def _near_nonpos_int(s: complex) -> bool:
 # ---------------------------------------------------------------------------
 
 _FD_ZERO_TAGS = {
-    "lerch/cvz-alternating": "fd/zero-alternating-cvz",
     "lerch/hurwitz-halves": "fd/zero-hurwitz-diff",
     "lerch/halves-digamma-limit": "fd/zero-digamma-limit",
 }
-
-
-def _fd_zero_tagged(inner: EvalResult) -> EvalResult:
-    return EvalResult(inner.value, inner.err_estimate,
-                      _FD_ZERO_TAGS[inner.strategy], inner.work)
 
 
 def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
@@ -175,7 +169,9 @@ def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
     second route beside the alternating sum at x = 0."""
     nu = require_finite(nu, "nu")
     s = require_finite(s, "s")
-    return _fd_zero_tagged(hurwitz_halves(s, nu + 1.0))
+    inner = hurwitz_halves(s, nu + 1.0)
+    return EvalResult(inner.value, inner.err_estimate,
+                      _FD_ZERO_TAGS[inner.strategy], inner.work)
 
 
 def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
@@ -185,7 +181,8 @@ def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
         return EvalResult(value, err, "fd/zero-reflection", work)
     if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
         return fd_zero_hurwitz_route(nu, s)
-    return _fd_zero_tagged(alternating_minus_one(s, nu + 1.0))
+    value, err, work = alternating_lerch(s, nu + 1.0)
+    return EvalResult(value, err, "fd/zero-alternating-cvz", work)
 
 
 def _be_zero(nu: complex, s: complex) -> EvalResult:
@@ -213,7 +210,7 @@ def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     pre = cmath.exp(-(nu + 1.0) * x)
     inner = lerch_phi(LerchParams(z, s, nu + 1.0))
     suffix = inner.strategy.split("/", 1)[1]
-    tag = f"{kind}/{_LERCH_TAG_MAP.get(suffix, 'xseries-direct')}"
+    tag = f"{kind}/{_LERCH_TAG_MAP[suffix]}"
     value = pre * inner.value
     # pre inherits the rounding of its exponent, 2.2e-16 |(nu+1) x|.
     err = abs(pre) * inner.err_estimate + (
@@ -362,13 +359,15 @@ _NU_CAP = 600
 
 def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     """f(nu, s, x) = e^{-(nu-m)x} sum_k (s)_k (m-nu)^k / k! f(m, s+k, x):
-    eqs. 4.7/5.8 moved by diff-eq-7.2 to the integer m next to Re(nu) of
-    least ratio r = |nu - m|/(m + 1), at most 1/3 for real nu.  The
+    eqs. 4.7/5.8 moved by diff-eq-7.2 to the integer m of least ratio
+    r = |nu - m|/(m + 1), at most 1/3 for real nu.  Over real m the ratio
+    is least, |Im nu|/|nu + 1| < 1, at m* = Re nu + (Im nu)^2/(Re nu + 1),
+    so m is floor(m*) or the next integer.  The
     coefficients are values at the shift m (eta/zeta at x = 0, m = 0); at
     x > 0 they are the bare Phi(-+e^{-x}, s+k, m+1), and the whole decay
     e^{-(nu+1)x} is applied once to the sum, so no factor of it underflows
     or overflows ahead of the value."""
-    lo = math.floor(nu.real)
+    lo = math.floor(nu.real + nu.imag ** 2 / (nu.real + 1.0))
     m = min(lo, lo + 1, key=lambda c: abs(nu - c) / (c + 1))
     r = abs(nu - m) / (m + 1)
     if r >= 1.0:

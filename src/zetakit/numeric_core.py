@@ -28,6 +28,7 @@ Summation
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -311,22 +312,39 @@ def compensated_sum(terms: Iterable[complex]) -> complex:
     return complex(math.fsum([t.real for t in seq]), math.fsum([t.imag for t in seq]))
 
 
+@functools.lru_cache(maxsize=64)
+def _cvz_weights(n: int) -> tuple[float, ...]:
+    """CVZ weights (-1)^k c_k/d, k < n, in (-1, 1) and correctly rounded:
+    d = T_n(3) sums the integers b_j = n/(n+j) C(n+j, 2j) 4^j, the moduli
+    of the coefficients of T_n(1 - 2x), and c_k is their tail sum_{j>k} b_j.
+    Exact integers keep every weight finite at any n; d as a double
+    overflows from about n = 400."""
+    def coefficients():
+        b = 1
+        for j in range(n + 1):
+            yield b
+            b = b * 2 * (n * n - j * j) // ((2 * j + 1) * (j + 1))
+
+    d = sum(coefficients())
+    tail = d
+    weights = []
+    for k, b in zip(range(n), coefficients()):
+        tail -= b
+        weights.append((-1) ** k * (tail / d))
+    return tuple(weights)
+
+
 def alternating_sum_cvz(term: Callable[[int], complex], n: int = 32) -> complex:
     """sum_{k>=0} (-1)^k term(k) by Chebyshev acceleration.
 
     ``term`` must be smooth and decaying in k (e.g. (k+c)^{-s} with
-    Re(s) > 0); convergence is then ~ (3+sqrt(8))^{-n}.
+    Re(s) > 0); convergence is then ~ (3+sqrt(8))^{-n}.  The weighted terms
+    are summed exactly, so the result is off by its truncation plus at most
+    2.2e-16 sum_k |term(k)| + 1.1e-16 |result| of rounding.
     """
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    s = complex(0.0)
-    for k in range(n):
-        c = b - c
-        s += c * term(k)
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1.0))
-    return s / d
+    parts = [w * term(k) for k, w in enumerate(_cvz_weights(n))]
+    return complex(math.fsum([p.real for p in parts]),
+                   math.fsum([p.imag for p in parts]))
 
 
 def euler_transform_tail(

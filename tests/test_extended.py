@@ -35,6 +35,7 @@ from zetakit import (
 from zetakit import extended
 
 import oracles
+import zetakit.zeta as zeta_module
 from oracles import fd_negint_reference
 
 
@@ -659,6 +660,20 @@ class TestStrategies:
                             work += ns.work
         assert work <= 0.4 * 361_419
 
+    def test_nu_series_at_complex_nu(self):
+        # Centred at floor(m*), m* = Re nu + (Im nu)^2/(Re nu + 1), where
+        # |nu - m|/(m + 1) is least: m = 6 at nu = 0.5 + 3i (ratio 0.895;
+        # 1.52 at m = 1, the integer next to Re nu).
+        for nu, s, x in ((0.5 + 3j, 2.0, 0.3), (0.5 + 3j, 2.5, 0.0),
+                         (1 + 5j, -1.5, 1.0), (0.25 + 1j, 1.5 + 2j, 0.3)):
+            for f in (ext_fd, ext_be):
+                p = ExtParams(nu, s, x)
+                ns = f(p, Strategy.NU_SERIES)
+                auto = f(p)
+                assert ns.strategy.endswith("/nu-series"), (f, p)
+                assert abs(ns.value - auto.value) <= ns.err_estimate + auto.err_estimate, (f, p)
+                assert rel(ns.value, auto.value) <= 1e-12, (f, p)
+
     def test_negint_strategy_exact_polynomial(self):
         p = ExtParams(1.0, -3.0, 0.0)
         res = ext_fd(p, Strategy.NEG_INT_BERNOULLI)
@@ -692,6 +707,117 @@ class TestStrategies:
             LerchParams(-cmath.exp(-x), s, nu + 1.0)
         ).value
         assert rel(got, want) <= 1e-11
+
+
+def axis(lo: complex, hi: complex, count: int) -> list[complex]:
+    """count evenly spaced values from lo to hi, as a table grid axis."""
+    if count == 1:
+        return [complex(lo)]
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
+class TestAlternatingLength:
+    """The alternating sum takes the terms |Im s| needs, 32 up to 4."""
+
+    # (kinds, strategy, nu axis, s axis, x axis): table-bulk's grids with
+    # an x = 0 point and table-near-circle's real-x grids.
+    BENCH_GRIDS = (
+        (("fd", "be"), Strategy.AUTO, axis(0, 3, 7), axis(-4.5, 4.5, 10), [0.0]),
+        (("fd", "be"), Strategy.AUTO, axis(0, 3, 4),
+         axis(-2.5 + 1.5j, 2.5 + 1.5j, 6), [0.0]),
+        (("fd",), Strategy.WEYL_QUAD, axis(0, 2, 3), axis(-2.5, 2.5, 11), [0.0]),
+        (("fd", "be"), Strategy.NU_SERIES, axis(0, 0.75, 4), axis(-2.5, 3.5, 7), [0.0]),
+        (("fd", "be"), Strategy.AUTO, axis(0, 1, 2), axis(-5.5, 3, 18), [0.005]),
+        (("fd", "be"), Strategy.AUTO, [0.0], axis(-1, 3, 5), [0.001]),
+        (("fd", "be"), Strategy.AUTO, axis(0, 1, 2), axis(-5.5, 3, 18),
+         axis(0.01, 0.045, 3)),
+        (("fd",), Strategy.AUTO, [0.0], [-1.5], axis(1e-7, 1e-5, 2)),
+        (("be",), Strategy.AUTO, [0.0], [2.0], [1e-6]),
+    )
+
+    def test_bench_grid_sums_keep_32_terms(self, monkeypatch):
+        # Every benchmark point, and its nu + 1/8 twin, has |Im s| <= 1.5:
+        # each alternating sum there is S_32 with its S_24 estimate.
+        lengths = []
+        cvz = zeta_module.alternating_sum_cvz
+
+        def traced(term, n):
+            lengths.append(n)
+            return cvz(term, n)
+
+        monkeypatch.setattr(zeta_module, "alternating_sum_cvz", traced)
+        for kinds, strategy, nus, ss, xs in self.BENCH_GRIDS:
+            for kind in kinds:
+                f = ext_fd if kind == "fd" else ext_be
+                for nu in nus:
+                    for twin in (0.0, 0.125):
+                        for s in ss:
+                            for x in xs:
+                                try:
+                                    f(ExtParams(nu.real + twin, s, x), strategy)
+                                except (ConvergenceError, DomainError, PoleError):
+                                    pass
+        assert len(lengths) > 100
+        assert lengths == [32, 24] * (len(lengths) // 2)
+
+    def test_fd_small_x_large_imaginary_order(self):
+        # |Im s| = 80 needs 123 terms; 32 were 36% off with a 21% estimate.
+        mpmath = pytest.importorskip("mpmath")
+        x = 1e-6
+        got = ext_fd(ExtParams(1.0, 1 + 80j, x))
+        want = mpmath.exp(-2 * mpmath.mpf(x)) * oracles.alternating_lerch_boole(
+            mpmath, 1 + 80j, 2.0, -mpmath.log(mpmath.exp(-mpmath.mpf(x))))
+        assert got.strategy == "fd/xseries-cvz" and got.work == 123
+        assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want)
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+
+    def test_lerch_next_to_minus_one_large_imaginary_order(self):
+        # 170 terms; the direct sum takes 550 ms here and is 100% off.
+        mpmath = pytest.importorskip("mpmath")
+        z, s, a = -0.9999998, 3 + 120j, 1.5 - 1j
+        got = lerch_phi(LerchParams(z, s, a))
+        want = oracles.alternating_lerch_boole(
+            mpmath, s, a, -mpmath.log(-mpmath.mpf(z)))
+        assert got.strategy == "lerch/cvz-alternating" and got.work == 170
+        assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want)
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+
+    def test_fd_tiny_x_imaginary_order_sixty(self):
+        # 99 terms; the direct sum takes 764 ms here and is 1.7e-3 off.
+        mpmath = pytest.importorskip("mpmath")
+        x = 1e-5
+        z = -cmath.exp(-x)
+        got = ext_fd(ExtParams(0.0, 2 + 60j, x))
+        want = mpmath.exp(-mpmath.mpf(x)) * oracles.alternating_lerch_boole(
+            mpmath, 2 + 60j, 1.0, -mpmath.log(-mpmath.mpf(z.real)))
+        assert got.strategy == "fd/xseries-cvz" and got.work == 99
+        assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want)
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+
+    def test_be_at_i_pi_sums_z_next_to_minus_one(self):
+        # e^{-i pi} rounds to z = -1 + 1.2e-16i, on the segment but off
+        # z = -1 itself.  |Im s| = 60 needs 99 terms; 32 were 0.137 off.
+        # The double nearest pi stands for pi: be(0, s, i pi) = -Phi(-1, s, 1).
+        mpmath = pytest.importorskip("mpmath")
+        s = 0.5 + 60j
+        got = ext_be(ExtParams(0.0, s, 1j * math.pi))
+        want = -oracles.alternating_lerch_boole(mpmath, s, 1.0, 0)
+        assert got.strategy == "be/xseries-cvz" and got.work == 99
+        assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want)
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+
+    def test_forced_xseries_names_the_lerch_route(self):
+        # The tag map is indexed strictly; every lerch_phi route maps.
+        assert set(extended._LERCH_TAG_MAP) == {
+            "single-term", "hurwitz-delegate", "cvz-alternating",
+            "direct-sum", "euler-transform"}
+        for f, p, tag in (
+            (ext_fd, ExtParams(0.0, 0.5 + 60j, 0.0), "fd/xseries-cvz"),
+            (ext_be, ExtParams(0.5, 2.5, 0.0), "be/xseries-hurwitz-delegate"),
+            (ext_fd, ExtParams(0.5, 2.5, 1.0), "fd/xseries-direct"),
+            (ext_fd, ExtParams(0.5, 2.5, 1.0j), "fd/xseries-euler-w"),
+        ):
+            assert f(p, Strategy.XSERIES).strategy == tag, p
 
 
 class TestTaylorRefusal:

@@ -24,6 +24,7 @@ from zetakit import (
     dirichlet_eta,
     ext_be,
     ext_fd,
+    fd_zero_hurwitz_route,
     hurwitz_diff,
     hurwitz_zeta,
     lerch_phi,
@@ -37,6 +38,13 @@ from oracles import hurwitz_negint_reference
 
 def rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def cvz_length(s: complex) -> int:
+    """Terms of the alternating sum at order s: the least n >= 32 with
+    e^{pi |Im s|/2} (3 + sqrt 8)^{-3n/4} <= e^{-36}."""
+    rate = 0.75 * math.log(3.0 + math.sqrt(8.0))
+    return max(32, math.ceil((0.5 * math.pi * abs(s.imag) + 36.0) / rate))
 
 
 class TestRiemannZeta:
@@ -358,8 +366,7 @@ class TestLerchPhi:
     def test_alternating_segment_against_euler_boole(self):
         # Real z in [-1, -e^{-0.05}), Re s in (0, 8], |Im s| <= 6, real and
         # complex a (Re a <= 0 included): lerch_phi and polylog take the
-        # alternating acceleration, or the direct sum where that returns a
-        # smaller estimate, and return within their estimates.  The
+        # alternating acceleration and return within their estimates.  The
         # reference sums by Euler-Boole, which shares nothing with the
         # Chebyshev weights.
         mpmath = pytest.importorskip("mpmath")
@@ -378,43 +385,69 @@ class TestLerchPhi:
                 got, want, alt_err = polylog(z, s), z * want, -z * alt_err
             else:
                 got = lerch_phi(LerchParams(z, s, a))
-            assert got.strategy.endswith(("/cvz-alternating", "/direct-sum"))
+            assert got.strategy.endswith("/cvz-alternating")
             assert got.err_estimate <= alt_err, (z, s, a)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (z, s, a)
 
     def test_alternating_segment_at_large_imaginary_order(self):
-        # The Chebyshev error grows like e^{pi |Im s|/2} 5.8^{-32}: at
-        # |Im s| = 15 to 40 it passes REL_TOL, so lerch_phi sums directly
-        # where the direct sum finishes, to the direct sum's accuracy.
+        # The Chebyshev error grows like e^{pi |Im s|/2} 5.8^{-n}, so the
+        # sum takes the terms |Im s| needs: 32 up to |Im s| = 4, 99 at 60.
+        # Each point, on the segment and at z = -1 (where fd at x = 0 sums
+        # the same series), is then within 1e-12 relative and its estimate.
         mpmath = pytest.importorskip("mpmath")
         for z, s, a in ((-0.99, 0.5 + 30j, 1.0), (-0.96, 2 - 40j, 2.5),
-                        (-0.999, 1 + 20j, 0.5), (-0.97, 1 - 15j, 0.5 + 1j)):
+                        (-0.999, 1 + 20j, 0.5), (-0.97, 1 - 15j, 0.5 + 1j),
+                        (-0.99999, 0.5 + 30j, 1.0), (-1.0, 0.5 + 30j, 1.0),
+                        (-1.0, 0.5 + 60j, 1.0), (-1.0, 2 - 45j, 2.5),
+                        (-1.0, 2 - 45j, 0.5 + 1j)):
             got = lerch_phi(LerchParams(z, s, a))
             want = oracles.alternating_lerch_boole(
                 mpmath, s, a, -mpmath.log(-mpmath.mpf(z)))
-            assert got.strategy == "lerch/direct-sum", (z, s, a)
+            assert got.strategy == "lerch/cvz-alternating", (z, s, a)
             assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want), (z, s, a)
-        # Where the direct sum refuses, the alternating sum is returned with
-        # its honest estimate.
-        got = lerch_phi(LerchParams(-0.99999, 0.5 + 30j, 1.0))
-        want = oracles.alternating_lerch_boole(
-            mpmath, 0.5 + 30j, 1.0, -mpmath.log(mpmath.mpf(0.99999)))
-        assert got.strategy == "lerch/cvz-alternating" and got.work == 32
-        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
-        # At z = -1 with Re a > 0 the Hurwitz halves take over where they do
-        # better (the CVZ sum is off by 8e-7 at Im s = 30 and by 0.14 at
-        # Im s = 60), and so does fd at x = 0, which sums the same series.
-        for s, a in ((0.5 + 30j, 1.0), (0.5 + 60j, 1.0), (2 - 45j, 2.5),
-                     (2 - 45j, 0.5 + 1j)):
-            got = lerch_phi(LerchParams(-1.0, s, a))
-            want = oracles.alternating_lerch_boole(mpmath, s, a, 0)
-            assert got.strategy == "lerch/hurwitz-halves", (s, a)
-            assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want), (s, a)
-            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
-            if a.imag == 0.0:
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (z, s, a)
+            if z == -1.0 and a.imag == 0.0:
                 fd = ext_fd(ExtParams(a - 1.0, s, 0.0))
-                assert fd.strategy == "fd/zero-hurwitz-diff", (s, a)
+                assert fd.strategy == "fd/zero-alternating-cvz", (s, a)
                 assert abs(mpmath.mpc(fd.value) - want) <= 1e-12 * abs(want), (s, a)
+
+    def test_alternating_segment_grid_to_large_imaginary_order(self):
+        # z in [-1, -e^{-0.05}), |Im s| up to 300, real and complex a with
+        # Re a <= 0 included: one alternating sum of the rule's length, so
+        # no second route ran, within its estimate.  |Im s arg a| stays
+        # below 50, so the terms (k+a)^{-s} stay within 40 digits of the
+        # value and of the double range.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        for _ in range(120):
+            u = rng.choice((0.0, 10 ** rng.uniform(-12.0, -3.0), rng.uniform(0.0, 0.05)))
+            z = -math.exp(-u)
+            a = rng.choice((complex(rng.uniform(0.1, 4.0)),
+                            complex(rng.uniform(-3.0, 4.0), rng.uniform(-3.0, 3.0))))
+            arg = abs(cmath.phase(a))
+            t = rng.uniform(0.0, min(300.0, 50.0 / arg) if arg else 300.0)
+            s = complex(rng.uniform(0.05, 6.0), rng.choice((-t, t)))
+            got = lerch_phi(LerchParams(z, s, a))
+            want = oracles.alternating_lerch_boole(
+                mpmath, s, a, -mpmath.log(-mpmath.mpf(z)))
+            assert got.strategy == "lerch/cvz-alternating", (z, s, a)
+            assert got.work == cvz_length(s), (z, s, a)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (z, s, a)
+
+    def test_alternating_sum_at_imaginary_order_one_thousand(self):
+        # 1,216 terms: the unnormalised Chebyshev weights would pass the
+        # double range from about 400.  lerch_phi at z = -1 and fd at x = 0
+        # return within their estimates and agree with the Hurwitz halves.
+        mpmath = pytest.importorskip("mpmath")
+        for s, a in ((0.5 + 1000j, 1.0), (2 - 1000j, 2.5)):
+            want = oracles.alternating_lerch_boole(mpmath, s, a, 0)
+            halves = fd_zero_hurwitz_route(a - 1.0, s)
+            for got in (lerch_phi(LerchParams(-1.0, s, a)),
+                        ext_fd(ExtParams(a - 1.0, s, 0.0))):
+                assert got.work == cvz_length(s) == 1216, (s, a)
+                assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+                gap = abs(got.value - halves.value)
+                assert gap <= got.err_estimate + halves.err_estimate, (s, a)
 
     def test_difference_contraction(self):
         # Phi(z,s,a) - z Phi(z,s,a+1) = a^{-s}
