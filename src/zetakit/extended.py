@@ -625,7 +625,7 @@ def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         try:
             return _series_route(kind, nu, s, x)
         except ConvergenceError:
-            # MAX_TERMS terms of ratio e^{-Re x} cannot reach REL_TOL.
+            # The direct sum refuses: MAX_TERMS terms cannot reach REL_TOL.
             return _circle(kind, nu, s, x)
     return _series_route(kind, nu, s, x)
 

@@ -57,7 +57,6 @@ _PI = math.pi
 _LN_PI = math.log(math.pi)
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
-_LN_1E_M290 = math.log(1e-290)
 # Euler-Maclaurin correction pairs always taken before the adaptive
 # extension may stop at the smallest term.
 _EM_MIN_PAIRS = 6
@@ -366,10 +365,10 @@ def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
     ... it raises DomainError: chi's pole meets a trivial zero of zeta(1-s).
     """
     s = require_finite(s, "s")
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("pole at s=1")
     if via not in ("em", "functional"):
         raise DomainError(f"unknown route {via!r}")
+    if abs(s - 1.0) < 1e-12:
+        raise PoleError("pole at s=1")
     if via == "functional":
         if s == 0.0:
             # chi's zero meets the pole of zeta(1 - s); their product is -1/2.
@@ -501,40 +500,38 @@ def alternating_lerch(s: complex, a: complex,
     return value, err + 1e-15 * abs(value), n
 
 
+def _cannot_stop(n: int, nxt: float, mass: float, size: float, r: float,
+                 s: complex, a: complex) -> bool:
+    """Whether no stopping test of :func:`_lerch_direct` after term n can pass
+    within N = MAX_TERMS terms; nxt and mass are the loop's, size = |total|."""
+    # With Re(n+a) > 0 and n <= k <= N, |k+a| grows and |arg(k+a)| <=
+    # |arg(n+a)|: |term_k|/|term_n| is in r^{k-n} [min(1, g)/A, max(1, g) A],
+    # g = (|N+a|/|n+a|)^{-Re s}, A = e^{|Im s| |arg(n+a)|}.  Later stopping
+    # bounds are thus >= low = nxt r^{N-n} min(1, g)/(A (1-r)), and later
+    # |total| <= size + tail + 2.2e-16 N (mass + tail), tail = nxt max(1, g)
+    # A/(1-r), the last term for rounding N additions.  The 2 absorbs the
+    # rounding of z^k (k products) and of the exponents.  As |term_k| >=
+    # low (1-r), its floor keeps terms from rounding to 0.
+    log_g = s.real * math.log(abs(n + a) / abs(MAX_TERMS + a))
+    # atan2: cmath.phase overflows when the angle underflows (a = 2 + 5e-324j).
+    log_amp = abs(s.imag) * abs(math.atan2(a.imag, n + a.real))
+    # q = low/tail <= 1 in logarithms: A may overflow, but not once q > 2e-13.
+    q = r ** (MAX_TERMS - n) * math.exp(-abs(log_g) - 2.0 * log_amp)
+    if q <= 2.0 * REL_TOL:
+        return False
+    tail = nxt * math.exp(log_amp + max(log_g, 0.0)) / (1.0 - r)
+    high = size + tail + 2.2e-16 * MAX_TERMS * (mass + tail)
+    return q * tail > 2.0 * REL_TOL * high and q * tail * (1.0 - r) > 1e-290
+
+
 def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
     """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1; see lerch_phi."""
     r = abs(z)
     sigma = s.real
+    # A check at n can pass only if r^{N-n} > 2 REL_TOL; unless that holds
+    # at n = N/2, skip them all (later ones would save under half the sum).
+    checking = r ** (MAX_TERMS // 2) > 2.0 * REL_TOL
     power = cpow(a, -s)
-    if a.real > 0.0:
-        # Refuse up front when the stopping rule cannot fire within N
-        # terms.  With t = Im s and alpha = |arg a| < pi/2, |k+a| grows
-        # with k and |arg(k+a)| <= alpha, so
-        #   |(k+a)^{-s}| = |k+a|^{-sigma} e^{t arg(k+a)}
-        # lies within a factor e^{+-|t| alpha} of |k+a|^{-sigma}.  Hence
-        # |total_n| <= M_n e^{|t| alpha}/(1-r), with M_n = |a|^{-sigma}
-        # for sigma >= 0 and |n+a|^{-sigma} for sigma < 0, while
-        # bound_n >= r^n |n+a|^{-sigma} e^{-|t| alpha}/(1-r).  The ratio
-        # bound_n/|total_n| is thus at least
-        #   q_n = r^n min(1, (|n+a|/|a|)^{-sigma}) e^{-2|t| alpha},
-        # which falls with n; if q_N >= 2 REL_TOL no step can stop (the
-        # 2 absorbs the rounding in zpow).  Also bound_n >= q_N
-        # |a|^{-sigma}, and the second clause keeps that clear of the
-        # 1e-300 floor on |total|.
-        big_n = MAX_TERMS
-        abs_a = abs(a)
-        # math.atan2, not cmath.phase: the latter raises OverflowError
-        # when the angle underflows (a = 2 + 5e-324j).
-        alpha = abs(math.atan2(a.imag, a.real))
-        q = r ** big_n * math.exp(-2.0 * abs(s.imag) * alpha)
-        if sigma > 0.0:
-            q *= (abs(big_n + a) / abs_a) ** -sigma
-        if q >= 2.0 * REL_TOL and (
-            math.log(q) - sigma * math.log(abs_a) > _LN_1E_M290
-        ):
-            raise ConvergenceError(
-                f"direct Lerch sum not converged in {big_n} terms"
-            )
     total = complex(0.0)
     comp_terms: list[complex] = []
     zpow = complex(1.0)
@@ -568,6 +565,9 @@ def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
             )
             return EvalResult(value, err + 1e-16 * abs(value),
                               "lerch/direct-sum", n + 1)
+        if (checking and n & (n - 1) == 0 and n + a.real > 0.0
+                and _cannot_stop(n, nxt, mass, abs(total), r, s, a)):
+            break
         mass += nxt
         kmass += n * nxt
     raise ConvergenceError(
@@ -586,11 +586,11 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     term moduli are monotone.
 
     The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms
-    do not reach ``REL_TOL``.  For Re a > 0 it raises up front, before
-    summing, when r^N min(1, (|N+a|/|a|)^{-Re s}) e^{-2 |Im s| |arg a|} >=
-    2 REL_TOL (r = |z|): then its stopping rule provably cannot fire within
-    the budget.  Its estimate adds the rounding of every term to the tail
-    bound, so it holds where the terms cancel.
+    do not reach ``REL_TOL``, early at the first n = 1, 2, 4, ... where the
+    least tail bound any later step can reach exceeds 2 REL_TOL times the
+    most |total| can reach, from |total| so far, a bound on the tail and the
+    running mass sum |term_k|.  Its estimate adds the rounding of every term
+    to the tail bound, so it holds where the terms cancel.
     """
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zetakit.zeta as zeta_module
@@ -67,6 +67,11 @@ class TestRiemannZeta:
     def test_pole_message(self):
         with pytest.raises(PoleError, match=r"pole at s=1"):
             riemann_zeta(1.0)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_unknown_route_refused_before_the_pole(self, s):
+        with pytest.raises(DomainError, match="unknown route 'bogus'"):
+            riemann_zeta(s, via="bogus")
 
     def test_two_routes_disagree_in_code_path(self):
         em = riemann_zeta(0.5, via="em")
@@ -477,14 +482,16 @@ class TestLerchPhi:
         [
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1)),
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1 + 1j)),
+            lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, -0.5)),
             lambda: ext_fd(ExtParams(0, -1.5, 1e-7), Strategy.XSERIES),
             lambda: ext_be(ExtParams(0, 2, 1e-6), Strategy.XSERIES),
         ],
-        ids=["lerch", "lerch-complex-a", "fd", "be"],
+        ids=["lerch", "lerch-complex-a", "lerch-negative-a", "fd", "be"],
     )
     def test_hopeless_budget_refused_with_bounded_work(self, call, monkeypatch):
         # |z| = e^{-x} so close to 1 that 500,000 terms cannot reach 1e-13:
-        # the refusal comes before the sum, not after the whole budget.
+        # the refusal comes at the first power of two where it can be
+        # proved, here n = 1, not after the whole budget.
         calls = 0
         cpow = zeta_module.cpow
 
@@ -498,6 +505,63 @@ class TestLerchPhi:
             call()
         assert calls < 10
 
+    @pytest.mark.parametrize(
+        "call, want",
+        [
+            (lambda: lerch_phi(LerchParams(math.exp(-1e-6), 3, 1)), None),
+            # |(n+a)^{-s}| carries e^{800 arg(n+a)}, past the double range
+            # at small n: the refusal must not overflow on the way.
+            (lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2 - 800j, 0.5 + 2j)),
+             None),
+            # The defining series fails next to |z| = 1 and AUTO reduces.
+            (lambda: ext_fd(ExtParams(2.1107, 1.6595 + 2.3909j,
+                                      3.33e-5 - 2.5272j)), "fd/circle-be"),
+        ],
+        ids=["lerch-order-3", "lerch-order-2-800i", "auto-fd"],
+    )
+    def test_hopeless_direct_sum_refused_early(self, call, want, monkeypatch):
+        # The check first proves the budget short at n = 64, 256 and 512
+        # here: the direct sum makes at most 1,024 complex powers, not
+        # 500,000.
+        calls = 0
+        inside = False
+        cpow, direct = zeta_module.cpow, zeta_module._lerch_direct
+
+        def counting_cpow(base, expo):
+            nonlocal calls
+            calls += inside
+            return cpow(base, expo)
+
+        def counting_direct(z, s, a):
+            nonlocal inside
+            inside = True
+            try:
+                return direct(z, s, a)
+            finally:
+                inside = False
+
+        monkeypatch.setattr(zeta_module, "cpow", counting_cpow)
+        monkeypatch.setattr(zeta_module, "_lerch_direct", counting_direct)
+        if want is None:
+            with pytest.raises(ConvergenceError, match="not converged"):
+                call()
+        else:
+            assert call().strategy == want
+        assert 0 < calls <= 1024
+
+    def test_long_direct_sum_next_to_the_circle_still_returns(self):
+        # 33,052 terms at |z| = e^{-1e-3}.  With the budget cut to that need
+        # the checks run (r^{N/2} > 2e-13) and none fires; one term less
+        # and the sum raises.
+        p = LerchParams(math.exp(-1e-3) * cmath.exp(1j), 2 - 400j, 0.5 + 2j)
+        got = lerch_phi(p)
+        assert (got.strategy, got.work) == ("lerch/direct-sum", 33_053)
+        with mock.patch.object(zeta_module, "MAX_TERMS", 33_052):
+            assert lerch_phi(p) == got
+        with mock.patch.object(zeta_module, "MAX_TERMS", 33_051):
+            with pytest.raises(ConvergenceError):
+                lerch_phi(p)
+
     def test_auto_fd_at_hopeless_budget_takes_taylor_route(self):
         # The point the defining series refuses returns through the Taylor
         # series in x, in a few thousand units of work.
@@ -510,39 +574,50 @@ class TestLerchPhi:
         assert got.work < 5_000
         assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
+    # |z| in [0, 0.999], or within 1e-4 to 1e-1 of 1; real parts of a at
+    # least 0.01 from the poles at 0, -1, -2, ...
+    RADII = st.one_of(st.floats(0.0, 0.999),
+                      st.floats(-4.0, -1.0).map(lambda u: 1.0 - 10.0 ** u))
+    SHIFTS = st.floats(-5.0, 20.0).filter(
+        lambda x: x >= 0.01 or abs(x - round(x)) >= 0.01)
+
     @given(
-        r=st.floats(0.0, 0.999),
+        r=RADII,
         theta=st.floats(-math.pi, math.pi),
-        a=st.floats(0.01, 20.0),
+        a=SHIFTS,
         sigma=st.floats(-6.0, 6.0),
         t=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
         frac=st.floats(0.0, 1.5),
     )
+    # Re a < 0: before Re(n+a) > 0 the bounds on later terms do not hold.
+    @example(r=0.9989106962740453, theta=-1.116959684740607,
+             a=-3.756424634404008, sigma=7.165265140504884, t=0.0, frac=1.0)
     @settings(max_examples=150, deadline=None)
     def test_refusal_only_when_budget_too_small(self, r, theta, a, sigma, t, frac):
-        # A call with MAX_TERMS = M raises exactly when the same call with
-        # the default budget needs more than M terms (work - 1 > M), so the
-        # up-front refusal never turns away a sum that would have converged.
-        # M is drawn around that need, and M = need itself is always tried.
+        # A call with MAX_TERMS = M raises exactly when the stopping rule
+        # alone needs more than M terms, so the early refusal never turns
+        # away a sum that would have converged.  M is drawn around that
+        # need, and M = need itself is always tried.
         self._check_refusal(
             LerchParams(r * cmath.exp(1j * theta), complex(sigma, t), a), frac
         )
 
     @given(
-        r=st.floats(0.0, 0.999),
+        r=RADII,
         theta=st.floats(-math.pi, math.pi),
-        a_re=st.floats(0.01, 20.0),
+        a_re=SHIFTS,
         a_im=st.floats(-20.0, 20.0),
         sigma=st.floats(-6.0, 6.0),
-        t=st.floats(-10.0, 10.0),
+        t=st.floats(-200.0, 200.0),
         frac=st.floats(0.0, 1.5),
     )
     @settings(max_examples=100, deadline=None)
     def test_refusal_only_when_budget_too_small_complex_a(
         self, r, theta, a_re, a_im, sigma, t, frac
     ):
-        # The same property for Re a > 0 off the real axis, where the
-        # refusal bound carries e^{-2 |Im s| |arg a|}.
+        # The same property for complex a, where the bounds carry
+        # e^{|Im s| |arg(n+a)|}, and Re a <= 0, where the checks wait for
+        # Re(n+a) > 0.
         self._check_refusal(
             LerchParams(r * cmath.exp(1j * theta), complex(sigma, t),
                         complex(a_re, a_im)),
@@ -551,9 +626,26 @@ class TestLerchPhi:
 
     @staticmethod
     def _check_refusal(p: LerchParams, frac: float) -> None:
-        full = lerch_phi(p)
-        need = full.work - 1
-        for budget in (max(1, round(frac * need)), max(1, need)):
+        # The need comes from the stopping rule with the refusal switched
+        # off, summed up to `cap` terms; a sum that needs more stands for
+        # need = cap + 1 and is tried at budgets up to `cap`.  Every sum
+        # drawn at |z| <= 0.999 needs under 100,000 terms (about 90,000 at
+        # Re s = -6); nearer the circle 20,000 keeps the test fast.
+        cap = 100_000 if abs(p.z) <= 0.999 else 20_000
+        with mock.patch.object(zeta_module, "_cannot_stop", lambda *_: False), \
+                mock.patch.object(zeta_module, "MAX_TERMS", cap):
+            try:
+                full = lerch_phi(p)
+            except ConvergenceError:
+                full = None
+        if full is None:
+            need = cap + 1
+        elif full.strategy == "lerch/direct-sum":
+            need = full.work - 1
+        else:
+            need = 0   # a route that takes no term budget
+        top = min(need, cap)
+        for budget in (max(1, min(cap, round(frac * top))), max(1, top)):
             with mock.patch.object(zeta_module, "MAX_TERMS", budget):
                 if need > budget:
                     with pytest.raises(ConvergenceError):
