@@ -505,21 +505,22 @@ def _cannot_stop(n: int, nxt: float, mass: float, size: float, r: float,
     """Whether no stopping test of :func:`_lerch_direct` after term n can pass
     within N = MAX_TERMS terms; nxt and mass are the loop's, size = |total|."""
     # With Re(n+a) > 0 and n <= k <= N, |k+a| grows and |arg(k+a)| <=
-    # |arg(n+a)|: |term_k|/|term_n| is in r^{k-n} [min(1, g)/A, max(1, g) A],
-    # g = (|N+a|/|n+a|)^{-Re s}, A = e^{|Im s| |arg(n+a)|}.  Later stopping
-    # bounds are thus >= low = nxt r^{N-n} min(1, g)/(A (1-r)), and later
-    # |total| <= size + tail + 2.2e-16 N (mass + tail), tail = nxt max(1, g)
-    # A/(1-r), the last term for rounding N additions.  The 2 absorbs the
-    # rounding of z^k (k products) and of the exponents.  As |term_k| >=
-    # low (1-r), its floor keeps terms from rounding to 0.
-    log_g = s.real * math.log(abs(n + a) / abs(MAX_TERMS + a))
+    # |arg(n+a)|, so |term_k| is in nxt r^{k-n} G_k [1/A, A], with G_k =
+    # (|k+a|/|n+a|)^{-Re s} and A = e^{|Im s| |arg(n+a)|}.  At a step m > n
+    # the stopping bound is >= r^{m-n} G_m nxt/(A (1-r)), and |total| <=
+    # size + T + 2.2e-16 N (mass + T) for N additions, T = max_{k<=m} G_k
+    # nxt A/(1-r).  Their ratio is >= q tail/high, q = r^{N-n} min(1, G_N)
+    # A^{-2}, tail = nxt A/(1-r): at Re s >= 0, G_N <= G_m and G_k <= 1; at
+    # Re s < 0, G_k grows, so T = G_m nxt A/(1-r) and the ratio, rising with
+    # T, is least at G_m = 1.  The 2 absorbs the rounding of z^k and of the
+    # exponents; as |term_k| >= q tail (1-r), the floor keeps terms nonzero.
+    log_g = min(0.0, s.real * math.log(abs(n + a) / abs(MAX_TERMS + a)))
     # atan2: cmath.phase overflows when the angle underflows (a = 2 + 5e-324j).
     log_amp = abs(s.imag) * abs(math.atan2(a.imag, n + a.real))
-    # q = low/tail <= 1 in logarithms: A may overflow, but not once q > 2e-13.
-    q = r ** (MAX_TERMS - n) * math.exp(-abs(log_g) - 2.0 * log_amp)
-    if q <= 2.0 * REL_TOL:
+    q = r ** (MAX_TERMS - n) * math.exp(log_g - 2.0 * log_amp)
+    if q <= 2.0 * REL_TOL:   # A may overflow, but not once q > 2e-13
         return False
-    tail = nxt * math.exp(log_amp + max(log_g, 0.0)) / (1.0 - r)
+    tail = nxt * math.exp(log_amp) / (1.0 - r)
     high = size + tail + 2.2e-16 * MAX_TERMS * (mass + tail)
     return q * tail > 2.0 * REL_TOL * high and q * tail * (1.0 - r) > 1e-290
 
@@ -528,8 +529,7 @@ def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
     """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1; see lerch_phi."""
     r = abs(z)
     sigma = s.real
-    # A check at n can pass only if r^{N-n} > 2 REL_TOL; unless that holds
-    # at n = N/2, skip them all (later ones would save under half the sum).
+    # A check needs r^{N-n} > 2 REL_TOL: skip all unless so at n = N/2.
     checking = r ** (MAX_TERMS // 2) > 2.0 * REL_TOL
     power = cpow(a, -s)
     total = complex(0.0)
@@ -585,12 +585,12 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     summation; other unimodular z -> Euler transform of the tail once the
     term moduli are monotone.
 
-    The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms
-    do not reach ``REL_TOL``, early at the first n = 1, 2, 4, ... where the
-    least tail bound any later step can reach exceeds 2 REL_TOL times the
-    most |total| can reach, from |total| so far, a bound on the tail and the
-    running mass sum |term_k|.  Its estimate adds the rounding of every term
-    to the tail bound, so it holds where the terms cancel.
+    The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms do
+    not reach ``REL_TOL``; at n = 1, 2, 4, ... it also raises once no later
+    tail bound can meet 2 REL_TOL times the most |total| can reach (from
+    |total|, the running mass sum |term_k| and a tail bound), which is early
+    only where the budget is far short.  Its estimate adds the rounding of
+    every term to the tail bound, so it holds where the terms cancel.
     """
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
 

@@ -483,10 +483,13 @@ class TestLerchPhi:
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1)),
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1 + 1j)),
             lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, -0.5)),
+            # r^N = 1e-5: at Re s < 0 the terms grow until k = N.
+            lambda: lerch_phi(LerchParams(math.exp(-2.3e-5), -40, 1)),
             lambda: ext_fd(ExtParams(0, -1.5, 1e-7), Strategy.XSERIES),
             lambda: ext_be(ExtParams(0, 2, 1e-6), Strategy.XSERIES),
         ],
-        ids=["lerch", "lerch-complex-a", "lerch-negative-a", "fd", "be"],
+        ids=["lerch", "lerch-complex-a", "lerch-negative-a",
+             "lerch-negative-order", "fd", "be"],
     )
     def test_hopeless_budget_refused_with_bounded_work(self, call, monkeypatch):
         # |z| = e^{-x} so close to 1 that 500,000 terms cannot reach 1e-13:
