@@ -51,12 +51,19 @@ print("\nComplex arguments ride the defining series")
 res = ext_fd(ExtParams(0.5, 2.5 + 2.0j, 1.0 + 1.5j), Strategy.XSERIES)
 print(f"  fd(0.5, 2.5+2i, 1+1.5i) = {res.value:.15g}  ({res.strategy})")
 
-print("\nOn the unit circle: reduce, then expand")
-# At Re s <= 0 the period 2 pi i and the duality x -> x - i pi move x to
-# within a third of a Taylor radius of a centre; the tag names the centre.
-res = ext_fd(ExtParams(0.5, -1.5, 3j))
-print(f"  fd(0.5, -1.5, 3i) = {res.value:.15g}")
-print(f"  err est {res.err_estimate:.1e}  ({res.strategy})")
+print("\nOn the unit circle")
+# Imaginary x puts z = -e^{-x} on |z| = 1.  At Re s > 0 the Chebyshev (CVZ)
+# weights taken at w = 1/z sum the series; at Re s <= 0 Lerch's
+# transformation turns the point into two such sums of order 1 - s.
+for s in (1.5, -1.5):
+    res = ext_fd(ExtParams(0.5, s, 3j))
+    print(f"  fd(0.5, {s:g}, 3i) = {res.value:.15g}")
+    print(f"    err est {res.err_estimate:.1e}  ({res.strategy})")
+# Off the axis, at Re x < 0.05, the period 2 pi i and the duality
+# x -> x - i pi move x next to a Taylor centre; the tag names the centre.
+res = ext_fd(ExtParams(0.5, -1.5, 0.01 + 3j))
+print(f"  fd(0.5, -1.5, 0.01+3i) = {res.value:.15g}")
+print(f"    err est {res.err_estimate:.1e}  ({res.strategy})")
 
 print("\nNon-positive integer orders collapse to exact polynomials")
 for n in (0, 1, 3, 5):

@@ -40,14 +40,19 @@ picks by region:
   sum over 8 |x^k/k!|, which cuts the reflection series short.
   An unconverged sum raises ConvergenceError at 40 terms, or earlier once
   its terms stop decreasing.
-* complex x, Re(x) < 0.05, at Re(s) <= 0 or where the defining series
-  cannot finish (Re(x) > 0): reduce, then expand.  The period 2 pi i and
-  the duality x -> x - i pi move x to within a third of a Taylor radius of
-  a be or fd centre, where the Taylor series in x sums (tags
-  {fd,be}/circle-{be,fd}).
+* imaginary x at Re(s) <= 0 with real nu: the defining series, which
+  lerch_phi sums on |z| = 1 by Lerch's transformation (tag
+  {fd,be}/xseries-lerch-transform), except where its inner circle sums
+  would pass their cap (nu within about 0.02 of an integer, not on it)
+  and within 1e-12 of z = 1, where x stands for a be centre.
+* other complex x, Re(x) < 0.05, at Re(s) <= 0 (complex nu included), or
+  where the defining series cannot finish (0 < Re(x) < 0.05): reduce,
+  then expand.  The period 2 pi i and the duality x -> x - i pi move x to
+  within a third of a Taylor radius of a be or fd centre, where the
+  Taylor series in x sums (tags {fd,be}/circle-{be,fd}).
 * otherwise the defining series: geometric ratio e^{-Re(x)} for
-  Re(x) > 0, accelerated or Hurwitz-delegated summation on the unit
-  circle for Re(s) > 0.
+  Re(x) > 0; on the unit circle at Re(s) > 0 the CVZ circle sum
+  ({fd,be}/xseries-cvz-circle), or Hurwitz zeta at z = 1.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ from .zeta import (
     hurwitz_halves,
     hurwitz_zeta,
     lerch_phi,
+    lerch_transform_serves,
     riemann_zeta,
 )
 
@@ -199,14 +205,19 @@ _LERCH_TAG_MAP = {
     "hurwitz-delegate": "xseries-hurwitz-delegate",
     "direct-sum": "xseries-direct",
     "cvz-alternating": "xseries-cvz",
-    "euler-transform": "xseries-euler-w",
+    "cvz-circle": "xseries-cvz-circle",
+    "lerch-transform": "xseries-lerch-transform",
     "single-term": "xseries-direct",
 }
 
 
+def _lerch_z(kind: str, x: complex) -> complex:
+    """z = -+e^{-x} of the defining series."""
+    return (-1.0 if kind == "fd" else 1.0) * cmath.exp(-x)
+
+
 def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    sign = -1.0 if kind == "fd" else 1.0
-    z = sign * cmath.exp(-x)
+    z = _lerch_z(kind, x)
     pre = cmath.exp(-(nu + 1.0) * x)
     inner = lerch_phi(LerchParams(z, s, nu + 1.0))
     suffix = inner.strategy.split("/", 1)[1]
@@ -376,7 +387,7 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         )
     d = m - nu
     pre = cmath.exp(-(nu + 1.0) * x)
-    z = (-1.0 if kind == "fd" else 1.0) * cmath.exp(-x)
+    z = _lerch_z(kind, x)
 
     def coefficient(order: complex) -> EvalResult:
         if x != 0.0:
@@ -618,6 +629,12 @@ def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
     near = x.real < NEAR_CIRCLE
     if near and x.imag != 0.0 and s.real <= 0.0:
+        # On the imaginary axis lerch_phi takes Lerch's transformation, but
+        # within 1e-12 of z = 1 it reads z as 1: there x stands for a be
+        # centre, which the reduction resolves.
+        if (x.real == 0.0 and lerch_transform_serves(nu + 1.0)
+                and abs(_lerch_z(kind, x) - 1.0) >= 1e-12):
+            return _series_route(kind, nu, s, x)
         return _circle(kind, nu, s, x)
     if near and x.imag == 0.0 and (kind == "be" or s.real <= 0.0):
         return _power_series_x(kind, nu, s, x)[0]

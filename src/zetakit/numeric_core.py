@@ -18,17 +18,21 @@ Floating layer
 
 Summation
     ``compensated_sum`` is the correctly rounded ``math.fsum`` applied to
-    the real and imaginary parts separately; ``alternating_sum_cvz`` is the
-    Chebyshev-polynomial acceleration of Cohen-Villegas-Zagier for series
-    sum (-1)^k b_k with smooth, decaying b_k; ``euler_transform_tail`` accelerates sum z^k b_k for z on the
-    unit circle via the classical Euler transformation written in its
-    z/(1-z) form.
+    the real and imaginary parts separately, and ``chunked_sum`` applies it
+    to a stream of any length in fixed-size chunks.  ``alternating_sum_cvz``
+    is the Chebyshev-polynomial acceleration of Cohen-Villegas-Zagier for
+    series sum (-1)^k b_k with smooth, decaying b_k; ``chebyshev_weights``
+    gives the same acceleration's weights for sum z^k b_k at any z with
+    |z| <= 1 off [0, 1), as used by ``zeta.circle_lerch``.
+    ``euler_transform_tail`` (the classical Euler transformation) has no
+    caller in the package any more.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +51,9 @@ __all__ = [
     "euler_poly_coeffs",
     "euler_poly",
     "compensated_sum",
+    "chunked_sum",
     "alternating_sum_cvz",
+    "chebyshev_weights",
     "euler_transform_tail",
     "cpow",
     "max_abs_log",
@@ -312,26 +318,87 @@ def compensated_sum(terms: Iterable[complex]) -> complex:
     return complex(math.fsum([t.real for t in seq]), math.fsum([t.imag for t in seq]))
 
 
+# Terms a chunked_sum holds at once, whatever the length of its stream.
+_CHUNK = 4096
+
+
+def chunked_sum(terms: Iterable[complex]) -> tuple[complex, float, float]:
+    """(sum, peak, err) of a stream of terms, never held whole.
+
+    The terms are summed in chunks of ``_CHUNK``, each correctly rounded by
+    ``compensated_sum``, and the chunk sums likewise.  ``peak`` is the
+    largest |term|.  ``err`` is the rounding of the chunk sums, up to
+    1.1e-16 |chunk sum| each; with one chunk there is none, and the sum is
+    ``compensated_sum`` of the terms.
+    """
+    stream = iter(terms)
+    sums: list[complex] = []
+    peak = 0.0
+    while chunk := list(itertools.islice(stream, _CHUNK)):
+        sums.append(compensated_sum(chunk))
+        peak = max(peak, max(map(abs, chunk)))
+    if len(sums) <= 1:
+        return (sums[0] if sums else complex(0.0)), peak, 0.0
+    return compensated_sum(sums), peak, 1.1e-16 * math.fsum(map(abs, sums))
+
+
+@functools.lru_cache(maxsize=64)
+def _chebyshev_moduli(n: int) -> tuple[int, ...]:
+    """b_j = n/(n+j) C(n+j, 2j) 4^j, j = 0..n, as exact integers: the
+    moduli of the coefficients of T_n(1 - 2x) = sum_j (-1)^j b_j x^j.  Their
+    sum is T_n(3)."""
+    b, moduli = 1, []
+    for j in range(n + 1):
+        moduli.append(b)
+        b = b * 2 * (n * n - j * j) // ((2 * j + 1) * (j + 1))
+    return tuple(moduli)
+
+
 @functools.lru_cache(maxsize=64)
 def _cvz_weights(n: int) -> tuple[float, ...]:
     """CVZ weights (-1)^k c_k/d, k < n, in (-1, 1) and correctly rounded:
-    d = T_n(3) sums the integers b_j = n/(n+j) C(n+j, 2j) 4^j, the moduli
-    of the coefficients of T_n(1 - 2x), and c_k is their tail sum_{j>k} b_j.
+    d = T_n(3) sums the moduli b_j, and c_k is their tail sum_{j>k} b_j.
     Exact integers keep every weight finite at any n; d as a double
     overflows from about n = 400."""
-    def coefficients():
-        b = 1
-        for j in range(n + 1):
-            yield b
-            b = b * 2 * (n * n - j * j) // ((2 * j + 1) * (j + 1))
-
-    d = sum(coefficients())
+    moduli = _chebyshev_moduli(n)
+    d = sum(moduli)
     tail = d
     weights = []
-    for k, b in zip(range(n), coefficients()):
+    for k, b in zip(range(n), moduli):
         tail -= b
         weights.append((-1) ** k * (tail / d))
     return tuple(weights)
+
+
+@functools.lru_cache(maxsize=64)
+def _chebyshev_scaled(n: int) -> tuple[float, ...]:
+    """The coefficients p_j = (-1)^j b_j of T_n(1 - 2x) over T_n(3),
+    j = 0..n, each correctly rounded, in (-1, 1)."""
+    moduli = _chebyshev_moduli(n)
+    d = sum(moduli)
+    return tuple((-1) ** j * (b / d) for j, b in enumerate(moduli))
+
+
+def chebyshev_weights(w: complex, n: int) -> list[complex]:
+    """Weights omega_k = w c_k / P(w), k < n, of the Chebyshev acceleration
+    at w = 1/z: sum_k omega_k b_k approximates sum_k z^k b_k for moments
+    b_k = int_0^1 x^k dmu.
+
+    P(x) = T_n(1 - 2x) = sum_j p_j x^j, and (P(w) - P(x))/(w - x) =
+    sum_k c_k x^k with c_{n-1} = p_n, c_k = p_{k+1} + w c_{k+1}; P(w) =
+    p_0 + w c_0.  The p_j enter scaled by 1/T_n(3), which cancels in the
+    ratio.  At w = -1 these are the weights of ``alternating_sum_cvz``;
+    elsewhere on |w| = 1 they cancel, by up to (T_n(3)/|P(w)|)
+    in sum_k |omega_k|.
+    """
+    p = _chebyshev_scaled(n)
+    c = complex(p[n])
+    tails = [c]
+    for j in range(n - 1, 0, -1):
+        c = p[j] + w * c
+        tails.append(c)
+    scale = w / (p[0] + w * c)
+    return [scale * tail for tail in reversed(tails)]
 
 
 def alternating_sum_cvz(term: Callable[[int], complex], n: int = 32) -> complex:
@@ -354,6 +421,11 @@ def euler_transform_tail(
     max_order: int = 48,
 ) -> tuple[complex, float, int]:
     """sum_{k>=0} z^k b(k) for z on (or near) the unit circle, z != 1.
+
+    No route of the package calls it any more: ``zeta.circle_lerch``
+    serves the unit circle.  It stays only because the benchmark's tracer
+    (``bench/spans.py``, ``TARGETS``) looks it up by name, and goes with the
+    next change to the benchmark.
 
     Uses the Euler transformation
         sum z^k b_k = 1/(1-z) * sum_j (z/(1-z))^j (Delta^j b)(0),
@@ -392,23 +464,3 @@ def euler_transform_tail(
     err = 2.0 * last + 1e-16 * abs(total)
     return total, err, work
 
-
-def monotone_onset(
-    magnitude: Callable[[int], float], limit: int = 1000
-) -> int:
-    """First index after which |terms| have decreased 3 times in a row.
-
-    Tie-break rule used before switching on series acceleration.
-    """
-    streak = 0
-    prev = magnitude(0)
-    for k in range(1, limit):
-        cur = magnitude(k)
-        if cur < prev:
-            streak += 1
-            if streak >= 3:
-                return k - 3
-        else:
-            streak = 0
-        prev = cur
-    raise ConvergenceError("terms never became monotone decreasing")

@@ -30,13 +30,13 @@ from .numeric_core import (
     MAX_POLY_DEGREE,
     alternating_sum_cvz,
     bernoulli_number,
+    chebyshev_weights,
+    chunked_sum,
     compensated_sum,
     cpow,
-    euler_transform_tail,
     is_nonpos_int,
     ln_gamma,
     max_abs_log,
-    monotone_onset,
     require_finite,
 )
 from .result import EvalResult
@@ -70,11 +70,20 @@ NEAR_CIRCLE = 0.05
 # The error of S_{3n/4}, the shorter CVZ sum an estimate compares with,
 # falls by the factor e^{-_CVZ_RATE} for each term added to n.
 _CVZ_RATE = 0.75 * math.log(3.0 + math.sqrt(8.0))
+# Most pieces of the multiplication formula the circle sum takes: m grows
+# like (2 pi/3)/|arg z| next to z = 1, where it refuses.
+MULT_CAP = 16
+_WEDGE = 2.0 * math.pi / 3.0
 
 
 @dataclass(frozen=True)
 class LerchParams:
-    """Arguments (z, s, a) of the transcendent sum_{n>=0} z^n (n+a)^{-s}."""
+    """Arguments (z, s, a) of the transcendent sum_{n>=0} z^n (n+a)^{-s}.
+
+    |z| <= 1, read as 1 within 1e-14, and a off the non-positive integers.
+    On |z| = 1 with z != 1 an order Re(s) <= 0 needs real a, which Lerch's
+    transformation serves (see :func:`lerch_phi`).
+    """
 
     z: complex
     s: complex
@@ -88,9 +97,9 @@ class LerchParams:
         if abs(self.z) > 1.0 + 1e-14:
             raise DomainError("require |z| <= 1")
         z = complex(self.z)
-        s = complex(self.s)
-        if abs(abs(z) - 1.0) <= 1e-14 and abs(z - 1.0) > 1e-12 and s.real <= 0.0:
-            raise DomainError("|z| = 1 with z != 1 needs Re(s) > 0")
+        if (abs(abs(z) - 1.0) <= 1e-14 and abs(z - 1.0) > 1e-12
+                and complex(self.s).real <= 0.0 and complex(self.a).imag != 0.0):
+            raise DomainError("|z| = 1 with z != 1 at Re(s) <= 0 needs real a")
 
 
 def _cexpm1(u: complex) -> complex:
@@ -120,7 +129,8 @@ def fourier_reflection(
     Both hold for a0 in (0, 1]; larger a is first reduced by
     zeta(s, a) = zeta(s, a0) - sum_{j<m} (a0 + j)^{-s} and
     Phi(-1, s, a) = (-1)^m [Phi(-1, s, a0) - sum_{j<m} (-1)^j (a0 + j)^{-s}],
-    a0 = a - m.  The series gains accuracy as Re(s) decreases — the regime
+    a0 = a - m, summed in chunks (``chunked_sum``) so that memory stays flat
+    at large a.  The series gains accuracy as Re(s) decreases — the regime
     where Euler-Maclaurin loses it — so it serves as the deep-left-half-plane
     route.  At a real integer order the sines' arguments are reduced
     exactly, so the trivial zeros come out as 0.
@@ -135,10 +145,11 @@ def fourier_reflection(
     sigma = s.real
     m = max(0, math.ceil(a) - 1)
     a0 = a - m
-    reduction: list[complex] = [
-        -cpow(a0 + j, -s) if step == 1 or j % 2 == 0 else cpow(a0 + j, -s)
+    neg_s = -s
+    reduction, peak, reduction_err = chunked_sum(
+        -cpow(a0 + j, neg_s) if step == 1 or j % 2 == 0 else cpow(a0 + j, neg_s)
         for j in range(m)
-    ]
+    )
 
     ln_g = ln_gamma(1.0 - s)
     # One exponential of the summed logarithms: Gamma(1-s) alone overflows
@@ -190,14 +201,11 @@ def fourier_reflection(
     series = compensated_sum(series_terms)
     tail = (last ** sigma) / (step * -sigma) * cosh_t
     reflected = amp * series
-    value = reflected + compensated_sum(reduction)
+    value = reflected + reduction
     if step == 2 and m % 2 == 1:
         value = -value
     if not cmath.isfinite(value):
         raise OverflowError(f"reflection series overflows at s={s!r}")
-    peak = max(
-        (abs(t) for t in reduction), default=0.0
-    )
     peak = max(peak, abs(reflected))
     # The exponential amp passes on the rounding of its exponent's terms,
     # log Gamma(1-s), (s-1) log 2 pi and, for step = 2, (1-s) log 2; the
@@ -206,8 +214,8 @@ def fourier_reflection(
         abs(ln_g) + abs(s - 1.0) * (_LN_2PI + (step - 1) * _LN2)
     ) * abs(reflected)
     err = (abs(amp) * tail + 3e-16 * peak + 5e-15 * abs(value)
-           + expo_err + arg_err)
-    return value, err, n_terms + len(reduction)
+           + expo_err + arg_err + reduction_err)
+    return value, err, n_terms + m
 
 
 # B_{2k}/(2k)! as floats for k = 0 .. MAX_POLY_DEGREE // 2, built on the
@@ -500,6 +508,57 @@ def alternating_lerch(s: complex, a: complex,
     return value, err + 1e-15 * abs(value), n
 
 
+def circle_pieces(theta: float) -> int:
+    """Pieces m of the multiplication formula the circle sum takes at
+    |arg z| = |theta|: the least m >= 1 that puts m |theta| within pi/3 of
+    pi (mod 2 pi).  Such an m exists up to |theta| = 2 pi/3, where it is 1."""
+    return max(1, math.ceil(_WEDGE / max(abs(theta), 1e-300)))
+
+
+def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, int]:
+    """(value, err, work) of Phi(z, s, a) for 0 < |z| <= 1 off [0, 1),
+    Re(s) > 0 and Re(a) > 0, by the CVZ weights at w = 1/z.
+
+    The terms a_k = (k+a)^{-s} are moments on [0, 1], so Phi = int w dmu /
+    (w - x) is w sum_k c_k a_k / P(w) (:func:`chebyshev_weights`) up to an
+    error falling like rho^{-n}, rho the larger |v +- sqrt(v^2 - 1)|,
+    v = 1 - 2w: 5.83 at z = -1, 5.27 at |arg z| = 2 pi/3.  Closer to z = 1
+    the multiplication formula (eq. 5.10), Phi(z, s, a) = m^{-s}
+    sum_{r<m} z^r Phi(z^m, s, (r+a)/m), with m from :func:`circle_pieces`,
+    puts the weights at w = z^{-m} on the same terms: term j = m k + r
+    takes z^r times weight k.  Past ``MULT_CAP`` pieces it raises
+    ConvergenceError before any term.  n is the least length from 32 that
+    puts e^{pi |Im s|/2} rho^{-3n/4} below e^{-36}, as in
+    :func:`alternating_lerch`.  err is |S_n - S_{3n/4}| plus the rounding
+    the cancelling weights magnify, 2.2e-16 (4 + |s| max|log(j+a)| + n)
+    sum_j |weight_j a_j|; work is m n.
+    """
+    m = circle_pieces(cmath.phase(z))
+    if m > MULT_CAP:
+        raise ConvergenceError(
+            f"circle sum at |arg z| = {abs(cmath.phase(z)):.3g} needs {m} "
+            f"pieces of the multiplication formula, past {MULT_CAP}")
+    log_z = cmath.log(z)
+    w = cmath.exp(-m * log_z)
+    v = 1.0 - 2.0 * w
+    root = cmath.sqrt(v * v - 1.0)
+    rate = 0.75 * math.log(max(abs(v + root), abs(v - root)))
+    n = max(32, math.ceil((0.5 * _PI * abs(s.imag) + 36.0) / rate))
+    terms = [cpow(j + a, -s) for j in range(m * n)]
+    if m > 1:
+        phases = [cmath.exp(r * log_z) for r in range(m)]
+        terms = [phases[j % m] * t for j, t in enumerate(terms)]
+    full = chebyshev_weights(w, n)
+    short = chebyshev_weights(w, 3 * n // 4)
+    parts = [full[j // m] * t for j, t in enumerate(terms)]
+    value = compensated_sum(parts)
+    gap = abs(value - compensated_sum(
+        [short[j // m] * t for j, t in enumerate(terms[:m * len(short)])]))
+    expo = abs(s) * max_abs_log(a, m * n)
+    err = gap + 2.2e-16 * (4.0 + expo + n) * math.fsum(map(abs, parts))
+    return value, err + 1e-16 * abs(value), m * n
+
+
 def _cannot_stop(n: int, nxt: float, mass: float, size: float, r: float,
                  s: complex, a: complex) -> bool:
     """Whether no stopping test of :func:`_lerch_direct` after term n can pass
@@ -575,6 +634,116 @@ def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
     )
 
 
+def lerch_transform_serves(a: complex) -> bool:
+    """Whether :func:`lerch_phi` serves |z| = 1, z != 1, at Re(s) <= 0 for
+    this a: real a whose fractional part alpha in (0, 1] is 1 (Hurwitz
+    zeta inside) or leaves the inner circle sums at e^{-+2 pi i alpha}
+    within ``MULT_CAP`` pieces."""
+    if a.imag != 0.0:
+        return False
+    alpha = a.real - (math.ceil(a.real) - 1)
+    return alpha == 1.0 or circle_pieces(
+        cmath.phase(cmath.exp(2j * _PI * alpha))) <= MULT_CAP
+
+
+def _lerch_head(log_z: complex, s: complex, b: complex, k: int) -> tuple[complex, float]:
+    """sum_{j<k} z^j (j+b)^{-s}, z = e^{log_z}, streamed by chunked_sum, and
+    its error: each term carries 2.2e-16 (2 + j |log z| + |s| |log(j+b)|)
+    relative rounding, charged on k times the largest term."""
+    value, peak, err = chunked_sum(
+        cmath.exp(j * log_z) * cpow(j + b, -s) for j in range(k))
+    expo = 2.0 + k * abs(log_z) + (abs(s) * max_abs_log(b, k) if k else 0.0)
+    return value, err + 2.2e-16 * expo * k * peak
+
+
+def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
+    """Phi on |z| = 1, z != 1 off the real segment, Re(s) > 0: the circle
+    sum, after k terms that move a to Re(a + k) > 0."""
+    k = 0 if a.real > 0.0 else math.floor(-a.real) + 1
+    value, err, work = circle_lerch(z, s, a + k)
+    if k:
+        log_z = cmath.log(z)
+        head, head_err = _lerch_head(log_z, s, a, k)
+        value = head + cmath.exp(k * log_z) * value
+        err += head_err + 2.2e-16 * (1.0 + k * abs(log_z)) * abs(value)
+    return EvalResult(value, err, "lerch/cvz-circle", work + k)
+
+
+def _circle_transformed(z: complex, s: complex, a: complex) -> EvalResult:
+    """Phi on |z| = 1, z != 1, Re(s) <= 0, real a, by Lerch's
+    transformation; see lerch_phi.  z stands for e^{2 pi i lam}, lam read
+    off arg z: lam and 1 - lam each to about 4.4e-16 relative."""
+    if not lerch_transform_serves(a):
+        raise ConvergenceError(
+            f"Lerch's transformation at a = {a!r} needs inner circle sums "
+            f"past {MULT_CAP} pieces")
+    a = a.real
+    if s == 0.0:
+        # Exact at z itself; e^{i arg z} differs from z by ||z| - 1|.
+        value = 1.0 / (1.0 - z)
+        err = (4.4e-16 + (abs(abs(z) - 1.0) + 2.2e-16) * abs(value)) * abs(value)
+        return EvalResult(value, err, "lerch/lerch-transform", 1)
+    theta = cmath.phase(z)
+    turn = theta / (2.0 * _PI)
+    lam, lam1 = (turn, 1.0 - turn) if theta > 0.0 else (1.0 + turn, -turn)
+    m = math.ceil(a) - 1
+    alpha = a - m
+    t = 1.0 - s
+    if alpha == 1.0 and abs(s) < 1e-12:
+        # Hurwitz zeta's pole at order 1 cancels in the pair; so close to
+        # s = 0 take Phi(z, 0, 1) = 1/(1 - z) and charge |s| times a bound
+        # on |d Phi/ds| = |sum z^k log(k+1)|, summed by parts twice.
+        inner = 1.0 / (1.0 - z)
+        gap = abs(1.0 - z)
+        inner_err = 2.0 * abs(s) * 2.0 * _LN2 / gap ** 2 + 4.4e-16 * abs(inner)
+        work = 1
+    else:
+        if alpha == 1.0:
+            sums = [(r.value, r.err_estimate, r.work)
+                    for r in (hurwitz_zeta(t, lam), hurwitz_zeta(t, lam1))]
+        elif alpha == 0.5:
+            sums = [alternating_lerch(t, lam), alternating_lerch(t, lam1)]
+        else:
+            turned = cmath.exp(2j * _PI * alpha)
+            sums = [circle_lerch(turned.conjugate(), t, lam),
+                    circle_lerch(turned, t, lam1)]
+        work = sums[0][2] + sums[1][2]
+        ln_g = ln_gamma(t)
+        base = ln_g - t * _LN_2PI
+        # Phi(e^{2 pi i lam}, s, alpha) = Gamma(1-s) (2 pi)^{s-1}
+        #   [e^{i pi (1-s)/2 - 2 pi i alpha lam} Phi(e^{-2 pi i alpha}, 1-s, lam)
+        #    + e^{-i pi (1-s)/2 + 2 pi i alpha (1-lam)} Phi(e^{2 pi i alpha}, 1-s, 1-lam)]
+        factors = [cmath.exp(base + 0.5j * _PI * t - 2j * _PI * alpha * lam),
+                   cmath.exp(base - 0.5j * _PI * t + 2j * _PI * alpha * lam1)]
+        inner = factors[0] * sums[0][0] + factors[1] * sums[1][0]
+        # The exponents' rounding (log Gamma to 5e-15), and lam's: a relative
+        # change d of lam moves the phase by 2 pi alpha lam d and the inner
+        # sum by at most |t| d lam zeta(Re t + 1, lam) <= |t| d
+        # (lam^{-Re t} + 1.65 lam).
+        expo_err = 5e-15 + 2.2e-16 * (abs(ln_g) + abs(t) * (_LN_2PI + 0.5 * _PI)
+                                      + 2.0 * _PI * alpha)
+        inner_err = 0.0
+        for factor, (val, err, _), x in zip(factors, sums, (lam, lam1)):
+            size = abs(factor)
+            inner_err += size * err + (expo_err + 2.8e-15 * alpha * x) * size * abs(val)
+            inner_err += size * 4.4e-16 * abs(t) * (x ** -t.real + 1.65 * x)
+        work += 2
+    if m == 0:
+        return EvalResult(inner, inner_err + 1e-16 * abs(inner),
+                          "lerch/lerch-transform", work)
+    # a = alpha + m: Phi(z, s, alpha) = sum_{j<m} z^j (j+alpha)^{-s}
+    # + z^m Phi(z, s, a) for m > 0, and the other way round for m < 0.
+    log_z = complex(0.0, theta)
+    if m > 0:
+        head, head_err = _lerch_head(log_z, s, alpha, m)
+        value = cmath.exp(-m * log_z) * (inner - head)
+    else:
+        head, head_err = _lerch_head(log_z, s, a, -m)
+        value = head + cmath.exp(-m * log_z) * inner
+    err = inner_err + head_err + 2.2e-16 * (2.0 + abs(m * theta)) * abs(value)
+    return EvalResult(value, err, "lerch/lerch-transform", work + abs(m))
+
+
 def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
@@ -582,8 +751,28 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     Re(s) > 0 and z within 1e-12 of the real segment [-1, -e^{-NEAR_CIRCLE})
     -> Chebyshev-accelerated alternating sum (:func:`alternating_lerch`),
     its length set by |Im s|; other |z| < 1 -> direct geometric-tail
-    summation; other unimodular z -> Euler transform of the tail once the
-    term moduli are monotone.
+    summation.  Other |z| = 1 (within 1e-14):
+
+    * Re(s) > 0: the CVZ sum at w = 1/z (:func:`circle_lerch`), with the
+      multiplication formula next to z = 1; where Re(a) <= 0, after the
+      floor(-Re a) + 1 terms that bring Re(a) above 0.
+    * Re(s) <= 0, real a: Lerch's transformation (1887; Apostol 1951).
+      With a reduced to alpha = a - m in (0, 1] through m terms and
+      z = e^{2 pi i lam},
+      Phi(z, s, alpha) = Gamma(1-s) (2 pi)^{s-1} [e^{i pi (1-s)/2 - 2 pi i
+      alpha lam} Phi(e^{-2 pi i alpha}, 1-s, lam) + e^{-i pi (1-s)/2 +
+      2 pi i alpha (1-lam)} Phi(e^{2 pi i alpha}, 1-s, 1-lam)].  The inner
+      orders have real part >= 1: Hurwitz zeta at alpha = 1, the
+      alternating sum at alpha = 1/2, the circle sum otherwise.  At s = 0
+      the value is 1/(1 - z).  ConvergenceError up front where the inner
+      circle sums would pass ``MULT_CAP`` pieces
+      (:func:`lerch_transform_serves`); LerchParams refuses complex a.
+      Here z, within 1e-14 of the circle, stands for e^{i arg z}: next to
+      z = 1 the value moves by ||z| - 1| times a derivative that grows
+      like |1 - z|^{Re s - 2}.
+
+    The circle sum raises ConvergenceError up front, before any term, where
+    it would need more than ``MULT_CAP`` pieces: |arg z| < 2 pi/(3 MULT_CAP).
 
     The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms do
     not reach ``REL_TOL``; at n = 1, 2, 4, ... it also raises once no later
@@ -610,21 +799,15 @@ def lerch_phi(p: LerchParams) -> EvalResult:
         return EvalResult(faults.perturb("lerch_phi", value), err,
                           "lerch/cvz-alternating", work)
 
-    r = abs(z)
-    if r < 1.0 - 1e-14:
+    if abs(z) < 1.0 - 1e-14:
         return _lerch_direct(z, s, a)
 
-    # |z| = 1, z != +-1: Re(s) > 0 by precondition.
-    onset = monotone_onset(lambda k: abs(cpow(k + a, -s)))
-    n0 = max(onset, 24)
-    prefix = [ cpow(k + a, -s) * z**k for k in range(n0) ]
-    tail, tail_err, tail_work = euler_transform_tail(
-        lambda k: cpow(n0 + k + a, -s), z, REL_TOL
-    )
-    value = compensated_sum(prefix) + z**n0 * tail
-    value = faults.perturb("lerch_phi", value)
-    return EvalResult(value, tail_err + 1e-15 * abs(value),
-                      "lerch/euler-transform", n0 + tail_work)
+    if s.real > 0.0:
+        out = _circle_positive(z, s, a)
+    else:
+        out = _circle_transformed(z, s, a)
+    return EvalResult(faults.perturb("lerch_phi", out.value), out.err_estimate,
+                      out.strategy, out.work)
 
 
 def polylog(z: complex, s: complex) -> EvalResult:

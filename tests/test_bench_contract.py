@@ -26,10 +26,11 @@ def test_tracer_patches_and_restores_every_target():
     recorder = spans.Recorder()
     with spans.patched(recorder) as restored:
         assert restored
-        # The unit-circle be point runs the Euler transform, whose tuple
-        # return the tracer reads its work from.
+        # No route calls the Euler transform any more, but the tracer still
+        # wraps it and reads its work from its tuple return.
         zetakit.ext_fd(ExtParams(0.5, 2.0, 0.3))
         zetakit.ext_be(ExtParams(0.0, 2.0, 2j))
+        zetakit.numeric_core.euler_transform_tail(lambda k: (k + 1.0) ** -2.0, -1.0)
         # The Taylor-in-x route passes hurwitz_zeta a keyword argument, and
         # fd at x = 0, Re s <= -4 runs the odd-term reflection series.
         zetakit.ext_be(ExtParams(0.125, 0.5, 0.01))

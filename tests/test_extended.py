@@ -5,6 +5,7 @@ import decimal
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -157,6 +158,19 @@ class TestZeroArgument:
             other = fd_zero_hurwitz_route(nu, s)
             assert other.strategy == "fd/zero-hurwitz-diff"
             assert abs(got.value - other.value) <= got.err_estimate + other.err_estimate, (nu, s)
+
+    def test_reflection_reduction_memory_stays_flat(self):
+        # At nu = 1e6 the odd-term series first reduces a by 10^6 terms.
+        # Summed in chunks as they are made, they are never held at once;
+        # as one list they took 93 MB.
+        tracemalloc.start()
+        try:
+            got = ext_fd(ExtParams(1e6, -4.5, 0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.strategy == "fd/zero-reflection"
+        assert peak < 5_000_000
 
     def test_be_pole_at_s_one(self):
         with pytest.raises(PoleError, match="pole at s=1"):
@@ -397,25 +411,47 @@ class TestStrategies:
 
     def test_auto_unit_circle_nonpositive_order_matches_bench_refs(self):
         # Every AUTO point of the near-circle benchmark universe at complex
-        # x with Re s <= 0 returns within its estimate.  On the imaginary
-        # axis these reduce to a Taylor centre; expanded about 0 instead,
-        # 480 of them fail, at the 40-term cap, by the grow-streak
-        # detector or with |x| past the Taylor radius.
-        checked = circled = 0
+        # x with Re s <= 0 returns within its estimate and accurate as the
+        # benchmark grades it: relative 1e-10, or absolute 1e-12.  On the
+        # imaginary axis (real nu, |z| = 1) lerch_phi takes Lerch's
+        # transformation; expanded about x = 0 instead, 480 of them fail,
+        # at the 40-term cap, by the grow-streak detector or with |x| past
+        # the Taylor radius.
+        checked = transformed = 0
         for key, fn, strategy, nu, s, x, ref in near_circle_refs():
             if strategy != "Auto" or x.imag == 0.0 or s.real > 0.0:
                 continue
             got = (ext_fd if fn == "ext_fd" else ext_be)(ExtParams(nu, s, x))
-            gap, _ = ref_gap(got.value, ref)
+            gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), key
-            circled += "/circle-" in got.strategy
+            assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
+            transformed += got.strategy.endswith("/xseries-lerch-transform")
             checked += 1
-        assert checked == 1056 and circled == 768
+        assert checked == 1056 and transformed == 768
+
+    def test_auto_unit_circle_positive_order_matches_bench_refs(self):
+        # Every AUTO point of the near-circle benchmark universe on the
+        # imaginary axis at Re s > 0 returns through the circle sum, within
+        # its estimate and accurate, also at |arg z| < pi/3, where the
+        # Euler transform refused.
+        checked = 0
+        for key, fn, strategy, nu, s, x, ref in near_circle_refs():
+            if strategy != "Auto" or x.real != 0.0 or x.imag == 0.0 or s.real <= 0.0:
+                continue
+            got = (ext_fd if fn == "ext_fd" else ext_be)(ExtParams(nu, s, x))
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), key
+            assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
+            assert got.strategy.endswith("/xseries-cvz-circle"), key
+            checked += 1
+        assert checked == 672
 
     def test_auto_unit_circle_grid_against_mpmath(self):
         # Seeded grid over both kinds: Re x in [0, 0.05), Im x in
         # [-2 pi, 4 pi], Re s in [-6, 0] (real, integer and complex) and
-        # nu in [0, 3].  AUTO returns every point within its estimate.
+        # nu in [0, 3].  AUTO returns every point within its estimate: on
+        # the imaginary axis by Lerch's transformation where its inner
+        # circle sums stay within their cap, by the reduction elsewhere.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 20
         rng = random.Random(20261101)
@@ -428,7 +464,10 @@ class TestStrategies:
             x = complex(rng.choice((0.0, rng.uniform(0.0, 0.05))),
                         rng.uniform(-2.0 * math.pi, 4.0 * math.pi))
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
-            assert got.strategy.startswith(f"{kind}/circle-")
+            if x.real == 0.0 and zeta_module.lerch_transform_serves(nu + 1.0):
+                assert got.strategy == f"{kind}/xseries-lerch-transform"
+            else:
+                assert got.strategy.startswith(f"{kind}/circle-")
             xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
             z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
             want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
@@ -483,7 +522,9 @@ class TestStrategies:
         # x = i j pi (the double j * math.pi standing for the exact
         # multiple) lands on a centre: the x = 0 value there, times the
         # phase e^{-i j pi (nu+1)}, whose exponent's rounding (up to 1e-13
-        # at j = 10) the estimate must charge.
+        # at j = 10) the estimate must charge.  A be centre, z within 1e-12
+        # of 1, is reduced; at an fd centre, z = -1, lerch_phi takes Lerch's
+        # transformation.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         for f, kind, nu, s, j, centre in (
@@ -492,7 +533,8 @@ class TestStrategies:
             (ext_fd, "fd", 0.3, -4.0, 3, "be"), (ext_fd, "fd", 1.5, -2.5, -2, "fd"),
         ):
             got = f(ExtParams(nu, s, 1j * (j * math.pi)))
-            assert got.strategy == f"{kind}/circle-{centre}"
+            assert got.strategy == (f"{kind}/circle-be" if centre == "be"
+                                    else f"{kind}/xseries-lerch-transform")
             a, sm = mpmath.mpf(nu) + 1, mpmath.mpf(s)
             value = mpmath.zeta(sm, a) if centre == "be" else 2 ** -sm * (
                 mpmath.zeta(sm, a / 2) - mpmath.zeta(sm, (a + 1) / 2))
@@ -502,16 +544,26 @@ class TestStrategies:
     def test_auto_refuses_a_reduction_its_rounding_undetermines(self):
         # One ulp past 2 pi (be) or 3 pi (fd) the reduced be argument is
         # about 1e-15 i, below the rounding of the shift, next to be's
-        # singularity at 0; at Im x = 1e15 the shift's rounding is 0.2.  A
-        # charge first order in that rounding would not bound the error,
-        # so AUTO refuses.  fd is smooth at its centre and returns.
+        # singularity at 0.  A charge first order in that rounding would
+        # not bound the error, so AUTO refuses.  fd is smooth at its centre
+        # and returns.  At Im x = 1e15 the shift's rounding would be 0.2,
+        # but no shift is taken: Lerch's transformation returns, and its
+        # estimate charges the rounding of the factor e^{-(nu+1) x}.
+        mpmath = pytest.importorskip("mpmath")
         for f, x in ((ext_be, 1j * math.nextafter(2.0 * math.pi, 7.0)),
-                     (ext_fd, 1j * math.nextafter(3.0 * math.pi, 10.0)),
-                     (ext_be, 1e15j), (ext_fd, 1e15j)):
+                     (ext_fd, 1j * math.nextafter(3.0 * math.pi, 10.0))):
             with pytest.raises(DomainError, match="rounds by more than"):
                 f(ExtParams(0.5, -1.5, x))
         got = ext_fd(ExtParams(0.5, -1.5, 1j * math.nextafter(2.0 * math.pi, 7.0)))
-        assert got.strategy == "fd/circle-fd"
+        assert got.strategy == "fd/xseries-lerch-transform"
+        with mpmath.workdps(40):
+            for f, kind in ((ext_be, "be"), (ext_fd, "fd")):
+                got = f(ExtParams(0.5, -1.5, 1e15j))
+                assert got.strategy == f"{kind}/xseries-lerch-transform"
+                xm = mpmath.mpc(0, 1e15)
+                z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                want = mpmath.exp(-1.5 * xm) * mpmath.lerchphi(z, -1.5, 1.5)
+                assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, kind
 
     def test_power_series_x_weighted_coefficients_are_honest(self):
         # Coefficient k is computed only to the accuracy its weight
@@ -810,12 +862,13 @@ class TestAlternatingLength:
         # The tag map is indexed strictly; every lerch_phi route maps.
         assert set(extended._LERCH_TAG_MAP) == {
             "single-term", "hurwitz-delegate", "cvz-alternating",
-            "direct-sum", "euler-transform"}
+            "direct-sum", "cvz-circle", "lerch-transform"}
         for f, p, tag in (
             (ext_fd, ExtParams(0.0, 0.5 + 60j, 0.0), "fd/xseries-cvz"),
             (ext_be, ExtParams(0.5, 2.5, 0.0), "be/xseries-hurwitz-delegate"),
             (ext_fd, ExtParams(0.5, 2.5, 1.0), "fd/xseries-direct"),
-            (ext_fd, ExtParams(0.5, 2.5, 1.0j), "fd/xseries-euler-w"),
+            (ext_fd, ExtParams(0.5, 2.5, 1.0j), "fd/xseries-cvz-circle"),
+            (ext_fd, ExtParams(0.5, -2.5, 1.0j), "fd/xseries-lerch-transform"),
         ):
             assert f(p, Strategy.XSERIES).strategy == tag, p
 

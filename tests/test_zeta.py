@@ -657,6 +657,118 @@ class TestLerchPhi:
                     assert lerch_phi(p) == full
 
 
+class TestUnitCircle:
+    """|z| = 1 off z = 1 and the real segment: the circle sum at Re s > 0,
+    Lerch's transformation at Re s <= 0 and real a."""
+
+    @pytest.mark.parametrize("theta", (0.3, 1.0, 2.0, 3.0, -2.5))
+    def test_polylog_closed_forms(self, theta):
+        # Li_0 = z/(1-z), Li_{-1} = z/(1-z)^2, Li_{-2} = z(1+z)/(1-z)^3,
+        # here at the double z, which lies within 1e-16 of the circle.
+        mpmath = pytest.importorskip("mpmath")
+        z = cmath.exp(1j * theta)
+        with mpmath.workdps(30):
+            zm = mpmath.mpc(z)
+            forms = ((0, zm / (1 - zm)), (-1, zm / (1 - zm) ** 2),
+                     (-2, zm * (1 + zm) / (1 - zm) ** 3))
+            for s, want in forms:
+                got = polylog(z, s)
+                assert got.strategy == "polylog/lerch-transform"
+                assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (theta, s)
+                assert abs(mpmath.mpc(got.value) - want) <= 1e-12 * abs(want), (theta, s)
+
+    def test_transformation_grid_against_mpmath(self):
+        # z = e^{2 pi i lam}, lam in [0.02, 0.98]; Re s in [-6, 0], real,
+        # integer and complex; real a in (0, 4], with a = 1, half-integers
+        # and a next to the integers among them.  Where the inner circle
+        # sums would pass their cap lerch_phi refuses; elsewhere it returns
+        # within its estimate.  The reference is at e^{i arg z}, the point
+        # the transformation reads z as.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        rng = random.Random(20261019)
+        refused = 0
+        for _ in range(45):
+            lam = rng.uniform(0.02, 0.98)
+            z = cmath.exp(2j * math.pi * lam)
+            sigma = rng.uniform(-6.0, 0.0)
+            s = rng.choice((complex(sigma), complex(round(sigma)),
+                            complex(sigma, rng.uniform(-4.0, 4.0))))
+            a = rng.choice((rng.uniform(1e-3, 4.0), 1.0, rng.randint(0, 3) + 0.5,
+                            rng.randint(1, 3) + rng.choice((-1, 1)) * rng.uniform(0.0, 0.03)))
+            p = LerchParams(z, s, a)
+            if not zeta_module.lerch_transform_serves(complex(a)):
+                with pytest.raises(ConvergenceError, match="pieces"):
+                    lerch_phi(p)
+                refused += 1
+                continue
+            got = lerch_phi(p)
+            assert got.strategy == "lerch/lerch-transform"
+            want = mpmath.lerchphi(mpmath.expj(cmath.phase(z)), mpmath.mpc(s), a)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (lam, s, a)
+        assert 0 < refused < 20
+
+    def test_circle_sum_grid_against_mpmath(self):
+        # |z| in [e^{-0.05}, 1], |arg z| from the cap's angle to pi,
+        # Re s in (0, 4], |Im s| <= 30, real and complex a: the circle
+        # sum, with up to MULT_CAP pieces of the multiplication formula,
+        # returns within its estimate.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        rng = random.Random(20261020)
+        low = 2.0 * math.pi / (3.0 * zeta_module.MULT_CAP)
+        pieces = set()
+        for _ in range(24):
+            theta = rng.choice((-1, 1)) * rng.uniform(low, math.pi)
+            z = rng.choice((1.0, math.exp(-rng.uniform(0.0, 0.05)))) * cmath.exp(1j * theta)
+            s = complex(rng.uniform(0.01, 4.0), rng.choice((0.0, rng.uniform(-30.0, 30.0))))
+            a = rng.choice((complex(rng.uniform(0.01, 4.0)),
+                            complex(rng.uniform(0.05, 4.0), rng.uniform(-1.0, 1.0))))
+            value, err, work = zeta_module.circle_lerch(z, s, a)
+            pieces.add(zeta_module.circle_pieces(theta))
+            want = mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), mpmath.mpc(a))
+            assert abs(mpmath.mpc(value) - want) <= err, (z, s, a)
+        assert 1 in pieces and max(pieces) > 4
+
+    @pytest.mark.parametrize(
+        "p",
+        [LerchParams(cmath.exp(0.1j), 2, 1),
+         LerchParams(cmath.exp(-0.1j), 0.5 + 3j, -2.5 + 1j),
+         LerchParams(cmath.exp(1j), -1.5, 1.01),
+         LerchParams(cmath.exp(2j), -2.5 + 1j, 3.995)],
+        ids=["order-2", "complex-a", "order--1.5", "a-next-to-4"],
+    )
+    def test_past_the_cap_refused_with_bounded_work(self, p, monkeypatch):
+        # Below the cap's angle the circle sum would need more than
+        # MULT_CAP pieces; lerch_phi refuses before summing.
+        calls = 0
+        cpow = zeta_module.cpow
+
+        def counting_cpow(base, expo):
+            nonlocal calls
+            calls += 1
+            return cpow(base, expo)
+
+        monkeypatch.setattr(zeta_module, "cpow", counting_cpow)
+        with pytest.raises(ConvergenceError, match="pieces"):
+            lerch_phi(p)
+        assert calls < 10
+
+    def test_nonpositive_order_takes_every_real_a(self):
+        # Complex a is refused at Re s <= 0; a real a below 0 reaches
+        # alpha in (0, 1] through terms with negative k + a.
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(DomainError, match="needs real a"):
+            LerchParams(1j, -1.5, 1 + 1j)
+        z = cmath.exp(2j)
+        for s, a in ((-1.5, -0.3), (-2.5 + 1j, -2.7), (0.0, -4.5)):
+            got = lerch_phi(LerchParams(z, s, a))
+            assert got.strategy == "lerch/lerch-transform"
+            with mpmath.workdps(30):
+                want = mpmath.lerchphi(mpmath.expj(2), mpmath.mpc(s), a)
+                assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+
+
 class TestPolylog:
     def test_reference_values(self):
         assert rel(polylog(math.exp(-1.0), 2.0).value, oracles.LI2_INV_E) <= 1e-12
