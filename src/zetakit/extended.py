@@ -40,8 +40,8 @@ picks by region:
   sum over 8 |x^k/k!|, which cuts the reflection series short.
   An unconverged sum raises ConvergenceError at 40 terms, or earlier once
   its terms stop decreasing.
-* imaginary x at Re(s) <= 0 with real nu: the defining series, which
-  lerch_phi sums on |z| = 1 by Lerch's transformation (tag
+* imaginary x at Re(s) <= 0 with real nu: the defining series, summed
+  on |z| = 1 by Lerch's transformation at the angle of z (tag
   {fd,be}/xseries-lerch-transform), except where its inner circle sums
   would pass their cap (nu within about 0.02 of an integer, not on it)
   and within 1e-12 of z = 1, where x stands for a be centre.
@@ -92,6 +92,7 @@ from .zeta import (
     hurwitz_halves,
     hurwitz_zeta,
     lerch_phi,
+    lerch_transform,
     lerch_transform_serves,
     riemann_zeta,
 )
@@ -219,7 +220,14 @@ def _lerch_z(kind: str, x: complex) -> complex:
 def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     z = _lerch_z(kind, x)
     pre = cmath.exp(-(nu + 1.0) * x)
-    inner = lerch_phi(LerchParams(z, s, nu + 1.0))
+    params = LerchParams(z, s, nu + 1.0)
+    if x.real == 0.0 and s.real <= 0.0 and abs(z - 1.0) >= 1e-12:
+        # z lies on the circle exactly, though its double may not: take
+        # Lerch's transformation at its angle, where lerch_phi would charge
+        # the step off the circle.  LerchParams has refused complex nu here.
+        inner = lerch_transform(cmath.phase(z), s, params.a.real)
+    else:
+        inner = lerch_phi(params)
     suffix = inner.strategy.split("/", 1)[1]
     tag = f"{kind}/{_LERCH_TAG_MAP[suffix]}"
     value = pre * inner.value

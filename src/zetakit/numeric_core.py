@@ -342,7 +342,6 @@ def chunked_sum(terms: Iterable[complex]) -> tuple[complex, float, float]:
     return compensated_sum(sums), peak, 1.1e-16 * math.fsum(map(abs, sums))
 
 
-@functools.lru_cache(maxsize=64)
 def _chebyshev_moduli(n: int) -> tuple[int, ...]:
     """b_j = n/(n+j) C(n+j, 2j) 4^j, j = 0..n, as exact integers: the
     moduli of the coefficients of T_n(1 - 2x) = sum_j (-1)^j b_j x^j.  Their

@@ -669,21 +669,22 @@ def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
     return EvalResult(value, err, "lerch/cvz-circle", work + k)
 
 
-def _circle_transformed(z: complex, s: complex, a: complex) -> EvalResult:
-    """Phi on |z| = 1, z != 1, Re(s) <= 0, real a, by Lerch's
-    transformation; see lerch_phi.  z stands for e^{2 pi i lam}, lam read
-    off arg z: lam and 1 - lam each to about 4.4e-16 relative."""
-    if not lerch_transform_serves(a):
+def lerch_transform(theta: float, s: complex, a: float) -> EvalResult:
+    """Phi(e^{i theta}, s, a) for 0 < |theta| <= pi, Re(s) <= 0 and real a
+    off the non-positive integers, by Lerch's transformation; see
+    :func:`lerch_phi`.  theta is taken as exact, and lam = theta/(2 pi)
+    mod 1 and 1 - lam are each read to about 4.4e-16 relative.  At s = 0
+    the value is 1/(1 - e^{i theta}) for every a; elsewhere ConvergenceError
+    up front where :func:`lerch_transform_serves` fails."""
+    # 1 - e^{i theta}, to a few ulps of its modulus even next to theta = 0.
+    gap = complex(2.0 * math.sin(0.5 * theta) ** 2, -math.sin(theta))
+    if s == 0.0:
+        value = 1.0 / gap
+        return EvalResult(value, 2.2e-15 * abs(value), "lerch/lerch-transform", 1)
+    if not lerch_transform_serves(complex(a)):
         raise ConvergenceError(
             f"Lerch's transformation at a = {a!r} needs inner circle sums "
             f"past {MULT_CAP} pieces")
-    a = a.real
-    if s == 0.0:
-        # Exact at z itself; e^{i arg z} differs from z by ||z| - 1|.
-        value = 1.0 / (1.0 - z)
-        err = (4.4e-16 + (abs(abs(z) - 1.0) + 2.2e-16) * abs(value)) * abs(value)
-        return EvalResult(value, err, "lerch/lerch-transform", 1)
-    theta = cmath.phase(z)
     turn = theta / (2.0 * _PI)
     lam, lam1 = (turn, 1.0 - turn) if theta > 0.0 else (1.0 + turn, -turn)
     m = math.ceil(a) - 1
@@ -693,9 +694,8 @@ def _circle_transformed(z: complex, s: complex, a: complex) -> EvalResult:
         # Hurwitz zeta's pole at order 1 cancels in the pair; so close to
         # s = 0 take Phi(z, 0, 1) = 1/(1 - z) and charge |s| times a bound
         # on |d Phi/ds| = |sum z^k log(k+1)|, summed by parts twice.
-        inner = 1.0 / (1.0 - z)
-        gap = abs(1.0 - z)
-        inner_err = 2.0 * abs(s) * 2.0 * _LN2 / gap ** 2 + 4.4e-16 * abs(inner)
+        inner = 1.0 / gap
+        inner_err = 2.0 * abs(s) * 2.0 * _LN2 / abs(gap) ** 2 + 2.2e-15 * abs(inner)
         work = 1
     else:
         if alpha == 1.0:
@@ -744,6 +744,43 @@ def _circle_transformed(z: complex, s: complex, a: complex) -> EvalResult:
     return EvalResult(value, err, "lerch/lerch-transform", work + abs(m))
 
 
+def _log_sum_exp(logs: list[float]) -> float:
+    """log sum_k e^{logs_k}, with no overflow on the way."""
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
+
+
+def _radial_slope(theta: float, s: complex, a: float, size: float) -> float:
+    """A bound on |d Phi(r e^{i theta}, s, a)/dr| for r within 1e-14 of 1,
+    at Re(s) < 0 and real a, given |Phi(e^{i theta}, s, a)| <= size.
+
+    r dPhi/dr = Phi(z, s-1, a) - a Phi(z, s, a).  With a = alpha + m,
+    |Phi(z, s-1, a)| is at most |Phi(z, s-1, alpha)| plus |m| terms
+    (j+a)^{1-s} or (j+alpha)^{1-s}, each at most max(|a|, 1)^{1-Re s},
+    times e^{pi |Im s|} where j + a < 0.  Lerch's transformation at order
+    s - 1 bounds |Phi(z, s-1, alpha)| on the circle by |Gamma(2-s)|
+    (2 pi)^{Re s-2} e^{pi |Im s|/2} (zeta(2-Re s, lam) + zeta(2-Re s,
+    1-lam)), each zeta(sigma, x) <= x^{-sigma} + pi^2/6.  Off the circle
+    |log z|, on which the part singular at z = 1 depends, only grows; the
+    bound is doubled for the rest.  Summed in logarithms, since lam^{-sigma}
+    overflows where the product need not.
+    """
+    sigma = 2.0 - s.real
+    turn = abs(theta) / (2.0 * _PI)
+    zetas = [-sigma * math.log(turn), -sigma * math.log(1.0 - turn),
+             math.log(_PI * _PI / 3.0)]
+    logs = [ln_gamma(2.0 - s).real - sigma * _LN_2PI + 0.5 * _PI * abs(s.imag)
+            + _log_sum_exp(zetas)]
+    if size > 0.0:
+        logs.append(math.log(size) + math.log(abs(a)))
+    m = math.ceil(a) - 1
+    if m:
+        logs.append(math.log(abs(m)) + (1.0 - s.real) * math.log(max(abs(a), 1.0))
+                    + (_PI * abs(s.imag) if m < 0 else 0.0))
+    total = _log_sum_exp(logs)
+    return 2.0 * math.exp(total) if total < 709.0 else math.inf
+
+
 def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
@@ -767,9 +804,9 @@ def lerch_phi(p: LerchParams) -> EvalResult:
       the value is 1/(1 - z).  ConvergenceError up front where the inner
       circle sums would pass ``MULT_CAP`` pieces
       (:func:`lerch_transform_serves`); LerchParams refuses complex a.
-      Here z, within 1e-14 of the circle, stands for e^{i arg z}: next to
-      z = 1 the value moves by ||z| - 1| times a derivative that grows
-      like |1 - z|^{Re s - 2}.
+      The transformation runs at e^{i arg z} (:func:`lerch_transform`);
+      the estimate adds ||z|^2 - 1| times a bound on |d Phi/dr|, which grows
+      like |1 - z|^{Re s - 2} next to z = 1.
 
     The circle sum raises ConvergenceError up front, before any term, where
     it would need more than ``MULT_CAP`` pieces: |arg z| < 2 pi/(3 MULT_CAP).
@@ -804,8 +841,20 @@ def lerch_phi(p: LerchParams) -> EvalResult:
 
     if s.real > 0.0:
         out = _circle_positive(z, s, a)
+    elif s == 0.0:
+        # sum z^n, exact at z itself: near 1, 1 - z is exact.
+        value = 1.0 / (1.0 - z)
+        out = EvalResult(value, 4.4e-16 * abs(value), "lerch/lerch-transform", 1)
     else:
-        out = _circle_transformed(z, s, a)
+        out = lerch_transform(cmath.phase(z), s, a.real)
+        # ||z|^2 - 1| >= ||z| - 1|; next to z = 1, where it matters, x - 1
+        # is exact and this is good to a few ulps, while |z| rounds to 1.
+        radial = abs((z.real - 1.0) * (z.real + 1.0) + z.imag * z.imag)
+        if radial > 0.0:
+            size = abs(out.value) + out.err_estimate
+            slope = _radial_slope(cmath.phase(z), s, a.real, size)
+            out = EvalResult(out.value, out.err_estimate + radial * slope,
+                             out.strategy, out.work)
     return EvalResult(faults.perturb("lerch_phi", out.value), out.err_estimate,
                       out.strategy, out.work)
 

@@ -473,6 +473,24 @@ class TestStrategies:
             want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
 
+    def test_auto_imaginary_axis_estimate_stays_tight_next_to_z_one(self):
+        # On the imaginary axis z = -+e^{-x} lies on the circle exactly, so
+        # AUTO takes Lerch's transformation at the angle of z and pays no
+        # charge for the rounding of |z|, which lerch_phi must charge for
+        # its double z (about 1e-9 relative at the first point).
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for f, kind, nu, s, x in ((ext_be, "be", 0.3, -3.0, 1e-6j),
+                                  (ext_be, "be", 1.7, -2.5 + 1j, (2.0 * math.pi + 3e-5) * 1j),
+                                  (ext_fd, "fd", 0.3, -4.0, (math.pi - 1e-5) * 1j)):
+            got = f(ExtParams(nu, s, x))
+            assert got.strategy == f"{kind}/xseries-lerch-transform"
+            assert got.err_estimate <= 1e-12 * abs(got.value)
+            xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+            z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+            want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
+
     def test_auto_near_circle_positive_order_keeps_the_defining_series(self):
         # Complex x with 0 < Re x < 0.05 at Re s > 0: where the defining
         # series finishes, AUTO returns it, also at |Im s| = 20 to 25, where

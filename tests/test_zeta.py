@@ -708,6 +708,38 @@ class TestUnitCircle:
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (lam, s, a)
         assert 0 < refused < 20
 
+    def test_transformation_next_to_one_at_the_double_z(self):
+        # lam within 1e-6 to 1e-2 of 0 or 1, where Phi moves fast with |z|:
+        # the double z lies off the circle by up to about 1e-16, and the
+        # estimate charges that step.  The reference is at the z passed.
+        # Lerch's transformation at the angle itself stays within its own,
+        # tighter estimate of the value at e^{i arg z}.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        rng = random.Random(20261021)
+        returned = 0
+        for i in range(30):
+            d = 10 ** rng.uniform(-6.0, -2.0)
+            lam = rng.choice((d, 1.0 - d))
+            z = cmath.exp(2j * math.pi * lam)
+            sigma = rng.uniform(-6.0, 0.0)
+            s = rng.choice((complex(sigma), complex(round(sigma) or -1),
+                            complex(sigma, rng.uniform(-4.0, 4.0))))
+            a = rng.choice((rng.uniform(1e-3, 4.0), 1.0, rng.randint(0, 3) + 0.5))
+            if not zeta_module.lerch_transform_serves(complex(a)):
+                continue
+            got = lerch_phi(LerchParams(z, s, a))
+            want = mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), a)
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (lam, s, a)
+            if i < 8:
+                theta = cmath.phase(z)
+                on = zeta_module.lerch_transform(theta, s, a)
+                want = mpmath.lerchphi(mpmath.expj(theta), mpmath.mpc(s), a)
+                assert abs(mpmath.mpc(on.value) - want) <= on.err_estimate, (lam, s, a)
+                assert on.err_estimate <= got.err_estimate
+            returned += 1
+        assert returned > 20
+
     def test_circle_sum_grid_against_mpmath(self):
         # |z| in [e^{-0.05}, 1], |arg z| from the cap's angle to pi,
         # Re s in (0, 4], |Im s| <= 30, real and complex a: the circle
@@ -761,7 +793,10 @@ class TestUnitCircle:
         with pytest.raises(DomainError, match="needs real a"):
             LerchParams(1j, -1.5, 1 + 1j)
         z = cmath.exp(2j)
-        for s, a in ((-1.5, -0.3), (-2.5 + 1j, -2.7), (0.0, -4.5)):
+        # At s = 0 the value is 1/(1 - z) for every a, also next to the
+        # integers, where the inner circle sums would pass their cap.
+        for s, a in ((-1.5, -0.3), (-2.5 + 1j, -2.7), (0.0, -4.5), (0.0, 2.01),
+                     (0.0, 0.995)):
             got = lerch_phi(LerchParams(z, s, a))
             assert got.strategy == "lerch/lerch-transform"
             with mpmath.workdps(30):
