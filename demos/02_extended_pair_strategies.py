@@ -59,8 +59,10 @@ for s in (1.5, -1.5):
     res = ext_fd(ExtParams(0.5, s, 3j))
     print(f"  fd(0.5, {s:g}, 3i) = {res.value:.15g}")
     print(f"    err est {res.err_estimate:.1e}  ({res.strategy})")
-# Off the axis, at Re x < 0.05, the period 2 pi i and the duality
-# x -> x - i pi move x next to a Taylor centre; the tag names the centre.
+# Off the axis, near the circle (where the direct sum would take more than
+# 300 terms, Re x below about 0.1) at Re s <= 0, the period 2 pi i and the
+# duality x -> x - i pi move x next to a Taylor centre; the tag names the
+# centre.
 res = ext_fd(ExtParams(0.5, -1.5, 0.01 + 3j))
 print(f"  fd(0.5, -1.5, 0.01+3i) = {res.value:.15g}")
 print(f"    err est {res.err_estimate:.1e}  ({res.strategy})")

@@ -16,43 +16,49 @@ integer orders — exist so results can be cross-audited; the identity suite
 exercises every pairing.
 
 Route selection is explicit through :class:`Strategy`; ``Strategy.AUTO``
-picks by region:
+picks by region.  x is near the circle where the direct sum at
+|z| = e^{-Re x} is predicted to take more than 300 terms
+(:func:`zeta.direct_length`; Re x below about 0.0998), the measured cost
+crossover of the routes below:
 
 * x = 0: continuation values (for fd the alternating-accelerated sum at
   Re(s) > 0, its length set by |Im s|; the Hurwitz halves at Re(s) <= 0
   and s = 1; or at Re(s) <= -4 with real nu one Fourier reflection series
   over odd n; Hurwitz zeta for be, with its order-1 pole surfaced as
   PoleError).
-* be at real 0 < x < 0.05, every order s: the Taylor series in x (eqs.
-  4.14/4.15), immune to the slow geometric decay; at a positive integer
-  order the pole coefficient and the singular part x^{s-1} Gamma(1-s) are
-  replaced by their finite limit with digamma values and -log x.
-* fd at real 0 < x < 0.05: the defining series for Re(s) > 0, which
-  lerch_phi sums by its alternating acceleration; the same Taylor series
-  for Re(s) <= 0, where the defining series needs about 1/x growing,
-  cancelling terms (and refuses x = 1e-7 outright).  Its coefficients
-  fd(nu, s-k, 0) are the x = 0 values:
-  Euler-Maclaurin Hurwitz differences with a small shift for
-  -4 < Re(s-k) < 0 (typically 1e-13 relative, at worst about 1e-9 next to
-  Re(s-k) = -4) and, for real nu, the odd-term reflection series below
-  that.  For both functions coefficient k is asked only for the absolute
-  accuracy its weight |x^k/k!| leaves visible, REL_TOL times the running
-  sum over 8 |x^k/k!|, which cuts the reflection series short.
-  An unconverged sum raises ConvergenceError at 40 terms, or earlier once
-  its terms stop decreasing.
+* be at real x > 0 near the circle, every order s: the Taylor series in x
+  (eqs. 4.14/4.15), immune to the slow geometric decay; at a positive
+  integer order the pole coefficient and the singular part
+  x^{s-1} Gamma(1-s) are replaced by their finite limit with digamma
+  values and -log x.
+* fd at real x > 0 near the circle: the defining series for Re(s) > 0,
+  which lerch_phi sums by its alternating acceleration; the same Taylor
+  series for Re(s) <= 0, where the defining series needs about 1/x
+  growing, cancelling terms (and refuses x = 1e-7 outright).  Its
+  coefficients fd(nu, s-k, 0) are the x = 0 values: Euler-Maclaurin
+  Hurwitz differences with a small shift for -4 < Re(s-k) < 0 (typically
+  1e-13 relative, at worst about 1e-9 next to Re(s-k) = -4) and, for real
+  nu, the odd-term reflection series below that.  For both functions
+  coefficient k is asked only for the absolute accuracy its weight
+  |x^k/k!| leaves visible, REL_TOL times the running sum over 8 |x^k/k!|,
+  which cuts the reflection series short.  An unconverged sum raises
+  ConvergenceError at 40 terms, or earlier once its terms stop decreasing.
 * imaginary x at Re(s) <= 0 with real nu: the defining series, summed
   on |z| = 1 by Lerch's transformation at the angle of z (tag
   {fd,be}/xseries-lerch-transform), except where its inner circle sums
   would pass their cap (nu within about 0.02 of an integer, not on it)
   and within 1e-12 of z = 1, where x stands for a be centre.
-* other complex x, Re(x) < 0.05, at Re(s) <= 0 (complex nu included), or
-  where the defining series cannot finish (0 < Re(x) < 0.05): reduce,
-  then expand.  The period 2 pi i and the duality x -> x - i pi move x to
+* other complex x near the circle at Re(s) <= 0 (complex nu included), or
+  where the defining series cannot finish (Re(x) > 0 near the circle, z
+  within the circle sum's cap of the positive real axis): reduce, then
+  expand.  The period 2 pi i and the duality x -> x - i pi move x to
   within a third of a Taylor radius of a be or fd centre, where the
   Taylor series in x sums (tags {fd,be}/circle-{be,fd}).
-* otherwise the defining series: geometric ratio e^{-Re(x)} for
-  Re(x) > 0; on the unit circle at Re(s) > 0 the CVZ circle sum
-  ({fd,be}/xseries-cvz-circle), or Hurwitz zeta at z = 1.
+* otherwise the defining series.  At Re(s) > 0 lerch_phi takes a CVZ sum
+  wherever it is shorter than the direct sum ({fd,be}/xseries-cvz on the
+  real segment, {fd,be}/xseries-cvz-circle off it, and always on the unit
+  circle), Hurwitz zeta at z = 1, and the direct sum with geometric ratio
+  e^{-Re(x)} elsewhere ({fd,be}/xseries-direct).
 """
 
 from __future__ import annotations
@@ -82,11 +88,11 @@ from .weyl import (
     weyl_transform,
 )
 from .zeta import (
-    NEAR_CIRCLE,
     REL_TOL,
     LerchParams,
     alternating_lerch,
     digamma,
+    direct_length,
     dirichlet_eta,
     fourier_reflection,
     hurwitz_halves,
@@ -590,8 +596,9 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    """Reduce, then expand: complex x, Re(x) < 0.05; at Re(s) > 0 only for
-    Re(x) > 0 where the defining series cannot finish within its budget.
+    """Reduce, then expand: complex x near the circle (AUTO's
+    ``_SERIES_CROSSOVER``); at Re(s) > 0 only for Re(x) > 0 where the
+    defining series cannot finish within its budget.
 
     Moving x by j i pi multiplies term n of the defining series by
     e^{-i j pi (n+nu+1)}, so f(nu, s, x) = e^{-i j pi (nu+1)} f'(nu, s,
@@ -632,10 +639,18 @@ def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     return EvalResult(value, err, f"{kind}/circle-{centre}", inner.work)
 
 
+# AUTO takes the defining series as it stands wherever its direct sum is
+# predicted to take at most this many terms (zeta.direct_length at
+# |z| = e^{-Re x}, so Re(x) above about 0.0998).  Nearer the circle the
+# Taylor series in x and the reduction cost less: the measured crossover
+# of the forced routes over Re s in [-4.5, 4.5] and nu in [0, 3].
+_SERIES_CROSSOVER = 300
+
+
 def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
         return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
-    near = x.real < NEAR_CIRCLE
+    near = direct_length(-x.real) > _SERIES_CROSSOVER
     if near and x.imag != 0.0 and s.real <= 0.0:
         # On the imaginary axis lerch_phi takes Lerch's transformation, but
         # within 1e-12 of z = 1 it reads z as 1: there x stands for a be

@@ -323,23 +323,25 @@ _CHUNK = 4096
 
 
 def chunked_sum(terms: Iterable[complex]) -> tuple[complex, float, float]:
-    """(sum, peak, err) of a stream of terms, never held whole.
+    """(sum, mass, err) of a stream of terms, never held whole.
 
     The terms are summed in chunks of ``_CHUNK``, each correctly rounded by
-    ``compensated_sum``, and the chunk sums likewise.  ``peak`` is the
-    largest |term|.  ``err`` is the rounding of the chunk sums, up to
-    1.1e-16 |chunk sum| each; with one chunk there is none, and the sum is
-    ``compensated_sum`` of the terms.
+    ``compensated_sum``, and the chunk sums likewise.  ``mass`` is
+    sum |term|, on which a caller charges the terms' own rounding.  ``err``
+    is the rounding of the chunk sums, up to 1.1e-16 |chunk sum| each; with
+    one chunk there is none, and the sum is ``compensated_sum`` of the
+    terms.
     """
     stream = iter(terms)
     sums: list[complex] = []
-    peak = 0.0
+    masses: list[float] = []
     while chunk := list(itertools.islice(stream, _CHUNK)):
         sums.append(compensated_sum(chunk))
-        peak = max(peak, max(map(abs, chunk)))
+        masses.append(math.fsum(map(abs, chunk)))
+    mass = math.fsum(masses)
     if len(sums) <= 1:
-        return (sums[0] if sums else complex(0.0)), peak, 0.0
-    return compensated_sum(sums), peak, 1.1e-16 * math.fsum(map(abs, sums))
+        return (sums[0] if sums else complex(0.0)), mass, 0.0
+    return compensated_sum(sums), mass, 1.1e-16 * math.fsum(map(abs, sums))
 
 
 def _chebyshev_moduli(n: int) -> tuple[int, ...]:
@@ -405,12 +407,11 @@ def alternating_sum_cvz(term: Callable[[int], complex], n: int = 32) -> complex:
 
     ``term`` must be smooth and decaying in k (e.g. (k+c)^{-s} with
     Re(s) > 0); convergence is then ~ (3+sqrt(8))^{-n}.  The weighted terms
-    are summed exactly, so the result is off by its truncation plus at most
+    are summed by ``compensated_sum``, correctly rounded, so the result is
+    off by its truncation plus at most
     2.2e-16 sum_k |term(k)| + 1.1e-16 |result| of rounding.
     """
-    parts = [w * term(k) for k, w in enumerate(_cvz_weights(n))]
-    return complex(math.fsum([p.real for p in parts]),
-                   math.fsum([p.imag for p in parts]))
+    return compensated_sum([w * term(k) for k, w in enumerate(_cvz_weights(n))])
 
 
 def euler_transform_tail(

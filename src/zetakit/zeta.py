@@ -64,12 +64,12 @@ _EM_MIN_PAIRS = 6
 # Relative tolerance and term budget shared by the series routines.
 REL_TOL = 1e-13
 MAX_TERMS = 500_000
-# Below this |log |z|| a Lerch sum at z next to -1 (fd at real x < 0.05)
-# is summed by the alternating acceleration, not the slow geometric sum.
-NEAR_CIRCLE = 0.05
+_LN_REL_TOL = math.log(REL_TOL)
 # The error of S_{3n/4}, the shorter CVZ sum an estimate compares with,
 # falls by the factor e^{-_CVZ_RATE} for each term added to n.
 _CVZ_RATE = 0.75 * math.log(3.0 + math.sqrt(8.0))
+# The fewest terms a CVZ sum takes.
+_CVZ_MIN = 32
 # Most pieces of the multiplication formula the circle sum takes: m grows
 # like (2 pi/3)/|arg z| next to z = 1, where it refuses.
 MULT_CAP = 16
@@ -103,10 +103,11 @@ class LerchParams:
 
 
 def _cexpm1(u: complex) -> complex:
-    """exp(u) - 1 without cancellation for small |u|."""
-    if abs(u) < 1e-4:
-        return u * (1.0 + u * (0.5 + u * (1.0 / 6.0 + u / 24.0)))
-    return cmath.exp(u) - 1.0
+    """exp(u) - 1 without cancellation: with u = x + iy it is
+    expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y."""
+    return complex(math.expm1(u.real) * math.cos(u.imag)
+                   - 2.0 * math.sin(0.5 * u.imag) ** 2,
+                   math.exp(u.real) * math.sin(u.imag))
 
 
 def fourier_reflection(
@@ -146,7 +147,7 @@ def fourier_reflection(
     m = max(0, math.ceil(a) - 1)
     a0 = a - m
     neg_s = -s
-    reduction, peak, reduction_err = chunked_sum(
+    reduction, mass, reduction_err = chunked_sum(
         -cpow(a0 + j, neg_s) if step == 1 or j % 2 == 0 else cpow(a0 + j, neg_s)
         for j in range(m)
     )
@@ -206,14 +207,16 @@ def fourier_reflection(
         value = -value
     if not cmath.isfinite(value):
         raise OverflowError(f"reflection series overflows at s={s!r}")
-    peak = max(peak, abs(reflected))
     # The exponential amp passes on the rounding of its exponent's terms,
     # log Gamma(1-s), (s-1) log 2 pi and, for step = 2, (1-s) log 2; the
-    # first two exceed 100 for Re(s) < -40.
+    # first two exceed 100 for Re(s) < -40.  Each reduction term does the
+    # same with its exponent -s log(a0 + j).
     expo_err = 2.2e-16 * (
         abs(ln_g) + abs(s - 1.0) * (_LN_2PI + (step - 1) * _LN2)
     ) * abs(reflected)
-    err = (abs(amp) * tail + 3e-16 * peak + 5e-15 * abs(value)
+    if m:
+        reduction_err += 2.2e-16 * (1.0 + abs(s) * max_abs_log(a0, m)) * mass
+    err = (abs(amp) * tail + 3e-16 * max(mass, abs(reflected)) + 5e-15 * abs(value)
            + expo_err + arg_err + reduction_err)
     return value, err, n_terms + m
 
@@ -489,17 +492,32 @@ def hurwitz_halves(s: complex, a: complex) -> EvalResult:
     return EvalResult(value, err, "lerch/hurwitz-halves", diff.work)
 
 
+def direct_length(log_r: float) -> float:
+    """Terms the direct sum of Phi at |z| = e^{log_r} is predicted to take,
+    ceil(ln REL_TOL / ln |z|): the least n with |z|^n <= REL_TOL.  inf on
+    and outside the unit circle, log_r >= 0."""
+    length = _LN_REL_TOL / log_r if log_r < 0.0 else math.inf
+    return math.ceil(length) if length < math.inf else math.inf
+
+
+def _cvz_length(s: complex, rate: float = _CVZ_RATE) -> int:
+    """Length n of a CVZ sum whose shorter S_{3n/4} errs like
+    e^{pi |Im s|/2 - rate n}: the least n >= _CVZ_MIN that puts that below
+    e^{-36}."""
+    return max(_CVZ_MIN, math.ceil((0.5 * _PI * abs(s.imag) + 36.0) / rate))
+
+
 def alternating_lerch(s: complex, a: complex,
                       log_w: complex = 0.0) -> tuple[complex, float, int]:
     """(value, err, work) of Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s} by
-    the Cohen-Rodriguez Villegas-Zagier weights: w = e^{log_w} in
-    (e^{-NEAR_CIRCLE}, 1], Re(s) > 0.  The error of the sum S_n of n terms
-    grows like e^{pi |Im s|/2} (3+sqrt 8)^{-n}, so n, set up front, is the
-    least length from 32 that puts that size for S_{floor(3n/4)} below
-    e^{-36}: 32 up to |Im s| = 4, 99 at 60, 1,216 at 1,000.  err is
-    |S_n - S_{3n/4}| plus 2.2e-16 (1 + expo) |term_k| per term; work is n.
+    the Cohen-Rodriguez Villegas-Zagier weights: w = e^{log_w} in (0, 1],
+    Re(s) > 0.  The error of the sum S_n of n terms grows like
+    e^{pi |Im s|/2} (3+sqrt 8)^{-n}, so n, set up front, is the least length
+    from 32 that puts that size for S_{floor(3n/4)} below e^{-36}: 32 up to
+    |Im s| = 4, 99 at 60, 1,216 at 1,000.  err is |S_n - S_{3n/4}| plus
+    2.2e-16 (1 + expo) |term_k| per term; work is n.
     """
-    n = max(32, math.ceil((0.5 * _PI * abs(s.imag) + 36.0) / _CVZ_RATE))
+    n = _cvz_length(s)
     terms = [cmath.exp(k * log_w - s * cmath.log(k + a)) for k in range(n)]
     value = alternating_sum_cvz(terms.__getitem__, n)
     gap = abs(value - alternating_sum_cvz(terms.__getitem__, 3 * n // 4))
@@ -513,6 +531,22 @@ def circle_pieces(theta: float) -> int:
     |arg z| = |theta|: the least m >= 1 that puts m |theta| within pi/3 of
     pi (mod 2 pi).  Such an m exists up to |theta| = 2 pi/3, where it is 1."""
     return max(1, math.ceil(_WEDGE / max(abs(theta), 1e-300)))
+
+
+def _circle_plan(z: complex, s: complex) -> tuple[int, complex, complex, int]:
+    """(m, log z, w, n) of :func:`circle_lerch` at z and s: its pieces, the
+    weights' point w = z^{-m} and their count n, known before any term."""
+    m = circle_pieces(cmath.phase(z))
+    if m > MULT_CAP:
+        raise ConvergenceError(
+            f"circle sum at |arg z| = {abs(cmath.phase(z)):.3g} needs {m} "
+            f"pieces of the multiplication formula, past {MULT_CAP}")
+    log_z = cmath.log(z)
+    w = cmath.exp(-m * log_z)
+    v = 1.0 - 2.0 * w
+    root = cmath.sqrt(v * v - 1.0)
+    n = _cvz_length(s, 0.75 * math.log(max(abs(v + root), abs(v - root))))
+    return m, log_z, w, n
 
 
 def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, int]:
@@ -533,17 +567,7 @@ def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, in
     the cancelling weights magnify, 2.2e-16 (4 + |s| max|log(j+a)| + n)
     sum_j |weight_j a_j|; work is m n.
     """
-    m = circle_pieces(cmath.phase(z))
-    if m > MULT_CAP:
-        raise ConvergenceError(
-            f"circle sum at |arg z| = {abs(cmath.phase(z)):.3g} needs {m} "
-            f"pieces of the multiplication formula, past {MULT_CAP}")
-    log_z = cmath.log(z)
-    w = cmath.exp(-m * log_z)
-    v = 1.0 - 2.0 * w
-    root = cmath.sqrt(v * v - 1.0)
-    rate = 0.75 * math.log(max(abs(v + root), abs(v - root)))
-    n = max(32, math.ceil((0.5 * _PI * abs(s.imag) + 36.0) / rate))
+    m, log_z, w, n = _circle_plan(z, s)
     terms = [cpow(j + a, -s) for j in range(m * n)]
     if m > 1:
         phases = [cmath.exp(r * log_z) for r in range(m)]
@@ -649,17 +673,31 @@ def lerch_transform_serves(a: complex) -> bool:
 def _lerch_head(log_z: complex, s: complex, b: complex, k: int) -> tuple[complex, float]:
     """sum_{j<k} z^j (j+b)^{-s}, z = e^{log_z}, streamed by chunked_sum, and
     its error: each term carries 2.2e-16 (2 + j |log z| + |s| |log(j+b)|)
-    relative rounding, charged on k times the largest term."""
-    value, peak, err = chunked_sum(
+    relative rounding, charged on sum_j |term_j|."""
+    value, mass, err = chunked_sum(
         cmath.exp(j * log_z) * cpow(j + b, -s) for j in range(k))
     expo = 2.0 + k * abs(log_z) + (abs(s) * max_abs_log(b, k) if k else 0.0)
-    return value, err + 2.2e-16 * expo * k * peak
+    return value, err + 2.2e-16 * expo * mass
+
+
+def _head_length(a: complex) -> int:
+    """Terms k that move a to Re(a + k) > 0 ahead of a CVZ sum."""
+    return 0 if a.real > 0.0 else math.floor(-a.real) + 1
+
+
+def _circle_length(z: complex, s: complex, a: complex) -> float:
+    """Terms :func:`_circle_positive` takes at z, known before any is
+    summed; inf past ``MULT_CAP`` pieces."""
+    if circle_pieces(cmath.phase(z)) > MULT_CAP:
+        return math.inf
+    m, _, _, n = _circle_plan(z, s)
+    return m * n + _head_length(a)
 
 
 def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
-    """Phi on |z| = 1, z != 1 off the real segment, Re(s) > 0: the circle
-    sum, after k terms that move a to Re(a + k) > 0."""
-    k = 0 if a.real > 0.0 else math.floor(-a.real) + 1
+    """Phi at 0 < |z| <= 1 off the real line, Re(s) > 0: the circle sum,
+    after k terms that move a to Re(a + k) > 0."""
+    k = _head_length(a)
     value, err, work = circle_lerch(z, s, a + k)
     if k:
         log_z = cmath.log(z)
@@ -784,15 +822,25 @@ def _radial_slope(theta: float, s: complex, a: float, size: float) -> float:
 def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
-    Dispatch: z = 0 -> single term; z = 1 -> Hurwitz-zeta continuation;
-    Re(s) > 0 and z within 1e-12 of the real segment [-1, -e^{-NEAR_CIRCLE})
-    -> Chebyshev-accelerated alternating sum (:func:`alternating_lerch`),
-    its length set by |Im s|; other |z| < 1 -> direct geometric-tail
-    summation.  Other |z| = 1 (within 1e-14):
+    Dispatch: z = 0 -> single term; z = 1 -> Hurwitz-zeta continuation.
+    At Re(s) > 0 and z off [0, 1], a Cohen-Rodriguez Villegas-Zagier (CVZ)
+    sum wherever it is shorter than the direct sum, whose length is
+    predicted up front as ceil(ln REL_TOL / ln |z|) (:func:`direct_length`;
+    infinite on |z| = 1).  The CVZ sum's length is known up front too, set by
+    |Im s|:
 
-    * Re(s) > 0: the CVZ sum at w = 1/z (:func:`circle_lerch`), with the
-      multiplication formula next to z = 1; where Re(a) <= 0, after the
-      floor(-Re a) + 1 terms that bring Re(a) above 0.
+    * z within 1e-12 of the real segment [-1, 0): the alternating sum
+      (:func:`alternating_lerch`), n terms;
+    * elsewhere the CVZ sum at w = 1/z (:func:`circle_lerch`), with the
+      multiplication formula next to the positive real axis, m n terms;
+      where Re(a) <= 0, after the floor(-Re a) + 1 terms that bring Re(a)
+      above 0.  Past ``MULT_CAP`` pieces it has no length inside the disk,
+      and on |z| = 1 raises ConvergenceError up front, before any term:
+      |arg z| < 2 pi/(3 MULT_CAP).
+
+    Other |z| < 1 -> direct geometric-tail summation.  Other |z| = 1
+    (within 1e-14):
+
     * Re(s) <= 0, real a: Lerch's transformation (1887; Apostol 1951).
       With a reduced to alpha = a - m in (0, 1] through m terms and
       z = e^{2 pi i lam},
@@ -807,9 +855,6 @@ def lerch_phi(p: LerchParams) -> EvalResult:
       The transformation runs at e^{i arg z} (:func:`lerch_transform`);
       the estimate adds ||z|^2 - 1| times a bound on |d Phi/dr|, which grows
       like |1 - z|^{Re s - 2} next to z = 1.
-
-    The circle sum raises ConvergenceError up front, before any term, where
-    it would need more than ``MULT_CAP`` pieces: |arg z| < 2 pi/(3 MULT_CAP).
 
     The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms do
     not reach ``REL_TOL``; at n = 1, 2, 4, ... it also raises once no later
@@ -831,17 +876,23 @@ def lerch_phi(p: LerchParams) -> EvalResult:
         return EvalResult(value, inner.err_estimate, "lerch/hurwitz-delegate",
                           inner.work)
 
-    if s.real > 0.0 and -z.real > math.exp(-NEAR_CIRCLE) and abs(z.imag) < 1e-12:
-        value, err, work = alternating_lerch(s, a, cmath.log(-z))
-        return EvalResult(faults.perturb("lerch_phi", value), err,
-                          "lerch/cvz-alternating", work)
+    inside = abs(z) < 1.0 - 1e-14
+    if s.real > 0.0:
+        budget = direct_length(math.log(abs(z))) if inside else math.inf
+        if z.real < 0.0 and abs(z.imag) < 1e-12:
+            if _cvz_length(s) < budget:
+                value, err, work = alternating_lerch(s, a, cmath.log(-z))
+                return EvalResult(faults.perturb("lerch_phi", value), err,
+                                  "lerch/cvz-alternating", work)
+        elif not inside or budget > _CVZ_MIN and _circle_length(z, s, a) < budget:
+            out = _circle_positive(z, s, a)
+            return EvalResult(faults.perturb("lerch_phi", out.value),
+                              out.err_estimate, out.strategy, out.work)
 
-    if abs(z) < 1.0 - 1e-14:
+    if inside:
         return _lerch_direct(z, s, a)
 
-    if s.real > 0.0:
-        out = _circle_positive(z, s, a)
-    elif s == 0.0:
+    if s == 0.0:
         # sum z^n, exact at z itself: near 1, 1 - z is exact.
         value = 1.0 / (1.0 - z)
         out = EvalResult(value, 4.4e-16 * abs(value), "lerch/lerch-transform", 1)

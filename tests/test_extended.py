@@ -41,17 +41,16 @@ from oracles import fd_negint_reference
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-NEAR_CIRCLE_REFS = BENCH / "refs" / "table-near-circle.json"
 
 
 def rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def near_circle_refs():
-    """(key, fn, strategy, nu, s, x, reference) of every near-circle
-    benchmark point; the reference is a pair of 30-digit strings."""
-    refs = json.loads(NEAR_CIRCLE_REFS.read_text())["refs"]
+def bench_refs(workload: str):
+    """(key, fn, strategy, nu, s, x, reference) of every point of a table
+    benchmark universe; the reference is a pair of 30-digit strings."""
+    refs = json.loads((BENCH / "refs" / f"{workload}.json").read_text())["refs"]
     for key, ref in refs.items():
         fn, strategy, *coords = key.split("|")
         nu, s, x = (complex(*map(float, c.split(","))) for c in coords)
@@ -171,6 +170,15 @@ class TestZeroArgument:
             tracemalloc.stop()
         assert got.strategy == "fd/zero-reflection"
         assert peak < 5_000_000
+
+    def test_reflection_reduction_estimate_charges_its_exponents(self):
+        # Each of the 10^6 reduction terms (a0 + j)^{4.5} carries the
+        # rounding of its exponent, up to 2.2e-16 |s| log(a0 + j) relative:
+        # the value is off by 7.2e14 on 5.0e26, which the estimate covers.
+        mpmath = pytest.importorskip("mpmath")
+        got = ext_fd(ExtParams(1e6, -4.5, 0.0))
+        want = oracles.alternating_zeta_boole(mpmath, -4.5, mpmath.mpf(1e6) + 1)
+        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
     def test_be_pole_at_s_one(self):
         with pytest.raises(PoleError, match="pole at s=1"):
@@ -397,7 +405,7 @@ class TestStrategies:
         # accurate as the benchmark grades it: relative 1e-10, or absolute
         # 1e-12 next to a zero.  The references are 30-digit values.
         checked = 0
-        for key, fn, strategy, nu, s, x, ref in near_circle_refs():
+        for key, fn, strategy, nu, s, x, ref in bench_refs("table-near-circle"):
             if (fn, strategy) != ("ext_fd", "Auto") or x.imag != 0.0:
                 continue
             if not (0.0 < x.real < 0.05 and s.real <= 0.0):
@@ -409,6 +417,27 @@ class TestStrategies:
             checked += 1
         assert checked == 200
 
+    def test_auto_at_small_real_x_matches_bench_refs(self):
+        # Every AUTO point of the bulk benchmark universe at x = 0.05, where
+        # the direct sum would take 599 terms: fd at Re s > 0 sums by the
+        # alternating acceleration, every other point by the Taylor series
+        # in x.  The direct sum lost up to 1e-6 relative there at
+        # Re s in [-4.5, -3] (18 fd points); now each point is within its
+        # estimate and accurate as the benchmark grades it.
+        checked = 0
+        for key, fn, strategy, nu, s, x, ref in bench_refs("table-bulk"):
+            if strategy != "Auto" or x != 0.05:
+                continue
+            kind = fn[-2:]
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+            route = "xseries-cvz" if kind == "fd" and s.real > 0.0 else "power-series-x"
+            assert got.strategy == f"{kind}/{route}", key
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), key
+            assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
+            checked += 1
+        assert checked == 304
+
     def test_auto_unit_circle_nonpositive_order_matches_bench_refs(self):
         # Every AUTO point of the near-circle benchmark universe at complex
         # x with Re s <= 0 returns within its estimate and accurate as the
@@ -418,7 +447,7 @@ class TestStrategies:
         # at the 40-term cap, by the grow-streak detector or with |x| past
         # the Taylor radius.
         checked = transformed = 0
-        for key, fn, strategy, nu, s, x, ref in near_circle_refs():
+        for key, fn, strategy, nu, s, x, ref in bench_refs("table-near-circle"):
             if strategy != "Auto" or x.imag == 0.0 or s.real > 0.0:
                 continue
             got = (ext_fd if fn == "ext_fd" else ext_be)(ExtParams(nu, s, x))
@@ -435,7 +464,7 @@ class TestStrategies:
         # its estimate and accurate, also at |arg z| < pi/3, where the
         # Euler transform refused.
         checked = 0
-        for key, fn, strategy, nu, s, x, ref in near_circle_refs():
+        for key, fn, strategy, nu, s, x, ref in bench_refs("table-near-circle"):
             if strategy != "Auto" or x.real != 0.0 or x.imag == 0.0 or s.real <= 0.0:
                 continue
             got = (ext_fd if fn == "ext_fd" else ext_be)(ExtParams(nu, s, x))
@@ -494,7 +523,11 @@ class TestStrategies:
     def test_auto_near_circle_positive_order_keeps_the_defining_series(self):
         # Complex x with 0 < Re x < 0.05 at Re s > 0: where the defining
         # series finishes, AUTO returns it, also at |Im s| = 20 to 25, where
-        # the reduction loses digits; where it refuses, AUTO reduces.
+        # the reduction loses digits.  At x = 1e-6 + 2i lerch_phi takes the
+        # CVZ circle sum, 64 terms where the direct sum would need millions.
+        # Only where z is within the multiplication cap's angle of the
+        # positive real axis does the series refuse, and AUTO reduces.
+        mpmath = pytest.importorskip("mpmath")
         for f, kind in ((ext_fd, "fd"), (ext_be, "be")):
             for nu, s, x in ((0.5, 0.5 + 25j, 0.004 + 2.0j),
                              (1.5, 3.0 - 20j, 0.03 - 1.6j),
@@ -502,6 +535,16 @@ class TestStrategies:
                 p = ExtParams(nu, s, x)
                 assert f(p) == f(p, Strategy.XSERIES), (kind, nu, s, x)
             p = ExtParams(0.5, 1.0 + 2j, 1e-6 + 2.0j)
+            got = f(p, Strategy.XSERIES)
+            assert got == f(p)
+            assert (got.strategy, got.work) == (f"{kind}/xseries-cvz-circle", 64)
+            with mpmath.workdps(30):
+                xm, am = mpmath.mpc(p.x), mpmath.mpf(1.5)
+                z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(p.s), am)
+            gap = abs(mpmath.mpc(got.value) - want)
+            assert gap <= got.err_estimate and gap <= 1e-13 * abs(want), kind
+            p = ExtParams(0.5, 1.0 + 2j, 1e-6 + (3.19j if kind == "fd" else 0.05j))
             with pytest.raises(ConvergenceError, match="not converged"):
                 f(p, Strategy.XSERIES)
             assert f(p).strategy.startswith(f"{kind}/circle-")
@@ -756,15 +799,22 @@ class TestStrategies:
             ext_fd(ExtParams(1.0, -2.5, 0.0), Strategy.NEG_INT_BERNOULLI)
 
     def test_auto_dispatch_tags(self):
-        # tiny x: fd switches to the accelerated alternating route at
-        # Re s > 0 and to the Taylor route otherwise, be always to its
-        # Taylor route; moderate x uses the defining series.
-        assert ext_fd(ExtParams(0.5, 2.5, 0.01)).strategy == "fd/xseries-cvz"
-        assert ext_be(ExtParams(0.5, 2.5, 0.01)).strategy == "be/power-series-x"
-        assert ext_be(ExtParams(0.5, -2.5, 0.01)).strategy == "be/power-series-x"
-        assert ext_be(ExtParams(0.5, 2.0, 0.01)).strategy == "be/power-series-x"
-        assert ext_fd(ExtParams(0.5, -2.5, 0.01)).strategy == "fd/power-series-x"
-        assert ext_fd(ExtParams(0.5, 2.5, 0.2)).strategy == "fd/xseries-direct"
+        # Small x, where the direct sum would take more than 300 terms
+        # (x below about 0.0998): fd at Re s > 0 sums the defining series
+        # by the alternating acceleration, fd at Re s <= 0 and be at every
+        # order take the Taylor route.  Beyond, the defining series; at
+        # Re s > 0 fd's alternating sum wherever it is shorter than the
+        # direct sum's predicted ceil(ln 1e-13 / -x) terms.
+        for x in (0.01, 0.08):
+            assert ext_fd(ExtParams(0.5, 2.5, x)).strategy == "fd/xseries-cvz"
+            assert ext_be(ExtParams(0.5, 2.5, x)).strategy == "be/power-series-x"
+            assert ext_be(ExtParams(0.5, -2.5, x)).strategy == "be/power-series-x"
+            assert ext_be(ExtParams(0.5, 2.0, x)).strategy == "be/power-series-x"
+            assert ext_fd(ExtParams(0.5, -2.5, x)).strategy == "fd/power-series-x"
+        assert ext_fd(ExtParams(0.5, 2.5, 0.2)).strategy == "fd/xseries-cvz"
+        assert ext_fd(ExtParams(0.5, 2.5, 0.9)).strategy == "fd/xseries-cvz"
+        assert ext_fd(ExtParams(0.5, 2.5, 1.0)).strategy == "fd/xseries-direct"
+        assert ext_fd(ExtParams(0.5, -2.5, 0.2)).strategy == "fd/xseries-direct"
         assert ext_be(ExtParams(0.5, 2.5, 0.2)).strategy == "be/xseries-direct"
 
     def test_complex_x_via_xseries(self):

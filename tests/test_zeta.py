@@ -171,8 +171,9 @@ class TestHurwitzZeta:
 
     def test_non_integer_order_reflection_values_unchanged(self):
         # Away from real integer orders the sines keep their radian
-        # arguments: values, estimates and work are bit for bit those of
-        # the route before the exact turn reduction.
+        # arguments: values and work are bit for bit those of the route
+        # before the exact turn reduction.  The estimates since charge the
+        # rounding of the reduction terms' exponents (a > 1 here).
         got = [(r.value, r.err_estimate, r.work) for r in (
             hurwitz_zeta(-4.5, 0.3), hurwitz_zeta(-7.25 + 2j, 2.6),
             hurwitz_zeta(-60.5, 1.5), hurwitz_zeta(-9.5, 1.25, abs_tol=1e-3),
@@ -180,10 +181,10 @@ class TestHurwitzZeta:
         )]
         assert got == [
             ((0.0038058819301665784+0j), 4.651137306448815e-16, 555),
-            ((-17.84902158453652+24.384206913444412j), 1.6400794764974146e-13, 50),
+            ((-17.84902158453652+24.384206913444412j), 1.9620048110008183e-13, 50),
             ((7.488639476304268e+33+0j), 7.895874851856758e+20, 9),
-            ((-0.0066647408839414085+0j), 2.614686730664855e-12, 9),
-            ((68.63105329540237+142.76605697433527j), 3.3420664242568435e-09, 11),
+            ((-0.0066647408839414085+0j), 2.6146867366107382e-12, 9),
+            ((68.63105329540237+142.76605697433527j), 3.342622874466325e-09, 11),
         ]
 
     def test_reflection_prefactor_is_one_exponential(self):
@@ -343,6 +344,19 @@ class TestDirichletEta:
             want = (1.0 - 2.0 ** (1.0 - complex(s))) * riemann_zeta(s).value
             assert rel(dirichlet_eta(s).value, want) <= 1e-12
 
+    def test_next_to_one_against_mpmath(self):
+        # 1 - 2^{1-s} comes from expm1 of the real part of (1-s) log 2, so
+        # it keeps its relative accuracy next to s = 1, where exp(u) - 1
+        # lost about 1.1e-16/|u| (3.3e-13 at s = 1.00015).
+        mpmath = pytest.importorskip("mpmath")
+        for s in (1.00015, 1.0003, 1.0002 + 1e-4j, 1.0 + 3e-5j, 0.9998):
+            got = dirichlet_eta(s)
+            with mpmath.workdps(30):
+                want = mpmath.altzeta(mpmath.mpc(s))
+            gap = abs(mpmath.mpc(got.value) - want)
+            assert gap <= got.err_estimate, s
+            assert gap <= 1e-15 * abs(want), s
+
 
 class TestLerchPhi:
     def test_direct_sum_small_z(self):
@@ -439,6 +453,34 @@ class TestLerchPhi:
             assert got.work == cvz_length(s), (z, s, a)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (z, s, a)
 
+    def test_cvz_inside_the_disk_against_mpmath(self):
+        # |z| = e^{-x}, x in [1e-3, 0.7], |arg z| >= 0.2, Re s in (0, 4],
+        # |Im s| <= 10, real and complex a: lerch_phi takes the CVZ circle
+        # sum exactly where its m n terms are fewer than the direct sum's
+        # predicted ceil(ln REL_TOL / ln |z|), and returns within its
+        # estimate and 1e-10 relative either way.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        routes = set()
+        for _ in range(36):
+            x = 10 ** rng.uniform(-3.0, math.log10(0.7))
+            z = cmath.exp(complex(-x, rng.choice((-1, 1)) * rng.uniform(0.2, math.pi)))
+            s = complex(rng.uniform(0.05, 4.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+            a = rng.choice((complex(rng.uniform(0.1, 4.0)),
+                            complex(rng.uniform(0.1, 4.0), rng.uniform(-2.0, 2.0))))
+            got = lerch_phi(LerchParams(z, s, a))
+            shorter = (zeta_module._circle_length(z, s, a)
+                       < zeta_module.direct_length(math.log(abs(z))))
+            assert got.strategy == ("lerch/cvz-circle" if shorter
+                                    else "lerch/direct-sum"), (z, s, a)
+            routes.add(got.strategy)
+            with mpmath.workdps(20):
+                want = mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), mpmath.mpc(a))
+            gap = abs(mpmath.mpc(got.value) - want)
+            assert gap <= got.err_estimate, (z, s, a)
+            assert gap <= 1e-10 * abs(want), (z, s, a)
+        assert routes == {"lerch/cvz-circle", "lerch/direct-sum"}
+
     def test_alternating_sum_at_imaginary_order_one_thousand(self):
         # 1,216 terms: the unnormalised Chebyshev weights would pass the
         # double range from about 400.  lerch_phi at z = -1 and fd at x = 0
@@ -516,9 +558,10 @@ class TestLerchPhi:
             # at small n: the refusal must not overflow on the way.
             (lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2 - 800j, 0.5 + 2j)),
              None),
-            # The defining series fails next to |z| = 1 and AUTO reduces.
+            # Next to |z| = 1 off the real axis lerch_phi takes the CVZ
+            # circle sum, m n = 4 x 32 powers, and sums no direct term.
             (lambda: ext_fd(ExtParams(2.1107, 1.6595 + 2.3909j,
-                                      3.33e-5 - 2.5272j)), "fd/circle-be"),
+                                      3.33e-5 - 2.5272j)), "fd/xseries-cvz-circle"),
         ],
         ids=["lerch-order-3", "lerch-order-2-800i", "auto-fd"],
     )
@@ -527,24 +570,14 @@ class TestLerchPhi:
         # here: the direct sum makes at most 1,024 complex powers, not
         # 500,000.
         calls = 0
-        inside = False
-        cpow, direct = zeta_module.cpow, zeta_module._lerch_direct
+        cpow = zeta_module.cpow
 
         def counting_cpow(base, expo):
             nonlocal calls
-            calls += inside
+            calls += 1
             return cpow(base, expo)
 
-        def counting_direct(z, s, a):
-            nonlocal inside
-            inside = True
-            try:
-                return direct(z, s, a)
-            finally:
-                inside = False
-
         monkeypatch.setattr(zeta_module, "cpow", counting_cpow)
-        monkeypatch.setattr(zeta_module, "_lerch_direct", counting_direct)
         if want is None:
             with pytest.raises(ConvergenceError, match="not converged"):
                 call()
@@ -555,15 +588,52 @@ class TestLerchPhi:
     def test_long_direct_sum_next_to_the_circle_still_returns(self):
         # 33,052 terms at |z| = e^{-1e-3}.  With the budget cut to that need
         # the checks run (r^{N/2} > 2e-13) and none fires; one term less
-        # and the sum raises.
-        p = LerchParams(math.exp(-1e-3) * cmath.exp(1j), 2 - 400j, 0.5 + 2j)
-        got = lerch_phi(p)
+        # and the sum raises.  lerch_phi itself takes the CVZ circle sum
+        # there, 1,509 terms, and agrees within the two estimates.
+        z, s, a = math.exp(-1e-3) * cmath.exp(1j), 2 - 400j, 0.5 + 2j
+        got = zeta_module._lerch_direct(z, s, a)
         assert (got.strategy, got.work) == ("lerch/direct-sum", 33_053)
         with mock.patch.object(zeta_module, "MAX_TERMS", 33_052):
-            assert lerch_phi(p) == got
+            assert zeta_module._lerch_direct(z, s, a) == got
         with mock.patch.object(zeta_module, "MAX_TERMS", 33_051):
             with pytest.raises(ConvergenceError):
-                lerch_phi(p)
+                zeta_module._lerch_direct(z, s, a)
+        cvz = lerch_phi(LerchParams(z, s, a))
+        assert (cvz.strategy, cvz.work) == ("lerch/cvz-circle", 1_509)
+        assert abs(cvz.value - got.value) <= cvz.err_estimate + got.err_estimate
+
+    @pytest.mark.parametrize("f, p", [
+        (ext_be, ExtParams(2.745048424289283, 3.7434708545701 + 17.006277493720262j,
+                           2.1763705180484632e-07 + 2.118123008847725j)),
+        (ext_be, ExtParams(0.7660487626861648, 1.4222797248913515 + 6.396378493171518j,
+                           4.28095013558279e-05 - 1.9947092263609614j)),
+        (ext_fd, ExtParams(1.9508581292395943, 2.9832007478366154 + 5.475621530866327j,
+                           1.1200688774064958e-05 - 1.8100262592047j)),
+    ], ids=["be-17i", "be-6i", "fd-5i"])
+    def test_auto_next_to_the_circle_sums_no_direct_term(self, f, p, monkeypatch):
+        # AUTO points that summed 500,000 direct terms (about 0.8 s) before
+        # the direct sum refused and AUTO reduced: the CVZ circle sum is
+        # far shorter there, so lerch_phi takes it at once.
+        mpmath = pytest.importorskip("mpmath")
+        calls = 0
+        cpow = zeta_module.cpow
+
+        def counting_cpow(base, expo):
+            nonlocal calls
+            calls += 1
+            return cpow(base, expo)
+
+        monkeypatch.setattr(zeta_module, "cpow", counting_cpow)
+        got = f(p)
+        kind = "fd" if f is ext_fd else "be"
+        assert got.strategy == f"{kind}/xseries-cvz-circle"
+        assert calls <= 100
+        with mpmath.workdps(30):
+            xm, am = mpmath.mpc(p.x), mpmath.mpf(p.nu) + 1
+            z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+            want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(p.s), am)
+        gap = abs(mpmath.mpc(got.value) - want)
+        assert gap <= got.err_estimate and gap <= 1e-14 * abs(want)
 
     def test_auto_fd_at_hopeless_budget_takes_taylor_route(self):
         # The point the defining series refuses returns through the Taylor
