@@ -210,12 +210,14 @@ def fourier_reflection(
     # The exponential amp passes on the rounding of its exponent's terms,
     # log Gamma(1-s), (s-1) log 2 pi and, for step = 2, (1-s) log 2; the
     # first two exceed 100 for Re(s) < -40.  Each reduction term does the
-    # same with its exponent -s log(a0 + j).
+    # same with its exponent -s log(a0 + j), |log(a0 + j)| being at most
+    # log max(1/a0, a0 + m - 1) for a0 in (0, 1].
     expo_err = 2.2e-16 * (
         abs(ln_g) + abs(s - 1.0) * (_LN_2PI + (step - 1) * _LN2)
     ) * abs(reflected)
     if m:
-        reduction_err += 2.2e-16 * (1.0 + abs(s) * max_abs_log(a0, m)) * mass
+        reduction_err += 2.2e-16 * (
+            1.0 + abs(s) * math.log(max(1.0 / a0, a0 + m - 1))) * mass
     err = (abs(amp) * tail + 3e-16 * max(mass, abs(reflected)) + 5e-15 * abs(value)
            + expo_err + arg_err + reduction_err)
     return value, err, n_terms + m

@@ -181,7 +181,7 @@ class TestHurwitzZeta:
         )]
         assert got == [
             ((0.0038058819301665784+0j), 4.651137306448815e-16, 555),
-            ((-17.84902158453652+24.384206913444412j), 1.9620048110008183e-13, 50),
+            ((-17.84902158453652+24.384206913444412j), 1.9620048110008186e-13, 50),
             ((7.488639476304268e+33+0j), 7.895874851856758e+20, 9),
             ((-0.0066647408839414085+0j), 2.6146867366107382e-12, 9),
             ((68.63105329540237+142.76605697433527j), 3.342622874466325e-09, 11),
