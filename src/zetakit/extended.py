@@ -38,7 +38,12 @@ crossover of the routes below:
   coefficients fd(nu, s-k, 0) are the x = 0 values: Euler-Maclaurin
   Hurwitz differences with a small shift for -4 < Re(s-k) < 0 (typically
   1e-13 relative, at worst about 1e-9 next to Re(s-k) = -4) and, for real
-  nu, the odd-term reflection series below that.  For both functions
+  nu, the odd-term reflection series below that.  With real nu and a
+  non-integer order, the coefficients of both functions at
+  Re(s-k) <= -4 are the rungs of one reflection series stepped from order
+  to order (:class:`zeta.ReflectionLadder`: zeta(s-k, nu+1) for be, the
+  odd-term series for fd); integer orders keep Euler-Maclaurin's
+  terminating sums.  For both functions
   coefficient k is asked only for the absolute accuracy its weight
   |x^k/k!| leaves visible, REL_TOL times the running sum over 8 |x^k/k!|,
   which cuts the reflection series short.  An unconverged sum raises
@@ -88,9 +93,12 @@ from .weyl import (
     weyl_transform,
 )
 from .zeta import (
+    MULT_CAP,
     REL_TOL,
     LerchParams,
+    ReflectionLadder,
     alternating_lerch,
+    circle_pieces,
     digamma,
     direct_length,
     dirichlet_eta,
@@ -301,6 +309,10 @@ def _power_series_x(
     grow_streak = 0
     scale = 0.0
     moment = 0.0   # sum of k |term_k|, plus |x^k/k!| for a pole limit's -log x
+    # With real nu and a non-integer order, the coefficients at
+    # Re(s - k) <= -4 are one reflection series stepped from order to order.
+    reflected = nu.imag == 0.0 and not (s.imag == 0.0 and s.real == round(s.real))
+    ladder = None
     for k in range(_POWER_CAP):
         # Coefficient k enters weighted by |x^k/k!|.  The sum is only
         # resolved to REL_TOL times its scale (the stopping rule's), so the
@@ -308,17 +320,25 @@ def _power_series_x(
         # of that over the weight.  Term 0, and a weight of 0 (x = 0 or
         # underflow), keep full accuracy.
         abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
-        if k == pole_k:
-            c = _be_pole_limit(nu, s, x, k)
-        elif kind == "fd":
-            c = _fd_zero(nu, s - k, abs_tol)
+        if ladder is None and reflected and s.real - k <= -4.0:
+            ladder = ReflectionLadder(s - k, nu.real + 1.0, 2 if kind == "fd" else 1)
+        if ladder is not None:
+            value, c_err, c_work = ladder.rung(abs_tol)
+            if kind == "be":
+                value = faults.perturb("hurwitz_zeta", value)
         else:
-            c = hurwitz_zeta(s - k, nu + 1.0, abs_tol=abs_tol)
-        work += c.work
-        term = c.value * xpow
+            if k == pole_k:
+                c = _be_pole_limit(nu, s, x, k)
+            elif kind == "fd":
+                c = _fd_zero(nu, s - k, abs_tol)
+            else:
+                c = hurwitz_zeta(s - k, nu + 1.0, abs_tol=abs_tol)
+            value, c_err, c_work = c.value, c.err_estimate, c.work
+        work += c_work
+        term = value * xpow
         terms.append(term)
         total += term
-        coeff_err += c.err_estimate * abs(xpow)
+        coeff_err += c_err * abs(xpow)
         mag = abs(term)
         moment += k * mag + (abs(xpow) if k == pole_k else 0.0)
         scale = max(abs(total + singular), abs(total), 1e-300)
@@ -662,6 +682,10 @@ def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if near and x.imag == 0.0 and (kind == "be" or s.real <= 0.0):
         return _power_series_x(kind, nu, s, x)[0]
     if near and x.imag != 0.0 and x.real > 0.0:
+        if circle_pieces(cmath.phase(_lerch_z(kind, x))) > MULT_CAP:
+            # No CVZ sum reaches z next to the positive real axis, and the
+            # direct sum there takes more than _SERIES_CROSSOVER terms.
+            return _circle(kind, nu, s, x)
         try:
             return _series_route(kind, nu, s, x)
         except ConvergenceError:

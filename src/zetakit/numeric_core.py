@@ -12,8 +12,9 @@ Floating layer
     15 terms) with a branch-managed reflection for Re(s) < 1/2, accurate to
     roughly 14 significant digits on |s| <= 50, |Im s| <= 50.
     ``cpow`` is the one principal-branch complex power every series term
-    is built from, and ``max_abs_log`` bounds the rounding its exponent
-    passes on to a run of terms (k + a)^{-s}; ``is_nonpos_int`` is the one
+    is built from, with a documented rounding bound, and ``max_abs_log``
+    bounds the logarithm that bound needs over a run of terms (k + a)^{-s};
+    ``is_nonpos_int`` is the one
     exact test for the poles of Gamma at 0, -1, -2, ...
 
 Summation
@@ -84,8 +85,15 @@ def is_nonpos_int(z: complex) -> bool:
 
 
 def cpow(base: complex, expo: complex) -> complex:
-    """Principal-branch base**expo via exp(expo * log(base)), base != 0."""
-    return cmath.exp(expo * cmath.log(base))
+    """Principal-branch base**expo, base != 0: Python's complex power.
+
+    Its relative rounding is at most 2.2e-16 (1 + |e| (1 + |log b|)) for
+    b = base and e = expo, which every estimate built on it charges.  That
+    covers real and complex bases, bases next to |b| = 1 and the repeated
+    squaring CPython takes for integral exponents up to 100; the suite
+    checks it on seeded pairs against 40-digit mpmath.
+    """
+    return complex(base) ** expo
 
 
 def max_abs_log(a: complex, n: int) -> float:
@@ -94,8 +102,8 @@ def max_abs_log(a: complex, n: int) -> float:
     |log w|^2 = log^2 |w| + arg^2 w.  |arg(k + a)| falls as k grows, and
     |k + a| is smallest at the k nearest -Re a and largest at an end of
     the range, so |log |k + a|| peaks at one of those.  A term (k + a)^{-s}
-    built by ``cpow`` thus carries at most 2.2e-16 |s| max_abs_log(a, n)
-    relative rounding from its exponent.
+    built by ``cpow`` thus carries at most
+    2.2e-16 (1 + |s| (1 + max_abs_log(a, n))) relative rounding.
     """
     lo = abs(min(max(round(-a.real), 0), n - 1) + a)
     hi = max(abs(a), abs(n - 1 + a))

@@ -20,14 +20,18 @@ rounding-aware error estimate.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
 from .numeric_core import (
     MAX_POLY_DEGREE,
+    _CHUNK,
     alternating_sum_cvz,
     bernoulli_number,
     chebyshev_weights,
@@ -110,10 +114,184 @@ def _cexpm1(u: complex) -> complex:
                    math.exp(u.real) * math.sin(u.imag))
 
 
+class ReflectionLadder:
+    """Hurwitz's Fourier reflection series at the orders s, s - 1, s - 2,
+    ... for one real a > 0 and one step, Re(s) <= -4.
+
+    Each call of :meth:`rung` returns (value, err, work) at the current
+    order and steps to the next; :func:`fourier_reflection`, the series at
+    one order, is the first rung.  The series at order s is
+
+        amp sum_{n = 1, 1 + step, ...} sin(pi s/2 + freq n a0) n^{s-1},
+
+    amp = 2 Gamma(1-s) (2 pi)^{s-1}, times 2^{1-s} for step 2, freq =
+    2 pi/step, plus the reduction of a to a0 = a - m in (0, 1] (see
+    :func:`fourier_reflection`).  A step to order s - 1 updates the pieces
+    the orders share, and recomputes none:
+
+    * amp by amp (1 - s) step/(2 pi), and log Gamma(1-s), on which the
+      estimate charges the exponent's rounding, by one log(1 - s);
+    * the sines by exact quarter turns: rung k takes sin, -cos, -sin, cos
+      of the first rung's arguments for k = 0, 1, 2, 3 mod 4; the cosines
+      are made at the first odd rung;
+    * the powers n^{s-1} by one division by n, over the prefix the rung
+      sums;
+    * the reduction terms (a0 + j)^{-s} by one product with a0 + j, held
+      while m <= ``_CHUNK``; past that each rung makes them afresh through
+      ``chunked_sum``, so memory stays flat in a.
+
+    The estimate of rung k charges these recurrences k times 2.2e-16
+    relative on the powers and on the reduction, and 3 k times that on amp
+    (the rounding of 1 - s, of two products and of step/(2 pi)).
+    """
+
+    def __init__(self, s: complex, a: float, step: int) -> None:
+        self.s = s            # the first rung's order; rung k's is s - k
+        self.step = step
+        self.k = 0
+        self.m = m = max(0, math.ceil(a) - 1)
+        self.a0 = a0 = a - m
+        self.ln_g = ln_gamma(1.0 - s)
+        # One exponential of the summed logarithms: Gamma(1-s) alone overflows
+        # from Re(s) ~ -170, |amp| only near -218 (step 2) and -259 (step 1).
+        self.amp = cmath.exp(self.ln_g + _LN2 + (s - 1.0) * _LN_2PI
+                             + (step - 1) * (1.0 - s) * _LN2)
+        self.cosh_t = math.cosh(0.5 * _PI * s.imag)
+        self.half_arg = 0.5 * _PI * s
+        self.freq = 2.0 * _PI / step
+        self.amp_step = step / (2.0 * _PI)
+        # log max |log(a0 + j)| over the reduction, a0 in (0, 1].
+        self.red_log = math.log(max(1.0 / a0, a0 + m - 1)) if m else 0.0
+        self.red: list[complex] | None = None
+        if m <= _CHUNK:
+            self.bases = [a0 + j for j in range(m)]
+            self.red = list(self._reduction_terms(-s))
+        # A real integer order reduces each sine's argument in exact turns.
+        self.exact = s.imag == 0.0 and s.real == round(s.real)
+        self.sines: list[complex] = []
+        self.cosines: list[complex] = []
+        self.inexact: set[int] = set()   # n whose exact-turn sine is rounded
+        self.powers: list[complex] = []
+
+    def _reduction_terms(self, neg_s: complex) -> Iterator[complex]:
+        """The m terms -(a0 + j)^{-s}, or for step 2 -(-1)^j (a0 + j)^{-s}."""
+        for j in range(self.m):
+            power = cpow(self.a0 + j, neg_s)
+            yield -power if self.step == 1 or j % 2 == 0 else power
+
+    def _trig(self, held: list[complex], quarter: int, count: int) -> None:
+        """Extend ``held`` to ``count`` values sin(theta_n + quarter pi/2)."""
+        ns = range(1 + self.step * len(held), 1 + self.step * count, self.step)
+        if not self.exact:
+            fn = cmath.cos if quarter else cmath.sin
+            held.extend(fn(self.half_arg + self.freq * n * self.a0) for n in ns)
+            return
+        # Each sine's argument in turns, s/4 + n a0/step, is an exact
+        # rational.  Reduced mod 1, whole quarter turns give exact 0 and +-1
+        # (zeta's trivial zeros); any other sine is off by the rounding of
+        # its reduced argument, below 2.4e-15.
+        start, turn = Fraction(round(self.s.real), 4), Fraction(self.a0) / self.step
+        for n in ns:
+            quarters = 4 * ((start + n * turn) % 1) + quarter
+            if quarters.denominator == 1:
+                held.append((0.0, 1.0, 0.0, -1.0)[int(quarters) % 4])
+            else:
+                held.append(math.sin(0.5 * _PI * float(quarters)))
+                self.inexact.add(n)
+
+    def rung(self, abs_tol: float = 0.0) -> tuple[complex, float, int]:
+        """(value, err, work) at the current order, then step to the next.
+
+        The series stops once its tail bound, relative to |amp|, is below
+        max(REL_TOL, abs_tol / (|amp| cosh(pi Im(s)/2))); ``work`` counts
+        the series terms summed plus the m reduction terms.
+        """
+        k, step, m, amp, cosh_t = self.k, self.step, self.m, self.amp, self.cosh_t
+        s = self.s - k
+        sigma = s.real
+        tol = REL_TOL
+        if abs_tol > 0.0 and abs(amp) * cosh_t > 0.0:
+            tol = max(REL_TOL, abs_tol / (abs(amp) * cosh_t))
+        # Terms n = 1, 1 + step, ... up to the last n; the rest of the series
+        # is at most 1/step of the integral of t^{sigma-1} beyond the last n.
+        n_terms = max(8, math.ceil(
+            ((step * tol * (-sigma)) ** (1.0 / sigma) + step - 1) / step
+        ))
+        n_terms = min(n_terms, MAX_TERMS)
+        last = 1 + step * (n_terms - 1)
+        ns = range(1, last + 1, step)
+
+        # Powers n^{s-1}: the held prefix divided by n once per order, the
+        # rest made at this order.
+        powers = self.powers[:n_terms]
+        if k:
+            powers = list(map(operator.truediv, powers, ns))
+        powers.extend(cpow(n, s - 1.0) for n in ns[len(powers):])
+        self.powers = powers
+        trig = self.cosines if k % 2 else self.sines
+        if len(trig) < n_terms:
+            self._trig(trig, k % 2, n_terms)
+        series = compensated_sum(list(map(operator.mul, trig[:n_terms], powers)))
+        if k % 4 in (1, 2):
+            series = -series
+
+        if self.red is None:
+            reduction, mass, reduction_err = chunked_sum(self._reduction_terms(-s))
+        else:
+            if k:
+                self.red = list(map(operator.mul, self.red, self.bases))
+            reduction = compensated_sum(self.red)
+            mass = math.fsum(map(abs, self.red))
+            reduction_err = 0.0
+
+        tail = (last ** sigma) / (step * -sigma) * cosh_t
+        reflected = amp * series
+        value = reflected + reduction
+        if step == 2 and m % 2 == 1:
+            value = -value
+        if not cmath.isfinite(value):
+            raise OverflowError(f"reflection series overflows at s={s!r}")
+        if self.exact:
+            arg_err = 2.4e-15 * abs(amp) * math.fsum(
+                n ** (sigma - 1.0) for n in sorted(self.inexact) if n <= last)
+        else:
+            # Each sine moves by the rounding of its argument, 2.2e-16
+            # (|pi s/2| + freq n a0) at the first rung's s, times |cos| <=
+            # cosh(pi Im(s)/2); weighted by n^{Re(s)-1} the sum over n stays
+            # below 1.1 (|pi s/2| + freq a0) for Re(s) <= -4.  It matters
+            # where the leading sine nearly vanishes.
+            arg_err = (2.4e-16 * abs(amp) * cosh_t
+                       * (abs(self.half_arg) + self.freq * self.a0))
+        # The powers n^{s-1}, n >= 2 (1^{s-1} is exact), carry cpow's
+        # rounding at the first rung's exponent plus k divisions, on a
+        # weight sum_{n>=2} n^{Re(s)-1} (1 + log n) <= 1.4 2^{Re(s)}.
+        power_err = (3.1e-16 * (1.0 + abs(s - 1.0) + k) * 2.0 ** sigma
+                     * abs(amp) * cosh_t)
+        # amp came from one exponential of log Gamma(1-s), (s-1) log 2 pi
+        # and, for step 2, (1-s) log 2, whose rounding it passes on; each
+        # step since adds up to 6.6e-16 relative.
+        expo_err = 2.2e-16 * (
+            abs(self.ln_g) + abs(s - 1.0) * (_LN_2PI + (step - 1) * _LN2) + 3 * k
+        ) * abs(reflected)
+        # Each reduction term carries cpow's rounding, 2.2e-16 (1 + |s|
+        # (1 + |log(a0 + j)|)), and k products since.
+        reduction_err += 2.2e-16 * (
+            1.0 + abs(s) * (1.0 + self.red_log) + k) * mass
+        err = (abs(amp) * tail + 3e-16 * max(mass, abs(reflected)) + 5e-15 * abs(value)
+               + expo_err + arg_err + power_err + reduction_err)
+
+        self.k = k + 1
+        t = 1.0 - s
+        self.ln_g += cmath.log(t)
+        self.amp = amp * (t * self.amp_step)
+        return value, err, n_terms + m
+
+
 def fourier_reflection(
     s: complex, a: float, step: int, abs_tol: float = 0.0
 ) -> tuple[complex, float, int]:
-    """Fourier reflection series for Re(s) < 0 and real a > 0.
+    """Fourier reflection series for Re(s) < 0 and real a > 0: the first
+    rung of a :class:`ReflectionLadder`.
 
     Returns (value, err, work).  With step = 1 the value is zeta(s, a),
 
@@ -130,97 +308,21 @@ def fourier_reflection(
     Both hold for a0 in (0, 1]; larger a is first reduced by
     zeta(s, a) = zeta(s, a0) - sum_{j<m} (a0 + j)^{-s} and
     Phi(-1, s, a) = (-1)^m [Phi(-1, s, a0) - sum_{j<m} (-1)^j (a0 + j)^{-s}],
-    a0 = a - m, summed in chunks (``chunked_sum``) so that memory stays flat
-    at large a.  The series gains accuracy as Re(s) decreases — the regime
-    where Euler-Maclaurin loses it — so it serves as the deep-left-half-plane
-    route.  At a real integer order the sines' arguments are reduced
-    exactly, so the trivial zeros come out as 0.
+    a0 = a - m, summed in chunks (``chunked_sum``) past ``_CHUNK`` terms so
+    that memory stays flat at large a.  The series gains accuracy as Re(s)
+    decreases — the regime where Euler-Maclaurin loses it — so it serves
+    as the deep-left-half-plane route.  At a real integer order the sines'
+    arguments are reduced exactly, so the trivial zeros come out as 0.
 
     The series stops once its tail bound, relative to the prefactor's
     modulus |amp|, is below max(REL_TOL, abs_tol / (|amp| cosh(pi Im(s)/2)));
     ``work`` counts the series terms summed plus the m reduction terms.
-    OverflowError is raised where the prefactor or the value passes the
-    double range; the prefactor does so below about Re(s) = -218 (step 2)
-    and -259 (step 1).
+    The estimate charges the rounding of amp's exponent, of every sine's
+    argument and of every power (``cpow``'s bound).  OverflowError is
+    raised where the prefactor or the value passes the double range; the
+    prefactor does so below about Re(s) = -218 (step 2) and -259 (step 1).
     """
-    sigma = s.real
-    m = max(0, math.ceil(a) - 1)
-    a0 = a - m
-    neg_s = -s
-    reduction, mass, reduction_err = chunked_sum(
-        -cpow(a0 + j, neg_s) if step == 1 or j % 2 == 0 else cpow(a0 + j, neg_s)
-        for j in range(m)
-    )
-
-    ln_g = ln_gamma(1.0 - s)
-    # One exponential of the summed logarithms: Gamma(1-s) alone overflows
-    # from Re(s) ~ -170, |amp| only near -218 (step 2) and -259 (step 1).
-    amp = cmath.exp(ln_g + _LN2 + (s - 1.0) * _LN_2PI
-                    + (step - 1) * (1.0 - s) * _LN2)
-    half_arg = 0.5 * _PI * s
-    freq = 2.0 * _PI / step
-    cosh_t = math.cosh(0.5 * _PI * s.imag)
-    tol = REL_TOL
-    if abs_tol > 0.0 and abs(amp) * cosh_t > 0.0:
-        tol = max(REL_TOL, abs_tol / (abs(amp) * cosh_t))
-    # Terms n = 1, 1 + step, ... up to the last n; the rest of the series is
-    # at most 1/step of the integral of t^{sigma-1} beyond the last n.
-    n_terms = max(8, math.ceil(
-        ((step * tol * (-sigma)) ** (1.0 / sigma) + step - 1) / step
-    ))
-    n_terms = min(n_terms, MAX_TERMS)
-    last = 1 + step * (n_terms - 1)
-    if s.imag == 0.0 and sigma == round(sigma):
-        # Real integer order: each sine's argument in turns, s/4 + n a0/step,
-        # is an exact rational.  Reduced mod 1, whole quarter turns give
-        # exact 0 and +-1 (zeta's trivial zeros); any other sine is off by
-        # the rounding of its reduced argument, below 2.4e-15.
-        start, turn = Fraction(round(sigma), 4), Fraction(a0) / step
-        sines = []
-        arg_err = 0.0
-        for n in range(1, last + 1, step):
-            quarters = 4 * ((start + n * turn) % 1)
-            if quarters.denominator == 1:
-                sines.append((0.0, 1.0, 0.0, -1.0)[int(quarters)])
-            else:
-                sines.append(math.sin(0.5 * _PI * float(quarters)))
-                arg_err += 2.4e-15 * abs(amp) * n ** (sigma - 1.0)
-    else:
-        sines = [cmath.sin(half_arg + freq * n * a0)
-                 for n in range(1, last + 1, step)]
-        # Each sine moves by the rounding of its argument, 2.2e-16 (|pi s/2|
-        # + freq n a0), times |cos| <= cosh(pi Im(s)/2); weighted by
-        # n^{Re(s)-1} the sum over n stays below 1.1 (|pi s/2| + freq a0)
-        # for Re(s) <= -4.  It matters where the leading sine nearly
-        # vanishes.
-        arg_err = (2.4e-16 * abs(amp) * cosh_t
-                   * (abs(half_arg) + freq * a0))
-    series_terms = [
-        sine * cpow(n, s - 1.0)
-        for sine, n in zip(sines, range(1, last + 1, step))
-    ]
-    series = compensated_sum(series_terms)
-    tail = (last ** sigma) / (step * -sigma) * cosh_t
-    reflected = amp * series
-    value = reflected + reduction
-    if step == 2 and m % 2 == 1:
-        value = -value
-    if not cmath.isfinite(value):
-        raise OverflowError(f"reflection series overflows at s={s!r}")
-    # The exponential amp passes on the rounding of its exponent's terms,
-    # log Gamma(1-s), (s-1) log 2 pi and, for step = 2, (1-s) log 2; the
-    # first two exceed 100 for Re(s) < -40.  Each reduction term does the
-    # same with its exponent -s log(a0 + j), |log(a0 + j)| being at most
-    # log max(1/a0, a0 + m - 1) for a0 in (0, 1].
-    expo_err = 2.2e-16 * (
-        abs(ln_g) + abs(s - 1.0) * (_LN_2PI + (step - 1) * _LN2)
-    ) * abs(reflected)
-    if m:
-        reduction_err += 2.2e-16 * (
-            1.0 + abs(s) * math.log(max(1.0 / a0, a0 + m - 1))) * mass
-    err = (abs(amp) * tail + 3e-16 * max(mass, abs(reflected)) + 5e-15 * abs(value)
-           + expo_err + arg_err + reduction_err)
-    return value, err, n_terms + m
+    return ReflectionLadder(s, a, step).rung(abs_tol)
 
 
 # B_{2k}/(2k)! as floats for k = 0 .. MAX_POLY_DEGREE // 2, built on the
@@ -356,10 +458,11 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
         trunc_err = abs(corrections[-1]) if corrections else 0.0
 
     value = head + integral + half + compensated_sum(corrections)
-    # Every term is a power exp(e log(n+a)) with |e| <= |s| + 1 and
-    # |log(n+a)| <= max(|log a|, |log q|); it inherits the rounding of its
-    # exponent, up to 2.2e-16 |e| |log(n+a)| relative.
-    expo_err = 2.2e-16 * (abs(s) + 1.0) * max(abs(cmath.log(a)), abs(cmath.log(q)))
+    # Every term is a power (n+a)^e with |e| <= |s| + 1 and |log(n+a)| <=
+    # max(|log a|, |log q|); cpow rounds it by up to 2.2e-16 (1 + |e|
+    # (1 + |log(n+a)|)) relative.
+    expo_err = 2.2e-16 * (1.0 + (abs(s) + 1.0) * (
+        1.0 + max(abs(cmath.log(a)), abs(cmath.log(q)))))
     err = trunc_err + 3e-16 * peak + expo_err * mass + 1e-16 * abs(value)
     value = faults.perturb("hurwitz_zeta", value)
     return EvalResult(
@@ -409,7 +512,10 @@ def riemann_zeta(s: complex, via: str = "em") -> EvalResult:
         # Fast, fully converged direct sum; the tail is below 4^{-30}.
         terms = [cpow(n, -s) for n in range(1, 33)]
         value = compensated_sum(terms)
-        return EvalResult(value, abs(terms[-1]) + 1e-16 * abs(value),
+        # 1^{-s} is exact; the other powers carry cpow's rounding.
+        rounding = 2.2e-16 * (1.0 + abs(s) * (1.0 + math.log(32.0))) * math.fsum(
+            map(abs, terms[1:]))
+        return EvalResult(value, abs(terms[-1]) + rounding + 1e-16 * abs(value),
                           "riemann/direct-sum", len(terms))
     inner = hurwitz_zeta(s, 1.0)
     route = inner.strategy.split("/", 1)[1]
@@ -490,7 +596,8 @@ def hurwitz_halves(s: complex, a: complex) -> EvalResult:
                           "lerch/halves-digamma-limit", diff.work)
     two_ms = cpow(2.0, -s)
     value = two_ms * diff.value
-    err = abs(two_ms) * diff.err_estimate + 1e-16 * abs(value)
+    err = abs(two_ms) * diff.err_estimate + 2.2e-16 * (
+        2.5 + abs(s) * (1.0 + _LN2)) * abs(value)
     return EvalResult(value, err, "lerch/hurwitz-halves", diff.work)
 
 
@@ -516,14 +623,21 @@ def alternating_lerch(s: complex, a: complex,
     Re(s) > 0.  The error of the sum S_n of n terms grows like
     e^{pi |Im s|/2} (3+sqrt 8)^{-n}, so n, set up front, is the least length
     from 32 that puts that size for S_{floor(3n/4)} below e^{-36}: 32 up to
-    |Im s| = 4, 99 at 60, 1,216 at 1,000.  err is |S_n - S_{3n/4}| plus
-    2.2e-16 (1 + expo) |term_k| per term; work is n.
+    |Im s| = 4, 99 at 60, 1,216 at 1,000.  The terms are ``cpow`` powers
+    at w = 1 and one exponential exp(k log w - s log(k+a)) otherwise, the
+    faster there; either carries at most 2.2e-16 (1 + expo) relative
+    rounding, expo = |s| (1 + |log(k+a)|) + k |log w|.  err is
+    |S_n - S_{3n/4}| plus that on every term; work is n.
     """
     n = _cvz_length(s)
-    terms = [cmath.exp(k * log_w - s * cmath.log(k + a)) for k in range(n)]
+    if log_w:
+        terms = [cmath.exp(k * log_w - s * cmath.log(k + a)) for k in range(n)]
+    else:
+        neg_s = -s
+        terms = [cpow(k + a, neg_s) for k in range(n)]
     value = alternating_sum_cvz(terms.__getitem__, n)
     gap = abs(value - alternating_sum_cvz(terms.__getitem__, 3 * n // 4))
-    expo = abs(s) * max_abs_log(a, n) + (n - 1) * abs(log_w)
+    expo = abs(s) * (1.0 + max_abs_log(a, n)) + (n - 1) * abs(log_w)
     err = gap + 2.2e-16 * (1.0 + expo) * math.fsum(map(abs, terms))
     return value, err + 1e-15 * abs(value), n
 
@@ -565,23 +679,32 @@ def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, in
     takes z^r times weight k.  Past ``MULT_CAP`` pieces it raises
     ConvergenceError before any term.  n is the least length from 32 that
     puts e^{pi |Im s|/2} rho^{-3n/4} below e^{-36}, as in
-    :func:`alternating_lerch`.  err is |S_n - S_{3n/4}| plus the rounding
-    the cancelling weights magnify, 2.2e-16 (4 + |s| max|log(j+a)| + n)
-    sum_j |weight_j a_j|; work is m n.
+    :func:`alternating_lerch`.  The m terms that share weight k are summed
+    first, Q_k = sum_{r<m} z^r a_{mk+r}, and both sums are dot products of
+    the weights with the Q_k.  err is |S_n - S_{3n/4}| plus the rounding
+    the cancelling weights magnify, 2.2e-16 (4 + |s| (1 + max|log(j+a)|)
+    + n + m) sum_k |weight_k| sum_r |a_{mk+r}|; work is m n.
     """
     m, log_z, w, n = _circle_plan(z, s)
     terms = [cpow(j + a, -s) for j in range(m * n)]
+    # Q_k = sum_{r<m} z^r a_{mk+r}, one column r at a time, and the bound
+    # sum_r |a_{mk+r}| >= sum_r |z^r a_{mk+r}| on its terms' size.
+    cols, sizes = terms[::m], list(map(abs, terms))
     if m > 1:
-        phases = [cmath.exp(r * log_z) for r in range(m)]
-        terms = [phases[j % m] * t for j, t in enumerate(terms)]
+        col_sizes = sizes[::m]
+        for r in range(1, m):
+            phase = cmath.exp(r * log_z)
+            cols = list(map(operator.add, cols,
+                            map(operator.mul, terms[r::m], itertools.repeat(phase))))
+            col_sizes = list(map(operator.add, col_sizes, sizes[r::m]))
+        sizes = col_sizes
     full = chebyshev_weights(w, n)
-    short = chebyshev_weights(w, 3 * n // 4)
-    parts = [full[j // m] * t for j, t in enumerate(terms)]
-    value = compensated_sum(parts)
+    value = compensated_sum(list(map(operator.mul, full, cols)))
     gap = abs(value - compensated_sum(
-        [short[j // m] * t for j, t in enumerate(terms[:m * len(short)])]))
-    expo = abs(s) * max_abs_log(a, m * n)
-    err = gap + 2.2e-16 * (4.0 + expo + n) * math.fsum(map(abs, parts))
+        list(map(operator.mul, chebyshev_weights(w, 3 * n // 4), cols))))
+    expo = abs(s) * (1.0 + max_abs_log(a, m * n))
+    mass = math.fsum(map(operator.mul, map(abs, full), sizes))
+    err = gap + 2.2e-16 * (4.0 + expo + n + m) * mass
     return value, err + 1e-16 * abs(value), m * n
 
 
@@ -641,12 +764,11 @@ def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
             value = faults.perturb("lerch_phi", value)
             # Term k = z^k (k+a)^{-s} carries 2.2e-16 relative error
             # from its own rounding, 2.2e-16 k from the k products
-            # building z^k, and 2.2e-16 |s| |log(k+a)| from the
-            # rounding of the power's exponent.  With the terms summed
-            # exactly, that rounding is the error, however much the
-            # terms cancel.
+            # building z^k, and cpow's 2.2e-16 (1 + |s| (1 + |log(k+a)|))
+            # from the power.  With the terms summed exactly, that
+            # rounding is the error, however much the terms cancel.
             err = bound + 2.2e-16 * (
-                (1.0 + abs(s) * max_abs_log(a, n)) * mass + kmass
+                (2.0 + abs(s) * (1.0 + max_abs_log(a, n))) * mass + kmass
             )
             return EvalResult(value, err + 1e-16 * abs(value),
                               "lerch/direct-sum", n + 1)
@@ -674,11 +796,12 @@ def lerch_transform_serves(a: complex) -> bool:
 
 def _lerch_head(log_z: complex, s: complex, b: complex, k: int) -> tuple[complex, float]:
     """sum_{j<k} z^j (j+b)^{-s}, z = e^{log_z}, streamed by chunked_sum, and
-    its error: each term carries 2.2e-16 (2 + j |log z| + |s| |log(j+b)|)
-    relative rounding, charged on sum_j |term_j|."""
+    its error: each term carries 2.2e-16 (3 + j |log z| + |s| (1 +
+    |log(j+b)|)) relative rounding (the exponential, cpow's bound and the
+    product), charged on sum_j |term_j|."""
     value, mass, err = chunked_sum(
         cmath.exp(j * log_z) * cpow(j + b, -s) for j in range(k))
-    expo = 2.0 + k * abs(log_z) + (abs(s) * max_abs_log(b, k) if k else 0.0)
+    expo = 3.0 + k * abs(log_z) + (abs(s) * (1.0 + max_abs_log(b, k)) if k else 0.0)
     return value, err + 2.2e-16 * expo * mass
 
 
@@ -870,7 +993,8 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     if z == 0.0:
         value = cpow(a, -s)
         value = faults.perturb("lerch_phi", value)
-        return EvalResult(value, 1e-16 * abs(value), "lerch/single-term", 1)
+        err = 2.2e-16 * (1.0 + abs(s) * (1.0 + abs(cmath.log(a)))) * abs(value)
+        return EvalResult(value, err, "lerch/single-term", 1)
 
     if abs(z - 1.0) < 1e-12:
         inner = hurwitz_zeta(s, a)

@@ -1,0 +1,43 @@
+"""Write grid_refs.json: the 20-digit reference of every point of the
+seeded grids in grids.py, e^{-(nu+1)x} mpmath.lerchphi(-+e^{-x}, s, nu+1).
+
+Run offline from the repository root, once, or after a grid changes:
+
+    python3 tests/make_grid_refs.py
+
+It takes about half a minute.  Only this script needs mpmath for these
+grids; the tests read the stored values.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import mpmath
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+
+import grids  # noqa: E402
+
+
+def reference(kind, nu, s, x):
+    """The reference value as a pair of strings, real and imaginary."""
+    xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+    z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+    want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+    return [str(want.real), str(want.imag)]
+
+
+def main() -> None:
+    mpmath.mp.dps = 20
+    blocks = []
+    for name, grid in grids.GRIDS.items():
+        points = list(grid())
+        rows = [json.dumps([grids.point_record(*p), reference(*p)]) for p in points]
+        blocks.append(f"{json.dumps(name)}: [\n" + ",\n".join(rows) + "\n]")
+    (HERE / grids.REFS_FILE).write_text("{\n" + ",\n".join(blocks) + "\n}\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -31,10 +31,12 @@ from zetakit import (
     fd_zero_hurwitz_route,
     hurwitz_zeta,
     lerch_phi,
+    ln_gamma,
     riemann_zeta,
 )
-from zetakit import extended
+from zetakit import extended, faults, numeric_core
 
+import grids
 import oracles
 import zetakit.zeta as zeta_module
 from oracles import fd_negint_reference
@@ -65,6 +67,17 @@ def ref_gap(value: complex, ref) -> tuple[decimal.Decimal, decimal.Decimal]:
         d_re = decimal.Decimal(value.real) - ref_re
         d_im = decimal.Decimal(value.imag) - ref_im
         return (d_re * d_re + d_im * d_im).sqrt(), (ref_re * ref_re + ref_im * ref_im).sqrt()
+
+
+def grid_refs(name: str):
+    """((kind, nu, s, x), reference) of a seeded grid of grids.py, with its
+    frozen reference; refuses when the stored points are not the ones the
+    grid generates (rerun tests/make_grid_refs.py)."""
+    rows = json.loads((Path(__file__).with_name(grids.REFS_FILE)).read_text())[name]
+    points = list(grids.GRIDS[name]())
+    assert [row[0] for row in rows] == [grids.point_record(*p) for p in points], (
+        f"{grids.REFS_FILE} does not hold the points of grid {name}")
+    return [(p, row[1]) for p, row in zip(points, rows)]
 
 
 # Bridge-invariant grid: nu x s x x covering boundary nu=0, fractional nu,
@@ -159,17 +172,48 @@ class TestZeroArgument:
             assert abs(got.value - other.value) <= got.err_estimate + other.err_estimate, (nu, s)
 
     def test_reflection_reduction_memory_stays_flat(self):
-        # At nu = 1e6 the odd-term series first reduces a by 10^6 terms.
+        # At nu = 5e4 the odd-term series first reduces a by 5 x 10^4 terms.
         # Summed in chunks as they are made, they are never held at once;
-        # as one list they took 93 MB.
+        # as one list they took 2.0 MB under tracemalloc, the chunks 0.35 MB.
         tracemalloc.start()
         try:
-            got = ext_fd(ExtParams(1e6, -4.5, 0.0))
+            got = ext_fd(ExtParams(5e4, -4.5, 0.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got.strategy == "fd/zero-reflection"
-        assert peak < 5_000_000
+        assert peak < 1_000_000
+
+    def test_taylor_ladder_memory_stays_flat_above_the_hold_cap(self):
+        # The Taylor route steps one reflection series through its deep
+        # orders.  Past numeric_core._CHUNK reduction terms (here 2 x 10^4)
+        # it makes them afresh at each order in chunks rather than holding
+        # them: held, the terms and their bases would take about 1.4 MB.
+        assert 2e4 > 4 * numeric_core._CHUNK
+        tracemalloc.start()
+        try:
+            got = ext_fd(ExtParams(2e4, -4.5, 5e-6), Strategy.POWER_SERIES_X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.strategy == "fd/power-series-x"
+        assert peak < 1_000_000
+
+    def test_hurwitz_fault_moves_the_deep_taylor_be_rungs(self):
+        # At Re s <= -4 every Taylor coefficient of be is a rung of one
+        # reflection ladder, and no hurwitz_zeta call is made; an armed
+        # hurwitz_zeta fault must still scale them all by 1 + 1e-6, so the
+        # value moves by 1e-6 of its series part (the value less the
+        # singular part Gamma(1-s) x^{s-1}).  fd's odd-term series never
+        # passed through hurwitz_zeta, and stays put.
+        p, p_fd = ExtParams(0.5, -6.5 + 1j, 2.0), ExtParams(0.5, -6.5 + 1j, 0.5)
+        clean, fd_clean = ext_be(p, Strategy.POWER_SERIES_X), ext_fd(p_fd, Strategy.POWER_SERIES_X)
+        with faults.inject("hurwitz_zeta"):
+            faulty = ext_be(p, Strategy.POWER_SERIES_X)
+            assert ext_fd(p_fd, Strategy.POWER_SERIES_X) == fd_clean
+        singular = cmath.exp(ln_gamma(1.0 - p.s) + (p.s - 1.0) * cmath.log(p.x))
+        series = clean.value - singular
+        assert rel(faulty.value - clean.value, 1e-6 * series) <= 1e-5
 
     def test_reflection_reduction_estimate_charges_its_exponents(self):
         # Each of the 10^6 reduction terms (a0 + j)^{4.5} carries the
@@ -438,6 +482,24 @@ class TestStrategies:
             checked += 1
         assert checked == 304
 
+    def test_auto_next_to_the_positive_axis_reduces_at_positive_order(self):
+        # Every AUTO fd point of the near-circle universe at x = 0.05 + i pi
+        # with Re s > 0: z = e^{-0.05} lies on the positive real axis, where
+        # no CVZ sum applies and the direct sum takes about 600 terms, so
+        # AUTO reduces onto the be centre at once.  Each point is within its
+        # estimate and accurate as the benchmark grades it.
+        checked = 0
+        for key, fn, strategy, nu, s, x, ref in bench_refs("table-near-circle"):
+            if fn != "ext_fd" or strategy != "Auto" or x != complex(0.05, math.pi) or s.real <= 0.0:
+                continue
+            got = ext_fd(ExtParams(nu, s, x))
+            assert got.strategy == "fd/circle-be", key
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), key
+            assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
+            checked += 1
+        assert checked == 30
+
     def test_auto_unit_circle_nonpositive_order_matches_bench_refs(self):
         # Every AUTO point of the near-circle benchmark universe at complex
         # x with Re s <= 0 returns within its estimate and accurate as the
@@ -476,31 +538,20 @@ class TestStrategies:
         assert checked == 672
 
     def test_auto_unit_circle_grid_against_mpmath(self):
-        # Seeded grid over both kinds: Re x in [0, 0.05), Im x in
-        # [-2 pi, 4 pi], Re s in [-6, 0] (real, integer and complex) and
-        # nu in [0, 3].  AUTO returns every point within its estimate: on
+        # Seeded grid over both kinds (grids.auto_unit_circle_grid): Re x in
+        # [0, 0.05), Im x in [-2 pi, 4 pi], Re s in [-6, 0] (real, integer
+        # and complex) and nu in [0, 3].  AUTO returns every point within
+        # its estimate of the frozen 20-digit mpmath.lerchphi reference: on
         # the imaginary axis by Lerch's transformation where its inner
         # circle sums stay within their cap, by the reduction elsewhere.
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 20
-        rng = random.Random(20261101)
-        for _ in range(500):
-            kind = rng.choice(("fd", "be"))
-            nu = rng.uniform(0.0, 3.0)
-            sigma = rng.uniform(-6.0, 0.0)
-            s = rng.choice((complex(sigma), complex(round(sigma)),
-                            complex(sigma, rng.uniform(-4.0, 4.0))))
-            x = complex(rng.choice((0.0, rng.uniform(0.0, 0.05))),
-                        rng.uniform(-2.0 * math.pi, 4.0 * math.pi))
+        for (kind, nu, s, x), ref in grid_refs("auto_unit_circle"):
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
             if x.real == 0.0 and zeta_module.lerch_transform_serves(nu + 1.0):
                 assert got.strategy == f"{kind}/xseries-lerch-transform"
             else:
                 assert got.strategy.startswith(f"{kind}/circle-")
-            xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
-            z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
-            want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
-            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
+            gap, _ = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
 
     def test_auto_imaginary_axis_estimate_stays_tight_next_to_z_one(self):
         # On the imaginary axis z = -+e^{-x} lies on the circle exactly, so
@@ -551,33 +602,15 @@ class TestStrategies:
 
     def test_circle_positive_order_grid_against_mpmath(self):
         # The reduction at Re s > 0 (AUTO's route where the defining series
-        # cannot finish), called directly.  Half the grid sits next to a be
+        # cannot finish), called directly, against the frozen 20-digit
+        # mpmath.lerchphi references.  Half the grid sits next to a be
         # centre at integer s, where the pole limit's -log x enters the
         # slope that the shift's rounding is charged with.
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 20
-        rng = random.Random(20261102)
-        for i in range(200):
-            kind = rng.choice(("fd", "be"))
-            nu = rng.uniform(0.0, 3.0)
-            if i % 2:
-                s = complex(rng.choice((1, 2, 3)))
-                # fd has a be centre at odd multiples of i pi, be at even.
-                j = rng.choice((-1, 1, 3)) + (kind == "be")
-                x = complex(10 ** rng.uniform(-6.0, math.log10(0.05)),
-                            j * math.pi + rng.uniform(-1.0, 1.0) * 10 ** rng.uniform(-8.0, 0.0))
-            else:
-                sigma = rng.uniform(0.05, 4.0)
-                s = rng.choice((complex(sigma), complex(max(1, round(sigma))),
-                                complex(sigma, rng.uniform(-4.0, 4.0))))
-                x = complex(10 ** rng.uniform(-6.0, math.log10(0.05)),
-                            rng.uniform(-2.0 * math.pi, 4.0 * math.pi))
+        for (kind, nu, s, x), ref in grid_refs("circle_positive_order"):
             got = extended._circle(kind, complex(nu), s, x)
             assert got.strategy.startswith(f"{kind}/circle-")
-            xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
-            z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
-            want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
-            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, x)
+            gap, _ = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
 
     def test_auto_reduced_onto_a_centre_takes_the_real_x_rules(self):
         # x = i j pi (the double j * math.pi standing for the exact

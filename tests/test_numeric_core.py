@@ -1,5 +1,6 @@
 """Exact rational layer and float helpers."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from zetakit import (
     euler_poly_coeffs,
     ln_gamma,
 )
-from zetakit.numeric_core import alternating_sum_cvz
+from zetakit.numeric_core import alternating_sum_cvz, cpow
 
 from oracles import BERNOULLI_TABLE, EULER_NUMBER_TABLE, bernoulli_numbers
 
@@ -196,3 +197,34 @@ class TestSummation:
 
         ref = dirichlet_eta(s)
         assert abs(value - ref.value) <= 1e-12 * abs(ref.value)
+
+
+class TestComplexPower:
+    def test_cpow_within_its_documented_rounding(self):
+        # cpow is Python's complex power; its relative rounding is at most
+        # 2.2e-16 (1 + |e| (1 + |log b|)).  Seeded bases near 1, on |b| = 1
+        # and spread over the plane, with complex, real and integral
+        # exponents (CPython squares repeatedly for integers up to 100).
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        cases = []
+        for _ in range(300):
+            theta = rng.uniform(-math.pi, math.pi)
+            bases = (
+                complex(1.0 + rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3)),
+                complex(math.cos(theta), math.sin(theta)),
+                complex(rng.uniform(0.01, 50.0), rng.choice((0.0, rng.uniform(-50.0, 50.0)))),
+                complex(-rng.uniform(0.01, 50.0), rng.uniform(-1e-3, 1e-3)),
+            )
+            exponents = (
+                complex(rng.randint(-100, 100)),
+                complex(rng.uniform(-60.0, 60.0)),
+                complex(rng.uniform(-60.0, 60.0), rng.uniform(-20.0, 20.0)),
+            )
+            cases.extend((b, e) for b in bases for e in exponents)
+        with mpmath.workdps(40):
+            for b, e in cases:
+                got = cpow(b, e)
+                want = mpmath.power(mpmath.mpc(b), mpmath.mpc(e))
+                bound = 2.2e-16 * (1.0 + abs(e) * (1.0 + abs(cmath.log(b)))) * abs(want)
+                assert abs(mpmath.mpc(got) - want) <= bound, (b, e)

@@ -171,21 +171,31 @@ class TestHurwitzZeta:
 
     def test_non_integer_order_reflection_values_unchanged(self):
         # Away from real integer orders the sines keep their radian
-        # arguments: values and work are bit for bit those of the route
-        # before the exact turn reduction.  The estimates since charge the
-        # rounding of the reduction terms' exponents (a > 1 here).
+        # arguments; values, estimates and work are pinned bit for bit, and
+        # each value lies within its estimate of 40-digit mpmath.  The
+        # powers are Python's complex power (cpow), and the estimates charge
+        # its documented rounding.
+        mpmath = pytest.importorskip("mpmath")
         got = [(r.value, r.err_estimate, r.work) for r in (
             hurwitz_zeta(-4.5, 0.3), hurwitz_zeta(-7.25 + 2j, 2.6),
             hurwitz_zeta(-60.5, 1.5), hurwitz_zeta(-9.5, 1.25, abs_tol=1e-3),
             extended._fd_zero(2.125 + 0j, -6.75 - 1.5j, 1e-6),
         )]
         assert got == [
-            ((0.0038058819301665784+0j), 4.651137306448815e-16, 555),
-            ((-17.84902158453652+24.384206913444412j), 1.9620048110008186e-13, 50),
+            ((0.0038058819301665784+0j), 4.654935154248504e-16, 555),
+            ((-17.849021584536516+24.384206913444416j), 2.46194458827371e-13, 50),
             ((7.488639476304268e+33+0j), 7.895874851856758e+20, 9),
-            ((-0.0066647408839414085+0j), 2.6146867366107382e-12, 9),
-            ((68.63105329540237+142.76605697433527j), 3.342622874466325e-09, 11),
+            ((-0.0066647408839414085+0j), 2.614686787022166e-12, 9),
+            ((68.63105329540234+142.7660569743352j), 3.342872871539117e-09, 11),
         ]
+        with mpmath.workdps(40):
+            s, a = mpmath.mpc(-6.75, -1.5), mpmath.mpf(3.125)
+            wants = [mpmath.zeta(-4.5, mpmath.mpf(0.3)),
+                     mpmath.zeta(mpmath.mpc(-7.25, 2), mpmath.mpf(2.6)),
+                     mpmath.zeta(-60.5, 1.5), mpmath.zeta(-9.5, 1.25),
+                     2 ** -s * (mpmath.zeta(s, a / 2) - mpmath.zeta(s, (a + 1) / 2))]
+            for (value, err, _), want in zip(got, wants):
+                assert abs(mpmath.mpc(value) - want) <= err, value
 
     def test_reflection_prefactor_is_one_exponential(self):
         # Gamma(1 - s) alone overflows from Re s ~ -170, the prefactor only
@@ -307,6 +317,30 @@ class TestHurwitzZeta:
         # Euler-Maclaurin ignores it.
         assert hurwitz_zeta(-2.5, 0.5, abs_tol=1.0) == hurwitz_zeta(-2.5, 0.5)
 
+    def test_reflection_ladder_rungs_against_mpmath(self):
+        # A ladder steps one reflection series through the orders s, s - 1,
+        # ...: seeded real a, both steps, complex s and the abs_tol values
+        # the Taylor route asks for.  Every rung is honest against 30-digit
+        # mpmath, and its first rung is fourier_reflection itself.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        with mpmath.workdps(30):
+            for i in range(16):
+                step = 1 + i % 2
+                s = complex(rng.uniform(-10.0, -4.0), rng.choice((0.0, rng.uniform(-5.0, 5.0))))
+                a = rng.uniform(0.05, 5.0)
+                abs_tol = (0.0, 1e-12, 1e-9, 1e-6)[i // 2 % 4]
+                ladder = zeta_module.ReflectionLadder(s, a, step)
+                for k in range(6):
+                    value, err, work = ladder.rung(abs_tol)
+                    if k == 0:
+                        assert (value, err, work) == zeta_module.fourier_reflection(
+                            s, a, step, abs_tol)
+                    sk, am = mpmath.mpc(s) - k, mpmath.mpf(a)
+                    want = mpmath.zeta(sk, am) if step == 1 else 2 ** -sk * (
+                        mpmath.zeta(sk, am / 2) - mpmath.zeta(sk, (am + 1) / 2))
+                    assert abs(mpmath.mpc(value) - want) <= err, (step, s, a, abs_tol, k)
+
     def test_pole_and_domain(self):
         with pytest.raises(PoleError, match="pole at s=1"):
             hurwitz_zeta(1.0, 2.0)
@@ -359,6 +393,24 @@ class TestDirichletEta:
 
 
 class TestLerchPhi:
+    def test_single_term_estimate_charges_the_power(self):
+        # At z = 0 the value is the one power a^{-s}, whose rounding is
+        # cpow's 2.2e-16 (1 + |s| (1 + |log a|)) relative: at (0, 30, 2.5)
+        # it is off by 5.3 times a charge of 1e-16 |value|.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261019)
+        points = [(30.0, 2.5)]
+        for _ in range(400):
+            u = complex(rng.uniform(-0.5, 2.0), rng.uniform(-1.4, 1.4))
+            points.append((complex(rng.uniform(-60.0, 60.0), rng.uniform(-20.0, 20.0)),
+                           cmath.exp(u)))
+        with mpmath.workdps(40):
+            for s, a in points:
+                got = lerch_phi(LerchParams(0.0, s, a))
+                assert got.strategy == "lerch/single-term"
+                want = mpmath.power(mpmath.mpc(a), -mpmath.mpc(s))
+                assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+
     def test_direct_sum_small_z(self):
         p = LerchParams(0.25, 2.0, 1.5)
         want = sum(0.25**n / (n + 1.5) ** 2.0 for n in range(200))
