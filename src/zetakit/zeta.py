@@ -160,7 +160,7 @@ class ReflectionLadder:
         self.half_arg = 0.5 * _PI * s
         self.freq = 2.0 * _PI / step
         self.amp_step = step / (2.0 * _PI)
-        # log max |log(a0 + j)| over the reduction, a0 in (0, 1].
+        # max |log(a0 + j)| over the reduction, a0 in (0, 1].
         self.red_log = math.log(max(1.0 / a0, a0 + m - 1)) if m else 0.0
         self.red: list[complex] | None = None
         if m <= _CHUNK:
