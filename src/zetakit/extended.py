@@ -26,15 +26,27 @@ crossover of the routes below:
   and s = 1; or at Re(s) <= -4 with real nu one Fourier reflection series
   over odd n; Hurwitz zeta for be, with its order-1 pole surfaced as
   PoleError).
-* be at real x > 0 near the circle, every order s: the Taylor series in x
-  (eqs. 4.14/4.15), immune to the slow geometric decay; at a positive
-  integer order the pole coefficient and the singular part
-  x^{s-1} Gamma(1-s) are replaced by their finite limit with digamma
-  values and -log x.
+* Re(s) <= 0 near the circle with real nu, x real, complex or on the
+  imaginary axis: the defining series, summed by Lerch's transformation at
+  the complex angle theta = arg z + i Re x of z = -+e^{-x} (tag
+  {fd,be}/xseries-lerch-transform; :func:`zeta.lerch_transform`).  Its
+  inner sums take the complex parameters lam = theta/(2 pi) and 1 - lam;
+  for be at real x, Re lam = 0, their term k = 0 is the Taylor route's
+  singular part x^{s-1} Gamma(1-s).  It serves wherever its inner circle
+  sums stay within their cap (nu within about 0.02 of an integer, not on
+  it, is left out), m Re x <= 1 for the m = ceil(nu) terms that reduce
+  nu + 1 to (0, 1], which cancel by up to e^{m Re x}, and z lies 1e-12 or
+  more from 1 (nearer, x stands for a be centre).
+* be at real x > 0 near the circle at Re(s) > 0 and the points the
+  transformation leaves: the Taylor series in x (eqs. 4.14/4.15), immune
+  to the slow geometric decay; at a positive integer order the pole
+  coefficient and the singular part x^{s-1} Gamma(1-s) are replaced by
+  their finite limit with digamma values and -log x.
 * fd at real x > 0 near the circle: the defining series for Re(s) > 0,
-  which lerch_phi sums by its alternating acceleration; the same Taylor
-  series for Re(s) <= 0, where the defining series needs about 1/x
-  growing, cancelling terms (and refuses x = 1e-7 outright).  Its
+  which lerch_phi sums by its alternating acceleration; at Re(s) <= 0,
+  where the transformation does not serve, the same Taylor series, since
+  the defining series needs about 1/x growing, cancelling terms (and
+  refuses x = 1e-7 outright).  Its
   coefficients fd(nu, s-k, 0) are the x = 0 values: Euler-Maclaurin
   Hurwitz differences with a small shift for -4 < Re(s-k) < 0 (typically
   1e-13 relative, at worst about 1e-9 next to Re(s-k) = -4) and, for real
@@ -48,17 +60,18 @@ crossover of the routes below:
   |x^k/k!| leaves visible, REL_TOL times the running sum over 8 |x^k/k!|,
   which cuts the reflection series short.  An unconverged sum raises
   ConvergenceError at 40 terms, or earlier once its terms stop decreasing.
-* imaginary x at Re(s) <= 0 with real nu: the defining series, summed
-  on |z| = 1 by Lerch's transformation at the angle of z (tag
-  {fd,be}/xseries-lerch-transform), except where its inner circle sums
-  would pass their cap (nu within about 0.02 of an integer, not on it)
-  and within 1e-12 of z = 1, where x stands for a be centre.
-* other complex x near the circle at Re(s) <= 0 (complex nu included), or
-  where the defining series cannot finish (Re(x) > 0 near the circle, z
-  within the circle sum's cap of the positive real axis): reduce, then
-  expand.  The period 2 pi i and the duality x -> x - i pi move x to
-  within a third of a Taylor radius of a be or fd centre, where the
-  Taylor series in x sums (tags {fd,be}/circle-{be,fd}).
+* large nu near the circle: the Taylor terms grow like
+  (|nu+1| |x|)^k / k! about their centre, so where that product passes 4
+  (``_TAYLOR_REACH``; the distance to the reduction's centre for complex
+  x) the defining series, wherever its direct sum is predicted to finish
+  within MAX_TERMS, at Re(s) <= 0 only for |nu+1| Re(x) > 1.
+* other complex x near the circle at Re(s) <= 0 (complex nu, nu next to
+  an integer, a long reduction), or where the defining series cannot
+  finish (Re(x) > 0 near the circle, z within the circle sum's cap of the
+  positive real axis): reduce, then expand.  The period 2 pi i and the
+  duality x -> x - i pi move x to within a third of a Taylor radius of a
+  be or fd centre, where the Taylor series in x sums (tags
+  {fd,be}/circle-{be,fd}).
 * otherwise the defining series.  At Re(s) > 0 lerch_phi takes a CVZ sum
   wherever it is shorter than the direct sum ({fd,be}/xseries-cvz on the
   real segment, {fd,be}/xseries-cvz-circle off it, and always on the unit
@@ -93,6 +106,7 @@ from .weyl import (
     weyl_transform,
 )
 from .zeta import (
+    MAX_TERMS,
     MULT_CAP,
     REL_TOL,
     LerchParams,
@@ -233,22 +247,41 @@ def _lerch_z(kind: str, x: complex) -> complex:
 
 def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     z = _lerch_z(kind, x)
-    pre = cmath.exp(-(nu + 1.0) * x)
     params = LerchParams(z, s, nu + 1.0)
     if x.real == 0.0 and s.real <= 0.0 and abs(z - 1.0) >= 1e-12:
         # z lies on the circle exactly, though its double may not: take
         # Lerch's transformation at its angle, where lerch_phi would charge
         # the step off the circle.  LerchParams has refused complex nu here.
-        inner = lerch_transform(cmath.phase(z), s, params.a.real)
-    else:
-        inner = lerch_phi(params)
+        return _transformed(kind, nu, s, x)
+    return _scaled(kind, nu, x, lerch_phi(params))
+
+
+def _transformed(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
+    """The defining series at real nu and Re(s) <= 0 by Lerch's
+    transformation at the angle theta = arg z + i Re x of z = -+e^{-x}
+    (:func:`zeta.lerch_transform`).  arg z carries the exact argument
+    reduction of cos and sin, so theta is read to a few ulps of each of
+    lam and 1 - lam, also next to a be centre."""
+    theta = complex(cmath.phase(_lerch_z(kind, x)), x.real)
+    return _scaled(kind, nu, x, lerch_transform(theta, s, nu.real + 1.0))
+
+
+# The least positive double: a factor e^{-(nu+1) x} that underflows is off
+# by up to half of it, which no relative charge covers.
+_TINY = math.ulp(0.0)
+
+
+def _scaled(kind: str, nu: complex, x: complex, inner: EvalResult) -> EvalResult:
+    """e^{-(nu+1) x} times a value of Phi(-+e^{-x}, s, nu+1), tagged."""
+    pre = cmath.exp(-(nu + 1.0) * x)
     suffix = inner.strategy.split("/", 1)[1]
     tag = f"{kind}/{_LERCH_TAG_MAP[suffix]}"
     value = pre * inner.value
-    # pre inherits the rounding of its exponent, 2.2e-16 |(nu+1) x|.
+    # pre inherits the rounding of its exponent, 2.2e-16 |(nu+1) x|; below
+    # the normal range it and the product round by up to _TINY.
     err = abs(pre) * inner.err_estimate + (
         2e-16 + 2.2e-16 * abs((nu + 1.0) * x)
-    ) * abs(value)
+    ) * abs(value) + _TINY * (1.0 + abs(inner.value) + inner.err_estimate)
     return EvalResult(value, err, tag, inner.work)
 
 
@@ -615,16 +648,28 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # AUTO dispatch and the public pair
 # ---------------------------------------------------------------------------
 
+def _reduce(kind: str, x: complex) -> tuple[int, str, complex]:
+    """(j, centre, x - i j pi): j puts x within 2 pi/3 of a be centre, else
+    within pi/3 of an fd centre, a third of either Taylor radius."""
+    u = x.imag / _PI
+    j = round(u)
+    centre = kind if j % 2 == 0 else ("be" if kind == "fd" else "fd")
+    if centre == "fd" and abs(u - j) > 1.0 / 3.0:
+        j += 1 if u > j else -1
+        centre = "be"
+    return j, centre, complex(x.real, x.imag - j * _PI)
+
+
 def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     """Reduce, then expand: complex x near the circle (AUTO's
-    ``_SERIES_CROSSOVER``); at Re(s) > 0 only for Re(x) > 0 where the
-    defining series cannot finish within its budget.
+    ``_SERIES_CROSSOVER``) where Lerch's transformation does not serve; at
+    Re(s) > 0 only for Re(x) > 0 where the defining series cannot finish
+    within its budget.
 
     Moving x by j i pi multiplies term n of the defining series by
     e^{-i j pi (n+nu+1)}, so f(nu, s, x) = e^{-i j pi (nu+1)} f'(nu, s,
     x - i j pi), with f' = f for even j (the period) and the other function
-    for odd j (duality-6.7).  j puts x within 2 pi/3 of a be centre, else
-    within pi/3 of an fd centre: a third of either Taylor radius.  A
+    for odd j (duality-6.7); j and the centre are :func:`_reduce`'s.  A
     reduced x on the real axis takes AUTO's real-x rules, the input
     standing for an exact multiple of i pi.  The estimate adds the rounding
     of the phase's exponent and of the reduced argument (|j| 1.3e-16 for
@@ -632,13 +677,7 @@ def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     times the Taylor route's bound on |df'/dx|; DomainError where that
     rounding is not small next to the distance to a singularity.
     """
-    u = x.imag / _PI
-    j = round(u)
-    centre = kind if j % 2 == 0 else ("be" if kind == "fd" else "fd")
-    if centre == "fd" and abs(u - j) > 1.0 / 3.0:
-        j += 1 if u > j else -1
-        centre = "be"
-    x_red = complex(x.real, x.imag - j * _PI)
+    j, centre, x_red = _reduce(kind, x)
     shift_err = 1.3e-16 * abs(j) + 2.2e-16 * abs(x.imag) if j else 0.0
     if x_red.imag == 0.0:
         inner, slope = _auto(centre, nu, s, x_red), 0.0
@@ -666,22 +705,60 @@ def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # of the forced routes over Re s in [-4.5, 4.5] and nu in [0, 3].
 _SERIES_CROSSOVER = 300
 
+# At large nu the Taylor terms grow like (|nu+1| |x|)^k / k! about their
+# centre and cancel by about e^{2 |nu+1| |x|}; past this product AUTO
+# takes the defining series wherever its direct sum is predicted to finish
+# (:func:`_series_serves`).
+_TAYLOR_REACH = 4.0
+
+
+def _transform_serves(kind: str, nu: complex, x: complex) -> bool:
+    """Whether AUTO takes Lerch's transformation near the circle at
+    Re(s) <= 0: real nu whose inner sums stay within their cap
+    (:func:`zeta.lerch_transform_serves`), m Re(x) <= 1 for the m terms
+    of its reduction of a = nu + 1, which cancel by up to e^{m Re x}, and
+    z off 1 by 1e-12, where x stands for a be centre."""
+    if nu.imag != 0.0 or not lerch_transform_serves(nu + 1.0):
+        return False
+    m = math.ceil(nu.real + 1.0) - 1
+    return m * x.real <= 1.0 and abs(_lerch_z(kind, x) - 1.0) >= 1e-12
+
+
+def _series_serves(kind: str, nu: complex, s: complex, x: complex) -> bool:
+    """Whether AUTO takes the defining series near the circle in place of
+    the Taylor route: |nu+1| times the distance from x to the Taylor
+    route's centre (x itself for real x, else :func:`_reduce`'s) passes
+    ``_TAYLOR_REACH``, and the direct sum is predicted to finish within
+    MAX_TERMS.  At Re(s) <= 0 also c = |nu+1| Re(x) > 1, the bound of the
+    transformation's reduction: the direct sum's terms e^{-n Re x}
+    (n+nu+1)^{-s} rise by up to (|Re s|/c)^{|Re s|} e^{c - |Re s|} before
+    they decay, and nearer the circle their sum cancels away digits that
+    the Taylor route about a near centre keeps."""
+    if direct_length(-x.real) > MAX_TERMS:
+        return False
+    if s.real <= 0.0 and abs(nu + 1.0) * x.real <= 1.0:
+        return False
+    arg = x if x.imag == 0.0 else _reduce(kind, x)[2]
+    return abs(nu + 1.0) * abs(arg) > _TAYLOR_REACH
+
 
 def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
         return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
-    near = direct_length(-x.real) > _SERIES_CROSSOVER
-    if near and x.imag != 0.0 and s.real <= 0.0:
-        # On the imaginary axis lerch_phi takes Lerch's transformation, but
-        # within 1e-12 of z = 1 it reads z as 1: there x stands for a be
-        # centre, which the reduction resolves.
-        if (x.real == 0.0 and lerch_transform_serves(nu + 1.0)
-                and abs(_lerch_z(kind, x) - 1.0) >= 1e-12):
-            return _series_route(kind, nu, s, x)
+    length = direct_length(-x.real)
+    if length <= _SERIES_CROSSOVER:
+        return _series_route(kind, nu, s, x)
+    if s.real <= 0.0 and _transform_serves(kind, nu, x):
+        return _transformed(kind, nu, s, x)
+    if _series_serves(kind, nu, s, x):
+        return _series_route(kind, nu, s, x)
+    if x.imag == 0.0:
+        if kind == "be" or s.real <= 0.0:
+            return _power_series_x(kind, nu, s, x)[0]
+        return _series_route(kind, nu, s, x)
+    if s.real <= 0.0:
         return _circle(kind, nu, s, x)
-    if near and x.imag == 0.0 and (kind == "be" or s.real <= 0.0):
-        return _power_series_x(kind, nu, s, x)[0]
-    if near and x.imag != 0.0 and x.real > 0.0:
+    if x.real > 0.0:
         if circle_pieces(cmath.phase(_lerch_z(kind, x))) > MULT_CAP:
             # No CVZ sum reaches z next to the positive real axis, and the
             # direct sum there takes more than _SERIES_CROSSOVER terms.

@@ -589,7 +589,7 @@ def mult_5_10_printed_form_gap() -> dict[str, float]:
             for s in (2.0, 1.5):
                 for x in (0.0, 1.0):
                     lhs = ext_be(ExtParams(a, s, x), Strategy.AUTO).value
-                    rhs = cpow(q, -s) * cmath.exp(a * x * (1.0 - q) / q) * sum(
+                    rhs = cpow(q, -complex(s)) * cmath.exp(a * x * (1.0 - q) / q) * sum(
                         cmath.exp(x * j * (1.0 - q) / q)
                         * ext_be(
                             ExtParams((a + j - q) / q, s, q * x), Strategy.AUTO

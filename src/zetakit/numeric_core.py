@@ -85,15 +85,20 @@ def is_nonpos_int(z: complex) -> bool:
 
 
 def cpow(base: complex, expo: complex) -> complex:
-    """Principal-branch base**expo, base != 0: Python's complex power.
+    """Principal-branch base**expo, base != 0, for a complex ``expo``:
+    Python's complex power.
 
-    Its relative rounding is at most 2.2e-16 (1 + |e| (1 + |log b|)) for
+    A real or integer base meets a complex exponent through
+    ``complex.__rpow__``, so ``base ** expo`` is the power at complex(base)
+    bit for bit, without building that complex first.  A float exponent
+    would take the real power instead; every caller passes a complex one.
+    The relative rounding is at most 2.2e-16 (1 + |e| (1 + |log b|)) for
     b = base and e = expo, which every estimate built on it charges.  That
     covers real and complex bases, bases next to |b| = 1 and the repeated
     squaring CPython takes for integral exponents up to 100; the suite
     checks it on seeded pairs against 40-digit mpmath.
     """
-    return complex(base) ** expo
+    return base ** expo
 
 
 def max_abs_log(a: complex, n: int) -> float:

@@ -349,7 +349,8 @@ def _em_coeffs() -> list[float]:
     return table
 
 
-def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
+def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0,
+                 pole_free: bool = False) -> EvalResult:
     """Hurwitz zeta zeta(s, a) for complex s != 1, Re(a) > 0.
 
     Euler-Maclaurin continuation on both sides of the critical strip; with
@@ -365,6 +366,11 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
     the tail of the terms actually summed; the default 0 asks for full
     accuracy.  Euler-Maclaurin ignores it.
 
+    ``pole_free`` returns zeta(s, a) - 1/(s - 1) instead, finite at s = 1
+    (where it is -psi(a)): the integral term (N+a)^{1-s}/(s-1) becomes
+    ((N+a)^{1-s} - 1)/(s-1), an expm1 without cancellation, so no digits
+    go to the pole next to s = 1.
+
     ``work`` counts N head terms plus two per correction pair (the
     reflection route: its series terms actually summed plus the
     reduction, fewer when ``abs_tol`` is set).  At Re(s) < 0 the shift is
@@ -373,7 +379,7 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
     """
     s = require_finite(s, "s")
     a = require_finite(a, "a")
-    if abs(s - 1.0) < 1e-12:
+    if abs(s - 1.0) < 1e-12 and not pole_free:
         raise PoleError("pole at s=1")
     if a.real <= 0.0:
         raise DomainError(f"hurwitz_zeta needs Re(a) > 0, got a={a!r}")
@@ -389,6 +395,8 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
     # -61, needs more correction pairs than the Bernoulli table holds.
     if a.imag == 0.0 and (sigma < -49.0 or sigma <= -4.0 and not terminating):
         value, err, work = fourier_reflection(s, a.real, 1, abs_tol)
+        if pole_free:
+            value -= 1.0 / (s - 1.0)
         return EvalResult(faults.perturb("hurwitz_zeta", value), err,
                           "hurwitz/reflection", work)
     if sigma >= 0.0:
@@ -412,7 +420,18 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
     head = compensated_sum(direct)
     q = n_shift + a
     q_pow_ms = cpow(q, -s)  # q^{-s}
-    integral = cpow(q, 1.0 - s) / (s - 1.0)
+    integral_err = 0.0
+    if pole_free:
+        # ((N+a)^{1-s} - 1)/(s-1) = -log q (e^u - 1)/u at u = (1-s) log q,
+        # whose limit at s = 1 is -log q.  expm1's parts, each below
+        # |u| max(1, |e^u|), and the rounding of u stay below 1.1e-15
+        # |log q| max(1, |q^{1-s}|) after the division by s - 1.
+        d, log_q = s - 1.0, cmath.log(q)
+        u = -d * log_q
+        integral = _cexpm1(u) / d if d else -log_q
+        integral_err = 1.1e-15 * abs(log_q) * max(1.0, math.exp(min(u.real, 709.0)))
+    else:
+        integral = cpow(q, 1.0 - s) / (s - 1.0)
     half = q_pow_ms / 2.0
 
     # Correction terms T_k = B_{2k}/(2k)! * (s)_{2k-1} * q^{-s-2k+1};
@@ -463,7 +482,7 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0) -> EvalResult:
     # (1 + |log(n+a)|)) relative.
     expo_err = 2.2e-16 * (1.0 + (abs(s) + 1.0) * (
         1.0 + max(abs(cmath.log(a)), abs(cmath.log(q)))))
-    err = trunc_err + 3e-16 * peak + expo_err * mass + 1e-16 * abs(value)
+    err = trunc_err + 3e-16 * peak + expo_err * mass + 1e-16 * abs(value) + integral_err
     value = faults.perturb("hurwitz_zeta", value)
     return EvalResult(
         value, err, "hurwitz/euler-maclaurin", n_shift + 2 * len(corrections)
@@ -832,15 +851,65 @@ def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
     return EvalResult(value, err, "lerch/cvz-circle", work + k)
 
 
-def lerch_transform(theta: float, s: complex, a: float) -> EvalResult:
-    """Phi(e^{i theta}, s, a) for 0 < |theta| <= pi, Re(s) <= 0 and real a
-    off the non-positive integers, by Lerch's transformation; see
-    :func:`lerch_phi`.  theta is taken as exact, and lam = theta/(2 pi)
-    mod 1 and 1 - lam are each read to about 4.4e-16 relative.  At s = 0
-    the value is 1/(1 - e^{i theta}) for every a; elsewhere ConvergenceError
-    up front where :func:`lerch_transform_serves` fails."""
-    # 1 - e^{i theta}, to a few ulps of its modulus even next to theta = 0.
-    gap = complex(2.0 * math.sin(0.5 * theta) ** 2, -math.sin(theta))
+def _inner_sum(w: complex, t: complex, b: complex, alpha: float
+               ) -> tuple[complex, float, int, float]:
+    """Phi(w, t, b) at w = e^{-+2 pi i alpha}, Re(t) >= 1 and Re(b) >= 0,
+    b != 0, read to 4.4e-16 |b|: (value, err, work, slope), slope a bound
+    on |d Phi/db| / |t|.  The kernel is Hurwitz zeta at alpha = 1 (w = 1;
+    pole-free, zeta(t, b) - 1/(t - 1)), the alternating sum at alpha = 1/2
+    and the circle sum otherwise.  Where Re(b) <= |Im b| its term k = 0,
+    b^{-t}, goes ahead of the sum at 1 + b, whose weights then see terms
+    of even size.  |(k+b)^{-t-1}| <= |k+b|^{-Re t-1} e^{|Im t| |arg(1+b)|}
+    for k >= 1, whose sum is below 1.65 at Re(t) >= 1."""
+    split = b.real <= abs(b.imag)
+    c = b + 1.0 if split else b
+    if alpha == 1.0:
+        r = hurwitz_zeta(t, c, pole_free=True)
+        value, err, work = r.value, r.err_estimate, r.work
+    elif alpha == 0.5:
+        value, err, work = alternating_lerch(t, c)
+    else:
+        value, err, work = circle_lerch(w, t, c)
+    spread = math.exp(abs(t.imag) * abs(math.atan2(b.imag, 1.0 + b.real)))
+    if not split:
+        first = abs(b) ** -t.real * math.exp(t.imag * math.atan2(b.imag, b.real))
+        return value, err, work, first / abs(b) + 1.65 * spread
+    first = cpow(b, -t)
+    rest = w * value
+    value = first + rest
+    # cpow's rounding of b^{-t}, and the product and sum; the rest moves by
+    # the rounding of 1 + b too, 1.1e-16 |1 + b|, charged on its slope.
+    err += 2.2e-16 * ((2.0 + abs(t) * (1.0 + abs(cmath.log(b)))) * abs(first) + abs(rest))
+    err += abs(t) * 1.1e-16 * abs(c) * 2.65 * spread
+    return value, err, work + 1, abs(first) / abs(b) + 2.65 * spread
+
+
+def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
+    """Phi(e^{i theta}, s, a) for Re(s) <= 0 and real a off the non-positive
+    integers, by Lerch's transformation at the angle theta, real or
+    complex: Re(theta) in [-pi, pi], Im(theta) >= 0 (|z| = e^{-Im theta} <=
+    1) and theta != 0.  See :func:`lerch_phi`.
+
+    With lam = theta/(2 pi), its real part moved into [0, 1) by whole
+    turns, the transformation holds for complex lam as for real (Poisson
+    summation of t^{-s} e^{-xt}); the inner sums take the complex
+    parameters lam and 1 - lam (:func:`_inner_sum`).  theta is taken as
+    exact, and lam and 1 - lam are each read to about 4.4e-16 of their
+    modulus; the estimate charges |t| times that times a bound on the
+    inner sums' slope, t = 1 - s.  At alpha = 1 the two Hurwitz values
+    carry poles +-1/s that cancel: the pole-free values, and the cancelled
+    part -2 sin(pi s/2)/s times the common factor, lose nothing to them.
+    Larger a is reduced to alpha = a - m in (0, 1] through m terms,
+    z^{-m} (Phi(z, s, alpha) - sum_{j<m} z^j (j+alpha)^{-s}), which
+    cancels by up to |z|^{-m} = e^{m Im theta}; the estimate carries that
+    factor.  At s = 0 the value is 1/(1 - e^{i theta}) for every a;
+    elsewhere ConvergenceError up front where
+    :func:`lerch_transform_serves` fails.
+    """
+    theta = complex(theta)
+    log_z = complex(-theta.imag, theta.real)
+    # 1 - z, to a few ulps of its modulus even next to z = 1.
+    gap = -_cexpm1(log_z)
     if s == 0.0:
         value = 1.0 / gap
         return EvalResult(value, 2.2e-15 * abs(value), "lerch/lerch-transform", 1)
@@ -848,62 +917,61 @@ def lerch_transform(theta: float, s: complex, a: float) -> EvalResult:
         raise ConvergenceError(
             f"Lerch's transformation at a = {a!r} needs inner circle sums "
             f"past {MULT_CAP} pieces")
-    turn = theta / (2.0 * _PI)
-    lam, lam1 = (turn, 1.0 - turn) if theta > 0.0 else (1.0 + turn, -turn)
+    turn, height = theta.real / (2.0 * _PI), theta.imag / (2.0 * _PI)
+    lo, hi = (turn, 1.0 - turn) if theta.real >= 0.0 else (1.0 + turn, -turn)
+    lams = (complex(lo, height), complex(hi, -height))
     m = math.ceil(a) - 1
     alpha = a - m
     t = 1.0 - s
-    if alpha == 1.0 and abs(s) < 1e-12:
-        # Hurwitz zeta's pole at order 1 cancels in the pair; so close to
-        # s = 0 take Phi(z, 0, 1) = 1/(1 - z) and charge |s| times a bound
-        # on |d Phi/ds| = |sum z^k log(k+1)|, summed by parts twice.
-        inner = 1.0 / gap
-        inner_err = 2.0 * abs(s) * 2.0 * _LN2 / abs(gap) ** 2 + 2.2e-15 * abs(inner)
-        work = 1
-    else:
-        if alpha == 1.0:
-            sums = [(r.value, r.err_estimate, r.work)
-                    for r in (hurwitz_zeta(t, lam), hurwitz_zeta(t, lam1))]
-        elif alpha == 0.5:
-            sums = [alternating_lerch(t, lam), alternating_lerch(t, lam1)]
-        else:
-            turned = cmath.exp(2j * _PI * alpha)
-            sums = [circle_lerch(turned.conjugate(), t, lam),
-                    circle_lerch(turned, t, lam1)]
-        work = sums[0][2] + sums[1][2]
-        ln_g = ln_gamma(t)
-        base = ln_g - t * _LN_2PI
-        # Phi(e^{2 pi i lam}, s, alpha) = Gamma(1-s) (2 pi)^{s-1}
-        #   [e^{i pi (1-s)/2 - 2 pi i alpha lam} Phi(e^{-2 pi i alpha}, 1-s, lam)
-        #    + e^{-i pi (1-s)/2 + 2 pi i alpha (1-lam)} Phi(e^{2 pi i alpha}, 1-s, 1-lam)]
-        factors = [cmath.exp(base + 0.5j * _PI * t - 2j * _PI * alpha * lam),
-                   cmath.exp(base - 0.5j * _PI * t + 2j * _PI * alpha * lam1)]
-        inner = factors[0] * sums[0][0] + factors[1] * sums[1][0]
-        # The exponents' rounding (log Gamma to 5e-15), and lam's: a relative
-        # change d of lam moves the phase by 2 pi alpha lam d and the inner
-        # sum by at most |t| d lam zeta(Re t + 1, lam) <= |t| d
-        # (lam^{-Re t} + 1.65 lam).
-        expo_err = 5e-15 + 2.2e-16 * (abs(ln_g) + abs(t) * (_LN_2PI + 0.5 * _PI)
-                                      + 2.0 * _PI * alpha)
-        inner_err = 0.0
-        for factor, (val, err, _), x in zip(factors, sums, (lam, lam1)):
-            size = abs(factor)
-            inner_err += size * err + (expo_err + 2.8e-15 * alpha * x) * size * abs(val)
-            inner_err += size * 4.4e-16 * abs(t) * (x ** -t.real + 1.65 * x)
-        work += 2
+    # e^{2 pi i alpha}, exact at alpha = 1 and 1/2.
+    turned = 1.0 if alpha == 1.0 else -1.0 if alpha == 0.5 else cmath.exp(2j * _PI * alpha)
+    sums = [_inner_sum(turned.conjugate(), t, lams[0], alpha),
+            _inner_sum(turned, t, lams[1], alpha)]
+    work = sums[0][2] + sums[1][2] + 2
+    ln_g = ln_gamma(t)
+    base = ln_g - t * _LN_2PI
+    # Phi(e^{2 pi i lam}, s, alpha) = Gamma(1-s) (2 pi)^{s-1}
+    #   [e^{i pi (1-s)/2 - 2 pi i alpha lam} Phi(e^{-2 pi i alpha}, 1-s, lam)
+    #    + e^{-i pi (1-s)/2 + 2 pi i alpha (1-lam)} Phi(e^{2 pi i alpha}, 1-s, 1-lam)]
+    factors = [cmath.exp(base + 0.5j * _PI * t - 2j * _PI * alpha * lams[0]),
+               cmath.exp(base - 0.5j * _PI * t + 2j * _PI * alpha * lams[1])]
+    inner = factors[0] * sums[0][0] + factors[1] * sums[1][0]
+    # The exponents' rounding (log Gamma to 5e-15), and lam's: moving lam
+    # by 4.4e-16 |lam| turns the phase by 2 pi alpha times that and the
+    # inner sum by |t| 4.4e-16 |lam| times its slope.
+    expo_err = 5e-15 + 2.2e-16 * (abs(ln_g) + abs(t) * (_LN_2PI + 0.5 * _PI)
+                                  + 2.0 * _PI * alpha)
+    inner_err = 0.0
+    for factor, (val, err, _, slope), lam in zip(factors, sums, lams):
+        size, x = abs(factor), abs(lam)
+        inner_err += size * err + (expo_err + 2.8e-15 * alpha * x) * size * abs(val)
+        inner_err += size * 4.4e-16 * abs(t) * x * slope
+    if alpha == 1.0:
+        # The poles' share, (F_0 + F_1)/(t - 1) = E 2 cos(pi t/2)/(t - 1)
+        # = -2 E sin(pi s/2)/s with E = e^{base - 2 pi i lam}; sin's
+        # argument rounds by 2.2e-16 |pi s/2|.
+        common = cmath.exp(base - 2j * _PI * lams[0])
+        pole = -2.0 * cmath.sin(0.5 * _PI * s) / s
+        inner += common * pole
+        inner_err += abs(common) * (
+            (expo_err + 2.8e-15 * abs(lams[0]) + 4.4e-16) * abs(pole)
+            + 2.2e-16 * _PI * math.cosh(0.5 * _PI * s.imag))
     if m == 0:
         return EvalResult(inner, inner_err + 1e-16 * abs(inner),
                           "lerch/lerch-transform", work)
     # a = alpha + m: Phi(z, s, alpha) = sum_{j<m} z^j (j+alpha)^{-s}
-    # + z^m Phi(z, s, a) for m > 0, and the other way round for m < 0.
-    log_z = complex(0.0, theta)
+    # + z^m Phi(z, s, a) for m > 0, and the other way round for m < 0;
+    # |z^{-m}| = e^{m Im theta}.
+    grow = math.exp(m * theta.imag)
     if m > 0:
         head, head_err = _lerch_head(log_z, s, alpha, m)
         value = cmath.exp(-m * log_z) * (inner - head)
+        err = grow * (inner_err + head_err)
     else:
         head, head_err = _lerch_head(log_z, s, a, -m)
         value = head + cmath.exp(-m * log_z) * inner
-    err = inner_err + head_err + 2.2e-16 * (2.0 + abs(m * theta)) * abs(value)
+        err = head_err + grow * inner_err
+    err += 2.2e-16 * (2.0 + abs(m * theta)) * abs(value)
     return EvalResult(value, err, "lerch/lerch-transform", work + abs(m))
 
 
@@ -972,14 +1040,17 @@ def lerch_phi(p: LerchParams) -> EvalResult:
       Phi(z, s, alpha) = Gamma(1-s) (2 pi)^{s-1} [e^{i pi (1-s)/2 - 2 pi i
       alpha lam} Phi(e^{-2 pi i alpha}, 1-s, lam) + e^{-i pi (1-s)/2 +
       2 pi i alpha (1-lam)} Phi(e^{2 pi i alpha}, 1-s, 1-lam)].  The inner
-      orders have real part >= 1: Hurwitz zeta at alpha = 1, the
-      alternating sum at alpha = 1/2, the circle sum otherwise.  At s = 0
-      the value is 1/(1 - z).  ConvergenceError up front where the inner
-      circle sums would pass ``MULT_CAP`` pieces
+      orders have real part >= 1: Hurwitz zeta at alpha = 1, taken without
+      its pole so that the pair's poles +-1/s cancel exactly next to
+      s = 0, the alternating sum at alpha = 1/2, the circle sum otherwise.
+      At s = 0 the value is 1/(1 - z).  ConvergenceError up front where the
+      inner circle sums would pass ``MULT_CAP`` pieces
       (:func:`lerch_transform_serves`); LerchParams refuses complex a.
-      The transformation runs at e^{i arg z} (:func:`lerch_transform`);
-      the estimate adds ||z|^2 - 1| times a bound on |d Phi/dr|, which grows
-      like |1 - z|^{Re s - 2} next to z = 1.
+      The transformation runs at e^{i arg z} (:func:`lerch_transform`,
+      which also takes the complex angle of a z inside the circle; the
+      extended pair's AUTO route calls it there); the estimate adds
+      ||z|^2 - 1| times a bound on |d Phi/dr|, which grows like
+      |1 - z|^{Re s - 2} next to z = 1.
 
     The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms do
     not reach ``REL_TOL``; at n = 1, 2, 4, ... it also raises once no later

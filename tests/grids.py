@@ -49,9 +49,65 @@ def circle_positive_order_grid():
         yield kind, nu, s, x
 
 
+def complex_angle_grid():
+    """(kind, nu, s, x) next to the circle at Re s <= 0, where AUTO takes
+    Lerch's transformation at the complex angle of z = -+e^{-x}, and its
+    two fallbacks, one point in eight each: nu within 0.015 of an integer,
+    and m Re x > 1 for the m = ceil(nu) terms of the reduction of
+    a = nu + 1.  x is real (lam on the imaginary axis for be), complex, or
+    within 1e-6 to 1e-2 of a centre where z = 1: 2 pi i j for be,
+    i pi (2j + 1) for fd.  nu is an integer, a half-integer or generic in
+    [0, 6]; Re s in [-8, 0], with integers and s next to 0, and
+    |Im s| <= 10."""
+    rng = random.Random(20261120)
+    for i in range(160):
+        case = i % 8
+        kind = rng.choice(("fd", "be"))
+        if case == 3:
+            nu = rng.randint(1, 6) + rng.choice((-1, 1)) * rng.uniform(1e-4, 0.015)
+        elif case == 7:
+            nu = rng.uniform(21.0, 40.0)
+        else:
+            nu = rng.choice((float(rng.randint(0, 6)), rng.randint(0, 5) + 0.5,
+                             rng.uniform(0.0, 6.0)))
+        shape = rng.choice(("real", "complex", "centre"))
+        lo = math.log10(0.05) if case == 7 else -6.0
+        if shape == "real":
+            x = complex(10 ** rng.uniform(lo, math.log10(0.09)))
+        elif shape == "complex":
+            x = complex(10 ** rng.uniform(lo, math.log10(0.09)), rng.uniform(-8.0, 8.0))
+        else:
+            j = rng.choice((-1, 1, 2)) if kind == "be" else rng.choice((-1, 0, 1))
+            centre = 2 * j * math.pi if kind == "be" else (2 * j + 1) * math.pi
+            d, phi = 10 ** rng.uniform(-6.0, -2.0), rng.uniform(-0.5 * math.pi, 0.5 * math.pi)
+            x = complex(d * math.cos(phi) + (0.06 if case == 7 else 0.0),
+                        centre + d * math.sin(phi))
+        sigma = rng.uniform(-8.0, 0.0)
+        s = rng.choice((complex(sigma), complex(round(sigma)),
+                        complex(sigma, rng.uniform(-10.0, 10.0)),
+                        complex(-10 ** rng.uniform(-12.0, -3.0),
+                                rng.choice((0.0, 10 ** rng.uniform(-12.0, -3.0))))))
+        yield kind, nu, s, x
+
+
+def large_nu_grid():
+    """(kind, nu, s, x) at nu in [10, 1e3], Re x in [0.005, 0.1], |Im x|
+    <= 4 and Re s in [-4, 3], where the Taylor terms grow like
+    ((nu + 1) |x|)^k / k!."""
+    rng = random.Random(20261121)
+    for _ in range(80):
+        kind = rng.choice(("fd", "be"))
+        nu = 10 ** rng.uniform(1.0, 3.0)
+        x = complex(rng.uniform(0.005, 0.1), rng.choice((0.0, rng.uniform(-4.0, 4.0))))
+        s = complex(rng.uniform(-4.0, 3.0), rng.choice((0.0, rng.uniform(-2.0, 2.0))))
+        yield kind, nu, s, x
+
+
 GRIDS = {
     "auto_unit_circle": auto_unit_circle_grid,
     "circle_positive_order": circle_positive_order_grid,
+    "complex_angle": complex_angle_grid,
+    "large_nu": large_nu_grid,
 }
 
 

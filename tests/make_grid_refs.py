@@ -5,7 +5,7 @@ Run offline from the repository root, once, or after a grid changes:
 
     python3 tests/make_grid_refs.py
 
-It takes about half a minute.  Only this script needs mpmath for these
+It takes about a minute.  Only this script needs mpmath for these
 grids; the tests read the stored values.
 """
 
@@ -21,11 +21,18 @@ sys.path.insert(0, str(HERE))
 import grids  # noqa: E402
 
 
-def reference(kind, nu, s, x):
-    """The reference value as a pair of strings, real and imaginary."""
-    xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
-    z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
-    want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+# Working precision of a grid's references where 20 digits do not suffice:
+# within 1e-6 of z = 1, 1 - z = 1 - e^{-x} loses six of them.
+WORK_DPS = {"complex_angle": 40, "large_nu": 30}
+
+
+def reference(kind, nu, s, x, dps=20):
+    """The reference value, worked at ``dps`` digits, as a pair of
+    20-digit strings, real and imaginary."""
+    with mpmath.workdps(dps):
+        xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+        z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+        want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
     return [str(want.real), str(want.imag)]
 
 
@@ -34,7 +41,8 @@ def main() -> None:
     blocks = []
     for name, grid in grids.GRIDS.items():
         points = list(grid())
-        rows = [json.dumps([grids.point_record(*p), reference(*p)]) for p in points]
+        dps = WORK_DPS.get(name, 20)
+        rows = [json.dumps([grids.point_record(*p), reference(*p, dps)]) for p in points]
         blocks.append(f"{json.dumps(name)}: [\n" + ",\n".join(rows) + "\n]")
     (HERE / grids.REFS_FILE).write_text("{\n" + ",\n".join(blocks) + "\n}\n")
 

@@ -1,6 +1,7 @@
 """Extended Fermi-Dirac / Bose-Einstein pair: strategies, bridges, duals."""
 
 import cmath
+import collections
 import decimal
 import json
 import math
@@ -410,11 +411,12 @@ class TestStrategies:
         assert abs(got.value - want) <= got.err_estimate
 
     def test_auto_fd_small_x_nonpositive_order_within_estimate(self):
-        # Re s <= 0 at real 0 < x < 0.05 takes the Taylor route, whose
-        # coefficients fd(nu, s - k, 0) come from Euler-Maclaurin Hurwitz
-        # differences (-4 < Re s < 0) and the odd-term reflection series
-        # (Re s <= -4).  The defining series would need about 1/x terms,
-        # beyond the budget at x = 1e-7.
+        # Re s <= 0 at real 0 < x < 0.05: AUTO takes Lerch's transformation
+        # at the complex angle of z = -e^{-x}, and the forced Taylor route,
+        # whose coefficients fd(nu, s - k, 0) come from Euler-Maclaurin
+        # Hurwitz differences (-4 < Re s < 0) and the odd-term reflection
+        # series (Re s <= -4), agrees.  The defining series would need about
+        # 1/x terms, beyond the budget at x = 1e-7.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
 
@@ -424,16 +426,18 @@ class TestStrategies:
                 -mpmath.exp(-xm), mpmath.mpc(s), am
             )
 
-        # Euler-Maclaurin still loses about 3e-10 relative on the
+        # Euler-Maclaurin still loses about 3e-10 relative on the Taylor
         # coefficient fd(0.5, -3.5, 0), hence the one looser tolerance.
         named = [(0.0, -5.5, 0.005, 1e-10), (0.125, -2.5, 0.045, 1e-10),
                  (0.0, -2.5, 0.045, 1e-10), (0.0, -1.5, 1e-7, 1e-10),
                  (1.0, -0.5, 0.01, 1e-10), (0.5, -3.5, 0.02, 1e-9)]
         for nu, s, x, tol in named:
-            got = ext_fd(ExtParams(nu, s, x))
             ref = want(nu, s, x)
-            assert got.strategy == "fd/power-series-x"
-            assert abs(mpmath.mpc(got.value) - ref) <= tol * abs(ref), (nu, s, x)
+            for strategy, route in ((Strategy.AUTO, "xseries-lerch-transform"),
+                                    (Strategy.POWER_SERIES_X, "power-series-x")):
+                got = ext_fd(ExtParams(nu, s, x), strategy)
+                assert got.strategy == f"fd/{route}"
+                assert abs(mpmath.mpc(got.value) - ref) <= tol * abs(ref), (nu, s, x)
         rng = random.Random(20261018)
         for _ in range(30):
             nu = rng.uniform(0.0, 3.0)
@@ -464,9 +468,10 @@ class TestStrategies:
     def test_auto_at_small_real_x_matches_bench_refs(self):
         # Every AUTO point of the bulk benchmark universe at x = 0.05, where
         # the direct sum would take 599 terms: fd at Re s > 0 sums by the
-        # alternating acceleration, every other point by the Taylor series
-        # in x.  The direct sum lost up to 1e-6 relative there at
-        # Re s in [-4.5, -3] (18 fd points); now each point is within its
+        # alternating acceleration, be at Re s > 0 by the Taylor series in
+        # x, and every point at Re s <= 0 by Lerch's transformation at the
+        # complex angle of z.  The direct sum lost up to 1e-6 relative there
+        # at Re s in [-4.5, -3] (18 fd points); now each point is within its
         # estimate and accurate as the benchmark grades it.
         checked = 0
         for key, fn, strategy, nu, s, x, ref in bench_refs("table-bulk"):
@@ -474,7 +479,8 @@ class TestStrategies:
                 continue
             kind = fn[-2:]
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
-            route = "xseries-cvz" if kind == "fd" and s.real > 0.0 else "power-series-x"
+            route = ("xseries-lerch-transform" if s.real <= 0.0
+                     else "xseries-cvz" if kind == "fd" else "power-series-x")
             assert got.strategy == f"{kind}/{route}", key
             gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), key
@@ -503,11 +509,12 @@ class TestStrategies:
     def test_auto_unit_circle_nonpositive_order_matches_bench_refs(self):
         # Every AUTO point of the near-circle benchmark universe at complex
         # x with Re s <= 0 returns within its estimate and accurate as the
-        # benchmark grades it: relative 1e-10, or absolute 1e-12.  On the
-        # imaginary axis (real nu, |z| = 1) lerch_phi takes Lerch's
-        # transformation; expanded about x = 0 instead, 480 of them fail,
-        # at the 40-term cap, by the grow-streak detector or with |x| past
-        # the Taylor radius.
+        # benchmark grades it: relative 1e-10, or absolute 1e-12.  With
+        # real nu every one takes Lerch's transformation: on the imaginary
+        # axis (|z| = 1), and at x = 0.05 + i pi at its complex angle.
+        # Expanded about x = 0 instead, 480 of them fail, at the 40-term
+        # cap, by the grow-streak detector or with |x| past the Taylor
+        # radius.
         checked = transformed = 0
         for key, fn, strategy, nu, s, x, ref in bench_refs("table-near-circle"):
             if strategy != "Auto" or x.imag == 0.0 or s.real > 0.0:
@@ -518,7 +525,7 @@ class TestStrategies:
             assert gap <= decimal.Decimal(1e-12) or gap <= decimal.Decimal(1e-10) * ref_abs, key
             transformed += got.strategy.endswith("/xseries-lerch-transform")
             checked += 1
-        assert checked == 1056 and transformed == 768
+        assert checked == 1056 and transformed == 840
 
     def test_auto_unit_circle_positive_order_matches_bench_refs(self):
         # Every AUTO point of the near-circle benchmark universe on the
@@ -541,17 +548,78 @@ class TestStrategies:
         # Seeded grid over both kinds (grids.auto_unit_circle_grid): Re x in
         # [0, 0.05), Im x in [-2 pi, 4 pi], Re s in [-6, 0] (real, integer
         # and complex) and nu in [0, 3].  AUTO returns every point within
-        # its estimate of the frozen 20-digit mpmath.lerchphi reference: on
-        # the imaginary axis by Lerch's transformation where its inner
-        # circle sums stay within their cap, by the reduction elsewhere.
+        # its estimate of the frozen 20-digit mpmath.lerchphi reference: by
+        # Lerch's transformation at the angle of z where its inner circle
+        # sums stay within their cap (m Re x <= 3 x 0.05 here), by the
+        # reduction elsewhere.
         for (kind, nu, s, x), ref in grid_refs("auto_unit_circle"):
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
-            if x.real == 0.0 and zeta_module.lerch_transform_serves(nu + 1.0):
+            if zeta_module.lerch_transform_serves(nu + 1.0):
                 assert got.strategy == f"{kind}/xseries-lerch-transform"
             else:
                 assert got.strategy.startswith(f"{kind}/circle-")
             gap, _ = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
+
+    def test_auto_complex_angle_grid_against_mpmath(self):
+        # Seeded grid next to the circle at Re s <= 0 (grids.complex_angle_
+        # grid): real x, complex x and x within 1e-6 to 1e-2 of a centre
+        # where z = 1; integer, half-integer and generic nu; s next to 0.
+        # AUTO takes Lerch's transformation at the complex angle of z
+        # wherever its inner sums serve nu + 1 and m Re x <= 1, and returns
+        # within its estimate and 1e-12 of the frozen mpmath reference.
+        # Its fallbacks, nu next to an integer and m Re x > 1, take the
+        # Taylor route, the reduction or the defining series, each within
+        # its estimate; next to a be centre the reduction reads x - 2 pi i j
+        # through the double nearest pi, which its estimate charges.
+        routes = collections.Counter()
+        for (kind, nu, s, x), ref in grid_refs("complex_angle"):
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
+            serves = zeta_module.lerch_transform_serves(nu + 1.0)
+            if serves and math.ceil(nu) * x.real <= 1.0:
+                assert got.strategy == f"{kind}/xseries-lerch-transform", (kind, nu, s, x)
+                assert gap <= decimal.Decimal(1e-12) * ref_abs, (kind, nu, s, x)
+                routes["transform"] += 1
+            else:
+                assert not got.strategy.endswith("/xseries-lerch-transform"), (kind, nu, s, x)
+                routes["near-integer" if not serves else "long-reduction"] += 1
+        assert routes == {"transform": 115, "near-integer": 25, "long-reduction": 20}
+
+    def test_auto_large_nu_grid_against_mpmath(self):
+        # Seeded grid at nu in [10, 1e3] next to the circle (grids.large_nu_
+        # grid): where (nu + 1) times the Taylor argument passes 4 the Taylor
+        # terms cancel away their digits, and AUTO takes the defining series
+        # instead.  Every point returns within its estimate and 1e-10 of
+        # the frozen mpmath reference.
+        for (kind, nu, s, x), ref in grid_refs("large_nu"):
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
+            assert gap <= decimal.Decimal(1e-10) * ref_abs, (kind, nu, s, x)
+
+    def test_auto_large_nu_takes_the_defining_series(self):
+        # Points where AUTO raised ConvergenceError (after 20 ms to 1.9 s)
+        # or returned 1.4e-12 off from the Taylor route: the defining
+        # series returns each, accurate and within its estimate.  At
+        # nu = 1e5 the value, about 1e-422, underflows to 0, and the
+        # estimate charges the underflow.
+        mpmath = pytest.importorskip("mpmath")
+        for f, kind in ((ext_fd, "fd"), (ext_be, "be")):
+            for nu, s, x in ((1e3, -2.5, 0.01), (60, -0.5, 0.03 + 1j),
+                             (200, -1.5, 0.02 + 3j), (200, -1.5, 0.02)):
+                got = f(ExtParams(nu, s, x))
+                assert got.strategy == f"{kind}/xseries-direct", (kind, nu, s, x)
+                with mpmath.workdps(30):
+                    xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+                    z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                    want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+                    gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= 1e-13 * abs(want), (kind, nu, s, x)
+            got = f(ExtParams(1e5, -2.5, 0.01))
+            assert got.value == 0.0 and got.err_estimate > 0.0
+            assert got.work < 4_000
 
     def test_auto_imaginary_axis_estimate_stays_tight_next_to_z_one(self):
         # On the imaginary axis z = -+e^{-x} lies on the circle exactly, so
@@ -664,7 +732,8 @@ class TestStrategies:
         # |x^k/k!| needs; the returned estimate must still cover the error,
         # forced and through AUTO, on the imaginary axis up to 0.9 of the
         # radius and at small real x.  Forced points past the 40-term cap
-        # raise; AUTO reduces imaginary x to a centre first.
+        # raise; AUTO reduces imaginary x to a centre first, and takes
+        # Lerch's transformation at real nu where its inner sums serve.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         rng = random.Random(20261018)
@@ -681,7 +750,11 @@ class TestStrategies:
                         got = f(ExtParams(nu, s, x), strategy)
                     except ConvergenceError:
                         continue
-                    if strategy is Strategy.POWER_SERIES_X or x.imag == 0.0:
+                    if strategy is Strategy.POWER_SERIES_X:
+                        assert got.strategy == f"{kind}/power-series-x"
+                    elif zeta_module.lerch_transform_serves(nu + 1.0):
+                        assert got.strategy == f"{kind}/xseries-lerch-transform"
+                    elif x.imag == 0.0:
                         assert got.strategy == f"{kind}/power-series-x"
                     xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
                     z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
@@ -834,16 +907,26 @@ class TestStrategies:
     def test_auto_dispatch_tags(self):
         # Small x, where the direct sum would take more than 300 terms
         # (x below about 0.0998): fd at Re s > 0 sums the defining series
-        # by the alternating acceleration, fd at Re s <= 0 and be at every
-        # order take the Taylor route.  Beyond, the defining series; at
-        # Re s > 0 fd's alternating sum wherever it is shorter than the
-        # direct sum's predicted ceil(ln 1e-13 / -x) terms.
+        # by the alternating acceleration, be at Re s > 0 takes the Taylor
+        # route, and both at Re s <= 0 Lerch's transformation at the
+        # complex angle of z.  The transformation leaves nu next to an
+        # integer, and m x > 1 for its m = ceil(nu) reduction terms, to
+        # the Taylor route, and the defining series takes (nu + 1) x > 4.
+        # Beyond, the defining series; at Re s > 0 fd's alternating sum
+        # wherever it is shorter than the direct sum's predicted
+        # ceil(ln 1e-13 / -x) terms.
         for x in (0.01, 0.08):
             assert ext_fd(ExtParams(0.5, 2.5, x)).strategy == "fd/xseries-cvz"
             assert ext_be(ExtParams(0.5, 2.5, x)).strategy == "be/power-series-x"
-            assert ext_be(ExtParams(0.5, -2.5, x)).strategy == "be/power-series-x"
+            assert ext_be(ExtParams(0.5, -2.5, x)).strategy == "be/xseries-lerch-transform"
             assert ext_be(ExtParams(0.5, 2.0, x)).strategy == "be/power-series-x"
-            assert ext_fd(ExtParams(0.5, -2.5, x)).strategy == "fd/power-series-x"
+            assert ext_fd(ExtParams(0.5, -2.5, x)).strategy == "fd/xseries-lerch-transform"
+            assert ext_fd(ExtParams(0.995, -2.5, x)).strategy == "fd/power-series-x"
+            assert ext_be(ExtParams(0.5, -2.5, x + 3j)).strategy == "be/xseries-lerch-transform"
+        assert ext_be(ExtParams(20.5, -2.5, 0.08)).strategy == "be/power-series-x"
+        assert ext_fd(ExtParams(20.5, -2.5, 0.08 + 3j)).strategy == "fd/circle-be"
+        assert ext_be(ExtParams(60.5, -2.5, 0.08)).strategy == "be/xseries-direct"
+        assert ext_be(ExtParams(60.5, 2.5, 0.08)).strategy == "be/xseries-direct"
         assert ext_fd(ExtParams(0.5, 2.5, 0.2)).strategy == "fd/xseries-cvz"
         assert ext_fd(ExtParams(0.5, 2.5, 0.9)).strategy == "fd/xseries-cvz"
         assert ext_fd(ExtParams(0.5, 2.5, 1.0)).strategy == "fd/xseries-direct"
@@ -994,11 +1077,12 @@ class TestTaylorRefusal:
     ])
     def test_large_nu_keeps_the_full_sum(self, monkeypatch, f, p):
         # The grow-streak detector refuses these terms, which grow like
-        # (nu x)^k / k!, at k = 23.
+        # (nu x)^k / k!, at k = 23.  AUTO takes the defining series there.
         calls = self._counted(monkeypatch, ("hurwitz_zeta", "_fd_zero"))
         with pytest.raises(ConvergenceError, match="stopped decreasing"):
-            f(p)
+            f(p, Strategy.POWER_SERIES_X)
         assert len(calls) <= 24
+        assert f(p).strategy.endswith("/xseries-direct")
 
     @pytest.mark.parametrize("f, p", [
         (ext_fd, ExtParams(0.5, 2.5, 3.0)),

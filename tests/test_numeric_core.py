@@ -228,3 +228,15 @@ class TestComplexPower:
                 want = mpmath.power(mpmath.mpc(b), mpmath.mpc(e))
                 bound = 2.2e-16 * (1.0 + abs(e) * (1.0 + abs(cmath.log(b)))) * abs(want)
                 assert abs(mpmath.mpc(got) - want) <= bound, (b, e)
+
+    def test_cpow_is_the_complex_power_bit_for_bit(self):
+        # cpow takes base ** expo without building complex(base): for a
+        # complex exponent an int, float or complex base gives the power at
+        # complex(base) bit for bit, real parts of zero sign included.
+        rng = random.Random(20261120)
+        for _ in range(500):
+            e = complex(rng.uniform(-30.0, 30.0), rng.choice((0.0, rng.uniform(-20.0, 20.0))))
+            for b in (rng.randint(1, 10**6), rng.uniform(1e-3, 1e3), -rng.uniform(1e-3, 1e3),
+                      complex(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))):
+                got, want = cpow(b, e), complex(b) ** e
+                assert repr(got) == repr(want), (b, e)

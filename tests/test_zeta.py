@@ -363,6 +363,30 @@ class TestHurwitzZeta:
         assert lo < val < hi * (1.0 + 1e-12)
 
 
+    def test_pole_free_values_against_mpmath(self):
+        # pole_free gives zeta(s, a) - 1/(s - 1), finite at s = 1 (-psi(a))
+        # and without the pole's cancellation next to it: s within 1e-15 to
+        # 1e-3 of 1, and Re s in [1, 9] with |Im s| <= 10, real and complex
+        # a with Re a > 0.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261122)
+        with mpmath.workdps(40):
+            for i in range(80):
+                if i % 2:
+                    s = 1.0 + complex(rng.choice((-1, 1)) * 10 ** rng.uniform(-15.0, -3.0),
+                                      rng.choice((0.0, 10 ** rng.uniform(-15.0, -3.0))))
+                else:
+                    s = complex(rng.uniform(1.0, 9.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+                a = complex(rng.uniform(1e-3, 3.0), rng.choice((0.0, rng.uniform(-0.05, 0.05))))
+                got = hurwitz_zeta(s, a, pole_free=True)
+                sm, am = mpmath.mpc(s), mpmath.mpc(a)
+                want = mpmath.zeta(sm, am) - 1 / (sm - 1)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= 1e-13 * abs(want), (s, a)
+            got = hurwitz_zeta(1.0, 0.3, pole_free=True)
+            assert abs(mpmath.mpc(got.value) + mpmath.digamma(0.3)) <= got.err_estimate
+
+
 class TestDirichletEta:
     def test_reference_values(self):
         assert rel(dirichlet_eta(1.0).value, oracles.ETA_1) <= 1e-12
@@ -689,15 +713,18 @@ class TestLerchPhi:
 
     def test_auto_fd_at_hopeless_budget_takes_taylor_route(self):
         # The point the defining series refuses returns through the Taylor
-        # series in x, in a few thousand units of work.
+        # series in x, in a few thousand units of work, and through AUTO,
+        # which takes Lerch's transformation at the angle pi + 1e-7 i.
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
-        got = ext_fd(ExtParams(0, -1.5, 1e-7))
         xm = mpmath.mpf("1e-7")
         want = mpmath.exp(-xm) * mpmath.lerchphi(-mpmath.exp(-xm), -1.5, 1)
-        assert got.strategy == "fd/power-series-x"
-        assert got.work < 5_000
-        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
+        for strategy, route in ((Strategy.POWER_SERIES_X, "fd/power-series-x"),
+                                (Strategy.AUTO, "fd/xseries-lerch-transform")):
+            got = ext_fd(ExtParams(0, -1.5, 1e-7), strategy)
+            assert got.strategy == route
+            assert got.work < 5_000
+            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
     # |z| in [0, 0.999], or within 1e-4 to 1e-1 of 1; real parts of a at
     # least 0.01 from the poles at 0, -1, -2, ...
@@ -861,6 +888,53 @@ class TestUnitCircle:
                 assert on.err_estimate <= got.err_estimate
             returned += 1
         assert returned > 20
+
+    def test_transformation_at_integer_a_next_to_order_zero(self):
+        # At integer a the inner Hurwitz values carry poles +-1/s that
+        # cancel; read through the rounded order 1 - s they lost about
+        # 1e-16/|s| relative (5.2e-10 at the first point).  The pole-free
+        # values and the cancelled part -2 sin(pi s/2)/s keep full accuracy
+        # for s within 1e-15 to 1e-3 of 0, real and complex.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261123)
+        cases = [(0.5151788725109321, complex(-2.2510190788135833e-07), 4.0)]
+        for _ in range(30):
+            s = complex(-10 ** rng.uniform(-15.0, -3.0),
+                        rng.choice((0.0, rng.choice((-1, 1)) * 10 ** rng.uniform(-15.0, -3.0))))
+            cases.append((rng.uniform(0.02, 0.98), s, float(rng.randint(1, 5))))
+        with mpmath.workdps(40):
+            for lam, s, a in cases:
+                z = cmath.exp(2j * math.pi * lam)
+                got = lerch_phi(LerchParams(z, s, a))
+                assert got.strategy == "lerch/lerch-transform"
+                want = mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), a)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= 1e-14 * abs(want), (lam, s, a)
+
+    def test_transformation_at_a_complex_angle_against_mpmath(self):
+        # theta = arg z + i Re x, z = -+e^{-x} inside the circle: lam =
+        # theta/(2 pi) is complex, with Re lam = 0 for be at real x, where
+        # the inner sum's term k = 0 goes ahead.  Seeded x next to the
+        # circle and next to z = 1, a reduced through up to 6 terms.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(20261124)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                sign = rng.choice((-1, 1))
+                x = complex(10 ** rng.uniform(-7.0, -1.0),
+                            rng.choice((0.0, rng.uniform(-8.0, 8.0),
+                                        math.pi + 10 ** rng.uniform(-7.0, -2.0))))
+                z = sign * cmath.exp(-x)
+                theta = complex(cmath.phase(z), x.real)
+                s = complex(rng.uniform(-8.0, 0.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+                a = rng.choice((rng.uniform(1e-3, 7.0), float(rng.randint(1, 7)),
+                                rng.randint(0, 6) + 0.5))
+                if not zeta_module.lerch_transform_serves(complex(a)):
+                    continue
+                got = zeta_module.lerch_transform(theta, s, a)
+                want = mpmath.lerchphi(sign * mpmath.exp(-mpmath.mpc(x)), mpmath.mpc(s), a)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= 1e-12 * abs(want), (x, s, a)
 
     def test_circle_sum_grid_against_mpmath(self):
         # |z| in [e^{-0.05}, 1], |arg z| from the cap's angle to pi,
