@@ -745,8 +745,7 @@ def _series_serves(kind: str, nu: complex, s: complex, x: complex) -> bool:
 def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
         return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
-    length = direct_length(-x.real)
-    if length <= _SERIES_CROSSOVER:
+    if direct_length(-x.real) <= _SERIES_CROSSOVER:
         return _series_route(kind, nu, s, x)
     if s.real <= 0.0 and _transform_serves(kind, nu, x):
         return _transformed(kind, nu, s, x)

@@ -550,7 +550,7 @@ class TestStrategies:
         # and complex) and nu in [0, 3].  AUTO returns every point within
         # its estimate of the frozen 20-digit mpmath.lerchphi reference: by
         # Lerch's transformation at the angle of z where its inner circle
-        # sums stay within their cap (m Re x <= 3 x 0.05 here), by the
+        # sums stay within their cap (m Re x is below 3 x 0.05 here), by the
         # reduction elsewhere.
         for (kind, nu, s, x), ref in grid_refs("auto_unit_circle"):
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
