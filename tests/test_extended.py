@@ -587,6 +587,31 @@ class TestStrategies:
                 routes["near-integer" if not serves else "long-reduction"] += 1
         assert routes == {"transform": 115, "near-integer": 25, "long-reduction": 20}
 
+    def test_auto_next_to_a_far_be_centre_takes_the_exact_phase(self):
+        # z within 1e-10 of 1 at Im x next to 2 pi j for large j.  The
+        # reduction subtracts the double j pi, which lands on the real axis
+        # and stands for the exact multiple: off the value at the double x
+        # by 3e-4 to 1.3e-3 with estimates near 3e-13, or, at Im x = 2e6 pi,
+        # a DomainError.  The transformation reads its angle from the phase
+        # of z, reduced exactly by cos and sin, and returns within its
+        # estimate, and within 1e-12 where e^{-(nu+1) x} does not round by
+        # more (2e-9 at |x| = 6e6).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for f, kind, nu, s, x, tol in (
+                (ext_be, "be", 0.5, -1.5, complex(1e-11, 200 * math.pi), 1e-12),
+                (ext_be, "be", 2.25, -3.0 + 1j, complex(3e-12, -50 * math.pi), 1e-12),
+                (ext_fd, "fd", 1.0, -2.5, complex(1e-10, 101 * math.pi), 1e-12),
+                (ext_be, "be", 0.5, -1.5, complex(1e-9, 2e6 * math.pi + 1e-9), 1e-8),
+            ):
+                got = f(ExtParams(nu, s, x))
+                assert got.strategy == f"{kind}/xseries-lerch-transform"
+                xm, am = mpmath.mpc(x), mpmath.mpf(nu) + 1
+                z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= tol * abs(want), (kind, x)
+
     def test_auto_large_nu_grid_against_mpmath(self):
         # Seeded grid at nu in [10, 1e3] next to the circle (grids.large_nu_
         # grid): where (nu + 1) times the Taylor argument passes 4 the Taylor
