@@ -59,7 +59,10 @@ crossover of the routes below:
   coefficient k is asked only for the absolute accuracy its weight
   |x^k/k!| leaves visible, REL_TOL times the running sum over 8 |x^k/k!|,
   which cuts the reflection series short.  An unconverged sum raises
-  ConvergenceError at 40 terms, or earlier once its terms stop decreasing.
+  ConvergenceError at 40 terms, or earlier once its terms stop decreasing;
+  with a ladder and |x| past 0.4 of the radius it raises before the
+  ladder's first rung where the ladder's bounds prove that the 40 terms
+  cannot converge.
 * large nu near the circle: the Taylor terms grow like
   (|nu+1| |x|)^k / k! about their centre, so where that product passes 4
   (``_TAYLOR_REACH``; the distance to the reduction's centre for complex
@@ -67,8 +70,8 @@ crossover of the routes below:
   within MAX_TERMS, at Re(s) <= 0 only for |nu+1| Re(x) > 1.
 * other complex x near the circle at Re(s) <= 0 (complex nu, nu next to
   an integer, a long reduction), or where the defining series cannot
-  finish (Re(x) > 0 near the circle, z within the circle sum's cap of the
-  positive real axis): reduce, then expand.  The period 2 pi i and the
+  finish (Re(s) > 0 near the circle or on it, z within the circle sum's cap
+  of the positive real axis): reduce, then expand.  The period 2 pi i and the
   duality x -> x - i pi move x to within a third of a Taylor radius of a
   be or fd centre, where the Taylor series in x sums (tags
   {fd,be}/circle-{be,fd}).
@@ -192,12 +195,6 @@ def _near_nonpos_int(s: complex) -> bool:
 # x = 0 continuation values
 # ---------------------------------------------------------------------------
 
-_FD_ZERO_TAGS = {
-    "lerch/hurwitz-halves": "fd/zero-hurwitz-diff",
-    "lerch/halves-digamma-limit": "fd/zero-digamma-limit",
-}
-
-
 def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
     """fd(nu, s, 0) = Phi(-1, s, nu+1) for every s by the bisected Hurwitz
     difference (:func:`zeta.hurwitz_halves`); public as the independent
@@ -205,8 +202,8 @@ def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
     nu = require_finite(nu, "nu")
     s = require_finite(s, "s")
     inner = hurwitz_halves(s, nu + 1.0)
-    return EvalResult(inner.value, inner.err_estimate,
-                      _FD_ZERO_TAGS[inner.strategy], inner.work)
+    return EvalResult(inner.value, inner.err_estimate, "fd/zero-hurwitz-diff",
+                      inner.work)
 
 
 def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
@@ -355,6 +352,17 @@ def _power_series_x(
         abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
         if ladder is None and reflected and s.real - k <= -4.0:
             ladder = ReflectionLadder(s - k, nu.real + 1.0, 2 if kind == "fd" else 1)
+            # Below 0.4 of the radius the factor 0.4^k alone takes term 39
+            # below 1e-15 of term 0, so only deep orders or large nu fail
+            # there.  AUTO expands within a third of the radius (Re x < 0.1
+            # aside) and never pays for the check.
+            if abs(x) > 0.4 * radius and _cannot_converge(
+                    ladder, k, abs(x), abs(xpow), prev_mag,
+                    max(abs(total + singular), abs(total), 1e-300)):
+                raise ConvergenceError(
+                    f"Taylor-in-x route cannot converge within {_POWER_CAP} "
+                    f"terms (coefficient bounds from k={k})"
+                )
         if ladder is not None:
             value, c_err, c_work = ladder.rung(abs_tol)
             if kind == "be":
@@ -408,6 +416,32 @@ def _power_series_x(
     err = trunc + coeff_err + sing_err + 1e-16 * abs(value)
     slope = (moment + abs(s - 1.0) * abs(singular)) / abs(x) if x else 0.0
     return EvalResult(value, err, f"{kind}/power-series-x", work), slope
+
+
+def _cannot_converge(ladder: ReflectionLadder, k0: int, r: float, weight: float,
+                     prev_mag: float, scale: float) -> bool:
+    """Whether the Taylor sum provably ends in ConvergenceError, decided
+    before coefficient k0, the ladder's first rung, from the ladder's bounds
+    on coefficients k0 to 39.
+
+    ``weight`` is |x^k0/k0!| at r = |x|, ``prev_mag`` is |term k0-1| (inf
+    at k0 = 0), and ``scale`` is the stopping rule's running scale before
+    term k0.  No later scale passes ``scale`` plus the upper bounds of the
+    terms left.  True only where every pair of terms from k0 - 1 on stays
+    above REL_TOL times that, so the sum cannot stop, and the last pair
+    above 1e3 times it, so the 40-term test fails.
+    """
+    bounds = ladder.bounds(_POWER_CAP - k0)
+    if bounds is None:
+        return False
+    lows = [prev_mag]
+    for k, (lo, hi) in enumerate(bounds, k0):
+        lows.append(weight * lo)
+        scale += weight * hi
+        weight *= r / (k + 1)
+    tol = REL_TOL * scale
+    return max(lows[-2:]) > 1e3 * tol and all(
+        max(p, q) > tol for p, q in zip(lows, lows[1:]))
 
 
 def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
@@ -662,9 +696,9 @@ def _reduce(kind: str, x: complex) -> tuple[int, str, complex]:
 
 def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     """Reduce, then expand: complex x near the circle (AUTO's
-    ``_SERIES_CROSSOVER``) where Lerch's transformation does not serve; at
-    Re(s) > 0 only for Re(x) > 0 where the defining series cannot finish
-    within its budget.
+    ``_SERIES_CROSSOVER``) or on it where Lerch's transformation does not
+    serve; at Re(s) > 0 only where the defining series cannot finish within
+    its budget.
 
     Moving x by j i pi multiplies term n of the defining series by
     e^{-i j pi (n+nu+1)}, so f(nu, s, x) = e^{-i j pi (nu+1)} f'(nu, s,
@@ -755,19 +789,16 @@ def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         if kind == "be" or s.real <= 0.0:
             return _power_series_x(kind, nu, s, x)[0]
         return _series_route(kind, nu, s, x)
-    if s.real <= 0.0:
+    if s.real <= 0.0 or circle_pieces(cmath.phase(_lerch_z(kind, x))) > MULT_CAP:
+        # At Re(s) > 0 no CVZ sum reaches z next to the positive real axis,
+        # on the circle or inside it, and the direct sum there takes more
+        # than _SERIES_CROSSOVER terms.
         return _circle(kind, nu, s, x)
-    if x.real > 0.0:
-        if circle_pieces(cmath.phase(_lerch_z(kind, x))) > MULT_CAP:
-            # No CVZ sum reaches z next to the positive real axis, and the
-            # direct sum there takes more than _SERIES_CROSSOVER terms.
-            return _circle(kind, nu, s, x)
-        try:
-            return _series_route(kind, nu, s, x)
-        except ConvergenceError:
-            # The direct sum refuses: MAX_TERMS terms cannot reach REL_TOL.
-            return _circle(kind, nu, s, x)
-    return _series_route(kind, nu, s, x)
+    try:
+        return _series_route(kind, nu, s, x)
+    except ConvergenceError:
+        # The direct sum refuses: MAX_TERMS terms cannot reach REL_TOL.
+        return _circle(kind, nu, s, x)
 
 
 def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:

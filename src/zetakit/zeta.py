@@ -286,6 +286,65 @@ class ReflectionLadder:
         self.amp = amp * (t * self.amp_step)
         return value, err, n_terms + m
 
+    def bounds(self, count: int) -> list[tuple[float, float]] | None:
+        """(lower, upper) bounds on |value| of the next ``count`` rungs, in
+        O(count) float operations; None where a bound leaves the floats.
+
+        With sigma the real part of a rung's order, C = cosh(pi Im(s)/2)
+        and b = 1 + step the first n after 1, a rung's value is
+        +-[amp (+-trig + rest) + reduction], where:
+
+        * trig is sin theta at even rungs and cos theta at odd ones, theta
+          the n = 1 argument;
+        * |rest| <= R = C (b^{sigma-1} + b^sigma/(step (-sigma))), the
+          sines bounded by C and the powers past n = b by their integral.
+          That holds for every truncation, so no ``abs_tol`` moves it;
+        * the reduction's moduli (a0 + j)^{-sigma} rise with j, so their
+          sum lies within L +- O, with L = (a - 1)^{-sigma} the last and O
+          the others, at most (m - 1) (a - 2)^{-sigma} and, by their
+          integral, (a - 1)^{1-sigma}/(1 - sigma);
+        * |amp| steps by |1 - s| step/(2 pi).
+
+        So |value| <= |amp| (C + R) + L + O, and |value| >= the larger of
+        |amp| (|trig| - R) - L - O and L - O - |amp| (C + R).  Both bounds
+        are widened by the rung's rounding: each charge of its estimate is
+        at most ``rho`` times the upper bound.
+        """
+        step, m, a0, cosh_t = self.step, self.m, self.a0, self.cosh_t
+        s = self.s - self.k
+        if m > 1 and (count - s.real) * math.log(a0 + m - 1) > 700.0:
+            return None
+        theta = self.half_arg + self.freq * a0
+        trig = (abs(cmath.sin(theta)), abs(cmath.cos(theta)))
+        # |log(1 - s)| <= log|1 - s| + pi/2 bounds each step of ln_g.
+        ln_g = abs(self.ln_g) + count * (math.log(abs(1.0 - s) + count) + 1.6)
+        rho = 8e-15 + 2.5e-16 * (
+            ln_g + (abs(s) + count + 1.0) * (4.0 + self.red_log)
+            + abs(self.half_arg) + 2.0 * _PI + 5.0 * (self.k + count))
+        amp, b, top = abs(self.amp), 1.0 + step, a0 + m - 1
+        p = -s.real
+        b_pow = b ** -p                                  # b^sigma
+        big = top ** p if m else 0.0                     # L
+        below = (m - 1) * (top - 1.0) ** p if m > 1 else 0.0
+        out = []
+        for j in range(count):
+            rest = cosh_t * b_pow * (1.0 / b + 1.0 / (step * p))
+            others = min(below, big * top / (p + 1.0))   # O
+            hi = amp * (cosh_t + rest) + big + others
+            lo = max(amp * (trig[(self.k + j) % 2] - rest) - big,
+                     big - amp * (cosh_t + rest)) - others
+            out.append((lo - rho * hi, hi + rho * hi))
+            amp *= abs(1.0 - s + j) * self.amp_step
+            p += 1.0
+            b_pow /= b
+            big *= top
+            below *= top - 1.0
+        # Every bound grows without limit once one has, so the last is
+        # finite where all are.
+        if not math.isfinite(out[-1][1]):
+            return None
+        return out
+
 
 def fourier_reflection(
     s: complex, a: float, step: int, abs_tol: float = 0.0
@@ -560,10 +619,7 @@ def dirichlet_eta(s: complex) -> EvalResult:
 
 
 def digamma(a: complex) -> complex:
-    """psi(a) = Gamma'(a)/Gamma(a) by shifted asymptotic expansion.
-
-    Used for the pole-cancelled Hurwitz difference at s = 1.
-    """
+    """psi(a) = Gamma'(a)/Gamma(a) by shifted asymptotic expansion."""
     a = require_finite(a, "a")
     if is_nonpos_int(a):
         raise PoleError(f"pole at a={a.real:g}")
@@ -587,19 +643,18 @@ def digamma(a: complex) -> complex:
 
 
 def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
-    """zeta(s, a) - zeta(s, b) with the s = 1 pole cancelled.
+    """zeta(s, a) - zeta(s, b) for every s.
 
-    At s = 1 the simple poles cancel and the finite limit is
-    psi(b) - psi(a); elsewhere this is a plain difference of two
-    Euler-Maclaurin evaluations.
-    """
+    Within 1/4 of s = 1 it is the difference of the pole-free values
+    zeta(s, .) - 1/(s - 1) (``hurwitz_zeta(..., pole_free=True)``), so no
+    digits go to the pole, and s = 1 gives psi(b) - psi(a).  Farther out
+    the plain values are the more accurate: the pole-free integral term
+    carries the rounding of (1 - s) log q through its exponential, which at
+    Re(s) < 0 costs up to 50 times the plain term's."""
     s = require_finite(s, "s")
-    if abs(s - 1.0) < 1e-12:
-        value = digamma(b) - digamma(a)
-        return EvalResult(value, 1e-13 * (1.0 + abs(value)),
-                          "hurwitz/pole-cancelled-digamma", 2)
-    za = hurwitz_zeta(s, a)
-    zb = hurwitz_zeta(s, b)
+    near = abs(s - 1.0) < 0.25
+    za = hurwitz_zeta(s, a, pole_free=near)
+    zb = hurwitz_zeta(s, b, pole_free=near)
     value = za.value - zb.value
     return EvalResult(value, za.err_estimate + zb.err_estimate,
                       "hurwitz/euler-maclaurin-diff", za.work + zb.work)
@@ -607,12 +662,8 @@ def hurwitz_diff(s: complex, a: complex, b: complex) -> EvalResult:
 
 def hurwitz_halves(s: complex, a: complex) -> EvalResult:
     """Phi(-1, s, a) = 2^{-s} [zeta(s, a/2) - zeta(s, (a+1)/2)] for every s:
-    the two order-1 poles cancel, and s = 1 takes the digamma limit."""
+    the two order-1 poles cancel in :func:`hurwitz_diff`."""
     diff = hurwitz_diff(s, a / 2.0, (a + 1.0) / 2.0)
-    if abs(s - 1.0) < 1e-12:
-        value = 0.5 * diff.value
-        return EvalResult(value, 1e-14 * (1.0 + abs(value)),
-                          "lerch/halves-digamma-limit", diff.work)
     two_ms = cpow(2.0, -s)
     value = two_ms * diff.value
     err = abs(two_ms) * diff.err_estimate + 2.2e-16 * (

@@ -103,11 +103,31 @@ def large_nu_grid():
         yield kind, nu, s, x
 
 
+def imaginary_axis_grid():
+    """(kind, nu, s, x) on the imaginary axis at Re s in (0, 4], within
+    1e-6 to 0.131 of a centre where z = -+e^{-x} = 1: x = i (c + d), c =
+    2 pi j for be and pi (2j + 1) for fd, |j| <= 3, where no CVZ sum
+    reaches z.  s is real, a positive integer or complex with |Im s| <= 4;
+    nu is an integer or generic in [0, 3]."""
+    rng = random.Random(20261122)
+    for _ in range(200):
+        kind = rng.choice(("fd", "be"))
+        nu = rng.choice((float(rng.randint(0, 3)), rng.uniform(0.0, 3.0)))
+        j = rng.randint(-3, 3)
+        centre = 2 * j * math.pi if kind == "be" else (2 * j + 1) * math.pi
+        d = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6.0, math.log10(0.131))
+        sigma = 4.0 - rng.uniform(0.0, 4.0)
+        s = rng.choice((complex(sigma), complex(max(1, round(sigma))),
+                        complex(sigma, rng.uniform(-4.0, 4.0))))
+        yield kind, nu, s, complex(0.0, centre + d)
+
+
 GRIDS = {
     "auto_unit_circle": auto_unit_circle_grid,
     "circle_positive_order": circle_positive_order_grid,
     "complex_angle": complex_angle_grid,
     "large_nu": large_nu_grid,
+    "imaginary_axis": imaginary_axis_grid,
 }
 
 

@@ -23,7 +23,7 @@ import grids  # noqa: E402
 
 # Working precision of a grid's references where 20 digits do not suffice:
 # within 1e-6 of z = 1, 1 - z = 1 - e^{-x} loses six of them.
-WORK_DPS = {"complex_angle": 40, "large_nu": 30}
+WORK_DPS = {"complex_angle": 40, "large_nu": 30, "imaginary_axis": 40}
 
 
 def reference(kind, nu, s, x, dps=20):

@@ -705,6 +705,24 @@ class TestStrategies:
             gap, _ = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
 
+    def test_auto_imaginary_axis_positive_order_grid_against_mpmath(self):
+        # x = it within 1e-6 to 0.131 of a centre where z = 1, at Re s in
+        # (0, 4] (grids.imaginary_axis_grid), once a hole in AUTO's domain:
+        # no CVZ sum reaches z there, and every point raised.  AUTO now
+        # reduces onto the centre and returns each point within its
+        # estimate of the frozen mpmath reference, and within 1e-12 but for
+        # the reduction reading x - i j pi through the double nearest pi
+        # (open): at distance d from a far centre that loses up to
+        # 2.4e-16 (|s - 1| + 1) |j|/d relative.
+        for (kind, nu, s, x), ref in grid_refs("imaginary_axis"):
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+            assert got.strategy == f"{kind}/circle-be", (kind, nu, s, x)
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
+            j = round(x.imag / math.pi)
+            loss = 2.4e-16 * (abs(s - 1.0) + 1.0) * abs(j) / abs(x.imag - j * math.pi)
+            assert gap <= decimal.Decimal(1e-12 + loss) * ref_abs, (kind, nu, s, x)
+
     def test_auto_reduced_onto_a_centre_takes_the_real_x_rules(self):
         # x = i j pi (the double j * math.pi standing for the exact
         # multiple) lands on a centre: the x = 0 value there, times the
@@ -1083,8 +1101,114 @@ class TestAlternatingLength:
 
 
 class TestTaylorRefusal:
-    """The Taylor route refuses a sum it cannot finish with bounded work:
-    through its grow-streak detector or its 40-term cap."""
+    """The Taylor route refuses a sum it cannot finish with bounded work.
+    With real nu, a non-integer order and |x| past 0.4 of the radius it
+    refuses up front, before its first reflection rung k0 (the first k with
+    Re(s - k) <= -4), where the ladder's bounds on coefficients k0 to 39
+    prove that no pair of terms from k0 - 1 on can meet the stopping rule
+    and that the last pair fails the 40-term test
+    (``extended._cannot_converge``).  Elsewhere it refuses through its
+    grow-streak detector or its 40-term cap."""
+
+    @staticmethod
+    def _forced(points):
+        """Each point's forced PowerSeriesX outcome, (value, estimate, tag,
+        work) or the exception class, and how many were refused up front."""
+        outcomes, refused = [], 0
+        for f, p in points:
+            try:
+                r = f(p, Strategy.POWER_SERIES_X)
+            except ConvergenceError as exc:
+                outcomes.append(ConvergenceError)
+                refused += "cannot converge" in str(exc)
+            else:
+                outcomes.append((r.value, r.err_estimate, r.strategy, r.work))
+        return outcomes, refused
+
+    def test_refusal_changes_no_outcome(self, monkeypatch):
+        # Seeded grid: real nu in [0, 12], non-integer real and complex s
+        # with Re s in [-14, 6], |x| from 0.05 to 0.999 of the radius, fd
+        # and be.  With the rule on, every outcome equals the full loop's.
+        rng = random.Random(20261123)
+        points = []
+        for _ in range(200):
+            f, radius = rng.choice(((ext_fd, math.pi), (ext_be, 2.0 * math.pi)))
+            s = complex(rng.uniform(-14.0, 6.0), rng.choice((0.0, rng.uniform(-8.0, 8.0))))
+            x = cmath.rect(radius * rng.uniform(0.05, 0.999),
+                           rng.choice((0.0, rng.uniform(-1.5, 1.5))))
+            points.append((f, ExtParams(rng.uniform(0.0, 12.0), s, x)))
+        ruled, refused = self._forced(points)
+        monkeypatch.setattr(extended, "_cannot_converge", lambda *args: False)
+        full, none = self._forced(points)
+        assert ruled == full and none == 0
+        assert refused >= 1 and any(o is not ConvergenceError for o in ruled)
+
+    def test_ladder_bounds_bracket_the_computed_rungs(self):
+        # ReflectionLadder.bounds holds for the computed rungs, whatever
+        # their abs_tol.  Where a bound would leave the floats the ladder
+        # gives none.
+        rng = random.Random(20261124)
+        for _ in range(60):
+            step = rng.choice((1, 2))
+            a = rng.choice((rng.uniform(1.0, 13.0), float(rng.randint(1, 13)),
+                            rng.randint(1, 12) + 1e-9))
+            s = complex(rng.uniform(-40.0, -4.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
+            ladder = zeta_module.ReflectionLadder(s, a, step)
+            for lo, hi in ladder.bounds(rng.randint(1, 40)):
+                value, _, _ = ladder.rung(rng.choice((0.0, 1e-8 * hi, hi)))
+                assert lo <= abs(value) <= hi, (s, a, step)
+        assert zeta_module.ReflectionLadder(-4.5 + 0j, 1e8, 1).bounds(40) is None
+
+    def test_one_low_pair_keeps_the_full_sum(self):
+        # The sum stops at the first pair of terms below REL_TOL times its
+        # scale, so a single pair whose lower bounds vanish keeps the full
+        # sum, however large the last pair.  (A stand-in ladder: each
+        # coefficient within [low, 1], terms near 1 from k0 = 30 on.)
+        class Ladder:
+            def __init__(self, lows):
+                self.lows = lows
+
+            def bounds(self, count):
+                return [(lo, 1.0) for lo in self.lows[:count]]
+
+        def refuses(lows):
+            return extended._cannot_converge(Ladder(lows), 30, 35.0, 1.0, 1.0, 1.0)
+
+        assert refuses([1.0] * 10)
+        assert not refuses([1.0] * 4 + [0.0, 0.0] + [1.0] * 4)
+        assert not refuses([1.0] * 8 + [0.0, 0.0])
+
+    @pytest.mark.parametrize("f, p, k0", [
+        (ext_fd, ExtParams(0.0, 2.5, 2.5), 7),
+        (ext_fd, ExtParams(1.125, 1.5, 2.5), 6),
+        (ext_be, ExtParams(0.0, -0.5, 5.0), 4),
+        (ext_be, ExtParams(1.0, -2.5 + 1j, 3.37), 2),
+    ])
+    def test_refused_point_stops_before_its_first_rung(self, monkeypatch, f, p, k0):
+        # The coefficients before k0 are Euler-Maclaurin values; a refused
+        # point computes those and no rung.
+        calls = self._counted(monkeypatch, ("hurwitz_zeta", "_fd_zero"))
+        rung = zeta_module.ReflectionLadder.rung
+        monkeypatch.setattr(zeta_module.ReflectionLadder, "rung",
+                            lambda *args: calls.append("rung") or rung(*args))
+        with pytest.raises(ConvergenceError, match=f"cannot converge .* from k={k0}"):
+            f(p, Strategy.POWER_SERIES_X)
+        assert len(calls) <= k0 and "rung" not in calls
+
+    def test_auto_never_pays_for_the_check(self, monkeypatch):
+        # AUTO expands within a third of the radius (Re x < 0.1 aside),
+        # below the 0.4 of it where the check starts, though its ladders
+        # start there too.
+        ladders, checks = [], []
+        ladder = zeta_module.ReflectionLadder.__init__
+        monkeypatch.setattr(zeta_module.ReflectionLadder, "__init__",
+                            lambda *args: ladders.append(1) or ladder(*args))
+        monkeypatch.setattr(extended, "_cannot_converge",
+                            lambda *args: checks.append(1) or False)
+        for name in ("auto_unit_circle", "complex_angle", "imaginary_axis"):
+            for kind, nu, s, x in grids.GRIDS[name]():
+                (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+        assert ladders and not checks
 
     @staticmethod
     def _counted(monkeypatch, names):

@@ -231,6 +231,24 @@ class TestHurwitzZeta:
         want = a ** (-s)
         assert rel(direct.value, want) <= 1e-12
 
+    def test_hurwitz_diff_next_to_s_one(self):
+        # zeta(s, a) and zeta(s, b) each carry the pole 1/(s - 1); their
+        # plain difference lost about 1e-16/|s - 1| relative (7.5e-7 at
+        # s = 1 + 1e-10).  The pole-free values keep every digit, and s = 1
+        # gives psi(b) - psi(a).
+        mpmath = pytest.importorskip("mpmath")
+        a, b = 0.3, 0.8
+        with mpmath.workdps(40):
+            for s in (1 + 1e-10, 1 + 1e-8, complex(1 - 3e-7, 2e-9), 1.0):
+                got = hurwitz_diff(complex(s), a, b)
+                if s == 1.0:
+                    want = mpmath.digamma(b) - mpmath.digamma(a)
+                else:
+                    sm = mpmath.mpc(s)
+                    want = mpmath.zeta(sm, a) - mpmath.zeta(sm, b)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= 1e-14 * abs(want), s
+
     def test_deep_negative_order_reflection_vs_em(self):
         # sigma <= -4 with real a uses the reflection route; the generic
         # Euler-Maclaurin continuation must agree where both apply.
