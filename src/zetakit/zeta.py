@@ -312,6 +312,8 @@ class ReflectionLadder:
         """
         step, m, a0, cosh_t = self.step, self.m, self.a0, self.cosh_t
         s = self.s - self.k
+        # The largest power below, (a - 1)^{1-sigma} at the last rung,
+        # must stay a float.
         if m > 1 and (count - s.real) * math.log(a0 + m - 1) > 700.0:
             return None
         theta = self.half_arg + self.freq * a0

@@ -1159,11 +1159,14 @@ class TestTaylorRefusal:
                 assert lo <= abs(value) <= hi, (s, a, step)
         assert zeta_module.ReflectionLadder(-4.5 + 0j, 1e8, 1).bounds(40) is None
 
-    def test_one_low_pair_keeps_the_full_sum(self):
-        # The sum stops at the first pair of terms below REL_TOL times its
-        # scale, so a single pair whose lower bounds vanish keeps the full
-        # sum, however large the last pair.  (A stand-in ladder: each
-        # coefficient within [low, 1], terms near 1 from k0 = 30 on.)
+    def test_low_bounds_keep_the_full_sum(self):
+        # A stand-in ladder: each coefficient within [low, 1], weights
+        # near 1 from k0 = 30 on, scale 1 before k0.  The sum stops at the
+        # first pair of terms below REL_TOL times its scale, so a single
+        # pair whose lower bounds vanish keeps the full sum, however large
+        # the last pair.  The scale may grow by every upper bound, to about
+        # 13 here: lower bounds of 5e-10 clear 1e3 REL_TOL times the scale
+        # before k0 but not times that, and keep the full sum too.
         class Ladder:
             def __init__(self, lows):
                 self.lows = lows
@@ -1177,6 +1180,7 @@ class TestTaylorRefusal:
         assert refuses([1.0] * 10)
         assert not refuses([1.0] * 4 + [0.0, 0.0] + [1.0] * 4)
         assert not refuses([1.0] * 8 + [0.0, 0.0])
+        assert not refuses([5e-10] * 10)
 
     @pytest.mark.parametrize("f, p, k0", [
         (ext_fd, ExtParams(0.0, 2.5, 2.5), 7),
