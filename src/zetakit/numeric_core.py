@@ -403,7 +403,9 @@ def chebyshev_weights(w: complex, n: int) -> list[complex]:
     p_0 + w c_0.  The p_j enter scaled by 1/T_n(3), which cancels in the
     ratio.  At w = -1 these are the weights of ``alternating_sum_cvz``;
     elsewhere on |w| = 1 they cancel, by up to (T_n(3)/|P(w)|)
-    in sum_k |omega_k|.
+    in sum_k |omega_k|.  The recurrence has real coefficients, and complex
+    products, sums and quotients commute with conjugation, so the weights
+    at w-bar are the conjugates of those at w, bit for bit.
     """
     p = _chebyshev_scaled(n)
     c = complex(p[n])

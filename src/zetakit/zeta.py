@@ -737,9 +737,30 @@ def _circle_plan(z: complex, s: complex) -> tuple[int, complex, complex, int]:
     return m, log_z, w, n
 
 
-def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, int]:
+def _circle_weights(z: complex, s: complex
+                    ) -> tuple[int, complex, list[complex], list[complex]]:
+    """The plan of :func:`circle_lerch` at z and s: (m, log z, the weights
+    at w = z^{-m} for n terms and for 3n/4).  The plan at z-bar is
+    :func:`_conjugate_plan` of this one."""
+    m, log_z, w, n = _circle_plan(z, s)
+    return m, log_z, chebyshev_weights(w, n), chebyshev_weights(w, 3 * n // 4)
+
+
+def _conjugate_plan(plan: tuple[int, complex, list[complex], list[complex]]
+                    ) -> tuple[int, complex, list[complex], list[complex]]:
+    """The plan at z-bar from the plan at z, bit for bit: |arg z| and so m
+    and n are the same, and every step from log z to the weights (real
+    coefficients, products, quotients, exp) commutes with conjugation."""
+    m, log_z, full, short = plan
+    return (m, log_z.conjugate(), [x.conjugate() for x in full],
+            [x.conjugate() for x in short])
+
+
+def circle_lerch(plan: tuple[int, complex, list[complex], list[complex]],
+                 s: complex, a: complex) -> tuple[complex, float, int]:
     """(value, err, work) of Phi(z, s, a) for 0 < |z| <= 1 off [0, 1),
-    Re(s) > 0 and Re(a) > 0, by the CVZ weights at w = 1/z.
+    Re(s) > 0 and Re(a) > 0, by the CVZ weights at w = 1/z; plan is
+    :func:`_circle_weights` at z and s.
 
     The terms a_k = (k+a)^{-s} are moments on [0, 1], so Phi = int w dmu /
     (w - x) is w sum_k c_k a_k / P(w) (:func:`chebyshev_weights`) up to an
@@ -748,7 +769,7 @@ def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, in
     the multiplication formula (eq. 5.10), Phi(z, s, a) = m^{-s}
     sum_{r<m} z^r Phi(z^m, s, (r+a)/m), with m from :func:`circle_pieces`,
     puts the weights at w = z^{-m} on the same terms: term j = m k + r
-    takes z^r times weight k.  Past ``MULT_CAP`` pieces it raises
+    takes z^r times weight k.  Past ``MULT_CAP`` pieces the plan raises
     ConvergenceError before any term.  n is the least length from 32 that
     puts e^{pi |Im s|/2} rho^{-3n/4} below e^{-36}, as in
     :func:`alternating_lerch`.  The m terms that share weight k are summed
@@ -757,8 +778,10 @@ def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, in
     the cancelling weights magnify, 2.2e-16 (4 + |s| (1 + max|log(j+a)|)
     + n + m) sum_k |weight_k| sum_r |a_{mk+r}|; work is m n.
     """
-    m, log_z, w, n = _circle_plan(z, s)
-    terms = [cpow(j + a, -s) for j in range(m * n)]
+    m, log_z, full, short = plan
+    n = len(full)
+    neg_s = -s
+    terms = [cpow(j + a, neg_s) for j in range(m * n)]
     # Q_k = sum_{r<m} z^r a_{mk+r}, one column r at a time, and the bound
     # sum_r |a_{mk+r}| >= sum_r |z^r a_{mk+r}| on its terms' size.
     cols, sizes = terms[::m], list(map(abs, terms))
@@ -770,10 +793,8 @@ def circle_lerch(z: complex, s: complex, a: complex) -> tuple[complex, float, in
                             map(operator.mul, terms[r::m], itertools.repeat(phase))))
             col_sizes = list(map(operator.add, col_sizes, sizes[r::m]))
         sizes = col_sizes
-    full = chebyshev_weights(w, n)
     value = compensated_sum(list(map(operator.mul, full, cols)))
-    gap = abs(value - compensated_sum(
-        list(map(operator.mul, chebyshev_weights(w, 3 * n // 4), cols))))
+    gap = abs(value - compensated_sum(list(map(operator.mul, short, cols))))
     expo = abs(s) * (1.0 + max_abs_log(a, m * n))
     mass = math.fsum(map(operator.mul, map(abs, full), sizes))
     err = gap + 2.2e-16 * (4.0 + expo + n + m) * mass
@@ -867,12 +888,18 @@ def lerch_transform_serves(a: complex) -> bool:
 
 
 def _lerch_head(log_z: complex, s: complex, b: complex, k: int) -> tuple[complex, float]:
-    """sum_{j<k} z^j (j+b)^{-s}, z = e^{log_z}, streamed by chunked_sum, and
-    its error: each term carries 2.2e-16 (3 + j |log z| + |s| (1 +
+    """sum_{j<k} z^j (j+b)^{-s}, z = e^{log_z}, streamed by chunked_sum past
+    ``_CHUNK`` terms, and its error: each term carries 2.2e-16 (3 + j |log z| + |s| (1 +
     |log(j+b)|)) relative rounding (the exponential, cpow's bound and the
     product), charged on sum_j |term_j|."""
-    value, mass, err = chunked_sum(
-        cmath.exp(j * log_z) * cpow(j + b, -s) for j in range(k))
+    neg_s = -s
+    terms = (cmath.exp(j * log_z) * cpow(j + b, neg_s) for j in range(k))
+    if k <= _CHUNK:
+        # One chunk: chunked_sum's own result, without its stream.
+        terms = list(terms)
+        value, mass, err = compensated_sum(terms), math.fsum(map(abs, terms)), 0.0
+    else:
+        value, mass, err = chunked_sum(terms)
     expo = 3.0 + k * abs(log_z) + (abs(s) * (1.0 + max_abs_log(b, k)) if k else 0.0)
     return value, err + 2.2e-16 * expo * mass
 
@@ -895,7 +922,7 @@ def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
     """Phi at 0 < |z| <= 1 off the real line, Re(s) > 0: the circle sum,
     after k terms that move a to Re(a + k) > 0."""
     k = _head_length(a)
-    value, err, work = circle_lerch(z, s, a + k)
+    value, err, work = circle_lerch(_circle_weights(z, s), s, a + k)
     if k:
         log_z = cmath.log(z)
         head, head_err = _lerch_head(log_z, s, a, k)
@@ -904,37 +931,71 @@ def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
     return EvalResult(value, err, "lerch/cvz-circle", work + k)
 
 
-def _inner_sum(w: complex, t: complex, b: complex, alpha: float
-               ) -> tuple[complex, float, int, float]:
-    """Phi(w, t, b) at w = e^{-+2 pi i alpha}, Re(t) >= 1 and Re(b) >= 0,
-    b != 0, read to 4.4e-16 |b|: (value, err, work, slope), slope a bound
-    on |d Phi/db| / |t|.  The kernel is Hurwitz zeta at alpha = 1 (w = 1;
-    pole-free, zeta(t, b) - 1/(t - 1)), the alternating sum at alpha = 1/2
-    and the circle sum otherwise.  Where Re(b) <= |Im b| its term k = 0,
-    b^{-t}, goes ahead of the sum at 1 + b, whose weights then see terms
-    of even size.  |(k+b)^{-t-1}| <= |k+b|^{-Re t-1} e^{|Im t| |arg(1+b)|}
-    for k >= 1, whose sum is below 1.65 at Re(t) >= 1."""
-    split = b.real <= abs(b.imag)
-    c = b + 1.0 if split else b
+def _inner_kernel(alpha: float, plan: tuple | None, t: complex, c: complex
+                  ) -> tuple[complex, float, int]:
+    """(value, err, work) of the kernel of :func:`_inner_sums` at order t and
+    parameter c: pole-free Hurwitz zeta at alpha = 1, the alternating sum at
+    alpha = 1/2, else the circle sum with this plan."""
     if alpha == 1.0:
         r = hurwitz_zeta(t, c, pole_free=True)
-        value, err, work = r.value, r.err_estimate, r.work
-    elif alpha == 0.5:
-        value, err, work = alternating_lerch(t, c)
+        return r.value, r.err_estimate, r.work
+    if alpha == 0.5:
+        return alternating_lerch(t, c)
+    return circle_lerch(plan, t, c)
+
+
+def _mirrored(t: complex, c0: complex, c1: complex) -> bool:
+    """Whether the kernel of :func:`_inner_sums` at parameter c1 is the
+    conjugate of the one at c0: at real t and c1 = conj c0, Phi(w, t, c1)
+    = conj Phi(w-bar, t, c0), and every kernel's arithmetic commutes with
+    conjugation, so the conjugate is bit for bit the value computed."""
+    return t.imag == 0.0 and c1 == c0.conjugate()
+
+
+def _inner_sums(w: complex, t: complex, lams: tuple[complex, complex],
+                alpha: float) -> list[tuple[complex, float, int, float]]:
+    """Phi(w-bar, t, lam_0) and Phi(w, t, lam_1) at w = e^{2 pi i alpha},
+    Re(t) >= 1 and Re(lam) >= 0, lam != 0, each lam read to 4.4e-16 |lam|:
+    (value, err, work, slope) a side, slope a bound on |d Phi/dlam| / |t|.
+
+    The kernel is Hurwitz zeta at alpha = 1 (w = 1; pole-free, zeta(t, c)
+    - 1/(t - 1)), the alternating sum at alpha = 1/2 and the circle sum
+    otherwise, whose plan at w-bar, conjugated, is the plan at w.  Where
+    Re(lam) <= |Im lam| the term k = 0, lam^{-t}, goes ahead of the sum at
+    c = 1 + lam, whose weights then see terms of even size; else c = lam.
+    Where t is real and the two c are conjugates (z = -+e^{-x} at real x:
+    lam = 1/2 +- i eps for fd, c = 1 +- i eps for be) the second kernel is
+    the conjugate of the first, with its estimate, and does not run; work
+    counts the kernels that ran.  |(k+lam)^{-t-1}| <= |k+lam|^{-Re t-1}
+    e^{|Im t| |arg(1+lam)|} for k >= 1, whose sum is below 1.65 at
+    Re(t) >= 1."""
+    splits = [b.real <= abs(b.imag) for b in lams]
+    params = [b + 1.0 if split else b for b, split in zip(lams, splits)]
+    plan = None if alpha in (0.5, 1.0) else _circle_weights(w.conjugate(), t)
+    kernels = [_inner_kernel(alpha, plan, t, params[0])]
+    if _mirrored(t, *params):
+        value, err, _ = kernels[0]
+        kernels.append((value.conjugate(), err, 0))
     else:
-        value, err, work = circle_lerch(w, t, c)
-    spread = math.exp(abs(t.imag) * abs(math.atan2(b.imag, 1.0 + b.real)))
-    if not split:
-        first = abs(b) ** -t.real * math.exp(t.imag * math.atan2(b.imag, b.real))
-        return value, err, work, first / abs(b) + 1.65 * spread
-    first = cpow(b, -t)
-    rest = w * value
-    value = first + rest
-    # cpow's rounding of b^{-t}, and the product and sum; the rest moves by
-    # the rounding of 1 + b too, 1.1e-16 |1 + b|, charged on its slope.
-    err += 2.2e-16 * ((2.0 + abs(t) * (1.0 + abs(cmath.log(b)))) * abs(first) + abs(rest))
-    err += abs(t) * 1.1e-16 * abs(c) * 2.65 * spread
-    return value, err, work + 1, abs(first) / abs(b) + 2.65 * spread
+        kernels.append(_inner_kernel(alpha, plan and _conjugate_plan(plan), t, params[1]))
+    sums = []
+    for z, b, c, split, (value, err, work) in zip(
+            (w.conjugate(), w), lams, params, splits, kernels):
+        spread = math.exp(abs(t.imag) * abs(math.atan2(b.imag, 1.0 + b.real)))
+        if not split:
+            first = abs(b) ** -t.real * math.exp(t.imag * math.atan2(b.imag, b.real))
+            sums.append((value, err, work, first / abs(b) + 1.65 * spread))
+            continue
+        first = cpow(b, -t)
+        rest = z * value
+        value = first + rest
+        # cpow's rounding of lam^{-t}, and the product and sum; the rest
+        # moves by the rounding of 1 + lam too, 1.1e-16 |1 + lam|, charged
+        # on its slope.
+        err += 2.2e-16 * ((2.0 + abs(t) * (1.0 + abs(cmath.log(b)))) * abs(first) + abs(rest))
+        err += abs(t) * 1.1e-16 * abs(c) * 2.65 * spread
+        sums.append((value, err, work + 1, abs(first) / abs(b) + 2.65 * spread))
+    return sums
 
 
 def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
@@ -946,7 +1007,11 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     With lam = theta/(2 pi), its real part moved into [0, 1) by whole
     turns, the transformation holds for complex lam as for real (Poisson
     summation of t^{-s} e^{-xt}); the inner sums take the complex
-    parameters lam and 1 - lam (:func:`_inner_sum`).  theta is taken as
+    parameters lam and 1 - lam, evaluated as one pair (:func:`_inner_sums`):
+    at e^{-2 pi i alpha} and e^{2 pi i alpha} they share one circle plan,
+    conjugated for the second, and where s is real and the kernels'
+    parameters are conjugates (z = -+e^{-x} at real x) the second is the
+    conjugate of the first and is not summed.  theta is taken as
     exact, and lam and 1 - lam are each read to about 4.4e-16 of their
     modulus; the estimate charges |t| times that times a bound on the
     inner sums' slope, t = 1 - s.  At alpha = 1 the two Hurwitz values
@@ -978,8 +1043,7 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     t = 1.0 - s
     # e^{2 pi i alpha}, exact at alpha = 1 and 1/2.
     turned = 1.0 if alpha == 1.0 else -1.0 if alpha == 0.5 else cmath.exp(2j * _PI * alpha)
-    sums = [_inner_sum(turned.conjugate(), t, lams[0], alpha),
-            _inner_sum(turned, t, lams[1], alpha)]
+    sums = _inner_sums(turned, t, lams, alpha)
     work = sums[0][2] + sums[1][2] + 2
     ln_g = ln_gamma(t)
     base = ln_g - t * _LN_2PI

@@ -5,8 +5,11 @@ per point; the tests regenerate the points and refuse to compare when
 they differ from the stored ones.
 """
 
+import decimal
+import json
 import math
 import random
+from pathlib import Path
 
 REFS_FILE = "grid_refs.json"
 
@@ -122,15 +125,56 @@ def imaginary_axis_grid():
         yield kind, nu, s, complex(0.0, centre + d)
 
 
+def pole_free_grid():
+    """(t, c) where Lerch's transformation at alpha = 1 takes pole-free
+    Hurwitz zeta, zeta(t, c) - 1/(t - 1): t = 1 - s in [1, 7.5] (real,
+    an integer, or with |Im t| <= 4) and c in (0.05, 1], or c = 1 +- i eps
+    with eps in [1e-8, 1] (be at real x, with term 0 split off)."""
+    rng = random.Random(20261126)
+    for _ in range(200):
+        tau = rng.uniform(1.0, 7.5)
+        t = rng.choice((complex(tau), complex(max(2, round(tau))),
+                        complex(tau, rng.uniform(-4.0, 4.0))))
+        c = rng.choice((complex(rng.uniform(0.05, 1.0)),
+                        complex(1.0, rng.choice((-1, 1)) * 10 ** rng.uniform(-8.0, 0.0))))
+        yield t, c
+
+
 GRIDS = {
     "auto_unit_circle": auto_unit_circle_grid,
     "circle_positive_order": circle_positive_order_grid,
     "complex_angle": complex_angle_grid,
     "large_nu": large_nu_grid,
     "imaginary_axis": imaginary_axis_grid,
+    "pole_free": pole_free_grid,
 }
 
 
-def point_record(kind, nu, s, x):
-    """A point as JSON data: the kind and the floats, exactly."""
-    return [kind, nu, s.real, s.imag, x.real, x.imag]
+def point_record(*point):
+    """A point as JSON data, exactly: its strings and floats, each complex
+    as its real and imaginary parts."""
+    record = []
+    for v in point:
+        record.extend((v.real, v.imag) if isinstance(v, complex) else (v,))
+    return record
+
+
+def grid_refs(name: str):
+    """(point, reference) of a seeded grid, with its frozen reference;
+    refuses when the stored points are not the ones the grid generates
+    (rerun tests/make_grid_refs.py)."""
+    rows = json.loads((Path(__file__).with_name(REFS_FILE)).read_text())[name]
+    points = list(GRIDS[name]())
+    assert [row[0] for row in rows] == [point_record(*p) for p in points], (
+        f"{REFS_FILE} does not hold the points of grid {name}")
+    return [(p, row[1]) for p, row in zip(points, rows)]
+
+
+def ref_gap(value: complex, ref) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """|value - reference| and |reference|, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ref_re, ref_im = decimal.Decimal(ref[0]), decimal.Decimal(ref[1])
+        d_re = decimal.Decimal(value.real) - ref_re
+        d_im = decimal.Decimal(value.imag) - ref_im
+        return (d_re * d_re + d_im * d_im).sqrt(), (ref_re * ref_re + ref_im * ref_im).sqrt()

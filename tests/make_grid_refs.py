@@ -1,5 +1,6 @@
 """Write grid_refs.json: the 20-digit reference of every point of the
-seeded grids in grids.py, e^{-(nu+1)x} mpmath.lerchphi(-+e^{-x}, s, nu+1).
+seeded grids in grids.py, e^{-(nu+1)x} mpmath.lerchphi(-+e^{-x}, s, nu+1),
+or zeta(t, c) - 1/(t - 1) on the pole-free grid.
 
 Run offline from the repository root, once, or after a grid changes:
 
@@ -23,7 +24,7 @@ import grids  # noqa: E402
 
 # Working precision of a grid's references where 20 digits do not suffice:
 # within 1e-6 of z = 1, 1 - z = 1 - e^{-x} loses six of them.
-WORK_DPS = {"complex_angle": 40, "large_nu": 30, "imaginary_axis": 40}
+WORK_DPS = {"complex_angle": 40, "large_nu": 30, "imaginary_axis": 40, "pole_free": 40}
 
 
 def reference(kind, nu, s, x, dps=20):
@@ -36,13 +37,26 @@ def reference(kind, nu, s, x, dps=20):
     return [str(want.real), str(want.imag)]
 
 
+def pole_free_reference(t, c, dps=20):
+    """zeta(t, c) - 1/(t - 1), worked at ``dps`` digits, as a pair of
+    20-digit strings."""
+    with mpmath.workdps(dps):
+        tm, cm = mpmath.mpc(t), mpmath.mpc(c)
+        want = mpmath.zeta(tm, cm) - 1 / (tm - 1)
+    return [str(want.real), str(want.imag)]
+
+
+REFERENCES = {"pole_free": pole_free_reference}
+
+
 def main() -> None:
     mpmath.mp.dps = 20
     blocks = []
     for name, grid in grids.GRIDS.items():
         points = list(grid())
         dps = WORK_DPS.get(name, 20)
-        rows = [json.dumps([grids.point_record(*p), reference(*p, dps)]) for p in points]
+        ref = REFERENCES.get(name, reference)
+        rows = [json.dumps([grids.point_record(*p), ref(*p, dps)]) for p in points]
         blocks.append(f"{json.dumps(name)}: [\n" + ",\n".join(rows) + "\n]")
     (HERE / grids.REFS_FILE).write_text("{\n" + ",\n".join(blocks) + "\n}\n")
 

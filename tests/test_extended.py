@@ -39,6 +39,7 @@ from zetakit import extended, faults, numeric_core
 
 import grids
 import oracles
+from grids import grid_refs, ref_gap
 import zetakit.zeta as zeta_module
 from oracles import fd_negint_reference
 
@@ -58,27 +59,6 @@ def bench_refs(workload: str):
         fn, strategy, *coords = key.split("|")
         nu, s, x = (complex(*map(float, c.split(","))) for c in coords)
         yield key, fn, strategy, nu, s, x, ref
-
-
-def ref_gap(value: complex, ref) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """|value - reference| and |reference|, to 60 digits."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        ref_re, ref_im = decimal.Decimal(ref[0]), decimal.Decimal(ref[1])
-        d_re = decimal.Decimal(value.real) - ref_re
-        d_im = decimal.Decimal(value.imag) - ref_im
-        return (d_re * d_re + d_im * d_im).sqrt(), (ref_re * ref_re + ref_im * ref_im).sqrt()
-
-
-def grid_refs(name: str):
-    """((kind, nu, s, x), reference) of a seeded grid of grids.py, with its
-    frozen reference; refuses when the stored points are not the ones the
-    grid generates (rerun tests/make_grid_refs.py)."""
-    rows = json.loads((Path(__file__).with_name(grids.REFS_FILE)).read_text())[name]
-    points = list(grids.GRIDS[name]())
-    assert [row[0] for row in rows] == [grids.point_record(*p) for p in points], (
-        f"{grids.REFS_FILE} does not hold the points of grid {name}")
-    return [(p, row[1]) for p, row in zip(points, rows)]
 
 
 # Bridge-invariant grid: nu x s x x covering boundary nu=0, fractional nu,

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zetakit.zeta as zeta_module
+from zetakit.result import EvalResult
 from zetakit import extended
 from zetakit import (
     ConvergenceError,
@@ -33,6 +35,7 @@ from zetakit import (
 )
 
 import oracles
+from grids import grid_refs, ref_gap
 from oracles import hurwitz_negint_reference
 
 
@@ -403,6 +406,18 @@ class TestHurwitzZeta:
                 assert gap <= got.err_estimate and gap <= 1e-13 * abs(want), (s, a)
             got = hurwitz_zeta(1.0, 0.3, pole_free=True)
             assert abs(mpmath.mpc(got.value) + mpmath.digamma(0.3)) <= got.err_estimate
+
+
+    def test_pole_free_at_the_transformation_orders(self):
+        # Lerch's transformation at alpha = 1 takes the pole-free values at
+        # the inner order t = 1 - s, Re t >= 1, with c in (0.05, 1] or
+        # c = 1 +- i eps (be at real x): 200 frozen 40-digit references
+        # (grids.pole_free_grid), honest and within 4e-15 relative.
+        for (t, c), ref in grid_refs("pole_free"):
+            got = hurwitz_zeta(t, c, pole_free=True)
+            gap, size = ref_gap(got.value, ref)
+            assert gap <= Decimal(got.err_estimate), (t, c)
+            assert gap <= Decimal(4e-15) * size, (t, c)
 
 
 class TestDirichletEta:
@@ -970,7 +985,8 @@ class TestUnitCircle:
             s = complex(rng.uniform(0.01, 4.0), rng.choice((0.0, rng.uniform(-30.0, 30.0))))
             a = rng.choice((complex(rng.uniform(0.01, 4.0)),
                             complex(rng.uniform(0.05, 4.0), rng.uniform(-1.0, 1.0))))
-            value, err, work = zeta_module.circle_lerch(z, s, a)
+            value, err, work = zeta_module.circle_lerch(
+                zeta_module._circle_weights(z, s), s, a)
             pieces.add(zeta_module.circle_pieces(theta))
             want = mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), mpmath.mpc(a))
             assert abs(mpmath.mpc(value) - want) <= err, (z, s, a)
@@ -1016,6 +1032,103 @@ class TestUnitCircle:
             with mpmath.workdps(30):
                 want = mpmath.lerchphi(mpmath.expj(2), mpmath.mpc(s), a)
                 assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (s, a)
+
+
+class TestTransformationPair:
+    """Lerch's transformation evaluates its two inner sums as one pair:
+    one circle plan for both sides, and at real s with conjugate kernel
+    parameters the second kernel is the conjugate of the first."""
+
+    KERNELS = ("hurwitz_zeta", "alternating_lerch", "circle_lerch")
+
+    @staticmethod
+    def _points():
+        # (kind, theta, s, a): alpha in {1, 1/2, 1/8, 5/8, 0.3}, a = alpha
+        # + m for m in {0, 1, 2}; theta mirrored (pi + i eps or i eps), on
+        # the circle, or one ulp to 1e-16 off 0 or pi; s real in [-8, 0)
+        # or complex.
+        rng = random.Random(20261127)
+        near_pi = math.nextafter(math.pi, 0.0)
+        for i in range(150):
+            a = rng.choice((1.0, 0.5, 0.125, 0.625, 0.3)) + rng.randint(0, 2)
+            eps = 10 ** rng.uniform(-8.0, -1.0)
+            kind = ("mirrored", "circle", "off")[i % 3]
+            if kind == "mirrored":
+                theta = complex(rng.choice((math.pi, -math.pi, 0.0)), eps)
+            elif kind == "circle":
+                theta = complex(rng.choice((-1, 1)) * rng.uniform(0.1, 3.0))
+            else:
+                theta = complex(rng.choice((1e-16, -1e-16, near_pi, -near_pi)), eps)
+            sigma = -rng.uniform(1e-3, 8.0)
+            s = rng.choice((complex(sigma), complex(round(sigma) or -1),
+                            complex(sigma, rng.uniform(-4.0, 4.0))))
+            yield kind, theta, s, a
+
+    @staticmethod
+    def _bits(r):
+        return (r.value.real.hex(), r.value.imag.hex(), r.err_estimate.hex(), r.strategy)
+
+    def _run(self, monkeypatch, theta, s, a):
+        """lerch_transform's result and the work of each kernel call."""
+        works = []
+        for name in self.KERNELS:
+            def counted(*args, _inner=getattr(zeta_module, name), **kwargs):
+                out = _inner(*args, **kwargs)
+                works.append(out.work if isinstance(out, EvalResult) else out[2])
+                return out
+            monkeypatch.setattr(zeta_module, name, counted)
+        got = zeta_module.lerch_transform(theta, s, a)
+        monkeypatch.undo()
+        return got, works
+
+    def test_pair_equals_the_two_sums_taken_apart(self, monkeypatch):
+        mirrored = 0
+        for kind, theta, s, a in self._points():
+            got, works = self._run(monkeypatch, theta, s, a)
+            monkeypatch.setattr(zeta_module, "_mirrored", lambda *args: False)
+            apart, apart_works = self._run(monkeypatch, theta, s, a)
+            point = (kind, theta, s, a)
+            assert self._bits(got) == self._bits(apart), point
+            assert len(apart_works) == 2, point
+            if len(works) == 1:
+                mirrored += 1
+                assert works == apart_works[:1], point
+                assert got.work == apart.work - apart_works[1], point
+            else:
+                assert works == apart_works and got.work == apart.work, point
+            if s.imag:
+                assert len(works) == 2, point
+            elif kind == "mirrored":
+                assert len(works) == 1, point
+            elif kind == "circle":
+                assert len(works) == 2, point
+        assert mirrored > 25
+
+    def test_one_circle_plan_for_both_sides(self, monkeypatch):
+        # At alpha off {1/2, 1} the weights at n and 3n/4 are built once,
+        # at e^{-2 pi i alpha}, and conjugated for the other side.
+        calls = []
+        weights = zeta_module.chebyshev_weights
+        monkeypatch.setattr(zeta_module, "chebyshev_weights",
+                            lambda *args: calls.append(1) or weights(*args))
+        for kind, theta, s, a in self._points():
+            if (a - math.ceil(a) + 1) in (0.5, 1.0):
+                continue
+            calls.clear()
+            zeta_module.lerch_transform(theta, s, a)
+            assert len(calls) == 2, (kind, theta, s, a)
+
+    def test_conjugate_plan_is_the_plan_at_the_conjugate(self):
+        rng = random.Random(20261128)
+        for _ in range(20):
+            z = cmath.exp(1j * rng.choice((-1, 1)) * rng.uniform(0.2, math.pi))
+            t = complex(rng.uniform(1.0, 9.0), rng.choice((0.0, rng.uniform(-4.0, 4.0))))
+            c = complex(rng.uniform(0.05, 1.5), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+            plan = zeta_module._circle_weights(z, t)
+            mirror = zeta_module._conjugate_plan(plan)
+            assert mirror == zeta_module._circle_weights(z.conjugate(), t), (z, t)
+            assert (zeta_module.circle_lerch(mirror, t, c)
+                    == zeta_module.circle_lerch(zeta_module._circle_weights(z.conjugate(), t), t, c))
 
 
 class TestPolylog:
