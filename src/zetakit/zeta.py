@@ -737,8 +737,11 @@ def _circle_plan(z: complex, s: complex) -> tuple[int, complex, complex, int]:
     return m, log_z, w, n
 
 
-def _circle_weights(z: complex, s: complex
-                    ) -> tuple[int, complex, list[complex], list[complex]]:
+# A circle sum's plan: (m, log z, the weights for n terms, for 3n/4).
+_CirclePlan = tuple[int, complex, list[complex], list[complex]]
+
+
+def _circle_weights(z: complex, s: complex) -> _CirclePlan:
     """The plan of :func:`circle_lerch` at z and s: (m, log z, the weights
     at w = z^{-m} for n terms and for 3n/4).  The plan at z-bar is
     :func:`_conjugate_plan` of this one."""
@@ -746,8 +749,7 @@ def _circle_weights(z: complex, s: complex
     return m, log_z, chebyshev_weights(w, n), chebyshev_weights(w, 3 * n // 4)
 
 
-def _conjugate_plan(plan: tuple[int, complex, list[complex], list[complex]]
-                    ) -> tuple[int, complex, list[complex], list[complex]]:
+def _conjugate_plan(plan: _CirclePlan) -> _CirclePlan:
     """The plan at z-bar from the plan at z, bit for bit: |arg z| and so m
     and n are the same, and every step from log z to the weights (real
     coefficients, products, quotients, exp) commutes with conjugation."""
@@ -756,8 +758,8 @@ def _conjugate_plan(plan: tuple[int, complex, list[complex], list[complex]]
             [x.conjugate() for x in short])
 
 
-def circle_lerch(plan: tuple[int, complex, list[complex], list[complex]],
-                 s: complex, a: complex) -> tuple[complex, float, int]:
+def circle_lerch(plan: _CirclePlan, s: complex, a: complex
+                 ) -> tuple[complex, float, int]:
     """(value, err, work) of Phi(z, s, a) for 0 < |z| <= 1 off [0, 1),
     Re(s) > 0 and Re(a) > 0, by the CVZ weights at w = 1/z; plan is
     :func:`_circle_weights` at z and s.
@@ -889,9 +891,9 @@ def lerch_transform_serves(a: complex) -> bool:
 
 def _lerch_head(log_z: complex, s: complex, b: complex, k: int) -> tuple[complex, float]:
     """sum_{j<k} z^j (j+b)^{-s}, z = e^{log_z}, streamed by chunked_sum past
-    ``_CHUNK`` terms, and its error: each term carries 2.2e-16 (3 + j |log z| + |s| (1 +
-    |log(j+b)|)) relative rounding (the exponential, cpow's bound and the
-    product), charged on sum_j |term_j|."""
+    ``_CHUNK`` terms, and its error: each term carries 2.2e-16 (3 +
+    j |log z| + |s| (1 + |log(j+b)|)) relative rounding (the exponential,
+    cpow's bound and the product), charged on sum_j |term_j|."""
     neg_s = -s
     terms = (cmath.exp(j * log_z) * cpow(j + b, neg_s) for j in range(k))
     if k <= _CHUNK:
@@ -931,7 +933,7 @@ def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
     return EvalResult(value, err, "lerch/cvz-circle", work + k)
 
 
-def _inner_kernel(alpha: float, plan: tuple | None, t: complex, c: complex
+def _inner_kernel(alpha: float, plan: _CirclePlan | None, t: complex, c: complex
                   ) -> tuple[complex, float, int]:
     """(value, err, work) of the kernel of :func:`_inner_sums` at order t and
     parameter c: pole-free Hurwitz zeta at alpha = 1, the alternating sum at

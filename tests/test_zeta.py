@@ -1102,7 +1102,7 @@ class TestTransformationPair:
                 assert len(works) == 1, point
             elif kind == "circle":
                 assert len(works) == 2, point
-        assert mirrored > 25
+        assert mirrored > 40
 
     def test_one_circle_plan_for_both_sides(self, monkeypatch):
         # At alpha off {1/2, 1} the weights at n and 3n/4 are built once,
