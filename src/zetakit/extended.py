@@ -86,10 +86,11 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError
@@ -112,6 +113,7 @@ from .zeta import (
     MAX_TERMS,
     MULT_CAP,
     REL_TOL,
+    AlternatingLadder,
     LerchParams,
     ReflectionLadder,
     alternating_lerch,
@@ -122,6 +124,7 @@ from .zeta import (
     fourier_reflection,
     hurwitz_halves,
     hurwitz_zeta,
+    lerch_orders,
     lerch_phi,
     lerch_transform,
     lerch_transform_serves,
@@ -206,15 +209,37 @@ def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
                       inner.work)
 
 
+def _fd_zero_cvz(s: complex) -> bool:
+    """Whether :func:`_fd_zero` takes the alternating sum at order s."""
+    return s.real > 0.0 and abs(s - 1.0) >= 1e-12
+
+
 def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
     """fd(nu, s, 0) = Phi(-1, s, nu+1); ``abs_tol`` as for hurwitz_zeta."""
     if s.real <= -4.0 and nu.imag == 0.0 and not is_nonpos_int(s):
         value, err, work = fourier_reflection(s, nu.real + 1.0, 2, abs_tol)
         return EvalResult(value, err, "fd/zero-reflection", work)
-    if abs(s - 1.0) < 1e-12 or s.real <= 0.0:
+    if not _fd_zero_cvz(s):
         return fd_zero_hurwitz_route(nu, s)
     value, err, work = alternating_lerch(s, nu + 1.0)
     return EvalResult(value, err, "fd/zero-alternating-cvz", work)
+
+
+def _fd_zero_orders(nu: complex, s: complex) -> Iterator[EvalResult]:
+    """_fd_zero(nu, s + k) at k = 0, 1, 2, ..., each by the route _fd_zero
+    takes at its order; the alternating sums above order 0 (order 1 aside)
+    are the rungs of one :class:`zeta.AlternatingLadder`.  Those orders
+    follow one another: order 1 can only come before them."""
+    ladder = None
+    for k in itertools.count():
+        order = s + k
+        if not _fd_zero_cvz(order):
+            yield _fd_zero(nu, order)
+            continue
+        if ladder is None:
+            ladder = AlternatingLadder(order, nu + 1.0)
+        value, err, work = ladder.rung()
+        yield EvalResult(value, err, "fd/zero-alternating-cvz", work)
 
 
 def _be_zero(nu: complex, s: complex) -> EvalResult:
@@ -469,6 +494,21 @@ def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
 _NU_CAP = 600
 
 
+def _nu_coefficients(kind: str, m: int, s: complex, x: complex
+                     ) -> Iterator[EvalResult]:
+    """The coefficients of :func:`_nu_series` at the orders s, s + 1, ...:
+    Phi(-+e^{-x}, s + k, m + 1) at x != 0 (:func:`zeta.lerch_orders`),
+    else the x = 0 values, eta or zeta at m = 0."""
+    if x != 0.0:
+        return lerch_orders(_lerch_z(kind, x), s, m + 1.0)
+    if kind == "fd" and m:
+        return _fd_zero_orders(complex(m), s)
+    if m == 0:
+        at_zero = dirichlet_eta if kind == "fd" else riemann_zeta
+        return (at_zero(s + k) for k in itertools.count())
+    return (_be_zero(complex(m), s + k) for k in itertools.count())
+
+
 def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     """f(nu, s, x) = e^{-(nu-m)x} sum_k (s)_k (m-nu)^k / k! f(m, s+k, x):
     eqs. 4.7/5.8 moved by diff-eq-7.2 to the integer m of least ratio
@@ -478,7 +518,15 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     coefficients are values at the shift m (eta/zeta at x = 0, m = 0); at
     x > 0 they are the bare Phi(-+e^{-x}, s+k, m+1), and the whole decay
     e^{-(nu+1)x} is applied once to the sum, so no factor of it underflows
-    or overflows ahead of the value."""
+    or overflows ahead of the value.  Consecutive coefficients are rungs of
+    one order ladder wherever their route sums a fixed term list: the direct
+    and the alternating Lerch sums at x != 0 (:func:`zeta.lerch_orders`, one
+    ladder per sign of Re(s+k)) and fd's alternating sums at x = 0 and
+    m >= 1 (:func:`_fd_zero_orders`).  A rung makes its terms from the last
+    order's by one division by n + m + 1, and every order takes the route
+    it takes alone.  Where the weights (s)_k (m-nu)^k/k! pass the double
+    range before the series converges (|nu - m| next to m + 1, complex nu),
+    the route raises ConvergenceError."""
     lo = math.floor(nu.real + nu.imag ** 2 / (nu.real + 1.0))
     m = min(lo, lo + 1, key=lambda c: abs(nu - c) / (c + 1))
     r = abs(nu - m) / (m + 1)
@@ -488,15 +536,7 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         )
     d = m - nu
     pre = cmath.exp(-(nu + 1.0) * x)
-    z = _lerch_z(kind, x)
-
-    def coefficient(order: complex) -> EvalResult:
-        if x != 0.0:
-            return lerch_phi(LerchParams(z, order, m + 1.0))
-        if m == 0:
-            return dirichlet_eta(order) if kind == "fd" else riemann_zeta(order)
-        return _fd_zero(complex(m), order) if kind == "fd" else _be_zero(complex(m), order)
-
+    coefficients = _nu_coefficients(kind, m, s, x)
     total = complex(0.0)
     terms: list[complex] = []
     inner_err = 0.0
@@ -506,9 +546,12 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     weight = complex(1.0)
     small_streak = 0
     for k in range(_NU_CAP):
-        c = coefficient(s + k)
+        c = next(coefficients)
         work += c.work
         term = weight * c.value
+        if not cmath.isfinite(term):
+            raise ConvergenceError(
+                f"nu-expansion weights leave the double range at k = {k}")
         terms.append(term)
         total += term
         inner_err += abs(weight) * c.err_estimate

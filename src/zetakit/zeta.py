@@ -688,30 +688,63 @@ def _cvz_length(s: complex, rate: float = _CVZ_RATE) -> int:
     return max(_CVZ_MIN, math.ceil((0.5 * _PI * abs(s.imag) + 36.0) / rate))
 
 
+class AlternatingLadder:
+    """Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s} by the
+    Cohen-Rodriguez Villegas-Zagier weights at the orders s, s + 1, s + 2,
+    ...: w = e^{log_w} in (0, 1], Re(s) > 0.
+
+    Each call of :meth:`rung` returns (value, err, work) at the current
+    order and steps to the next; :func:`alternating_lerch`, the sum at one
+    order, is the first rung.  The error of the sum S_n of n terms grows
+    like e^{pi |Im s|/2} (3+sqrt 8)^{-n}, so n, set up front, is the least
+    length from 32 that puts that size for S_{floor(3n/4)} below e^{-36}:
+    32 up to |Im s| = 4, 99 at 60, 1,216 at 1,000.  It depends on s only
+    through |Im s|, so every rung sums the same n terms, and a step makes
+    the next order's by one division of each by k + a.  The first rung's
+    terms are ``cpow`` powers at w = 1 and one exponential
+    exp(k log w - s log(k+a)) otherwise, the faster there; either carries at
+    most 2.2e-16 (1 + expo) relative rounding, expo = |s| (1 + |log(k+a)|)
+    + k |log w| at the first rung's s, and rung j adds 2.2e-16 j, one
+    rounding per division (k + a is exact at the integer a the nu series
+    steps at).  err is |S_n - S_{3n/4}| plus that on every term; work is n.
+    """
+
+    __slots__ = ("s", "a", "log_w", "k", "n", "terms")
+
+    def __init__(self, s: complex, a: complex, log_w: complex = 0.0) -> None:
+        self.s = s            # the first rung's order; rung j's is s + j
+        self.a = a
+        self.log_w = log_w
+        self.k = 0
+        self.n = _cvz_length(s)
+        self.terms: list[complex] = []
+
+    def rung(self) -> tuple[complex, float, int]:
+        """(value, err, work) at the current order, then step to the next."""
+        k, n, a, s, log_w = self.k, self.n, self.a, self.s, self.log_w
+        if k:
+            terms = list(map(operator.truediv, self.terms,
+                             [j + a for j in range(n)]))
+        elif log_w:
+            terms = [cmath.exp(j * log_w - s * cmath.log(j + a)) for j in range(n)]
+        else:
+            neg_s = -s
+            terms = [cpow(j + a, neg_s) for j in range(n)]
+        self.terms = terms
+        self.k = k + 1
+        value = alternating_sum_cvz(terms.__getitem__, n)
+        gap = abs(value - alternating_sum_cvz(terms.__getitem__, 3 * n // 4))
+        expo = abs(s) * (1.0 + max_abs_log(a, n)) + (n - 1) * abs(log_w) + k
+        err = gap + 2.2e-16 * (1.0 + expo) * math.fsum(map(abs, terms))
+        return value, err + 1e-15 * abs(value), n
+
+
 def alternating_lerch(s: complex, a: complex,
                       log_w: complex = 0.0) -> tuple[complex, float, int]:
     """(value, err, work) of Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s} by
-    the Cohen-Rodriguez Villegas-Zagier weights: w = e^{log_w} in (0, 1],
-    Re(s) > 0.  The error of the sum S_n of n terms grows like
-    e^{pi |Im s|/2} (3+sqrt 8)^{-n}, so n, set up front, is the least length
-    from 32 that puts that size for S_{floor(3n/4)} below e^{-36}: 32 up to
-    |Im s| = 4, 99 at 60, 1,216 at 1,000.  The terms are ``cpow`` powers
-    at w = 1 and one exponential exp(k log w - s log(k+a)) otherwise, the
-    faster there; either carries at most 2.2e-16 (1 + expo) relative
-    rounding, expo = |s| (1 + |log(k+a)|) + k |log w|.  err is
-    |S_n - S_{3n/4}| plus that on every term; work is n.
-    """
-    n = _cvz_length(s)
-    if log_w:
-        terms = [cmath.exp(k * log_w - s * cmath.log(k + a)) for k in range(n)]
-    else:
-        neg_s = -s
-        terms = [cpow(k + a, neg_s) for k in range(n)]
-    value = alternating_sum_cvz(terms.__getitem__, n)
-    gap = abs(value - alternating_sum_cvz(terms.__getitem__, 3 * n // 4))
-    expo = abs(s) * (1.0 + max_abs_log(a, n)) + (n - 1) * abs(log_w)
-    err = gap + 2.2e-16 * (1.0 + expo) * math.fsum(map(abs, terms))
-    return value, err + 1e-15 * abs(value), n
+    the Cohen-Rodriguez Villegas-Zagier weights, w = e^{log_w} in (0, 1],
+    Re(s) > 0: the first rung of an :class:`AlternatingLadder`."""
+    return AlternatingLadder(s, a, log_w).rung()
 
 
 def circle_pieces(theta: float) -> int:
@@ -828,53 +861,113 @@ def _cannot_stop(n: int, nxt: float, mass: float, size: float, r: float,
     return q * tail > 2.0 * REL_TOL * high and q * tail * (1.0 - r) > 1e-290
 
 
+class DirectLadder:
+    """The direct sum of Phi(z, s, a) = sum_n z^n (n+a)^{-s} at |z| < 1, at
+    the orders s, s + 1, s + 2, ...
+
+    Each call of :meth:`rung` returns (value, err, work) at the current
+    order and steps to the next; :func:`_lerch_direct`, the sum at one
+    order, is the first rung.  A rung stops at the first n >= 4 where the
+    tail bound |term_n|/(1 - |z|), times the growth guard
+    (1 + 2/(n (1 - |z|)))^{-Re s} at Re(s) < 0, is at most REL_TOL
+    |partial sum|, and holds terms 0..n.  The first rung builds term n as
+    z^n times ``cpow``'s (n+a)^{-s}; at n = 1, 2, 4, ... it raises
+    ConvergenceError once no later test can pass within MAX_TERMS terms
+    (:func:`_cannot_stop`).  A later rung makes its terms from the held
+    ones by one division by n + a each, as far as its own stopping test
+    reaches, and holds only that prefix.  Where |n + a| >= 1 every term
+    shrinks from one order to the next, so a held prefix mostly serves;
+    where none passes the test, the rung sums its order afresh, as a first
+    rung.
+
+    Term n carries 2.2e-16 relative error from its own rounding, 2.2e-16 n
+    from the n products building z^n, cpow's 2.2e-16 (1 + |s| (1 +
+    |log(n+a)|)) at the first rung's s, and 2.2e-16 per step since, one
+    rounding per division (n + a is exact at the integer a the nu series
+    steps at).  With the terms summed
+    exactly, that rounding plus the tail bound is the error, however much
+    the terms cancel.  work counts the terms made, by ``cpow`` or by
+    division.
+    """
+
+    __slots__ = ("z", "s", "a", "k", "r", "checking", "terms", "expo")
+
+    def __init__(self, z: complex, s: complex, a: complex) -> None:
+        self.z = z
+        self.s = s            # the first rung's order; rung k's is s + k
+        self.a = a
+        self.k = 0
+        self.r = r = abs(z)
+        # A check needs r^{N-n} > 2 REL_TOL: skip all unless so at n = N/2.
+        self.checking = r ** (MAX_TERMS // 2) > 2.0 * REL_TOL
+        self.terms: list[complex] = []
+        self.expo = 0.0       # cpow's rounding at the first rung, over 2.2e-16
+
+    def rung(self) -> tuple[complex, float, int]:
+        """(value, err, work) at the current order, then step to the next."""
+        k, z, a, r = self.k, self.z, self.a, self.r
+        terms = self.terms
+        if k:
+            s = self.s + k
+            terms[0] = term = terms[0] / a
+            held = len(terms)
+        else:
+            s = self.s
+            zpow = complex(1.0)
+            power = cpow(a, -s)
+            term = zpow * power
+            terms = [term]
+        sigma = s.real
+        total = complex(0.0)
+        mass = abs(term)   # sum of |term_j| over the terms taken
+        kmass = 0.0        # sum of j |term_j|
+        gap = 1.0 - r
+        checking = self.checking
+        for n in range(1, MAX_TERMS + 1):
+            total += term
+            # The next term, whose modulus bounds the geometric tail.
+            if not k:
+                zpow *= z
+                power = cpow(n + a, -s)
+                term = zpow * power
+                terms.append(term)
+                nxt = abs(zpow) * abs(power)
+            elif n < held:
+                terms[n] = term = terms[n] / (n + a)
+                nxt = abs(term)
+            else:
+                # No held prefix passes this order's test: sum it afresh.
+                self.s, self.k, self.terms = s, 0, []
+                value, err, work = self.rung()
+                return value, err, work + n
+            bound = nxt / gap
+            if sigma < 0.0:
+                bound *= (1.0 + 2.0 / (n * gap)) ** (-sigma)
+            if n >= 4 and bound <= REL_TOL * max(abs(total), 1e-300):
+                del terms[n + 1:]
+                self.terms = terms
+                self.k = k + 1
+                value = compensated_sum(terms[:n])
+                if not k:
+                    # Later rungs hold a prefix of this rung's terms.
+                    self.expo = abs(s) * (1.0 + max_abs_log(a, n))
+                err = bound + 2.2e-16 * ((2.0 + k + self.expo) * mass + kmass)
+                return value, err + 1e-16 * abs(value), n + 1
+            if (checking and n & (n - 1) == 0 and n + a.real > 0.0
+                    and _cannot_stop(n, nxt, mass, abs(total), r, s, a)):
+                break
+            mass += nxt
+            kmass += n * nxt
+        raise ConvergenceError(
+            f"direct Lerch sum not converged in {MAX_TERMS} terms"
+        )
+
+
 def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
-    """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1; see lerch_phi."""
-    r = abs(z)
-    sigma = s.real
-    # A check needs r^{N-n} > 2 REL_TOL: skip all unless so at n = N/2.
-    checking = r ** (MAX_TERMS // 2) > 2.0 * REL_TOL
-    power = cpow(a, -s)
-    total = complex(0.0)
-    comp_terms: list[complex] = []
-    zpow = complex(1.0)
-    mass = abs(power)   # sum of |term_k| over the terms taken
-    kmass = 0.0         # sum of k |term_k|
-    n = 0
-    while n < MAX_TERMS:
-        term = zpow * power
-        comp_terms.append(term)
-        total += term
-        zpow *= z
-        n += 1
-        # Geometric tail bound with a crude polynomial-growth guard; its
-        # power is the next term's, carried into the next iteration.
-        power = cpow(n + a, -s)
-        nxt = abs(zpow) * abs(power)
-        bound = nxt / (1.0 - r)
-        if sigma < 0.0:
-            bound *= (1.0 + 2.0 / (n * (1.0 - r))) ** (-sigma)
-        if bound <= REL_TOL * max(abs(total), 1e-300) and n >= 4:
-            value = compensated_sum(comp_terms)
-            value = faults.perturb("lerch_phi", value)
-            # Term k = z^k (k+a)^{-s} carries 2.2e-16 relative error
-            # from its own rounding, 2.2e-16 k from the k products
-            # building z^k, and cpow's 2.2e-16 (1 + |s| (1 + |log(k+a)|))
-            # from the power.  With the terms summed exactly, that
-            # rounding is the error, however much the terms cancel.
-            err = bound + 2.2e-16 * (
-                (2.0 + abs(s) * (1.0 + max_abs_log(a, n))) * mass + kmass
-            )
-            return EvalResult(value, err + 1e-16 * abs(value),
-                              "lerch/direct-sum", n + 1)
-        if (checking and n & (n - 1) == 0 and n + a.real > 0.0
-                and _cannot_stop(n, nxt, mass, abs(total), r, s, a)):
-            break
-        mass += nxt
-        kmass += n * nxt
-    raise ConvergenceError(
-        f"direct Lerch sum not converged in {MAX_TERMS} terms"
-    )
+    """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1, the first rung
+    of a :class:`DirectLadder`; see lerch_phi."""
+    value, err, work = DirectLadder(z, s, a).rung()
+    return EvalResult(faults.perturb("lerch_phi", value), err, "lerch/direct-sum", work)
 
 
 def lerch_transform_serves(a: complex) -> bool:
@@ -1131,6 +1224,57 @@ def _radial_slope(theta: float, s: complex, a: float, size: float) -> float:
     return 2.0 * math.exp(total) if total < 709.0 else math.inf
 
 
+def _lerch_route(z: complex, s: complex, a: complex) -> str:
+    """The route :func:`lerch_phi` takes at (z, s, a), named as its tag:
+    single-term, hurwitz-delegate, cvz-alternating, cvz-circle, direct-sum
+    or lerch-transform.  For one z and a it depends on s only through the
+    sign of Re(s) and through |Im s|."""
+    if z == 0.0:
+        return "single-term"
+    if abs(z - 1.0) < 1e-12:
+        return "hurwitz-delegate"
+    inside = abs(z) < 1.0 - 1e-14
+    if s.real > 0.0:
+        budget = direct_length(math.log(abs(z))) if inside else math.inf
+        if z.real < 0.0 and abs(z.imag) < 1e-12:
+            if _cvz_length(s) < budget:
+                return "cvz-alternating"
+        elif not inside or budget > _CVZ_MIN and _circle_length(z, s, a) < budget:
+            return "cvz-circle"
+    return "direct-sum" if inside else "lerch-transform"
+
+
+def lerch_orders(z: complex, s: complex, a: complex) -> Iterator[EvalResult]:
+    """lerch_phi(LerchParams(z, s + k, a)) at k = 0, 1, 2, ..., each by the
+    route :func:`lerch_phi` takes at its order.  Where that route is the
+    direct or the alternating sum, the orders of one sign of Re(s + k) are
+    the rungs of one ladder (:class:`DirectLadder`,
+    :class:`AlternatingLadder`), which makes each order's terms from the
+    last order's by one division by n + a; the other routes run order by
+    order.  A rung's value passes the ``lerch_phi`` fault hook as a
+    ``lerch_phi`` value does."""
+    z, s, a = complex(z), complex(s), complex(a)
+    LerchParams(z, s, a)   # refuses what lerch_phi refuses
+    k = 0
+    while True:
+        order = s + k
+        route = _lerch_route(z, order, a)
+        if route == "direct-sum":
+            ladder = DirectLadder(z, order, a)
+        elif route == "cvz-alternating":
+            ladder = AlternatingLadder(order, a, cmath.log(-z))
+        else:
+            yield lerch_phi(LerchParams(z, order, a))
+            k += 1
+            continue
+        positive = order.real > 0.0
+        tag = "lerch/" + route
+        while ((s + k).real > 0.0) == positive:
+            value, err, work = ladder.rung()
+            yield EvalResult(faults.perturb("lerch_phi", value), err, tag, work)
+            k += 1
+
+
 def lerch_phi(p: LerchParams) -> EvalResult:
     """Hurwitz-Lerch transcendent Phi(z, s, a) = sum z^n (n+a)^{-s}.
 
@@ -1179,33 +1323,31 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     every term to the tail bound, so it holds where the terms cancel.
     """
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
+    route = _lerch_route(z, s, a)
 
-    if z == 0.0:
+    if route == "single-term":
         value = cpow(a, -s)
         value = faults.perturb("lerch_phi", value)
         err = 2.2e-16 * (1.0 + abs(s) * (1.0 + abs(cmath.log(a)))) * abs(value)
         return EvalResult(value, err, "lerch/single-term", 1)
 
-    if abs(z - 1.0) < 1e-12:
+    if route == "hurwitz-delegate":
         inner = hurwitz_zeta(s, a)
         value = faults.perturb("lerch_phi", inner.value)
         return EvalResult(value, inner.err_estimate, "lerch/hurwitz-delegate",
                           inner.work)
 
-    inside = abs(z) < 1.0 - 1e-14
-    if s.real > 0.0:
-        budget = direct_length(math.log(abs(z))) if inside else math.inf
-        if z.real < 0.0 and abs(z.imag) < 1e-12:
-            if _cvz_length(s) < budget:
-                value, err, work = alternating_lerch(s, a, cmath.log(-z))
-                return EvalResult(faults.perturb("lerch_phi", value), err,
-                                  "lerch/cvz-alternating", work)
-        elif not inside or budget > _CVZ_MIN and _circle_length(z, s, a) < budget:
-            out = _circle_positive(z, s, a)
-            return EvalResult(faults.perturb("lerch_phi", out.value),
-                              out.err_estimate, out.strategy, out.work)
+    if route == "cvz-alternating":
+        value, err, work = alternating_lerch(s, a, cmath.log(-z))
+        return EvalResult(faults.perturb("lerch_phi", value), err,
+                          "lerch/cvz-alternating", work)
 
-    if inside:
+    if route == "cvz-circle":
+        out = _circle_positive(z, s, a)
+        return EvalResult(faults.perturb("lerch_phi", out.value),
+                          out.err_estimate, out.strategy, out.work)
+
+    if route == "direct-sum":
         return _lerch_direct(z, s, a)
 
     if s == 0.0:

@@ -140,6 +140,33 @@ def pole_free_grid():
         yield t, c
 
 
+def nu_series_grid():
+    """(kind, nu, s, x) for the NuSeries route: x in {0, 0.05, 0.3, 1, 2.5,
+    0.3 + 2i}, Re s in [-4.5, 6] with half the orders real and the others
+    at |Im s| <= 8, and nu real in [0, 4] or complex with Re nu in [0, 4]
+    and |Im nu| <= 3.  Its coefficients at the orders s, s + 1, ... cross
+    every regime of the Lerch and x = 0 routes."""
+    rng = random.Random(20261128)
+    for _ in range(200):
+        kind = rng.choice(("fd", "be"))
+        x = complex(rng.choice((0.0, 0.05, 0.3, 1.0, 2.5, 0.3 + 2j)))
+        s = complex(rng.uniform(-4.5, 6.0), rng.choice((0.0, rng.uniform(-8.0, 8.0))))
+        nu = complex(rng.uniform(0.0, 4.0), rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+        yield kind, nu, s, x
+
+
+def nu_series_real_nu_grid():
+    """(kind, nu, s, x) for the NuSeries route: real nu in [0, 8], Re s in
+    [-4, 5], real or with |Im s| <= 3, and x in {0, 0.3, 1, 2.5}."""
+    rng = random.Random(20261019)
+    for _ in range(160):
+        kind = rng.choice(("fd", "be"))
+        nu = rng.uniform(0.0, 8.0)
+        s = complex(rng.uniform(-4.0, 5.0), rng.choice((0.0, rng.uniform(-3.0, 3.0))))
+        x = rng.choice((0.0, 0.3, 1.0, 2.5))
+        yield kind, nu, s, x
+
+
 GRIDS = {
     "auto_unit_circle": auto_unit_circle_grid,
     "circle_positive_order": circle_positive_order_grid,
@@ -147,6 +174,8 @@ GRIDS = {
     "large_nu": large_nu_grid,
     "imaginary_axis": imaginary_axis_grid,
     "pole_free": pole_free_grid,
+    "nu_series": nu_series_grid,
+    "nu_series_real_nu": nu_series_real_nu_grid,
 }
 
 

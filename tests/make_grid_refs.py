@@ -1,6 +1,7 @@
 """Write grid_refs.json: the 20-digit reference of every point of the
 seeded grids in grids.py, e^{-(nu+1)x} mpmath.lerchphi(-+e^{-x}, s, nu+1),
-or zeta(t, c) - 1/(t - 1) on the pole-free grid.
+its x = 0 value by Hurwitz zeta on the NuSeries grids, or
+zeta(t, c) - 1/(t - 1) on the pole-free grid.
 
 Run offline from the repository root, once, or after a grid changes:
 
@@ -24,7 +25,8 @@ import grids  # noqa: E402
 
 # Working precision of a grid's references where 20 digits do not suffice:
 # within 1e-6 of z = 1, 1 - z = 1 - e^{-x} loses six of them.
-WORK_DPS = {"complex_angle": 40, "large_nu": 30, "imaginary_axis": 40, "pole_free": 40}
+WORK_DPS = {"complex_angle": 40, "large_nu": 30, "imaginary_axis": 40, "pole_free": 40,
+            "nu_series": 30, "nu_series_real_nu": 30}
 
 
 def reference(kind, nu, s, x, dps=20):
@@ -46,7 +48,23 @@ def pole_free_reference(t, c, dps=20):
     return [str(want.real), str(want.imag)]
 
 
-REFERENCES = {"pole_free": pole_free_reference}
+def nu_series_reference(kind, nu, s, x, dps=20):
+    """The reference at complex nu, and at x = 0 zeta(s, a) for be and
+    2^{-s} [zeta(s, a/2) - zeta(s, (a+1)/2)] for fd, a = nu + 1, worked at
+    ``dps`` digits, as a pair of 20-digit strings."""
+    with mpmath.workdps(dps):
+        am, sm, xm = mpmath.mpc(nu) + 1, mpmath.mpc(s), mpmath.mpc(x)
+        if x == 0:
+            want = mpmath.zeta(sm, am) if kind == "be" else mpmath.mpf(2) ** -sm * (
+                mpmath.zeta(sm, am / 2) - mpmath.zeta(sm, (am + 1) / 2))
+        else:
+            z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+            want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, sm, am)
+    return [str(want.real), str(want.imag)]
+
+
+REFERENCES = {"pole_free": pole_free_reference, "nu_series": nu_series_reference,
+              "nu_series_real_nu": nu_series_reference}
 
 
 def main() -> None:

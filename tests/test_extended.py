@@ -3,6 +3,7 @@
 import cmath
 import collections
 import decimal
+import itertools
 import json
 import math
 import random
@@ -857,36 +858,53 @@ class TestStrategies:
         assert rel(ext_be(p, Strategy.NU_SERIES).value, ext_be(p).value) <= 1e-12
 
     def test_nu_series_grid_against_mpmath(self):
-        # nu in [0, 8], Re s in [-4, 5] real and complex, x in {0, 0.3,
-        # 1, 2.5}, both kinds: every point returns within its estimate.
-        mpmath = pytest.importorskip("mpmath")
-        rng = random.Random(20261019)
-        for _ in range(160):
-            kind = rng.choice(("fd", "be"))
-            nu = rng.uniform(0.0, 8.0)
-            s = complex(rng.uniform(-4.0, 5.0), rng.choice((0.0, rng.uniform(-3.0, 3.0))))
-            x = rng.choice((0.0, 0.3, 1.0, 2.5))
-            f = ext_fd if kind == "fd" else ext_be
-            got = f(ExtParams(nu, s, x), Strategy.NU_SERIES)
-            if x:
-                want = oracles.ext_defining_sum(mpmath, kind, nu, s, x)
-            else:
-                with mpmath.workdps(30):
-                    a = mpmath.mpf(nu) + 1
-                    want = mpmath.zeta(s, a) if kind == "be" else (
-                        mpmath.mpf(2) ** -mpmath.mpc(s)
-                        * (mpmath.zeta(s, a / 2) - mpmath.zeta(s, (a + 1) / 2)))
-            gap = abs(mpmath.mpc(got.value) - want)
-            assert gap <= got.err_estimate, (kind, nu, s, x)
-            assert gap <= 1e-10 * abs(want), (kind, nu, s, x)
+        # grids.nu_series_real_nu_grid: nu in [0, 8], Re s in [-4, 5] real
+        # and complex, x in {0, 0.3, 1, 2.5}, both kinds: every point
+        # returns within its estimate and 1e-10 of the frozen reference.
+        for (kind, nu, s, x), ref in grid_refs("nu_series_real_nu"):
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x), Strategy.NU_SERIES)
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
+            assert gap <= decimal.Decimal(1e-10) * ref_abs, (kind, nu, s, x)
+
+    def test_nu_series_ladder_grid_against_mpmath(self):
+        # grids.nu_series_grid: x in {0, 0.05, 0.3, 1, 2.5, 0.3 + 2i}, Re s
+        # in [-4.5, 6], |Im s| <= 8, real and complex nu; the coefficients
+        # cross every regime of their order ladders.  Every point that
+        # returns is tagged nu-series and within its estimate of the frozen
+        # reference, and within 1e-10 of it but at one known limit: fd at
+        # x = 0 next to Re s = -4 takes its coefficients at Re(s + k) in
+        # (-4, -3] from Euler-Maclaurin halves, good to about 1e-9 there.
+        # Where |Im nu|/|nu + 1|, the least ratio over the shifts m, passes
+        # 0.93, the weights (s)_k (m - nu)^k/k! leave the double range
+        # before the series converges, and the route refuses.
+        refused, loose = [], []
+        for (kind, nu, s, x), ref in grid_refs("nu_series"):
+            point = (kind, nu, s, x)
+            try:
+                got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x), Strategy.NU_SERIES)
+            except ConvergenceError:
+                refused.append(point)
+                continue
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert got.strategy == f"{kind}/nu-series", point
+            assert gap <= decimal.Decimal(got.err_estimate), point
+            if gap > decimal.Decimal(1e-10) * ref_abs:
+                assert gap <= decimal.Decimal(1e-8) * ref_abs, point
+                loose.append(point)
+        assert len(refused) == 2
+        assert all(abs(nu.imag) / abs(nu + 1.0) > 0.93 for _, nu, _, _ in refused)
+        assert [(kind, x) for kind, _, _, x in loose] == [("fd", 0.0)]
+        assert all(-4.5 <= s.real <= -4.0 for _, _, s, _ in loose)
 
     def test_nu_series_bench_grid_work(self):
         # table-bulk's two NuSeries grids and their nu + 1/8 twins.  The
-        # work counter is deterministic; about nu = 0 these 336 points take
-        # 361,419 units, 150,296 of them at nu = 7/8, where the series
-        # converged like (7/8)^k and (s)_k overflowed near k = 170.  About
-        # m = 1 it converges like (1/16)^k; there every point, and x = 0.3,
-        # must also agree with AUTO.
+        # work counter is deterministic: about the integer of least ratio
+        # these 336 points take 115,176 units.  (About nu = 0 they took
+        # 361,419, 150,296 of them at nu = 7/8, where the series converged
+        # like (7/8)^k; about m = 1 it converges like (1/16)^k.)  The
+        # coefficient ladders make as many terms as order-by-order sums.  At
+        # nu = 7/8 every point, and x = 0.3, must also agree with AUTO.
         work = 0
         for f in (ext_fd, ext_be):
             for nu in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875):
@@ -900,7 +918,39 @@ class TestStrategies:
                             assert rel(ns.value, f(p).value) <= 1e-10, (f, p)
                         if x != 0.3:
                             work += ns.work
-        assert work <= 0.4 * 361_419
+        assert work <= 115_176
+
+    def test_lerch_fault_moves_every_nu_series_rung(self):
+        # At x != 0 every coefficient of the nu series is a lerch_phi value
+        # or a ladder rung in its place, and an armed lerch_phi fault must
+        # scale each by 1 + 1e-6, so the value moves by 1e-6 of itself: the
+        # direct sum at Re(s + k) <= 0 and > 0, the alternating sum (fd at
+        # x = 0.05), the circle sum order by order (complex x).  At x = 0
+        # fd's coefficients never passed through lerch_phi (its alternating
+        # sums have no hook), and stay put bit for bit.
+        cases = [("fd", 1.25, -3.5 + 2j, 0.05), ("be", 0.5, -4.5, 0.3),
+                 ("fd", 2.375, -1.5 - 3j, 0.3 + 2j), ("be", 1.0 + 1j, 0.5, 1.0)]
+        ladders = [("fd", 1, -3.5 + 2j, 0.05), ("be", 0, -4.5, 0.3),
+                   ("fd", 2, -1.5 - 3j, 0.3 + 2j), ("fd", 2, -6.5, 0.0)]
+        at_zero = [(1.25, -6.5), (0.75, 0.5 + 1j), (2.0, -2.0), (0.125, 2.5)]
+
+        def runs():
+            values = [(ext_fd if kind == "fd" else ext_be)(
+                ExtParams(nu, s, x), Strategy.NU_SERIES) for kind, nu, s, x in cases]
+            rungs = [[c.value for c in itertools.islice(
+                extended._nu_coefficients(kind, m, complex(s), complex(x)), 40)]
+                for kind, m, s, x in ladders]
+            fd_zero = [ext_fd(ExtParams(nu, s, 0.0), Strategy.NU_SERIES) for nu, s in at_zero]
+            return values, rungs, fd_zero
+
+        clean = runs()
+        with faults.inject("lerch_phi"):
+            faulty = runs()
+        for c, f in zip(clean[0], faulty[0]):
+            assert rel(f.value - c.value, 1e-6 * c.value) <= 1e-5
+        for c, f in zip(clean[1][:3], faulty[1][:3]):
+            assert f == [v * (1.0 + 1e-6) for v in c]
+        assert faulty[1][3] == clean[1][3] and faulty[2] == clean[2]
 
     def test_nu_series_at_complex_nu(self):
         # Centred at floor(m*), m* = Re nu + (Im nu)^2/(Re nu + 1), where

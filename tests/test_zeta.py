@@ -1131,6 +1131,101 @@ class TestTransformationPair:
                     == zeta_module.circle_lerch(zeta_module._circle_weights(z.conjugate(), t), t, c))
 
 
+class TestOrderLadders:
+    """Lerch sums at the orders s, s + 1, s + 2, ...: the direct and the
+    alternating sums step their terms from order to order by one division
+    by n + a, inside one regime of the route rule, and every order agrees
+    with its own sum."""
+
+    # (z, s, a): fd at x = 1 with an order 1e-3 past a real zero of Phi
+    # (s + 2, where |Phi| is too small for the held prefix's stopping test),
+    # Re(s + k) crossing 0; fd at x = 0.05, the direct sum below Re 0 and
+    # the alternating sum above; be at x = 0.3; complex x, the direct sum
+    # and then the circle sum order by order; an integer order that meets
+    # 0 and 1; and z within 1e-12 of 1, Hurwitz zeta order by order.
+    ZERO = -2.71882486427315   # Phi(-e^{-1}, s, 1) = 0, from mpmath
+    # (z, s, a, the order whose held prefix fails)
+    LERCH = [(-math.exp(-1.0), ZERO - 2.0 + 1e-3, 1.0, 2),
+             (-math.exp(-0.05), -3.5 + 2j, 2.0, None),
+             (math.exp(-0.3), -4.5 + 1j, 3.0, None),
+             (-cmath.exp(-0.3 - 2j), -2.5 - 3j, 2.0, None),
+             (math.exp(-2.5), -1.0, 1.0, None),
+             (math.exp(-1e-13), -2.5, 2.0, None)]
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = [0]
+        cpow = zeta_module.cpow
+
+        def counting_cpow(base, expo):
+            calls[0] += 1
+            return cpow(base, expo)
+
+        monkeypatch.setattr(zeta_module, "cpow", counting_cpow)
+        return calls
+
+    def test_lerch_rungs_agree_with_each_order(self, monkeypatch):
+        # Each of orders s .. s + 40 takes lerch_phi's route and agrees with
+        # lerch_phi there within the two estimates.  A held rung makes no
+        # power; a rung whose held prefix fails its stopping test sums its
+        # order afresh (the order past the zero), as does the first rung of
+        # each regime.
+        routes = set()
+        for z, s, a, afresh in self.LERCH:
+            orders = zeta_module.lerch_orders(z, s, a)
+            for k in range(41):
+                calls = self._counted(monkeypatch)
+                rung = next(orders)
+                monkeypatch.undo()
+                want = lerch_phi(LerchParams(z, s + k, a))
+                routes.add(rung.strategy)
+                assert rung.strategy == want.strategy, (z, s, a, k)
+                assert abs(rung.value - want.value) <= rung.err_estimate + want.err_estimate
+                first = k == 0 or (s + k).real > 0.0 >= (s + k - 1).real
+                laddered = rung.strategy in ("lerch/direct-sum", "lerch/cvz-alternating")
+                if k == afresh:
+                    assert calls[0] > 0 and rung.work > want.work
+                elif laddered and not first:
+                    assert calls[0] == 0 and rung.work == want.work, (z, s, a, k)
+        assert routes == {"lerch/direct-sum", "lerch/cvz-alternating", "lerch/cvz-circle",
+                          "lerch/hurwitz-delegate"}
+
+    def test_fd_zero_rungs_agree_with_each_order(self):
+        # fd at x = 0: reflection at Re <= -4, the Hurwitz halves on
+        # (-4, 0] and at order 1, the alternating sum above 0, whose rungs
+        # step.  s = -6.5 crosses -4 and 0; s = -2 meets 0 and 1.
+        for m, s in ((1, -6.5), (2, -2.0), (1, -0.75 + 3j), (3, 0.5)):
+            orders = extended._fd_zero_orders(complex(m), complex(s))
+            tags = []
+            for k in range(41):
+                rung = next(orders)
+                want = extended._fd_zero(complex(m), s + k)
+                tags.append(rung.strategy)
+                assert rung.strategy == want.strategy, (m, s, k)
+                assert abs(rung.value - want.value) <= rung.err_estimate + want.err_estimate
+            if s == -6.5:
+                assert tags[:3] == ["fd/zero-reflection"] * 3
+                assert tags[3:7] == ["fd/zero-hurwitz-diff"] * 4 and tags[7] == "fd/zero-alternating-cvz"
+            if s == -2.0:
+                assert tags[2:4] == ["fd/zero-hurwitz-diff"] * 2 and tags[4] == "fd/zero-alternating-cvz"
+
+    @pytest.mark.parametrize("make", [
+        lambda: zeta_module.DirectLadder(-math.exp(-0.3), 0.5, 1.0),
+        lambda: zeta_module.DirectLadder(cmath.exp(-1.0 + 2j), 0.25 + 1j, 2.0),
+        lambda: zeta_module.AlternatingLadder(0.5, 1.0),
+        lambda: zeta_module.AlternatingLadder(1.5 - 2j, 3.0, -0.05),
+    ])
+    def test_estimate_charges_every_division(self, make):
+        # Rung k's terms went through k divisions since their powers were
+        # made, 2.2e-16 relative each (n + a is exact at integer a); the
+        # estimate charges that on sum |term| >= |value|.
+        ladder = make()
+        for _ in range(41):
+            value, err, _ = ladder.rung()
+            assert err >= 2.2e-16 * (ladder.k - 1) * abs(value)
+        assert ladder.k == 41
+
+
 class TestPolylog:
     def test_reference_values(self):
         assert rel(polylog(math.exp(-1.0), 2.0).value, oracles.LI2_INV_E) <= 1e-12
