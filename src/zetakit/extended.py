@@ -113,9 +113,9 @@ from .zeta import (
     MAX_TERMS,
     MULT_CAP,
     REL_TOL,
-    AlternatingLadder,
     LerchParams,
     ReflectionLadder,
+    alternating_ladder,
     alternating_lerch,
     circle_pieces,
     digamma,
@@ -228,7 +228,7 @@ def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
 def _fd_zero_orders(nu: complex, s: complex) -> Iterator[EvalResult]:
     """_fd_zero(nu, s + k) at k = 0, 1, 2, ..., each by the route _fd_zero
     takes at its order; the alternating sums above order 0 (order 1 aside)
-    are the rungs of one :class:`zeta.AlternatingLadder`.  Those orders
+    are the rungs of one :func:`zeta.alternating_ladder`.  Those orders
     follow one another: order 1 can only come before them."""
     ladder = None
     for k in itertools.count():
@@ -237,8 +237,8 @@ def _fd_zero_orders(nu: complex, s: complex) -> Iterator[EvalResult]:
             yield _fd_zero(nu, order)
             continue
         if ladder is None:
-            ladder = AlternatingLadder(order, nu + 1.0)
-        value, err, work = ladder.rung()
+            ladder = alternating_ladder(order, nu + 1.0)
+        value, err, work = next(ladder)
         yield EvalResult(value, err, "fd/zero-alternating-cvz", work)
 
 

@@ -688,63 +688,61 @@ def _cvz_length(s: complex, rate: float = _CVZ_RATE) -> int:
     return max(_CVZ_MIN, math.ceil((0.5 * _PI * abs(s.imag) + 36.0) / rate))
 
 
-class AlternatingLadder:
-    """Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s} by the
-    Cohen-Rodriguez Villegas-Zagier weights at the orders s, s + 1, s + 2,
-    ...: w = e^{log_w} in (0, 1], Re(s) > 0.
+def _alternating_sum(terms: list[complex], expo: float) -> tuple[complex, float, int]:
+    """(value, err, work) of the CVZ sum of the n = len(terms) terms, each
+    carrying at most 2.2e-16 (1 + expo) relative rounding: err is
+    |S_n - S_{3n/4}| plus that rounding on every term; work is n."""
+    n = len(terms)
+    value = alternating_sum_cvz(terms.__getitem__, n)
+    gap = abs(value - alternating_sum_cvz(terms.__getitem__, 3 * n // 4))
+    err = gap + 2.2e-16 * (1.0 + expo) * math.fsum(map(abs, terms))
+    return value, err + 1e-15 * abs(value), n
 
-    Each call of :meth:`rung` returns (value, err, work) at the current
-    order and steps to the next; :func:`alternating_lerch`, the sum at one
-    order, is the first rung.  The error of the sum S_n of n terms grows
-    like e^{pi |Im s|/2} (3+sqrt 8)^{-n}, so n, set up front, is the least
-    length from 32 that puts that size for S_{floor(3n/4)} below e^{-36}:
-    32 up to |Im s| = 4, 99 at 60, 1,216 at 1,000.  It depends on s only
-    through |Im s|, so every rung sums the same n terms, and a step makes
-    the next order's by one division of each by k + a.  The first rung's
-    terms are ``cpow`` powers at w = 1 and one exponential
-    exp(k log w - s log(k+a)) otherwise, the faster there; either carries at
-    most 2.2e-16 (1 + expo) relative rounding, expo = |s| (1 + |log(k+a)|)
-    + k |log w| at the first rung's s, and rung j adds 2.2e-16 j, one
-    rounding per division (k + a is exact at the integer a the nu series
-    steps at).  err is |S_n - S_{3n/4}| plus that on every term; work is n.
-    """
 
-    __slots__ = ("s", "a", "log_w", "k", "n", "terms")
-
-    def __init__(self, s: complex, a: complex, log_w: complex = 0.0) -> None:
-        self.s = s            # the first rung's order; rung j's is s + j
-        self.a = a
-        self.log_w = log_w
-        self.k = 0
-        self.n = _cvz_length(s)
-        self.terms: list[complex] = []
-
-    def rung(self) -> tuple[complex, float, int]:
-        """(value, err, work) at the current order, then step to the next."""
-        k, n, a, s, log_w = self.k, self.n, self.a, self.s, self.log_w
-        if k:
-            terms = list(map(operator.truediv, self.terms,
-                             [j + a for j in range(n)]))
-        elif log_w:
-            terms = [cmath.exp(j * log_w - s * cmath.log(j + a)) for j in range(n)]
-        else:
-            neg_s = -s
-            terms = [cpow(j + a, neg_s) for j in range(n)]
-        self.terms = terms
-        self.k = k + 1
-        value = alternating_sum_cvz(terms.__getitem__, n)
-        gap = abs(value - alternating_sum_cvz(terms.__getitem__, 3 * n // 4))
-        expo = abs(s) * (1.0 + max_abs_log(a, n)) + (n - 1) * abs(log_w) + k
-        err = gap + 2.2e-16 * (1.0 + expo) * math.fsum(map(abs, terms))
-        return value, err + 1e-15 * abs(value), n
+def _alternating_terms(s: complex, a: complex, log_w: complex) -> tuple[list[complex], float]:
+    """The terms w^k (k+a)^{-s} of :func:`alternating_lerch` and their
+    rounding over 2.2e-16 relative."""
+    n = _cvz_length(s)
+    if log_w:
+        terms = [cmath.exp(k * log_w - s * cmath.log(k + a)) for k in range(n)]
+    else:
+        neg_s = -s
+        terms = [cpow(k + a, neg_s) for k in range(n)]
+    return terms, abs(s) * (1.0 + max_abs_log(a, n)) + (n - 1) * abs(log_w)
 
 
 def alternating_lerch(s: complex, a: complex,
                       log_w: complex = 0.0) -> tuple[complex, float, int]:
     """(value, err, work) of Phi(-w, s, a) = sum_k (-1)^k w^k (k+a)^{-s} by
-    the Cohen-Rodriguez Villegas-Zagier weights, w = e^{log_w} in (0, 1],
-    Re(s) > 0: the first rung of an :class:`AlternatingLadder`."""
-    return AlternatingLadder(s, a, log_w).rung()
+    the Cohen-Rodriguez Villegas-Zagier weights: w = e^{log_w} in (0, 1],
+    Re(s) > 0; the first rung of :func:`alternating_ladder`.  The error of
+    the sum S_n of n terms grows like e^{pi |Im s|/2} (3+sqrt 8)^{-n}, so n,
+    set up front, is the least length from 32 that puts that size for
+    S_{floor(3n/4)} below e^{-36}: 32 up to |Im s| = 4, 99 at 60, 1,216 at
+    1,000.  The terms are ``cpow`` powers at w = 1 and one exponential
+    exp(k log w - s log(k+a)) otherwise, the faster there; either carries at
+    most 2.2e-16 (1 + expo) relative rounding, expo = |s| (1 + |log(k+a)|)
+    + k |log w|.  err is |S_n - S_{3n/4}| plus that on every term; work is
+    n.
+    """
+    return _alternating_sum(*_alternating_terms(s, a, log_w))
+
+
+def alternating_ladder(s: complex, a: complex, log_w: complex = 0.0
+                       ) -> Iterator[tuple[complex, float, int]]:
+    """:func:`alternating_lerch` at the orders s, s + 1, s + 2, ..., one
+    (value, err, work) a rung.  n depends on s only through |Im s|, so every
+    rung sums the same n terms, and a step makes the next order's by one
+    division of each by k + a.  Each step adds 2.2e-16 to every term's
+    relative rounding, one rounding per division (k + a is exact at the
+    integer a the nu series steps at)."""
+    terms, expo = _alternating_terms(s, a, log_w)
+    bases = None
+    for k in itertools.count():
+        if k:
+            bases = bases or [j + a for j in range(len(terms))]
+            terms = list(map(operator.truediv, terms, bases))
+        yield _alternating_sum(terms, expo + k)
 
 
 def circle_pieces(theta: float) -> int:
@@ -861,17 +859,76 @@ def _cannot_stop(n: int, nxt: float, mass: float, size: float, r: float,
     return q * tail > 2.0 * REL_TOL * high and q * tail * (1.0 - r) > 1e-290
 
 
-class DirectLadder:
-    """The direct sum of Phi(z, s, a) = sum_n z^n (n+a)^{-s} at |z| < 1, at
-    the orders s, s + 1, s + 2, ...
+def _direct_rung(z: complex, s: complex, a: complex, held: list[complex] | None = None,
+                 k: int = 0, expo: float = 0.0
+                 ) -> tuple[complex, float, int, list[complex], float] | None:
+    """One rung of :func:`direct_ladder` at order s: (value, err, work,
+    terms 0..n, expo), expo the terms' ``cpow`` rounding over 2.2e-16; None
+    where the held terms, made k steps ago, have no prefix that passes this
+    order's stopping test."""
+    r = abs(z)
+    gap = 1.0 - r
+    # A check needs r^{N-n} > 2 REL_TOL: skip all unless so at n = N/2.
+    checking = r ** (MAX_TERMS // 2) > 2.0 * REL_TOL
+    sigma = s.real
+    if k:
+        terms = held
+        terms[0] = term = terms[0] / a
+        count = len(terms)
+    else:
+        neg_s = -s
+        zpow = complex(1.0)
+        power = cpow(a, neg_s)
+        term = zpow * power
+        terms = [term]
+    total = complex(0.0)
+    mass = abs(term)   # sum of |term_j| over the terms taken
+    kmass = 0.0        # sum of j |term_j|
+    for n in range(1, MAX_TERMS + 1):
+        total += term
+        # The next term, whose modulus bounds the geometric tail.
+        if not k:
+            zpow *= z
+            power = cpow(n + a, neg_s)
+            term = zpow * power
+            terms.append(term)
+            nxt = abs(zpow) * abs(power)
+        elif n < count:
+            terms[n] = term = terms[n] / (n + a)
+            nxt = abs(term)
+        else:
+            return None
+        bound = nxt / gap
+        if sigma < 0.0:
+            bound *= (1.0 + 2.0 / (n * gap)) ** (-sigma)
+        if n >= 4 and bound <= REL_TOL * max(abs(total), 1e-300):
+            del terms[n:]
+            value = compensated_sum(terms)
+            terms.append(term)
+            if not k:
+                expo = abs(s) * (1.0 + max_abs_log(a, n))
+            err = bound + 2.2e-16 * ((2.0 + k + expo) * mass + kmass)
+            return value, err + 1e-16 * abs(value), n + 1, terms, expo
+        if (checking and n & (n - 1) == 0 and n + a.real > 0.0
+                and _cannot_stop(n, nxt, mass, abs(total), r, s, a)):
+            break
+        mass += nxt
+        kmass += n * nxt
+    raise ConvergenceError(
+        f"direct Lerch sum not converged in {MAX_TERMS} terms"
+    )
 
-    Each call of :meth:`rung` returns (value, err, work) at the current
-    order and steps to the next; :func:`_lerch_direct`, the sum at one
-    order, is the first rung.  A rung stops at the first n >= 4 where the
-    tail bound |term_n|/(1 - |z|), times the growth guard
-    (1 + 2/(n (1 - |z|)))^{-Re s} at Re(s) < 0, is at most REL_TOL
-    |partial sum|, and holds terms 0..n.  The first rung builds term n as
-    z^n times ``cpow``'s (n+a)^{-s}; at n = 1, 2, 4, ... it raises
+
+def direct_ladder(z: complex, s: complex, a: complex
+                  ) -> Iterator[tuple[complex, float, int]]:
+    """The direct sum of Phi(z, s + k, a) = sum_n z^n (n+a)^{-s-k} at
+    |z| < 1 at k = 0, 1, 2, ..., one (value, err, work) a rung;
+    :func:`_lerch_direct`, the sum at one order, is the first.
+
+    A rung stops at the first n >= 4 where the tail bound |term_n|/(1 - |z|),
+    times the growth guard (1 + 2/(n (1 - |z|)))^{-Re s} at Re(s) < 0, is at
+    most REL_TOL |partial sum|, and holds terms 0..n.  The first rung builds
+    term n as z^n times ``cpow``'s (n+a)^{-s}; at n = 1, 2, 4, ... it raises
     ConvergenceError once no later test can pass within MAX_TERMS terms
     (:func:`_cannot_stop`).  A later rung makes its terms from the held
     ones by one division by n + a each, as far as its own stopping test
@@ -882,91 +939,28 @@ class DirectLadder:
 
     Term n carries 2.2e-16 relative error from its own rounding, 2.2e-16 n
     from the n products building z^n, cpow's 2.2e-16 (1 + |s| (1 +
-    |log(n+a)|)) at the first rung's s, and 2.2e-16 per step since, one
-    rounding per division (n + a is exact at the integer a the nu series
-    steps at).  With the terms summed
-    exactly, that rounding plus the tail bound is the error, however much
-    the terms cancel.  work counts the terms made, by ``cpow`` or by
-    division.
+    |log(n+a)|)) at the order its power was made, and 2.2e-16 per step
+    since, one rounding per division (n + a is exact at the integer a the
+    nu series steps at).  With the terms summed exactly, that rounding plus
+    the tail bound is the error, however much the terms cancel.  work counts
+    the terms made, by ``cpow`` or by division.
     """
-
-    __slots__ = ("z", "s", "a", "k", "r", "checking", "terms", "expo")
-
-    def __init__(self, z: complex, s: complex, a: complex) -> None:
-        self.z = z
-        self.s = s            # the first rung's order; rung k's is s + k
-        self.a = a
-        self.k = 0
-        self.r = r = abs(z)
-        # A check needs r^{N-n} > 2 REL_TOL: skip all unless so at n = N/2.
-        self.checking = r ** (MAX_TERMS // 2) > 2.0 * REL_TOL
-        self.terms: list[complex] = []
-        self.expo = 0.0       # cpow's rounding at the first rung, over 2.2e-16
-
-    def rung(self) -> tuple[complex, float, int]:
-        """(value, err, work) at the current order, then step to the next."""
-        k, z, a, r = self.k, self.z, self.a, self.r
-        terms = self.terms
-        if k:
-            s = self.s + k
-            terms[0] = term = terms[0] / a
-            held = len(terms)
-        else:
-            s = self.s
-            zpow = complex(1.0)
-            power = cpow(a, -s)
-            term = zpow * power
-            terms = [term]
-        sigma = s.real
-        total = complex(0.0)
-        mass = abs(term)   # sum of |term_j| over the terms taken
-        kmass = 0.0        # sum of j |term_j|
-        gap = 1.0 - r
-        checking = self.checking
-        for n in range(1, MAX_TERMS + 1):
-            total += term
-            # The next term, whose modulus bounds the geometric tail.
-            if not k:
-                zpow *= z
-                power = cpow(n + a, -s)
-                term = zpow * power
-                terms.append(term)
-                nxt = abs(zpow) * abs(power)
-            elif n < held:
-                terms[n] = term = terms[n] / (n + a)
-                nxt = abs(term)
-            else:
-                # No held prefix passes this order's test: sum it afresh.
-                self.s, self.k, self.terms = s, 0, []
-                value, err, work = self.rung()
-                return value, err, work + n
-            bound = nxt / gap
-            if sigma < 0.0:
-                bound *= (1.0 + 2.0 / (n * gap)) ** (-sigma)
-            if n >= 4 and bound <= REL_TOL * max(abs(total), 1e-300):
-                del terms[n + 1:]
-                self.terms = terms
-                self.k = k + 1
-                value = compensated_sum(terms[:n])
-                if not k:
-                    # Later rungs hold a prefix of this rung's terms.
-                    self.expo = abs(s) * (1.0 + max_abs_log(a, n))
-                err = bound + 2.2e-16 * ((2.0 + k + self.expo) * mass + kmass)
-                return value, err + 1e-16 * abs(value), n + 1
-            if (checking and n & (n - 1) == 0 and n + a.real > 0.0
-                    and _cannot_stop(n, nxt, mass, abs(total), r, s, a)):
-                break
-            mass += nxt
-            kmass += n * nxt
-        raise ConvergenceError(
-            f"direct Lerch sum not converged in {MAX_TERMS} terms"
-        )
+    base, k, terms, expo, made = s, 0, None, 0.0, 0
+    while True:
+        out = _direct_rung(z, base + k if k else base, a, terms, k, expo)
+        if out is None:
+            # No held prefix passes: sum this order afresh.
+            base, k, made = base + k, 0, made + len(terms)
+            continue
+        value, err, work, terms, expo = out
+        yield value, err, work + made
+        k, made = k + 1, 0
 
 
 def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
     """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1, the first rung
-    of a :class:`DirectLadder`; see lerch_phi."""
-    value, err, work = DirectLadder(z, s, a).rung()
+    of :func:`direct_ladder`; see lerch_phi."""
+    value, err, work, _, _ = _direct_rung(z, s, a)
     return EvalResult(faults.perturb("lerch_phi", value), err, "lerch/direct-sum", work)
 
 
@@ -1248,8 +1242,8 @@ def lerch_orders(z: complex, s: complex, a: complex) -> Iterator[EvalResult]:
     """lerch_phi(LerchParams(z, s + k, a)) at k = 0, 1, 2, ..., each by the
     route :func:`lerch_phi` takes at its order.  Where that route is the
     direct or the alternating sum, the orders of one sign of Re(s + k) are
-    the rungs of one ladder (:class:`DirectLadder`,
-    :class:`AlternatingLadder`), which makes each order's terms from the
+    the rungs of one ladder (:func:`direct_ladder`,
+    :func:`alternating_ladder`), which makes each order's terms from the
     last order's by one division by n + a; the other routes run order by
     order.  A rung's value passes the ``lerch_phi`` fault hook as a
     ``lerch_phi`` value does."""
@@ -1260,9 +1254,9 @@ def lerch_orders(z: complex, s: complex, a: complex) -> Iterator[EvalResult]:
         order = s + k
         route = _lerch_route(z, order, a)
         if route == "direct-sum":
-            ladder = DirectLadder(z, order, a)
+            ladder = direct_ladder(z, order, a)
         elif route == "cvz-alternating":
-            ladder = AlternatingLadder(order, a, cmath.log(-z))
+            ladder = alternating_ladder(order, a, cmath.log(-z))
         else:
             yield lerch_phi(LerchParams(z, order, a))
             k += 1
@@ -1270,7 +1264,7 @@ def lerch_orders(z: complex, s: complex, a: complex) -> Iterator[EvalResult]:
         positive = order.real > 0.0
         tag = "lerch/" + route
         while ((s + k).real > 0.0) == positive:
-            value, err, work = ladder.rung()
+            value, err, work = next(ladder)
             yield EvalResult(faults.perturb("lerch_phi", value), err, tag, work)
             k += 1
 
@@ -1325,6 +1319,9 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
     route = _lerch_route(z, s, a)
 
+    if route == "direct-sum":
+        return _lerch_direct(z, s, a)
+
     if route == "single-term":
         value = cpow(a, -s)
         value = faults.perturb("lerch_phi", value)
@@ -1346,9 +1343,6 @@ def lerch_phi(p: LerchParams) -> EvalResult:
         out = _circle_positive(z, s, a)
         return EvalResult(faults.perturb("lerch_phi", out.value),
                           out.err_estimate, out.strategy, out.work)
-
-    if route == "direct-sum":
-        return _lerch_direct(z, s, a)
 
     if s == 0.0:
         # sum z^n, exact at z itself: near 1, 1 - z is exact.

@@ -1210,20 +1210,23 @@ class TestOrderLadders:
                 assert tags[2:4] == ["fd/zero-hurwitz-diff"] * 2 and tags[4] == "fd/zero-alternating-cvz"
 
     @pytest.mark.parametrize("make", [
-        lambda: zeta_module.DirectLadder(-math.exp(-0.3), 0.5, 1.0),
-        lambda: zeta_module.DirectLadder(cmath.exp(-1.0 + 2j), 0.25 + 1j, 2.0),
-        lambda: zeta_module.AlternatingLadder(0.5, 1.0),
-        lambda: zeta_module.AlternatingLadder(1.5 - 2j, 3.0, -0.05),
+        lambda: zeta_module.direct_ladder(-math.exp(-0.3), 0.5, 1.0),
+        lambda: zeta_module.direct_ladder(cmath.exp(-1.0 + 2j), 0.25 + 1j, 2.0),
+        lambda: zeta_module.alternating_ladder(0.5, 1.0),
+        lambda: zeta_module.alternating_ladder(1.5 - 2j, 3.0, -0.05),
     ])
-    def test_estimate_charges_every_division(self, make):
+    def test_estimate_charges_every_division(self, monkeypatch, make):
         # Rung k's terms went through k divisions since their powers were
-        # made, 2.2e-16 relative each (n + a is exact at integer a); the
-        # estimate charges that on sum |term| >= |value|.
+        # made (no rung here sums afresh: none makes a power), 2.2e-16
+        # relative each at integer a; the estimate charges that on
+        # sum |term| >= |value|.
         ladder = make()
-        for _ in range(41):
-            value, err, _ = ladder.rung()
-            assert err >= 2.2e-16 * (ladder.k - 1) * abs(value)
-        assert ladder.k == 41
+        next(ladder)
+        calls = self._counted(monkeypatch)
+        for k in range(1, 41):
+            value, err, _ = next(ladder)
+            assert err >= 2.2e-16 * k * abs(value)
+        assert calls[0] == 0
 
 
 class TestPolylog:
