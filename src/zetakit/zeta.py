@@ -906,6 +906,7 @@ def _direct_rung(z: complex, s: complex, a: complex, held: list[complex] | None 
             value = compensated_sum(terms)
             terms.append(term)
             if not k:
+                # Later rungs sum prefixes of these terms: this bound holds.
                 expo = abs(s) * (1.0 + max_abs_log(a, n))
             err = bound + 2.2e-16 * ((2.0 + k + expo) * mass + kmass)
             return value, err + 1e-16 * abs(value), n + 1, terms, expo
