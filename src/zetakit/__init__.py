@@ -1,6 +1,13 @@
 """zetakit: extended Fermi-Dirac / Bose-Einstein functions, the zeta family,
 and an identity-verification harness with multiple independent evaluation
-strategies per function."""
+strategies per function.
+
+No evaluation needs the harness, so ``zetakit.identities`` (and ``json``
+with it) loads on first use: the module itself and the names the package
+re-exports from it resolve through the module ``__getattr__`` (PEP 562).
+"""
+
+import importlib
 
 from .errors import (
     ConvergenceError,
@@ -21,15 +28,6 @@ from .extended import (
     fd_classical,
     fd_kernel,
     fd_zero_hurwitz_route,
-)
-from .identities import (
-    QUICK_SUBSET,
-    IdentityReport,
-    IdentitySpec,
-    build_catalog,
-    check,
-    reports_to_json,
-    run_catalog,
 )
 from .numeric_core import (
     MAX_POLY_DEGREE,
@@ -62,6 +60,28 @@ from .zeta import (
 )
 
 __version__ = "0.1.0"
+
+# Names re-exported from the identity harness, which loads on first use.
+_HARNESS_NAMES = frozenset({
+    "QUICK_SUBSET",
+    "IdentityReport",
+    "IdentitySpec",
+    "build_catalog",
+    "check",
+    "reports_to_json",
+    "run_catalog",
+})
+
+
+def __getattr__(name: str):
+    if name != "identities" and name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    harness = importlib.import_module(".identities", __name__)
+    if name == "identities":
+        return harness
+    value = getattr(harness, name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     # errors & result record

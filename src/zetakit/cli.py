@@ -50,12 +50,6 @@ from .extended import (
     ext_fd,
     fd_classical,
 )
-from .identities import (
-    QUICK_SUBSET,
-    mult_5_10_printed_form_gap,
-    reports_to_json,
-    run_catalog,
-)
 from .result import EvalResult
 from .zeta import (
     LerchParams,
@@ -442,6 +436,8 @@ def _armed_fault(args: argparse.Namespace):
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .identities import mult_5_10_printed_form_gap, reports_to_json, run_catalog
+
     names: Sequence[str] | None = args.only or None
     try:
         with _armed_fault(args):
@@ -517,6 +513,8 @@ def golden_checks() -> list[dict]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .identities import QUICK_SUBSET, run_catalog
+
     names = list(QUICK_SUBSET) if args.quick else None
 
     started = time.monotonic()

@@ -696,6 +696,16 @@ def ext_be_negint_exact(nu: Union[int, Fraction], n: int) -> Fraction:
 
 
 def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
+    """The closed forms at s = -n: be(nu, -n, 0) = -B_{n+1}(nu+1)/(n+1),
+    fd(nu, -n, 0) = E_n(nu+1)/2 and fd(nu, -n, i pi) =
+    e^{-i pi nu} B_{n+1}(nu+1)/(n+1), each polynomial by Horner's rule in
+    floating point.  The estimate is Horner's bound
+    (``PolyCoeffs.evaluate_bounded``) carried through the last steps: the
+    division by n + 1 rounds by 1.1e-16 of the value, and e^{-i pi nu} is
+    off by at most (3 + 7 |nu|) 1.1e-16 of itself (its exponent's
+    rounding, pi's included, and the exponential's), its product by
+    sqrt(5) 1.1e-16 more.
+    """
     if not _near_nonpos_int(s):
         raise DomainError(
             "exact-polynomial route needs a non-positive integer order"
@@ -704,17 +714,20 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if kind == "be":
         if abs(x) > 1e-12:
             raise DomainError("exact be values exist at x = 0 only")
-        value = -bernoulli_poly_coeffs(n + 1).evaluate(nu + 1.0) / (n + 1)
-        return EvalResult(complex(value), 5e-15 * (1.0 + abs(value)),
+        poly, err = bernoulli_poly_coeffs(n + 1).evaluate_bounded(nu + 1.0)
+        value = -poly / (n + 1)
+        return EvalResult(value, err / (n + 1) + 1.1e-16 * abs(value),
                           "be/negint-bernoulli", n + 2)
     if abs(x) <= 1e-12:
-        value = euler_poly_coeffs(n).evaluate(nu + 1.0) / 2
-        return EvalResult(complex(value), 5e-15 * (1.0 + abs(value)),
-                          "fd/negint-euler-exact", n + 2)
+        poly, err = euler_poly_coeffs(n).evaluate_bounded(nu + 1.0)
+        return EvalResult(poly / 2, err / 2, "fd/negint-euler-exact", n + 2)
     if abs(x - 1j * _PI) <= 1e-12:
-        base = bernoulli_poly_coeffs(n + 1).evaluate(nu + 1.0) / (n + 1)
-        value = cmath.exp(-1j * _PI * nu) * base
-        return EvalResult(value, 5e-15 * (1.0 + abs(value)),
+        poly, err = bernoulli_poly_coeffs(n + 1).evaluate_bounded(nu + 1.0)
+        base = poly / (n + 1)
+        phase = cmath.exp(-1j * _PI * nu)
+        value = phase * base
+        err = abs(phase) * (err / (n + 1) + 1.1e-16 * abs(base))
+        return EvalResult(value, err + 1.1e-16 * (6.0 + 7.0 * abs(nu)) * abs(value),
                           "fd/negint-bernoulli-pi", n + 2)
     raise DomainError(
         "exact fd values exist at x = 0 and x = i pi only"

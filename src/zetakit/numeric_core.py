@@ -2,10 +2,15 @@
 
 Exact layer
     Bernoulli numbers and Bernoulli/Euler polynomials are kept as
-    ``fractions.Fraction`` objects (arbitrary-precision rationals), built by
-    the Akiyama-Tanigawa triangle.  Polynomial evaluation is Horner's rule on
-    the exact coefficient list; feeding a ``Fraction``/``int`` argument stays
-    exact, anything else drops to complex floating point.
+    ``fractions.Fraction`` objects (arbitrary-precision rationals), built
+    from integer recurrences: the Bernoulli numbers from the tangent
+    numbers (Brent and Harvey's in-place triangle), the Euler polynomials
+    from their values at 0, which satisfy the generating-function
+    recursion of the Euler layer itself.  Polynomial evaluation is Horner's
+    rule on the exact coefficient list; feeding a ``Fraction``/``int``
+    argument stays exact, anything else drops to complex floating point,
+    and ``PolyCoeffs.evaluate_bounded`` gives that float value with a bound
+    on its rounding.
 
 Floating layer
     ``ln_gamma`` is a Lanczos-class rational approximation (g = 607/128,
@@ -201,20 +206,28 @@ _BERNOULLI: list[Fraction] = []
 
 
 def _extend_bernoulli(upto: int) -> None:
-    # Akiyama-Tanigawa triangle; it natively produces the +1/2 convention
-    # for index 1, which is flipped to match B_n = B_n(0).
+    # B_2k = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)) from the tangent numbers
+    # T_k, built in integers by Brent and Harvey's (2011) triangle; the odd
+    # entries past B_1 = -1/2 vanish.
     if len(_BERNOULLI) > upto:
         return
-    n = upto + 1
-    row = [Fraction(1, j + 1) for j in range(n)]
-    out: list[Fraction] = [row[0]]
-    for m in range(1, n):
-        for j in range(n - m):
-            row[j] = (j + 1) * (row[j] - row[j + 1])
-        out.append(row[0])
-    out[1] = Fraction(-1, 2)
-    _BERNOULLI.clear()
-    _BERNOULLI.extend(out)
+    half = upto // 2
+    tangent = [0] * (half + 1)
+    if half:
+        tangent[1] = 1
+    for k in range(2, half + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    out = [Fraction(0)] * (upto + 1)
+    out[0] = Fraction(1)
+    if upto:
+        out[1] = Fraction(-1, 2)
+    for k in range(1, half + 1):
+        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent[k],
+                              4 ** k * (4 ** k - 1))
+    _BERNOULLI[:] = out
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -263,20 +276,52 @@ class PolyCoeffs:
             accz = accz * xz + complex(c)
         return accz
 
+    def evaluate_bounded(self, x: complex) -> tuple[complex, float]:
+        """(value, err): the complex value ``evaluate`` gives at x, and a
+        bound on |value - p(x)| that also covers x itself off by one
+        rounding, as x = nu + 1 is.
+
+        With d = degree, M = sum_j |c_j| |x|^j and u = 1.1e-16, the bound
+        is (5 d + 2) u M.  Horner's d steps each round a complex product by
+        at most sqrt(5) u and a sum by u, which moves the value by at most
+        (1 + sqrt(5)) d u M; each coefficient's double is off by u of it;
+        and x off by u |x| moves p by at most |x p'(x)| u <= d u M.
+        """
+        xz = require_finite(complex(x), "x")
+        ax = abs(xz)
+        acc = complex(0.0)
+        mass = 0.0
+        for c in reversed(self.coeffs):
+            cz = complex(c)
+            acc = acc * xz + cz
+            mass = mass * ax + abs(cz)
+        return acc, 1.1e-16 * (5 * self.degree + 2) * mass
+
+
+_BERNOULLI_COEFF_CACHE: dict[int, PolyCoeffs] = {}
+
 
 def bernoulli_poly_coeffs(n: int) -> PolyCoeffs:
     """Exact coefficients of the Bernoulli polynomial B_n(x).
 
     B_n(x) = sum_k C(n,k) B_k x^{n-k}; the leading coefficient is 1.
+    Each degree is built once, but never from or into the cache while the
+    ``bernoulli-table`` fault is armed, so the fault reaches every
+    coefficient list built under it and none built after.
     """
     if n < 0:
         raise DomainError("bernoulli_poly_coeffs needs n >= 0")
     if n > MAX_POLY_DEGREE:
         raise RangeError(f"degree {n} exceeds table maximum {MAX_POLY_DEGREE}")
-    coeffs = [
+    faulty = faults.active("bernoulli-table")
+    if not faulty and n in _BERNOULLI_COEFF_CACHE:
+        return _BERNOULLI_COEFF_CACHE[n]
+    poly = PolyCoeffs(tuple(
         math.comb(n, j) * bernoulli_number(n - j) for j in range(n + 1)
-    ]
-    return PolyCoeffs(tuple(coeffs))
+    ))
+    if not faulty:
+        _BERNOULLI_COEFF_CACHE[n] = poly
+    return poly
 
 
 def bernoulli_poly(n: int, x: ExactOrComplex):
@@ -284,30 +329,33 @@ def bernoulli_poly(n: int, x: ExactOrComplex):
     return bernoulli_poly_coeffs(n).evaluate(x)
 
 
+# E_n(0) for n < len, and the coefficient lists of E_n(x) built so far.
+_EULER_AT_ZERO: list[Fraction] = []
 _EULER_COEFF_CACHE: list[PolyCoeffs] = []
 
 
 def euler_poly_coeffs(n: int) -> PolyCoeffs:
     """Exact coefficients of the Euler polynomial E_n(x).
 
-    Built from the generating-function recursion
-        E_n(x) = x^n - (1/2) sum_{k<n} C(n,k) E_k(x),
-    which takes no Bernoulli input, so the Euler layer stays an
+    The generating-function recursion
+        E_n(x) = x^n - (1/2) sum_{k<n} C(n,k) E_k(x)
+    gives at x = 0 the scalars E_n(0) = -(1/2) sum_{k<n} C(n,k) E_k(0),
+    n >= 1, and E_n(x) = sum_j C(n,j) E_{n-j}(0) x^j, as for any Appell
+    sequence.  It takes no Bernoulli input, so the Euler layer stays an
     independent second route to the same special values.
     """
     if n < 0:
         raise DomainError("euler_poly_coeffs needs n >= 0")
     if n + 1 > MAX_POLY_DEGREE:
         raise RangeError(f"degree {n} exceeds table maximum {MAX_POLY_DEGREE - 1}")
+    while len(_EULER_AT_ZERO) <= n:
+        m = len(_EULER_AT_ZERO)
+        _EULER_AT_ZERO.append(Fraction(1) if m == 0 else -sum(
+            math.comb(m, k) * e for k, e in enumerate(_EULER_AT_ZERO)) / 2)
     while len(_EULER_COEFF_CACHE) <= n:
         m = len(_EULER_COEFF_CACHE)
-        coeffs = [Fraction(0)] * (m + 1)
-        coeffs[m] = Fraction(1)
-        for k in range(m):
-            weight = Fraction(math.comb(m, k), 2)
-            for j, ekj in enumerate(_EULER_COEFF_CACHE[k].coeffs):
-                coeffs[j] -= weight * ekj
-        _EULER_COEFF_CACHE.append(PolyCoeffs(tuple(coeffs)))
+        _EULER_COEFF_CACHE.append(PolyCoeffs(tuple(
+            math.comb(m, j) * _EULER_AT_ZERO[m - j] for j in range(m + 1))))
     return _EULER_COEFF_CACHE[n]
 
 

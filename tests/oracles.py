@@ -85,6 +85,35 @@ def bernoulli_numbers(m: int) -> list[Fraction]:
     return b
 
 
+def bernoulli_akiyama_tanigawa(m: int) -> list[Fraction]:
+    """B_0..B_m by the Akiyama-Tanigawa triangle, an O(m^2) rational
+    recurrence.  It gives B_1 = +1/2 natively, flipped here to -1/2."""
+    row = [Fraction(1, j + 1) for j in range(m + 1)]
+    out = [row[0]]
+    for k in range(1, m + 1):
+        for j in range(m + 1 - k):
+            row[j] = (j + 1) * (row[j] - row[j + 1])
+        out.append(row[0])
+    if m >= 1:
+        out[1] = Fraction(-1, 2)
+    return out
+
+
+def euler_poly_coeff_lists(m: int) -> list[list[Fraction]]:
+    """Coefficients (ascending) of E_0(x)..E_m(x) from the polynomial
+    recursion E_n(x) = x^n - (1/2) sum_{k<n} C(n,k) E_k(x), all O(m^3)."""
+    polys: list[list[Fraction]] = []
+    for n in range(m + 1):
+        coeffs = [Fraction(0)] * (n + 1)
+        coeffs[n] = Fraction(1)
+        for k in range(n):
+            weight = Fraction(math.comb(n, k), 2)
+            for j, ekj in enumerate(polys[k]):
+                coeffs[j] -= weight * ekj
+        polys.append(coeffs)
+    return polys
+
+
 def bernoulli_poly_reference(n: int, x: Fraction) -> Fraction:
     """B_n(x) from the explicit sum over the Bernoulli numbers."""
     b = bernoulli_numbers(n)

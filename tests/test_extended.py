@@ -1321,6 +1321,42 @@ class TestExactNegIntLayer:
                 want_be = float(ext_be_negint_exact(Fraction(nu), n))
                 assert abs(got_be - want_be) <= 1e-11 * (1.0 + abs(want_be))
 
+    def test_float_route_estimates_are_honest(self):
+        # Every float closed form at s = -n, n = 0..63, lies within its
+        # estimate of the exact value at the double nu: the exact functions
+        # at real nu, the exact coefficients summed at 80 digits at complex
+        # nu, times e^{-i pi nu} at x = i pi.
+        mpmath = pytest.importorskip("mpmath")
+        route = Strategy.NEG_INT_BERNOULLI
+
+        def mp(q: Fraction):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        def horner(poly, a):
+            acc = mpmath.mpc(0)
+            for c in reversed(poly.coeffs):
+                acc = acc * a + mp(c)
+            return acc
+
+        with mpmath.workdps(80):
+            for n in range(64):
+                for nu in (0.0, 0.5, 2.3, 7.25, 1 + 2j, 0.3 - 0.7j):
+                    if isinstance(nu, complex):
+                        a = mpmath.mpc(nu) + 1
+                        be = -horner(numeric_core.bernoulli_poly_coeffs(n + 1), a) / (n + 1)
+                        fd = horner(numeric_core.euler_poly_coeffs(n), a) / 2
+                    else:
+                        be = mp(ext_be_negint_exact(Fraction(nu), n))
+                        fd = mp(ext_fd_negint_exact(Fraction(nu), n))
+                    fd_pi = -mpmath.exp(-1j * mpmath.pi * mpmath.mpc(nu)) * be
+                    for got, want in (
+                        (ext_be(ExtParams(nu, -n, 0.0), route), be),
+                        (ext_fd(ExtParams(nu, -n, 0.0), route), fd),
+                        (ext_fd(ExtParams(nu, -n, 1j * math.pi), route), fd_pi),
+                    ):
+                        assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (
+                            got.strategy, n, nu)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             ext_fd_negint_exact(Fraction(1), -1)

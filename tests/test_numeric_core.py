@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from zetakit import (
     MAX_POLY_DEGREE,
+    faults,
     DomainError,
     PolyCoeffs,
     RangeError,
@@ -24,7 +25,13 @@ from zetakit import (
 )
 from zetakit.numeric_core import alternating_sum_cvz, cpow
 
-from oracles import BERNOULLI_TABLE, EULER_NUMBER_TABLE, bernoulli_numbers
+from oracles import (
+    BERNOULLI_TABLE,
+    EULER_NUMBER_TABLE,
+    bernoulli_akiyama_tanigawa,
+    bernoulli_numbers,
+    euler_poly_coeff_lists,
+)
 
 
 class TestBernoulliNumbers:
@@ -42,6 +49,13 @@ class TestBernoulliNumbers:
                 for k in range(n + 1)
             )
             assert acc == 0
+
+    def test_whole_table_matches_akiyama_tanigawa(self):
+        # The tangent-number build against an independent O(n^2) triangle,
+        # entry for entry as exact Fractions.
+        table = [bernoulli_number(n) for n in range(MAX_POLY_DEGREE + 1)]
+        assert table == bernoulli_akiyama_tanigawa(MAX_POLY_DEGREE)
+        assert all(isinstance(b, Fraction) for b in table)
 
     def test_odd_entries_vanish(self):
         for n in range(3, 40, 2):
@@ -72,6 +86,20 @@ class TestBernoulliPolynomials:
         for n in range(0, 13):
             assert bernoulli_poly(n, Fraction(0)) == bernoulli_number(n)
 
+    def test_coeffs_cache_never_holds_the_fault(self):
+        clean = [bernoulli_poly_coeffs(n) for n in range(MAX_POLY_DEGREE + 1)]
+        assert bernoulli_poly_coeffs(7) is clean[7]
+        with faults.inject("bernoulli-table"):
+            faulty = bernoulli_poly_coeffs(6)
+            # B_6(x) carries C(6,4) B_4 x^2, B_4 off by 1e-6.
+            assert faulty.coeffs[2] == clean[6].coeffs[2] + Fraction(15, 10**6)
+            assert bernoulli_poly_coeffs(6) == faulty
+            assert bernoulli_poly_coeffs(3) == clean[3]
+        assert bernoulli_poly_coeffs(6) is clean[6]
+        assert bernoulli_poly_coeffs(6).coeffs == tuple(
+            math.comb(6, j) * bernoulli_number(6 - j) for j in range(7)
+        )
+
     def test_coeffs_evaluate_complex(self):
         coeffs = bernoulli_poly_coeffs(3)
         z = 0.5 + 0.25j
@@ -92,6 +120,13 @@ class TestEulerPolynomials:
         for n in range(0, 11):
             for x in (Fraction(0), Fraction(1, 2), Fraction(7, 4)):
                 assert euler_poly(n, x + 1) + euler_poly(n, x) == 2 * x**n
+
+    def test_whole_table_matches_polynomial_recursion(self):
+        # The Appell build from E_n(0) against the O(n^3) recursion on whole
+        # polynomials, coefficient for coefficient as exact Fractions.
+        want = euler_poly_coeff_lists(MAX_POLY_DEGREE - 1)
+        for n in range(MAX_POLY_DEGREE):
+            assert list(euler_poly_coeffs(n).coeffs) == want[n]
 
     def test_independent_of_bernoulli_layer(self):
         # The Euler recursion must reproduce the Bernoulli link formula
@@ -115,6 +150,21 @@ class TestPolyCoeffs:
 
     def test_degree(self):
         assert bernoulli_poly_coeffs(6).degree == 6
+
+    def test_evaluate_bounded_is_evaluate_within_its_bound(self):
+        # Exact complex Horner in Fractions at the double x, real and complex.
+        rng = random.Random(24)
+        for n in (0, 1, 7, 33, 64):
+            p = bernoulli_poly_coeffs(n)
+            for x in (rng.uniform(-9, 9), complex(rng.uniform(-5, 5), rng.uniform(-5, 5))):
+                value, err = p.evaluate_bounded(x)
+                assert value == p.evaluate(x)
+                xr, xi = Fraction(complex(x).real), Fraction(complex(x).imag)
+                re, im = Fraction(0), Fraction(0)
+                for c in reversed(p.coeffs):
+                    re, im = re * xr - im * xi + c, re * xi + im * xr
+                dr, di = Fraction(value.real) - re, Fraction(value.imag) - im
+                assert dr * dr + di * di <= Fraction(err) ** 2
 
 
 class TestLnGamma:
