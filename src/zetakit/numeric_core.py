@@ -205,29 +205,24 @@ def ln_gamma(s: complex) -> complex:
 _BERNOULLI: list[Fraction] = []
 
 
-def _extend_bernoulli(upto: int) -> None:
+def _build_bernoulli() -> None:
     # B_2k = (-1)^{k-1} 2k T_k / (4^k (4^k - 1)) from the tangent numbers
     # T_k, built in integers by Brent and Harvey's (2011) triangle; the odd
     # entries past B_1 = -1/2 vanish.
-    if len(_BERNOULLI) > upto:
-        return
-    half = upto // 2
+    half = MAX_POLY_DEGREE // 2
     tangent = [0] * (half + 1)
-    if half:
-        tangent[1] = 1
+    tangent[1] = 1
     for k in range(2, half + 1):
         tangent[k] = (k - 1) * tangent[k - 1]
     for k in range(2, half + 1):
         for j in range(k, half + 1):
             tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-    out = [Fraction(0)] * (upto + 1)
-    out[0] = Fraction(1)
-    if upto:
-        out[1] = Fraction(-1, 2)
+    table = [Fraction(0)] * (MAX_POLY_DEGREE + 1)
+    table[0], table[1] = Fraction(1), Fraction(-1, 2)
     for k in range(1, half + 1):
-        out[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent[k],
-                              4 ** k * (4 ** k - 1))
-    _BERNOULLI[:] = out
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * tangent[k],
+                                4 ** k * (4 ** k - 1))
+    _BERNOULLI.extend(table)
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -242,7 +237,8 @@ def bernoulli_number(n: int) -> Fraction:
         raise RangeError(
             f"Bernoulli index {n} exceeds table maximum {MAX_POLY_DEGREE}"
         )
-    _extend_bernoulli(MAX_POLY_DEGREE)
+    if not _BERNOULLI:
+        _build_bernoulli()
     value = _BERNOULLI[n]
     if n == 4 and faults.active("bernoulli-table"):
         value = value + Fraction(1, 10**6)
@@ -270,15 +266,11 @@ class PolyCoeffs:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        xz = require_finite(complex(x), "x")
-        accz = complex(0.0)
-        for c in reversed(self.coeffs):
-            accz = accz * xz + complex(c)
-        return accz
+        return self.evaluate_bounded(x)[0]
 
     def evaluate_bounded(self, x: complex) -> tuple[complex, float]:
-        """(value, err): the complex value ``evaluate`` gives at x, and a
-        bound on |value - p(x)| that also covers x itself off by one
+        """(value, err): Horner's rule in complex floating point at x, and
+        a bound on |value - p(x)| that also covers x itself off by one
         rounding, as x = nu + 1 is.
 
         With d = degree, M = sum_j |c_j| |x|^j and u = 1.1e-16, the bound
@@ -329,8 +321,6 @@ def bernoulli_poly(n: int, x: ExactOrComplex):
     return bernoulli_poly_coeffs(n).evaluate(x)
 
 
-# E_n(0) for n < len, and the coefficient lists of E_n(x) built so far.
-_EULER_AT_ZERO: list[Fraction] = []
 _EULER_COEFF_CACHE: list[PolyCoeffs] = []
 
 
@@ -348,14 +338,13 @@ def euler_poly_coeffs(n: int) -> PolyCoeffs:
         raise DomainError("euler_poly_coeffs needs n >= 0")
     if n + 1 > MAX_POLY_DEGREE:
         raise RangeError(f"degree {n} exceeds table maximum {MAX_POLY_DEGREE - 1}")
-    while len(_EULER_AT_ZERO) <= n:
-        m = len(_EULER_AT_ZERO)
-        _EULER_AT_ZERO.append(Fraction(1) if m == 0 else -sum(
-            math.comb(m, k) * e for k, e in enumerate(_EULER_AT_ZERO)) / 2)
     while len(_EULER_COEFF_CACHE) <= n:
         m = len(_EULER_COEFF_CACHE)
+        at_zero = [e.coeffs[0] for e in _EULER_COEFF_CACHE]
+        at_zero.append(-sum(math.comb(m, k) * e for k, e in enumerate(at_zero)) / 2
+                       if m else Fraction(1))
         _EULER_COEFF_CACHE.append(PolyCoeffs(tuple(
-            math.comb(m, j) * _EULER_AT_ZERO[m - j] for j in range(m + 1))))
+            math.comb(m, j) * at_zero[m - j] for j in range(m + 1))))
     return _EULER_COEFF_CACHE[n]
 
 
