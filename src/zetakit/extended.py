@@ -38,10 +38,11 @@ crossover of the routes below:
   nu + 1 to (0, 1], which cancel by up to e^{m Re x}, and z lies 1e-12 or
   more from 1 (nearer, x stands for a be centre).
 * be at real x > 0 near the circle at Re(s) > 0 and the points the
-  transformation leaves: the Taylor series in x (eqs. 4.14/4.15), immune
-  to the slow geometric decay; at a positive integer order the pole
-  coefficient and the singular part x^{s-1} Gamma(1-s) are replaced by
-  their finite limit with digamma values and -log x.
+  transformation leaves: the Taylor series in x (eqs. 4.14/4.15;
+  :func:`zeta.mu_series`, Phi's expansion about z = 1 in mu = log z =
+  -x), immune to the slow geometric decay; at a positive integer order
+  the pole coefficient and the singular part x^{s-1} Gamma(1-s) are
+  replaced by their finite limit with digamma values and -log x.
 * fd at real x > 0 near the circle: the defining series for Re(s) > 0,
   which lerch_phi sums by its alternating acceleration; at Re(s) <= 0,
   where the transformation does not serve, the same Taylor series, since
@@ -65,16 +66,19 @@ crossover of the routes below:
   cannot converge.
 * large nu near the circle: the Taylor terms grow like
   (|nu+1| |x|)^k / k! about their centre, so where that product passes 4
-  (``_TAYLOR_REACH``; the distance to the reduction's centre for complex
+  (``zeta.TAYLOR_REACH``; |mu|, the distance to the centre, for complex
   x) the defining series, wherever its direct sum is predicted to finish
   within MAX_TERMS, at Re(s) <= 0 only for |nu+1| Re(x) > 1.
 * other complex x near the circle at Re(s) <= 0 (complex nu, nu next to
-  an integer, a long reduction), or where the defining series cannot
-  finish (Re(s) > 0 near the circle or on it, z within the circle sum's cap
-  of the positive real axis): reduce, then expand.  The period 2 pi i and the
-  duality x -> x - i pi move x to within a third of a Taylor radius of a
-  be or fd centre, where the Taylor series in x sums (tags
-  {fd,be}/circle-{be,fd}).
+  an integer, a long reduction), and at Re(s) > 0 z within the circle
+  sum's cap of the positive real axis, where no CVZ sum reaches
+  (:func:`zeta.near_one`; lerch_phi takes the same expansion there): the
+  Taylor series about the nearer centre, z = 1 or -1, within a third of
+  its radius, at mu = -Re x + i arg(+-z), whose phase cmath reduces
+  exactly (tags {fd,be}/circle-{be,fd}).  The period 2 pi i and the
+  duality x -> x - i pi give the value a factor e^{-i j pi (nu+1)}.  An
+  input with Re x = 0 whose Im x is exactly the double j pi stands for
+  the centre itself.
 * otherwise the defining series.  At Re(s) > 0 lerch_phi takes a CVZ sum
   wherever it is shorter than the direct sum ({fd,be}/xseries-cvz on the
   real segment, {fd,be}/xseries-cvz-circle off it, and always on the unit
@@ -93,14 +97,12 @@ from fractions import Fraction
 from typing import Iterator, Union
 
 from . import faults
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError
 from .numeric_core import (
     MAX_POLY_DEGREE,
     bernoulli_poly_coeffs,
     compensated_sum,
     euler_poly_coeffs,
-    is_nonpos_int,
-    ln_gamma,
     require_finite,
 )
 from .result import EvalResult
@@ -111,23 +113,22 @@ from .weyl import (
 )
 from .zeta import (
     MAX_TERMS,
-    MULT_CAP,
     REL_TOL,
+    SERIES_CROSSOVER,
+    TAYLOR_REACH,
     LerchParams,
-    ReflectionLadder,
-    alternating_ladder,
-    alternating_lerch,
-    circle_pieces,
-    digamma,
     direct_length,
-    dirichlet_eta,
-    fourier_reflection,
     hurwitz_halves,
     hurwitz_zeta,
+    lerch_minus_one,
     lerch_orders,
     lerch_phi,
+    lerch_route,
     lerch_transform,
     lerch_transform_serves,
+    minus_one_orders,
+    mu_series,
+    near_one,
     riemann_zeta,
 )
 
@@ -177,14 +178,6 @@ class ExtParams:
             raise DomainError(f"require Re(x) >= 0, got x={x!r}")
 
 
-def _near_pos_int(s: complex) -> bool:
-    return (
-        s.imag == 0.0
-        and abs(s.real - round(s.real)) <= 1e-12
-        and round(s.real) >= 1
-    )
-
-
 def _near_nonpos_int(s: complex) -> bool:
     return (
         s.imag == 0.0
@@ -207,39 +200,6 @@ def fd_zero_hurwitz_route(nu: complex, s: complex) -> EvalResult:
     inner = hurwitz_halves(s, nu + 1.0)
     return EvalResult(inner.value, inner.err_estimate, "fd/zero-hurwitz-diff",
                       inner.work)
-
-
-def _fd_zero_cvz(s: complex) -> bool:
-    """Whether :func:`_fd_zero` takes the alternating sum at order s."""
-    return s.real > 0.0 and abs(s - 1.0) >= 1e-12
-
-
-def _fd_zero(nu: complex, s: complex, abs_tol: float = 0.0) -> EvalResult:
-    """fd(nu, s, 0) = Phi(-1, s, nu+1); ``abs_tol`` as for hurwitz_zeta."""
-    if s.real <= -4.0 and nu.imag == 0.0 and not is_nonpos_int(s):
-        value, err, work = fourier_reflection(s, nu.real + 1.0, 2, abs_tol)
-        return EvalResult(value, err, "fd/zero-reflection", work)
-    if not _fd_zero_cvz(s):
-        return fd_zero_hurwitz_route(nu, s)
-    value, err, work = alternating_lerch(s, nu + 1.0)
-    return EvalResult(value, err, "fd/zero-alternating-cvz", work)
-
-
-def _fd_zero_orders(nu: complex, s: complex) -> Iterator[EvalResult]:
-    """_fd_zero(nu, s + k) at k = 0, 1, 2, ..., each by the route _fd_zero
-    takes at its order; the alternating sums above order 0 (order 1 aside)
-    are the rungs of one :func:`zeta.alternating_ladder`.  Those orders
-    follow one another: order 1 can only come before them."""
-    ladder = None
-    for k in itertools.count():
-        order = s + k
-        if not _fd_zero_cvz(order):
-            yield _fd_zero(nu, order)
-            continue
-        if ladder is None:
-            ladder = alternating_ladder(order, nu + 1.0)
-        value, err, work = next(ladder)
-        yield EvalResult(value, err, "fd/zero-alternating-cvz", work)
 
 
 def _be_zero(nu: complex, s: complex) -> EvalResult:
@@ -275,6 +235,12 @@ def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
         # Lerch's transformation at its angle, where lerch_phi would charge
         # the step off the circle.  LerchParams has refused complex nu here.
         return _transformed(kind, nu, s, x)
+    if (direct_length(-x.real) > SERIES_CROSSOVER and near_one(cmath.phase(z))
+            and lerch_route(z, s, nu + 1.0) == "mu-series"):
+        # lerch_phi would read mu = log z off the double z, to 1.1e-16
+        # absolute next to z = 1: take mu from x, as AUTO does.
+        inner = _about_centre(kind, nu, s, x, *_centre(kind, x))
+        return EvalResult(inner.value, inner.err_estimate, f"{kind}/xseries-mu-series", inner.work)
     return _scaled(kind, nu, x, lerch_phi(params))
 
 
@@ -308,186 +274,6 @@ def _scaled(kind: str, nu: complex, x: complex, inner: EvalResult) -> EvalResult
 
 
 # ---------------------------------------------------------------------------
-# Taylor series in x with shifted-order coefficients
-# ---------------------------------------------------------------------------
-
-_POWER_CAP = 40
-
-
-def _power_series_x(
-    kind: str, nu: complex, s: complex, x: complex
-) -> tuple[EvalResult, float]:
-    """Taylor series in x about 0, and a bound on |d value/dx| read off its
-    terms: (sum_k |x d term_k/dx| + |s-1| |singular part|) / |x|."""
-    radius, radius_name = (_PI, "pi") if kind == "fd" else (2.0 * _PI, "2 pi")
-    if abs(x) >= 0.999 * radius:
-        raise DomainError(
-            f"Taylor-in-x route needs |x| < {radius_name}, got |x|={abs(x):.4g}"
-        )
-
-    # Singular part: only the be-function carries one.  The order-1 pole of
-    # the Hurwitz coefficient at k = s-1 turns into Gamma(1-s) x^{s-1}; at a
-    # positive integer order m the two poles meet at k = m-1, and that
-    # coefficient plus the singular part become their finite limit
-    #   (-x)^{m-1}/(m-1)! [psi(m) - psi(nu+1) - log x].
-    singular = complex(0.0)
-    sing_err = 0.0
-    pole_k = -1
-    work = 0
-    if kind == "be":
-        if x == 0.0 and s.real <= 1.0:
-            raise DomainError(
-                "divergent at x = 0 for Re(s) <= 1; the x = 0 value is "
-                "the continuation route"
-            )
-        if _near_pos_int(s):
-            pole_k = round(s.real) - 1
-        elif x != 0.0:
-            # exp turns the rounding of its exponent, log Gamma(1-s) +
-            # (s-1) log x, into a relative error of the same size.
-            ln_g = ln_gamma(1.0 - s)
-            ln_p = (s - 1.0) * cmath.log(x)
-            singular = cmath.exp(ln_g + ln_p)
-            sing_err = (5e-15 + 4.4e-16 * (abs(ln_g) + abs(ln_p))) * abs(singular)
-            work += 1
-
-    # Consecutive term magnitudes zigzag hard at integer s (odd-order
-    # coefficients are tiny next to even ones), so both the stopping rule
-    # and the divergence detector work on maxima of adjacent pairs.
-    total = complex(0.0)
-    terms: list[complex] = []
-    coeff_err = 0.0
-    xpow = complex(1.0)   # (-x)^k / k!
-    prev_mag = math.inf
-    pair_prev = math.inf
-    pair_cur = 0.0
-    grow_streak = 0
-    scale = 0.0
-    moment = 0.0   # sum of k |term_k|, plus |x^k/k!| for a pole limit's -log x
-    # With real nu and a non-integer order, the coefficients at
-    # Re(s - k) <= -4 are one reflection series stepped from order to order.
-    reflected = nu.imag == 0.0 and not (s.imag == 0.0 and s.real == round(s.real))
-    ladder = None
-    for k in range(_POWER_CAP):
-        # Coefficient k enters weighted by |x^k/k!|.  The sum is only
-        # resolved to REL_TOL times its scale (the stopping rule's), so the
-        # coefficient needs an absolute accuracy of no more than an eighth
-        # of that over the weight.  Term 0, and a weight of 0 (x = 0 or
-        # underflow), keep full accuracy.
-        abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
-        if ladder is None and reflected and s.real - k <= -4.0:
-            ladder = ReflectionLadder(s - k, nu.real + 1.0, 2 if kind == "fd" else 1)
-            # Below 0.4 of the radius the factor 0.4^k alone takes term 39
-            # below 1e-15 of term 0, so only deep orders or large nu fail
-            # there.  AUTO expands within a third of the radius (Re x < 0.1
-            # aside) and never pays for the check.
-            if abs(x) > 0.4 * radius and _cannot_converge(
-                    ladder, k, abs(x), abs(xpow), prev_mag,
-                    max(abs(total + singular), abs(total), 1e-300)):
-                raise ConvergenceError(
-                    f"Taylor-in-x route cannot converge within {_POWER_CAP} "
-                    f"terms (coefficient bounds from k={k})"
-                )
-        if ladder is not None:
-            value, c_err, c_work = ladder.rung(abs_tol)
-            if kind == "be":
-                value = faults.perturb("hurwitz_zeta", value)
-        else:
-            if k == pole_k:
-                c = _be_pole_limit(nu, s, x, k)
-            elif kind == "fd":
-                c = _fd_zero(nu, s - k, abs_tol)
-            else:
-                c = hurwitz_zeta(s - k, nu + 1.0, abs_tol=abs_tol)
-            value, c_err, c_work = c.value, c.err_estimate, c.work
-        work += c_work
-        term = value * xpow
-        terms.append(term)
-        total += term
-        coeff_err += c_err * abs(xpow)
-        mag = abs(term)
-        moment += k * mag + (abs(xpow) if k == pole_k else 0.0)
-        scale = max(abs(total + singular), abs(total), 1e-300)
-        if max(mag, prev_mag) <= REL_TOL * scale:
-            break
-        pair_cur = max(pair_cur, mag)
-        if k % 2 == 1:
-            if (
-                pair_cur > pair_prev
-                and pair_cur > 1e3 * REL_TOL * scale
-                and k > _POWER_CAP // 2
-            ):
-                grow_streak += 1
-                if grow_streak >= 2:
-                    raise ConvergenceError(
-                        f"Taylor-in-x terms stopped decreasing at k={k} "
-                        f"(|x| too close to the radius)"
-                    )
-            else:
-                grow_streak = 0
-            pair_prev = pair_cur
-            pair_cur = 0.0
-        prev_mag = mag
-        xpow *= -x / (k + 1)
-    else:
-        tail_mag = max(abs(t) for t in terms[-2:]) if terms else 0.0
-        if tail_mag > REL_TOL * 1e3 * max(abs(total + singular), 1e-300):
-            raise ConvergenceError(
-                f"Taylor-in-x route not converged within {_POWER_CAP} terms"
-            )
-
-    value = singular + compensated_sum(terms)
-    trunc = max((abs(t) for t in terms[-2:]), default=0.0)
-    err = trunc + coeff_err + sing_err + 1e-16 * abs(value)
-    slope = (moment + abs(s - 1.0) * abs(singular)) / abs(x) if x else 0.0
-    return EvalResult(value, err, f"{kind}/power-series-x", work), slope
-
-
-def _cannot_converge(ladder: ReflectionLadder, k0: int, r: float, weight: float,
-                     prev_mag: float, scale: float) -> bool:
-    """Whether the Taylor sum provably ends in ConvergenceError, decided
-    before coefficient k0, the ladder's first rung, from the ladder's bounds
-    on coefficients k0 to 39.
-
-    ``weight`` is |x^k0/k0!| at r = |x|, ``prev_mag`` is |term k0-1| (inf
-    at k0 = 0), and ``scale`` is the stopping rule's running scale before
-    term k0.  No later scale passes ``scale`` plus the upper bounds of the
-    terms left.  True only where every pair of terms from k0 - 1 on stays
-    above REL_TOL times that, so the sum cannot stop, and the last pair
-    above 1e3 times it, so the 40-term test fails.
-    """
-    bounds = ladder.bounds(_POWER_CAP - k0)
-    if bounds is None:
-        return False
-    lows = [prev_mag]
-    for k, (lo, hi) in enumerate(bounds, k0):
-        lows.append(weight * lo)
-        scale += weight * hi
-        weight *= r / (k + 1)
-    tol = REL_TOL * scale
-    return max(lows[-2:]) > 1e3 * tol and all(
-        max(p, q) > tol for p, q in zip(lows, lows[1:]))
-
-
-def _be_pole_limit(nu: complex, s: complex, x: complex, k: int) -> EvalResult:
-    """Coefficient of (-x)^k/k! that replaces zeta(s-k, nu+1) at s = k+1.
-
-    It absorbs the singular part: psi(k+1) - psi(nu+1) - log x, and 0 at
-    x = 0, where the term vanishes.  An order within 1e-12 of k+1 is
-    charged the first-order change of the combined term across the gap.
-    """
-    if x == 0.0:
-        return EvalResult(0.0, 0.0, "be/pole-limit", 0)
-    psi_m = digamma(k + 1.0)
-    psi_a = digamma(nu + 1.0)
-    log_x = cmath.log(x)
-    value = psi_m - psi_a - log_x
-    size = 1.0 + abs(psi_m) + abs(psi_a) + abs(log_x)
-    err = 2e-15 * size + abs(s - (k + 1)) * size * size
-    return EvalResult(value, err, "be/pole-limit", 2)
-
-
-# ---------------------------------------------------------------------------
 # Expansion in nu about the nearest integer shift
 # ---------------------------------------------------------------------------
 
@@ -497,15 +283,15 @@ _NU_CAP = 600
 def _nu_coefficients(kind: str, m: int, s: complex, x: complex
                      ) -> Iterator[EvalResult]:
     """The coefficients of :func:`_nu_series` at the orders s, s + 1, ...:
-    Phi(-+e^{-x}, s + k, m + 1) at x != 0 (:func:`zeta.lerch_orders`),
-    else the x = 0 values, eta or zeta at m = 0."""
+    Phi(-+e^{-x}, s + k, m + 1) at x != 0 (:func:`zeta.lerch_orders` at the
+    exact log z), else the x = 0 values, zeta for be at m = 0."""
     if x != 0.0:
-        return lerch_orders(_lerch_z(kind, x), s, m + 1.0)
-    if kind == "fd" and m:
-        return _fd_zero_orders(complex(m), s)
+        z = _lerch_z(kind, x)
+        return lerch_orders(z, s, m + 1.0, complex(-x.real, cmath.phase(z)))
+    if kind == "fd":
+        return minus_one_orders(s, m + 1.0)
     if m == 0:
-        at_zero = dirichlet_eta if kind == "fd" else riemann_zeta
-        return (at_zero(s + k) for k in itertools.count())
+        return (riemann_zeta(s + k) for k in itertools.count())
     return (_be_zero(complex(m), s + k) for k in itertools.count())
 
 
@@ -515,14 +301,14 @@ def _nu_series(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     r = |nu - m|/(m + 1), at most 1/3 for real nu.  Over real m the ratio
     is least, |Im nu|/|nu + 1| < 1, at m* = Re nu + (Im nu)^2/(Re nu + 1),
     so m is floor(m*) or the next integer.  The
-    coefficients are values at the shift m (eta/zeta at x = 0, m = 0); at
+    coefficients are values at the shift m (zeta for be at x = 0, m = 0); at
     x > 0 they are the bare Phi(-+e^{-x}, s+k, m+1), and the whole decay
     e^{-(nu+1)x} is applied once to the sum, so no factor of it underflows
     or overflows ahead of the value.  Consecutive coefficients are rungs of
     one order ladder wherever their route sums a fixed term list: the direct
     and the alternating Lerch sums at x != 0 (:func:`zeta.lerch_orders`, one
-    ladder per sign of Re(s+k)) and fd's alternating sums at x = 0 and
-    m >= 1 (:func:`_fd_zero_orders`).  A rung makes its terms from the last
+    ladder per sign of Re(s+k)) and fd's alternating sums at x = 0
+    (:func:`zeta.minus_one_orders`).  A rung makes its terms from the last
     order's by one division by n + m + 1, and every order takes the route
     it takes alone.  Where the weights (s)_k (m-nu)^k/k! pass the double
     range before the series converges (|nu - m| next to m + 1, complex nu),
@@ -738,68 +524,40 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # AUTO dispatch and the public pair
 # ---------------------------------------------------------------------------
 
-def _reduce(kind: str, x: complex) -> tuple[int, str, complex]:
-    """(j, centre, x - i j pi): j puts x within 2 pi/3 of a be centre, else
-    within pi/3 of an fd centre, a third of either Taylor radius."""
-    u = x.imag / _PI
-    j = round(u)
-    centre = kind if j % 2 == 0 else ("be" if kind == "fd" else "fd")
-    if centre == "fd" and abs(u - j) > 1.0 / 3.0:
-        j += 1 if u > j else -1
-        centre = "be"
-    return j, centre, complex(x.real, x.imag - j * _PI)
+def _centre(kind: str, x: complex) -> tuple[str, complex, int]:
+    """(centre, mu, j) of the Taylor route next to the circle: mu = log(+-z)
+    about z = 1 ("be") where |arg z| <= 2 pi/3, else about z = -1 ("fd"),
+    and j with x + mu = i j pi.  mu = -Re x + i arg(+-z) takes its phase
+    from cmath, whose argument reduction is exact, so mu is read to a few
+    ulps of its modulus however large Im x; real x gets mu = -x exactly."""
+    z = _lerch_z(kind, x)
+    theta = cmath.phase(z)
+    centre = "be" if abs(theta) <= 2.0 * _PI / 3.0 else "fd"
+    mu = complex(-x.real, theta if centre == "be" else cmath.phase(-z))
+    return centre, mu, round((x.imag + mu.imag) / _PI)
 
 
-def _circle(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    """Reduce, then expand: complex x near the circle (AUTO's
-    ``_SERIES_CROSSOVER``) or on it where Lerch's transformation does not
-    serve; at Re(s) > 0 only where the defining series cannot finish within
-    its budget.
-
-    Moving x by j i pi multiplies term n of the defining series by
-    e^{-i j pi (n+nu+1)}, so f(nu, s, x) = e^{-i j pi (nu+1)} f'(nu, s,
-    x - i j pi), with f' = f for even j (the period) and the other function
-    for odd j (duality-6.7); j and the centre are :func:`_reduce`'s.  A
-    reduced x on the real axis takes AUTO's real-x rules, the input
-    standing for an exact multiple of i pi.  The estimate adds the rounding
-    of the phase's exponent and of the reduced argument (|j| 1.3e-16 for
-    the double nearest pi, 2.2e-16 |Im x| for j pi and the difference)
-    times the Taylor route's bound on |df'/dx|; DomainError where that
-    rounding is not small next to the distance to a singularity.
-    """
-    j, centre, x_red = _reduce(kind, x)
-    shift_err = 1.3e-16 * abs(j) + 2.2e-16 * abs(x.imag) if j else 0.0
-    if x_red.imag == 0.0:
-        inner, slope = _auto(centre, nu, s, x_red), 0.0
-    elif shift_err > 1e-3 * (abs(x_red) if centre == "be" else 2.0):
-        # The charge below is first order in the shift's rounding, which
-        # must stay small next to the distance to the nearest singularity:
-        # x = 0 for be, more than 2 away for fd.
-        raise DomainError(f"shifting Im x = {x.imag:.6g} by {j} pi rounds "
-                          "by more than 1e-3 of the distance to a singularity")
+def _about_centre(kind: str, nu: complex, s: complex, x: complex,
+                  centre: str, mu: complex, j: int) -> EvalResult:
+    """AUTO's Taylor route next to the circle: :func:`zeta.mu_series` about
+    the centre at mu (:func:`_centre`), tagged {kind}/power-series-x at real
+    x, else {kind}/circle-{centre}.  As x + mu = i j pi, f(nu, s, x) is
+    e^{-i j pi (nu+1)} times the centre's function at -mu (the period for
+    even j, duality-6.7 for odd j), charged its exponent's rounding.  An
+    input with Re x = 0 and Im x exactly the double j pi is the centre."""
+    if x.imag == 0.0:
+        return mu_series(kind, s, nu + 1.0, mu)
+    if x.real == 0.0 and x.imag == j * _PI:
+        inner = _auto(centre, nu, s, 0j)
     else:
-        inner, slope = _power_series_x(centre, nu, s, x_red)
+        inner = mu_series(centre, s, nu + 1.0, mu)
     expo = -1j * _PI * j * (nu + 1.0)
     phase = cmath.exp(expo)
     value = phase * inner.value
-    err = abs(phase) * (inner.err_estimate + shift_err * slope) + (
+    err = abs(phase) * inner.err_estimate + (
         2e-16 + 4.4e-16 * abs(expo)
     ) * abs(value)
     return EvalResult(value, err, f"{kind}/circle-{centre}", inner.work)
-
-
-# AUTO takes the defining series as it stands wherever its direct sum is
-# predicted to take at most this many terms (zeta.direct_length at
-# |z| = e^{-Re x}, so Re(x) above about 0.0998).  Nearer the circle the
-# Taylor series in x and the reduction cost less: the measured crossover
-# of the forced routes over Re s in [-4.5, 4.5] and nu in [0, 3].
-_SERIES_CROSSOVER = 300
-
-# At large nu the Taylor terms grow like (|nu+1| |x|)^k / k! about their
-# centre and cancel by about e^{2 |nu+1| |x|}; past this product AUTO
-# takes the defining series wherever its direct sum is predicted to finish
-# (:func:`_series_serves`).
-_TAYLOR_REACH = 4.0
 
 
 def _transform_serves(kind: str, nu: complex, x: complex) -> bool:
@@ -814,47 +572,35 @@ def _transform_serves(kind: str, nu: complex, x: complex) -> bool:
     return m * x.real <= 1.0 and abs(_lerch_z(kind, x) - 1.0) >= 1e-12
 
 
-def _series_serves(kind: str, nu: complex, s: complex, x: complex) -> bool:
+def _series_serves(nu: complex, s: complex, x: complex, mu: complex) -> bool:
     """Whether AUTO takes the defining series near the circle in place of
-    the Taylor route: |nu+1| times the distance from x to the Taylor
-    route's centre (x itself for real x, else :func:`_reduce`'s) passes
-    ``_TAYLOR_REACH``, and the direct sum is predicted to finish within
-    MAX_TERMS.  At Re(s) <= 0 also c = |nu+1| Re(x) > 1, the bound of the
-    transformation's reduction: the direct sum's terms e^{-n Re x}
-    (n+nu+1)^{-s} rise by up to (|Re s|/c)^{|Re s|} e^{c - |Re s|} before
-    they decay, and nearer the circle their sum cancels away digits that
-    the Taylor route about a near centre keeps."""
+    the Taylor route: |nu+1| times the distance |mu| from x to the Taylor
+    route's centre (:func:`_centre`) passes ``zeta.TAYLOR_REACH``, and the
+    direct sum is predicted to finish within MAX_TERMS.  At Re(s) <= 0
+    also c = |nu+1| Re(x) > 1, the bound of the transformation's
+    reduction: the direct sum's terms e^{-n Re x} (n+nu+1)^{-s} rise by up
+    to (|Re s|/c)^{|Re s|} e^{c - |Re s|} before they decay, and nearer
+    the circle their sum cancels away digits that the Taylor route about a
+    near centre keeps."""
     if direct_length(-x.real) > MAX_TERMS:
         return False
     if s.real <= 0.0 and abs(nu + 1.0) * x.real <= 1.0:
         return False
-    arg = x if x.imag == 0.0 else _reduce(kind, x)[2]
-    return abs(nu + 1.0) * abs(arg) > _TAYLOR_REACH
+    return abs(nu + 1.0) * abs(mu) > TAYLOR_REACH
 
 
 def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
-        return _fd_zero(nu, s) if kind == "fd" else _be_zero(nu, s)
-    if direct_length(-x.real) <= _SERIES_CROSSOVER:
+        return lerch_minus_one(s, nu + 1.0) if kind == "fd" else _be_zero(nu, s)
+    if direct_length(-x.real) <= SERIES_CROSSOVER:
         return _series_route(kind, nu, s, x)
     if s.real <= 0.0 and _transform_serves(kind, nu, x):
         return _transformed(kind, nu, s, x)
-    if _series_serves(kind, nu, s, x):
+    centre, mu, j = _centre(kind, x)
+    # At Re(s) > 0 the series serves but in zeta.near_one's wedge, as in lerch_phi.
+    if _series_serves(nu, s, x, mu) or s.real > 0.0 and not (centre == "be" and near_one(mu.imag)):
         return _series_route(kind, nu, s, x)
-    if x.imag == 0.0:
-        if kind == "be" or s.real <= 0.0:
-            return _power_series_x(kind, nu, s, x)[0]
-        return _series_route(kind, nu, s, x)
-    if s.real <= 0.0 or circle_pieces(cmath.phase(_lerch_z(kind, x))) > MULT_CAP:
-        # At Re(s) > 0 no CVZ sum reaches z next to the positive real axis,
-        # on the circle or inside it, and the direct sum there takes more
-        # than _SERIES_CROSSOVER terms.
-        return _circle(kind, nu, s, x)
-    try:
-        return _series_route(kind, nu, s, x)
-    except ConvergenceError:
-        # The direct sum refuses: MAX_TERMS terms cannot reach REL_TOL.
-        return _circle(kind, nu, s, x)
+    return _about_centre(kind, nu, s, x, centre, mu, j)
 
 
 def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:
@@ -866,7 +612,7 @@ def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:
     elif strategy is Strategy.WEYL_QUAD:
         out = _weyl_route(kind, nu, s, x)
     elif strategy is Strategy.POWER_SERIES_X:
-        out = _power_series_x(kind, nu, s, x)[0]
+        out = mu_series(kind, s, nu + 1.0, -x)
     elif strategy is Strategy.NU_SERIES:
         out = _nu_series(kind, nu, s, x)
     elif strategy is Strategy.NEG_INT_BERNOULLI:

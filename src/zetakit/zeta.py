@@ -75,9 +75,20 @@ _CVZ_RATE = 0.75 * math.log(3.0 + math.sqrt(8.0))
 # The fewest terms a CVZ sum takes.
 _CVZ_MIN = 32
 # Most pieces of the multiplication formula the circle sum takes: m grows
-# like (2 pi/3)/|arg z| next to z = 1, where it refuses.
+# like (2 pi/3)/|arg z| next to z = 1, where the Taylor series in log z
+# takes over (:func:`near_one`).
 MULT_CAP = 16
 _WEDGE = 2.0 * math.pi / 3.0
+# Next to |z| = 1 the Taylor series in log z and the circle's routes cost
+# less than a direct sum predicted past this many terms (direct_length;
+# |z| above about e^{-0.0998}): the measured crossover of the extended
+# pair's forced routes over Re s in [-4.5, 4.5] and nu in [0, 3].
+SERIES_CROSSOVER = 300
+# The Taylor terms in log z grow like (|a| |log z|)^k / k! and cancel by
+# about e^{2 |a| |log z|}; past this product the direct sum serves inside
+# the circle (for the extended pair's AUTO, wherever it is predicted to
+# finish within MAX_TERMS).
+TAYLOR_REACH = 4.0
 
 
 @dataclass(frozen=True)
@@ -756,10 +767,6 @@ def _circle_plan(z: complex, s: complex) -> tuple[int, complex, complex, int]:
     """(m, log z, w, n) of :func:`circle_lerch` at z and s: its pieces, the
     weights' point w = z^{-m} and their count n, known before any term."""
     m = circle_pieces(cmath.phase(z))
-    if m > MULT_CAP:
-        raise ConvergenceError(
-            f"circle sum at |arg z| = {abs(cmath.phase(z)):.3g} needs {m} "
-            f"pieces of the multiplication formula, past {MULT_CAP}")
     log_z = cmath.log(z)
     w = cmath.exp(-m * log_z)
     v = 1.0 - 2.0 * w
@@ -802,9 +809,9 @@ def circle_lerch(plan: _CirclePlan, s: complex, a: complex
     the multiplication formula (eq. 5.10), Phi(z, s, a) = m^{-s}
     sum_{r<m} z^r Phi(z^m, s, (r+a)/m), with m from :func:`circle_pieces`,
     puts the weights at w = z^{-m} on the same terms: term j = m k + r
-    takes z^r times weight k.  Past ``MULT_CAP`` pieces the plan raises
-    ConvergenceError before any term.  n is the least length from 32 that
-    puts e^{pi |Im s|/2} rho^{-3n/4} below e^{-36}, as in
+    takes z^r times weight k; its callers keep m within ``MULT_CAP``
+    (:func:`near_one`, :func:`lerch_transform_serves`).  n is the least
+    length from 32 that puts e^{pi |Im s|/2} rho^{-3n/4} below e^{-36}, as in
     :func:`alternating_lerch`.  The m terms that share weight k are summed
     first, Q_k = sum_{r<m} z^r a_{mk+r}, and both sums are dot products of
     the weights with the Q_k.  err is |S_n - S_{3n/4}| plus the rounding
@@ -836,7 +843,7 @@ def circle_lerch(plan: _CirclePlan, s: complex, a: complex
 
 def _cannot_stop(n: int, nxt: float, mass: float, size: float, r: float,
                  s: complex, a: complex) -> bool:
-    """Whether no stopping test of :func:`_lerch_direct` after term n can pass
+    """Whether no stopping test of :func:`_direct_rung` after term n can pass
     within N = MAX_TERMS terms; nxt and mass are the loop's, size = |total|."""
     # With Re(n+a) > 0 and n <= k <= N, |k+a| grows and |arg(k+a)| <=
     # |arg(n+a)|, so |term_k| is in nxt r^{k-n} G_k [1/A, A], with G_k =
@@ -924,7 +931,7 @@ def direct_ladder(z: complex, s: complex, a: complex
                   ) -> Iterator[tuple[complex, float, int]]:
     """The direct sum of Phi(z, s + k, a) = sum_n z^n (n+a)^{-s-k} at
     |z| < 1 at k = 0, 1, 2, ..., one (value, err, work) a rung;
-    :func:`_lerch_direct`, the sum at one order, is the first.
+    lerch_phi's direct sum at one order is the first.
 
     A rung stops at the first n >= 4 where the tail bound |term_n|/(1 - |z|),
     times the growth guard (1 + 2/(n (1 - |z|)))^{-Re s} at Re(s) < 0, is at
@@ -956,13 +963,6 @@ def direct_ladder(z: complex, s: complex, a: complex
         value, err, work, terms, expo = out
         yield value, err, work + made
         k, made = k + 1, 0
-
-
-def _lerch_direct(z: complex, s: complex, a: complex) -> EvalResult:
-    """Direct geometric-tail sum of Phi(z, s, a) at |z| < 1, the first rung
-    of :func:`direct_ladder`; see lerch_phi."""
-    value, err, work, _, _ = _direct_rung(z, s, a)
-    return EvalResult(faults.perturb("lerch_phi", value), err, "lerch/direct-sum", work)
 
 
 def lerch_transform_serves(a: complex) -> bool:
@@ -1000,25 +1000,37 @@ def _head_length(a: complex) -> int:
 
 
 def _circle_length(z: complex, s: complex, a: complex) -> float:
-    """Terms :func:`_circle_positive` takes at z, known before any is
-    summed; inf past ``MULT_CAP`` pieces."""
-    if circle_pieces(cmath.phase(z)) > MULT_CAP:
-        return math.inf
+    """Terms the circle sum takes at z off :func:`near_one`, known before
+    any is summed."""
     m, _, _, n = _circle_plan(z, s)
     return m * n + _head_length(a)
 
 
-def _circle_positive(z: complex, s: complex, a: complex) -> EvalResult:
-    """Phi at 0 < |z| <= 1 off the real line, Re(s) > 0: the circle sum,
-    after k terms that move a to Re(a + k) > 0."""
+def near_one(theta: float) -> bool:
+    """Whether z at arg z = theta lies in the wedge |theta| < 2 pi/(3
+    ``MULT_CAP``) about the positive real axis, where no CVZ sum reaches."""
+    return circle_pieces(theta) > MULT_CAP
+
+
+def _head_shifted(route: str, z: complex, s: complex, a: complex, log_z: complex
+                  ) -> tuple[complex, float, int]:
+    """(value, err, work) of Phi at 0 < |z| <= 1 off [-1, 0], Re(s) > 0, by
+    the circle sum (``route`` cvz-circle) or the Taylor series at mu = log_z,
+    log z to a few ulps of its modulus, after k terms that move a to
+    Re(a + k) > 0; e^{-(a+k) mu} is charged 1.3e-15 |(a+k) mu| for both."""
     k = _head_length(a)
-    value, err, work = circle_lerch(_circle_weights(z, s), s, a + k)
+    if route == "mu-series":
+        inner = mu_series("be", s, a + k, log_z)
+        pre = cmath.exp(-(a + k) * log_z)
+        value, work = pre * inner.value, inner.work
+        err = abs(pre) * inner.err_estimate + (2e-16 + 1.3e-15 * abs((a + k) * log_z)) * abs(value)
+    else:
+        value, err, work = circle_lerch(_circle_weights(z, s), s, a + k)
     if k:
-        log_z = cmath.log(z)
         head, head_err = _lerch_head(log_z, s, a, k)
         value = head + cmath.exp(k * log_z) * value
         err += head_err + 2.2e-16 * (1.0 + k * abs(log_z)) * abs(value)
-    return EvalResult(value, err, "lerch/cvz-circle", work + k)
+    return value, err, work + k
 
 
 def _inner_kernel(alpha: float, plan: _CirclePlan | None, t: complex, c: complex
@@ -1182,6 +1194,236 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     return EvalResult(value, err, "lerch/lerch-transform", work + abs(m))
 
 
+# ---------------------------------------------------------------------------
+# Taylor series in mu = log z about z = 1 and z = -1
+# ---------------------------------------------------------------------------
+
+def _near_pos_int(s: complex) -> bool:
+    return (
+        s.imag == 0.0
+        and abs(s.real - round(s.real)) <= 1e-12
+        and round(s.real) >= 1
+    )
+
+
+def _minus_one_cvz(s: complex) -> bool:
+    """Whether :func:`lerch_minus_one` takes the alternating sum at order s."""
+    return s.real > 0.0 and abs(s - 1.0) >= 1e-12
+
+
+def lerch_minus_one(s: complex, a: complex, abs_tol: float = 0.0) -> EvalResult:
+    """Phi(-1, s, a) = fd(a-1, s, 0), tagged as that fd value; ``abs_tol``
+    as for hurwitz_zeta."""
+    if s.real <= -4.0 and a.imag == 0.0 and not is_nonpos_int(s):
+        value, err, work = fourier_reflection(s, a.real, 2, abs_tol)
+        return EvalResult(value, err, "fd/zero-reflection", work)
+    if not _minus_one_cvz(s):
+        inner = hurwitz_halves(s, a)
+        return EvalResult(inner.value, inner.err_estimate, "fd/zero-hurwitz-diff",
+                          inner.work)
+    value, err, work = alternating_lerch(s, a)
+    return EvalResult(value, err, "fd/zero-alternating-cvz", work)
+
+
+def minus_one_orders(s: complex, a: complex) -> Iterator[EvalResult]:
+    """lerch_minus_one(s + k, a) at k = 0, 1, 2, ..., each by the route
+    lerch_minus_one takes at its order; the alternating sums above order 0
+    (order 1 aside) are the rungs of one :func:`alternating_ladder`.  Those
+    orders follow one another: order 1 can only come before them."""
+    ladder = None
+    for k in itertools.count():
+        order = s + k
+        if not _minus_one_cvz(order):
+            yield lerch_minus_one(order, a)
+            continue
+        if ladder is None:
+            ladder = alternating_ladder(order, a)
+        value, err, work = next(ladder)
+        yield EvalResult(value, err, "fd/zero-alternating-cvz", work)
+
+
+# Terms the Taylor series in mu takes at most.
+_POWER_CAP = 40
+
+
+def mu_series(centre: str, s: complex, a: complex, mu: complex) -> EvalResult:
+    """e^{a mu} Phi(+-e^{mu}, s, a) by its Taylor series in mu about z = 1
+    ("be") or z = -1 ("fd"), be or fd(a-1, s, x) at x = -mu (eqs.
+    4.14/4.15; the ``extended`` module describes the route), tagged
+    ``{centre}/power-series-x``.  Needs Re(a) > 0 and |mu| below 0.999 of
+    the radius, 2 pi or pi.  mu is taken as read to 1e-15 of its modulus:
+    the estimate charges that times the bound sum_k k |term_k| + |s-1|
+    |singular part| on |mu d value/d mu|."""
+    x = -mu
+    radius, radius_name = (_PI, "pi") if centre == "fd" else (2.0 * _PI, "2 pi")
+    if abs(x) >= 0.999 * radius:
+        raise DomainError(
+            f"Taylor-in-x route needs |x| < {radius_name}, got |x|={abs(x):.4g}"
+        )
+
+    # Singular part: only the expansion about z = 1 carries one.  The
+    # order-1 pole of the Hurwitz coefficient at k = s-1 turns into
+    # Gamma(1-s) x^{s-1}; at a positive integer order m the two poles meet
+    # at k = m-1, and that coefficient plus the singular part become their
+    # finite limit
+    #   (-x)^{m-1}/(m-1)! [psi(m) - psi(a) - log x].
+    singular = complex(0.0)
+    sing_err = 0.0
+    pole_k = -1
+    work = 0
+    if centre == "be":
+        if x == 0.0 and s.real <= 1.0:
+            raise DomainError(
+                "divergent at x = 0 for Re(s) <= 1; the x = 0 value is "
+                "the continuation route"
+            )
+        if _near_pos_int(s):
+            pole_k = round(s.real) - 1
+        elif x != 0.0:
+            # exp turns the rounding of its exponent, log Gamma(1-s) +
+            # (s-1) log x, into a relative error of the same size.
+            ln_g = ln_gamma(1.0 - s)
+            ln_p = (s - 1.0) * cmath.log(x)
+            singular = cmath.exp(ln_g + ln_p)
+            sing_err = (5e-15 + 4.4e-16 * (abs(ln_g) + abs(ln_p))) * abs(singular)
+            work += 1
+
+    # Consecutive term magnitudes zigzag hard at integer s (odd-order
+    # coefficients are tiny next to even ones), so both the stopping rule
+    # and the divergence detector work on maxima of adjacent pairs.
+    total = complex(0.0)
+    terms: list[complex] = []
+    coeff_err = 0.0
+    xpow = complex(1.0)   # (-x)^k / k!
+    prev_mag = math.inf
+    pair_prev = math.inf
+    pair_cur = 0.0
+    grow_streak = 0
+    scale = 0.0
+    moment = 0.0   # sum of k |term_k|, plus |x^k/k!| for a pole limit's -log x
+    # With real a and a non-integer order, the coefficients at
+    # Re(s - k) <= -4 are one reflection series stepped from order to order.
+    reflected = a.imag == 0.0 and not (s.imag == 0.0 and s.real == round(s.real))
+    ladder = None
+    for k in range(_POWER_CAP):
+        # Coefficient k enters weighted by |x^k/k!|.  The sum is only
+        # resolved to REL_TOL times its scale (the stopping rule's), so the
+        # coefficient needs an absolute accuracy of no more than an eighth
+        # of that over the weight.  Term 0, and a weight of 0 (x = 0 or
+        # underflow), keep full accuracy.
+        abs_tol = REL_TOL * scale / (8.0 * abs(xpow)) if k and xpow else 0.0
+        if ladder is None and reflected and s.real - k <= -4.0:
+            ladder = ReflectionLadder(s - k, a.real, 2 if centre == "fd" else 1)
+            # Below 0.4 of the radius the factor 0.4^k alone takes term 39
+            # below 1e-15 of term 0, so only deep orders or large a fail
+            # there.  AUTO expands within a third of the radius (Re x < 0.1
+            # aside) and never pays for the check.
+            if abs(x) > 0.4 * radius and _cannot_converge(
+                    ladder, k, abs(x), abs(xpow), prev_mag,
+                    max(abs(total + singular), abs(total), 1e-300)):
+                raise ConvergenceError(
+                    f"Taylor-in-x route cannot converge within {_POWER_CAP} "
+                    f"terms (coefficient bounds from k={k})"
+                )
+        if ladder is not None:
+            value, c_err, c_work = ladder.rung(abs_tol)
+            if centre == "be":
+                value = faults.perturb("hurwitz_zeta", value)
+        else:
+            if k == pole_k:
+                c = _be_pole_limit(a, s, x, k)
+            elif centre == "fd":
+                c = lerch_minus_one(s - k, a, abs_tol)
+            else:
+                c = hurwitz_zeta(s - k, a, abs_tol=abs_tol)
+            value, c_err, c_work = c.value, c.err_estimate, c.work
+        work += c_work
+        term = value * xpow
+        terms.append(term)
+        total += term
+        coeff_err += c_err * abs(xpow)
+        mag = abs(term)
+        moment += k * mag + (abs(xpow) if k == pole_k else 0.0)
+        scale = max(abs(total + singular), abs(total), 1e-300)
+        if max(mag, prev_mag) <= REL_TOL * scale:
+            break
+        pair_cur = max(pair_cur, mag)
+        if k % 2 == 1:
+            if (
+                pair_cur > pair_prev
+                and pair_cur > 1e3 * REL_TOL * scale
+                and k > _POWER_CAP // 2
+            ):
+                grow_streak += 1
+                if grow_streak >= 2:
+                    raise ConvergenceError(
+                        f"Taylor-in-x terms stopped decreasing at k={k} "
+                        f"(|x| too close to the radius)"
+                    )
+            else:
+                grow_streak = 0
+            pair_prev = pair_cur
+            pair_cur = 0.0
+        prev_mag = mag
+        xpow *= -x / (k + 1)
+    else:
+        tail_mag = max(abs(t) for t in terms[-2:]) if terms else 0.0
+        if tail_mag > REL_TOL * 1e3 * max(abs(total + singular), 1e-300):
+            raise ConvergenceError(
+                f"Taylor-in-x route not converged within {_POWER_CAP} terms"
+            )
+
+    value = singular + compensated_sum(terms)
+    trunc = max((abs(t) for t in terms[-2:]), default=0.0)
+    err = trunc + coeff_err + sing_err + 1e-16 * abs(value)
+    err += 1e-15 * (moment + abs(s - 1.0) * abs(singular))
+    return EvalResult(value, err, f"{centre}/power-series-x", work)
+
+
+def _cannot_converge(ladder: ReflectionLadder, k0: int, r: float, weight: float,
+                     prev_mag: float, scale: float) -> bool:
+    """Whether the Taylor sum provably ends in ConvergenceError, decided
+    before coefficient k0, the ladder's first rung, from the ladder's bounds
+    on coefficients k0 to 39.
+
+    ``weight`` is |x^k0/k0!| at r = |x|, ``prev_mag`` is |term k0-1| (inf
+    at k0 = 0), and ``scale`` is the stopping rule's running scale before
+    term k0.  No later scale passes ``scale`` plus the upper bounds of the
+    terms left.  True only where every pair of terms from k0 - 1 on stays
+    above REL_TOL times that, so the sum cannot stop, and the last pair
+    above 1e3 times it, so the 40-term test fails.
+    """
+    bounds = ladder.bounds(_POWER_CAP - k0)
+    if bounds is None:
+        return False
+    lows = [prev_mag]
+    for k, (lo, hi) in enumerate(bounds, k0):
+        lows.append(weight * lo)
+        scale += weight * hi
+        weight *= r / (k + 1)
+    tol = REL_TOL * scale
+    return max(lows[-2:]) > 1e3 * tol and all(
+        max(p, q) > tol for p, q in zip(lows, lows[1:]))
+
+
+def _be_pole_limit(a: complex, s: complex, x: complex, k: int) -> EvalResult:
+    """Coefficient of (-x)^k/k! that replaces zeta(s-k, a) at s = k+1.
+
+    It absorbs the singular part: psi(k+1) - psi(a) - log x, and 0 at
+    x = 0, where the term vanishes.  An order within 1e-12 of k+1 is
+    charged the first-order change of the combined term across the gap.
+    """
+    if x == 0.0:
+        return EvalResult(0.0, 0.0, "be/pole-limit", 0)
+    psi_m = digamma(k + 1.0)
+    psi_a = digamma(a)
+    log_x = cmath.log(x)
+    value = psi_m - psi_a - log_x
+    size = 1.0 + abs(psi_m) + abs(psi_a) + abs(log_x)
+    err = 2e-15 * size + abs(s - (k + 1)) * size * size
+    return EvalResult(value, err, "be/pole-limit", 2)
+
+
 def _log_sum_exp(logs: list[float]) -> float:
     """log sum_k e^{logs_k}, with no overflow on the way."""
     top = max(logs)
@@ -1219,11 +1461,11 @@ def _radial_slope(theta: float, s: complex, a: float, size: float) -> float:
     return 2.0 * math.exp(total) if total < 709.0 else math.inf
 
 
-def _lerch_route(z: complex, s: complex, a: complex) -> str:
+def lerch_route(z: complex, s: complex, a: complex) -> str:
     """The route :func:`lerch_phi` takes at (z, s, a), named as its tag:
-    single-term, hurwitz-delegate, cvz-alternating, cvz-circle, direct-sum
-    or lerch-transform.  For one z and a it depends on s only through the
-    sign of Re(s) and through |Im s|."""
+    single-term, hurwitz-delegate, cvz-alternating, cvz-circle, mu-series,
+    direct-sum or lerch-transform.  For one z and a it depends on s only
+    through the sign of Re(s) and through |Im s|."""
     if z == 0.0:
         return "single-term"
     if abs(z - 1.0) < 1e-12:
@@ -1234,30 +1476,38 @@ def _lerch_route(z: complex, s: complex, a: complex) -> str:
         if z.real < 0.0 and abs(z.imag) < 1e-12:
             if _cvz_length(s) < budget:
                 return "cvz-alternating"
+        elif near_one(cmath.phase(z)):
+            if budget > SERIES_CROSSOVER and (
+                    not inside or abs(a) * abs(cmath.log(z)) <= TAYLOR_REACH):
+                return "mu-series"
         elif not inside or budget > _CVZ_MIN and _circle_length(z, s, a) < budget:
             return "cvz-circle"
     return "direct-sum" if inside else "lerch-transform"
 
 
-def lerch_orders(z: complex, s: complex, a: complex) -> Iterator[EvalResult]:
+def lerch_orders(z: complex, s: complex, a: complex, log_z: complex
+                 ) -> Iterator[EvalResult]:
     """lerch_phi(LerchParams(z, s + k, a)) at k = 0, 1, 2, ..., each by the
     route :func:`lerch_phi` takes at its order.  Where that route is the
     direct or the alternating sum, the orders of one sign of Re(s + k) are
     the rungs of one ladder (:func:`direct_ladder`,
     :func:`alternating_ladder`), which makes each order's terms from the
     last order's by one division by n + a; the other routes run order by
-    order.  A rung's value passes the ``lerch_phi`` fault hook as a
-    ``lerch_phi`` value does."""
+    order; the Taylor series in log z at ``log_z``, which a z rounded from
+    e^{-x} holds only to 1.1e-16 absolute.  A rung's value passes the
+    ``lerch_phi`` fault hook as a ``lerch_phi`` value does."""
     z, s, a = complex(z), complex(s), complex(a)
     LerchParams(z, s, a)   # refuses what lerch_phi refuses
     k = 0
     while True:
         order = s + k
-        route = _lerch_route(z, order, a)
+        route = lerch_route(z, order, a)
         if route == "direct-sum":
             ladder = direct_ladder(z, order, a)
         elif route == "cvz-alternating":
             ladder = alternating_ladder(order, a, cmath.log(-z))
+        elif route == "mu-series":   # one order at a time, at the caller's log z
+            ladder = (_head_shifted(route, z, s + j, a, log_z) for j in itertools.count(k))
         else:
             yield lerch_phi(LerchParams(z, order, a))
             k += 1
@@ -1285,9 +1535,13 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     * elsewhere the CVZ sum at w = 1/z (:func:`circle_lerch`), with the
       multiplication formula next to the positive real axis, m n terms;
       where Re(a) <= 0, after the floor(-Re a) + 1 terms that bring Re(a)
-      above 0.  Past ``MULT_CAP`` pieces it has no length inside the disk,
-      and on |z| = 1 raises ConvergenceError up front, before any term:
-      |arg z| < 2 pi/(3 MULT_CAP).
+      above 0.  Past ``MULT_CAP`` pieces, |arg z| < 2 pi/(3 MULT_CAP)
+      (:func:`near_one`), where the direct sum is predicted past
+      ``SERIES_CROSSOVER`` terms, the Taylor series in mu = log z about
+      z = 1 serves instead, after the same terms (:func:`mu_series`):
+      Phi(e^mu, s, a) = e^{-a mu} [Gamma(1-s) (-mu)^{s-1} + sum_k
+      zeta(s-k, a) mu^k/k!], on |z| = 1 always, inside where its terms
+      cancel little, |a| |mu| <= ``TAYLOR_REACH``.
 
     Other |z| < 1 -> direct geometric-tail summation.  Other |z| = 1
     (within 1e-14):
@@ -1318,49 +1572,34 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     every term to the tail bound, so it holds where the terms cancel.
     """
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
-    route = _lerch_route(z, s, a)
+    route = lerch_route(z, s, a)
 
     if route == "direct-sum":
-        return _lerch_direct(z, s, a)
-
-    if route == "single-term":
-        value = cpow(a, -s)
-        value = faults.perturb("lerch_phi", value)
+        value, err, work, _, _ = _direct_rung(z, s, a)
+    elif route == "single-term":
+        value, work = cpow(a, -s), 1
         err = 2.2e-16 * (1.0 + abs(s) * (1.0 + abs(cmath.log(a)))) * abs(value)
-        return EvalResult(value, err, "lerch/single-term", 1)
-
-    if route == "hurwitz-delegate":
+    elif route == "hurwitz-delegate":
         inner = hurwitz_zeta(s, a)
-        value = faults.perturb("lerch_phi", inner.value)
-        return EvalResult(value, inner.err_estimate, "lerch/hurwitz-delegate",
-                          inner.work)
-
-    if route == "cvz-alternating":
+        value, err, work = inner.value, inner.err_estimate, inner.work
+    elif route == "cvz-alternating":
         value, err, work = alternating_lerch(s, a, cmath.log(-z))
-        return EvalResult(faults.perturb("lerch_phi", value), err,
-                          "lerch/cvz-alternating", work)
-
-    if route == "cvz-circle":
-        out = _circle_positive(z, s, a)
-        return EvalResult(faults.perturb("lerch_phi", out.value),
-                          out.err_estimate, out.strategy, out.work)
-
-    if s == 0.0:
+    elif route in ("cvz-circle", "mu-series"):
+        # cmath.log reads ln|z| by log1p next to |z| = 1, to a few ulps.
+        value, err, work = _head_shifted(route, z, s, a, cmath.log(z))
+    elif s == 0.0:
         # sum z^n, exact at z itself: near 1, 1 - z is exact.
         value = 1.0 / (1.0 - z)
-        out = EvalResult(value, 4.4e-16 * abs(value), "lerch/lerch-transform", 1)
+        err, work = 4.4e-16 * abs(value), 1
     else:
         out = lerch_transform(cmath.phase(z), s, a.real)
+        value, err, work = out.value, out.err_estimate, out.work
         # ||z|^2 - 1| >= ||z| - 1|; next to z = 1, where it matters, x - 1
         # is exact and this is good to a few ulps, while |z| rounds to 1.
         radial = abs((z.real - 1.0) * (z.real + 1.0) + z.imag * z.imag)
         if radial > 0.0:
-            size = abs(out.value) + out.err_estimate
-            slope = _radial_slope(cmath.phase(z), s, a.real, size)
-            out = EvalResult(out.value, out.err_estimate + radial * slope,
-                             out.strategy, out.work)
-    return EvalResult(faults.perturb("lerch_phi", out.value), out.err_estimate,
-                      out.strategy, out.work)
+            err += radial * _radial_slope(cmath.phase(z), s, a.real, abs(value) + err)
+    return EvalResult(faults.perturb("lerch_phi", value), err, "lerch/" + route, work)
 
 
 def polylog(z: complex, s: complex) -> EvalResult:

@@ -5,6 +5,7 @@ per point; the tests regenerate the points and refuse to compare when
 they differ from the stored ones.
 """
 
+import cmath
 import decimal
 import json
 import math
@@ -125,6 +126,27 @@ def imaginary_axis_grid():
         yield kind, nu, s, complex(0.0, centre + d)
 
 
+def lerch_near_one_grid():
+    """(fn, z, s, a) for lerch_phi and polylog (a = 1) next to z = 1, where
+    no CVZ sum reaches z: |arg z| in [1e-6, 0.13], |z| = 1 or e^{-r} with r
+    in [1e-8, 0.099] (the direct sum past its 300-term crossover), Re s in
+    (0, 4] real, a positive integer or with |Im s| <= 4, and a real in
+    (0, 6], complex, or negative off the integers."""
+    rng = random.Random(20261201)
+    for _ in range(200):
+        fn = rng.choice(("lerch", "polylog"))
+        r = rng.choice((0.0, 10 ** rng.uniform(-8.0, math.log10(0.099))))
+        theta = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6.0, math.log10(0.13))
+        z = cmath.exp(complex(-r, theta))
+        sigma = 4.0 - rng.uniform(0.0, 4.0)
+        s = rng.choice((complex(sigma), complex(max(1, round(sigma))),
+                        complex(sigma, rng.uniform(-4.0, 4.0))))
+        a = 1.0 if fn == "polylog" else rng.choice((
+            rng.uniform(0.05, 6.0), complex(rng.uniform(0.1, 4.0), rng.uniform(-1.0, 1.0)),
+            -rng.randint(0, 2) - rng.uniform(0.05, 0.95)))
+        yield fn, z, s, a
+
+
 def pole_free_grid():
     """(t, c) where Lerch's transformation at alpha = 1 takes pole-free
     Hurwitz zeta, zeta(t, c) - 1/(t - 1): t = 1 - s in [1, 7.5] (real,
@@ -173,6 +195,7 @@ GRIDS = {
     "complex_angle": complex_angle_grid,
     "large_nu": large_nu_grid,
     "imaginary_axis": imaginary_axis_grid,
+    "lerch_near_one": lerch_near_one_grid,
     "pole_free": pole_free_grid,
     "nu_series": nu_series_grid,
     "nu_series_real_nu": nu_series_real_nu_grid,

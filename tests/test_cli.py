@@ -118,9 +118,10 @@ class TestEval:
 
     def test_convergence_exit_code(self, capsys):
         # |z| so close to 1 that the term budget cannot reach the tolerance:
-        # the direct sum refuses up front.
+        # at Re s <= 0 inside the circle the direct sum serves, and refuses
+        # up front.  (At s = 2 the Taylor series in log z returns.)
         code = main(
-            ["eval", "--fn", "lerch", "--z", "0.999999", "--s", "2", "--a", "1"]
+            ["eval", "--fn", "lerch", "--z", "0.999999", "--s=-2", "--a", "1"]
         )
         assert code == EXIT_CONVERGENCE
 

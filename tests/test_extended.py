@@ -550,9 +550,9 @@ class TestStrategies:
         # wherever its inner sums serve nu + 1 and m Re x <= 1, and returns
         # within its estimate and 1e-12 of the frozen mpmath reference.
         # Its fallbacks, nu next to an integer and m Re x > 1, take the
-        # Taylor route, the reduction or the defining series, each within
-        # its estimate; next to a be centre the reduction reads x - 2 pi i j
-        # through the double nearest pi, which its estimate charges.
+        # Taylor route at real x, the expansion about a centre at complex x
+        # or the defining series, each within its estimate; the expansion,
+        # which reads mu from the exact phase of z, also within 1e-12.
         routes = collections.Counter()
         for (kind, nu, s, x), ref in grid_refs("complex_angle"):
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
@@ -566,7 +566,11 @@ class TestStrategies:
             else:
                 assert not got.strategy.endswith("/xseries-lerch-transform"), (kind, nu, s, x)
                 routes["near-integer" if not serves else "long-reduction"] += 1
-        assert routes == {"transform": 115, "near-integer": 25, "long-reduction": 20}
+            if got.strategy.startswith(f"{kind}/circle-"):
+                assert gap <= decimal.Decimal(1e-12) * ref_abs, (kind, nu, s, x)
+                routes["expanded"] += 1
+        assert routes == {"transform": 115, "near-integer": 25, "long-reduction": 20,
+                          "expanded": 22}
 
     def test_auto_next_to_a_far_be_centre_takes_the_exact_phase(self):
         # z within 1e-10 of 1 at Im x next to 2 pi j for large j.  The
@@ -592,6 +596,32 @@ class TestStrategies:
                 want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
                 gap = abs(mpmath.mpc(got.value) - want)
                 assert gap <= got.err_estimate and gap <= tol * abs(want), (kind, x)
+
+    def test_auto_next_to_a_far_centre_expands_at_the_exact_phase(self):
+        # z within 1e-9 of 1 at Im x next to j pi, |j| up to 200, where
+        # Lerch's transformation does not serve (nu next to an integer,
+        # complex nu) or Re s > 0: AUTO expands about the centre.  Read
+        # against the double nearest pi, x - i j pi put these 1.7e-10 to
+        # 1.2e-3 off under estimates near 1e-13.  With mu from the exact
+        # phase of z each is within its estimate and 1e-12 of 50-digit
+        # mpmath.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for kind, nu, s, x in (
+                ("be", 0.99, -1.5, complex(1e-11, 200 * math.pi)),
+                ("be", 1.995, -2.5 + 1j, complex(3e-12, -50 * math.pi)),
+                ("fd", 2.99, -0.5, complex(1e-10, 101 * math.pi)),
+                ("be", 0.99, 1.5, complex(1e-9, 40 * math.pi)),
+                ("be", 0.3 + 0.2j, -1.5, complex(1e-11, 20 * math.pi)),
+            ):
+                got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
+                assert got.strategy == f"{kind}/circle-be", (kind, nu, s, x)
+                xm, am = mpmath.mpc(x), mpmath.mpc(nu) + 1
+                z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(s), am)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate, (kind, nu, s, x)
+                assert gap <= 1e-12 * abs(want), (kind, nu, s, x)
 
     def test_auto_large_nu_grid_against_mpmath(self):
         # Seeded grid at nu in [10, 1e3] next to the circle (grids.large_nu_
@@ -650,8 +680,10 @@ class TestStrategies:
         # series finishes, AUTO returns it, also at |Im s| = 20 to 25, where
         # the reduction loses digits.  At x = 1e-6 + 2i lerch_phi takes the
         # CVZ circle sum, 64 terms where the direct sum would need millions.
-        # Only where z is within the multiplication cap's angle of the
-        # positive real axis does the series refuse, and AUTO reduces.
+        # Where z is within the multiplication cap's angle of the positive
+        # real axis no CVZ sum reaches it: the forced series, which refused
+        # there, takes the Taylor series in log z, within its estimate, and
+        # AUTO the same expansion about the centre.
         mpmath = pytest.importorskip("mpmath")
         for f, kind in ((ext_fd, "fd"), (ext_be, "be")):
             for nu, s, x in ((0.5, 0.5 + 25j, 0.004 + 2.0j),
@@ -670,39 +702,47 @@ class TestStrategies:
             gap = abs(mpmath.mpc(got.value) - want)
             assert gap <= got.err_estimate and gap <= 1e-13 * abs(want), kind
             p = ExtParams(0.5, 1.0 + 2j, 1e-6 + (3.19j if kind == "fd" else 0.05j))
-            with pytest.raises(ConvergenceError, match="not converged"):
-                f(p, Strategy.XSERIES)
-            assert f(p).strategy.startswith(f"{kind}/circle-")
+            got = f(p, Strategy.XSERIES)
+            assert got.strategy == f"{kind}/xseries-mu-series"
+            assert f(p).strategy == f"{kind}/circle-be"
+            with mpmath.workdps(30):
+                xm = mpmath.mpc(p.x)
+                z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                want = mpmath.exp(-am * xm) * mpmath.lerchphi(z, mpmath.mpc(p.s), am)
+            gap = abs(mpmath.mpc(got.value) - want)
+            assert gap <= got.err_estimate and gap <= 1e-12 * abs(want), kind
 
     def test_circle_positive_order_grid_against_mpmath(self):
-        # The reduction at Re s > 0 (AUTO's route where the defining series
-        # cannot finish), called directly, against the frozen 20-digit
-        # mpmath.lerchphi references.  Half the grid sits next to a be
-        # centre at integer s, where the pole limit's -log x enters the
-        # slope that the shift's rounding is charged with.
+        # AUTO's expansion about the nearest centre at Re s > 0, called
+        # directly at every point, against the frozen 20-digit
+        # mpmath.lerchphi references: within the estimate.  Where AUTO takes
+        # it itself, next to z = 1 where no CVZ sum reaches, also within
+        # 1e-12.  Half the grid sits next to a be centre at integer s, where
+        # the pole limit's -log x takes the phase of z.
+        taken = 0
         for (kind, nu, s, x), ref in grid_refs("circle_positive_order"):
-            got = extended._circle(kind, complex(nu), s, x)
+            got = extended._about_centre(kind, complex(nu), s, x, *extended._centre(kind, x))
             assert got.strategy.startswith(f"{kind}/circle-")
-            gap, _ = ref_gap(got.value, ref)
+            gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
+            if (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x)) == got:
+                assert gap <= decimal.Decimal(1e-12) * ref_abs, (kind, nu, s, x)
+                taken += 1
+        assert taken == 98
 
     def test_auto_imaginary_axis_positive_order_grid_against_mpmath(self):
         # x = it within 1e-6 to 0.131 of a centre where z = 1, at Re s in
         # (0, 4] (grids.imaginary_axis_grid), once a hole in AUTO's domain:
         # no CVZ sum reaches z there, and every point raised.  AUTO now
-        # reduces onto the centre and returns each point within its
-        # estimate of the frozen mpmath reference, and within 1e-12 but for
-        # the reduction reading x - i j pi through the double nearest pi
-        # (open): at distance d from a far centre that loses up to
-        # 2.4e-16 (|s - 1| + 1) |j|/d relative.
+        # expands about the centre, reading mu from the exact phase of z,
+        # and returns each point within its estimate of the frozen mpmath
+        # reference and within 1e-12.
         for (kind, nu, s, x), ref in grid_refs("imaginary_axis"):
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
             assert got.strategy == f"{kind}/circle-be", (kind, nu, s, x)
             gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
-            j = round(x.imag / math.pi)
-            loss = 2.4e-16 * (abs(s - 1.0) + 1.0) * abs(j) / abs(x.imag - j * math.pi)
-            assert gap <= decimal.Decimal(1e-12 + loss) * ref_abs, (kind, nu, s, x)
+            assert gap <= decimal.Decimal(1e-12) * ref_abs, (kind, nu, s, x)
 
     def test_auto_reduced_onto_a_centre_takes_the_real_x_rules(self):
         # x = i j pi (the double j * math.pi standing for the exact
@@ -727,19 +767,27 @@ class TestStrategies:
             want = mpmath.exp(-1j * mpmath.pi * j * a) * value
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (kind, nu, s, j)
 
-    def test_auto_refuses_a_reduction_its_rounding_undetermines(self):
-        # One ulp past 2 pi (be) or 3 pi (fd) the reduced be argument is
-        # about 1e-15 i, below the rounding of the shift, next to be's
-        # singularity at 0.  A charge first order in that rounding would
-        # not bound the error, so AUTO refuses.  fd is smooth at its centre
-        # and returns.  At Im x = 1e15 the shift's rounding would be 0.2,
-        # but no shift is taken: Lerch's transformation returns, and its
-        # estimate charges the rounding of the factor e^{-(nu+1) x}.
+    def test_auto_one_ulp_off_a_centre_returns_the_value_at_the_double(self):
+        # One ulp past 2 pi (be) or 3 pi (fd) mu is about 1e-15 i, read
+        # from the exact phase of z, next to be's singularity at 0: the
+        # value at the double input, about 1.3e38 and 1.8e37, within its
+        # estimate and 1e-14 (AUTO refused while it read x against the
+        # double nearest pi).  fd is smooth at its centre.  At Im x = 1e15
+        # Lerch's transformation returns, and its estimate charges the
+        # rounding of the factor e^{-(nu+1) x}.
         mpmath = pytest.importorskip("mpmath")
-        for f, x in ((ext_be, 1j * math.nextafter(2.0 * math.pi, 7.0)),
-                     (ext_fd, 1j * math.nextafter(3.0 * math.pi, 10.0))):
-            with pytest.raises(DomainError, match="rounds by more than"):
-                f(ExtParams(0.5, -1.5, x))
+        with mpmath.workdps(50):
+            for f, kind, x, size in (
+                    (ext_be, "be", 1j * math.nextafter(2.0 * math.pi, 7.0), 1.27e38),
+                    (ext_fd, "fd", 1j * math.nextafter(3.0 * math.pi, 10.0), 1.78e37)):
+                got = f(ExtParams(0.5, -1.5, x))
+                assert got.strategy == f"{kind}/circle-be"
+                xm = mpmath.mpc(x)
+                z = (-1 if kind == "fd" else 1) * mpmath.exp(-xm)
+                want = mpmath.exp(-1.5 * xm) * mpmath.lerchphi(z, -1.5, 1.5)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= 1e-14 * abs(want), kind
+                assert abs(abs(want) / size - 1) < 0.01, kind
         got = ext_fd(ExtParams(0.5, -1.5, 1j * math.nextafter(2.0 * math.pi, 7.0)))
         assert got.strategy == "fd/xseries-lerch-transform"
         with mpmath.workdps(40):
@@ -1116,11 +1164,13 @@ class TestAlternatingLength:
         assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
     def test_forced_xseries_names_the_lerch_route(self):
-        # The tag map is indexed strictly; every lerch_phi route maps.
+        # The tag map is indexed strictly; every lerch_phi route maps but
+        # the Taylor series in log z, which the forced series reads from x.
         assert set(extended._LERCH_TAG_MAP) == {
             "single-term", "hurwitz-delegate", "cvz-alternating",
             "direct-sum", "cvz-circle", "lerch-transform"}
         for f, p, tag in (
+            (ext_be, ExtParams(0.5, 2.5, 0.05), "be/xseries-mu-series"),
             (ext_fd, ExtParams(0.0, 0.5 + 60j, 0.0), "fd/xseries-cvz"),
             (ext_be, ExtParams(0.5, 2.5, 0.0), "be/xseries-hurwitz-delegate"),
             (ext_fd, ExtParams(0.5, 2.5, 1.0), "fd/xseries-direct"),
@@ -1137,7 +1187,7 @@ class TestTaylorRefusal:
     Re(s - k) <= -4), where the ladder's bounds on coefficients k0 to 39
     prove that no pair of terms from k0 - 1 on can meet the stopping rule
     and that the last pair fails the 40-term test
-    (``extended._cannot_converge``).  Elsewhere it refuses through its
+    (``zeta._cannot_converge``).  Elsewhere it refuses through its
     grow-streak detector or its 40-term cap."""
 
     @staticmethod
@@ -1168,7 +1218,7 @@ class TestTaylorRefusal:
                            rng.choice((0.0, rng.uniform(-1.5, 1.5))))
             points.append((f, ExtParams(rng.uniform(0.0, 12.0), s, x)))
         ruled, refused = self._forced(points)
-        monkeypatch.setattr(extended, "_cannot_converge", lambda *args: False)
+        monkeypatch.setattr(zeta_module, "_cannot_converge", lambda *args: False)
         full, none = self._forced(points)
         assert ruled == full and none == 0
         assert refused >= 1 and any(o is not ConvergenceError for o in ruled)
@@ -1205,7 +1255,7 @@ class TestTaylorRefusal:
                 return [(lo, 1.0) for lo in self.lows[:count]]
 
         def refuses(lows):
-            return extended._cannot_converge(Ladder(lows), 30, 35.0, 1.0, 1.0, 1.0)
+            return zeta_module._cannot_converge(Ladder(lows), 30, 35.0, 1.0, 1.0, 1.0)
 
         assert refuses([1.0] * 10)
         assert not refuses([1.0] * 4 + [0.0, 0.0] + [1.0] * 4)
@@ -1221,7 +1271,7 @@ class TestTaylorRefusal:
     def test_refused_point_stops_before_its_first_rung(self, monkeypatch, f, p, k0):
         # The coefficients before k0 are Euler-Maclaurin values; a refused
         # point computes those and no rung.
-        calls = self._counted(monkeypatch, ("hurwitz_zeta", "_fd_zero"))
+        calls = self._counted(monkeypatch, f)
         rung = zeta_module.ReflectionLadder.rung
         monkeypatch.setattr(zeta_module.ReflectionLadder, "rung",
                             lambda *args: calls.append("rung") or rung(*args))
@@ -1237,7 +1287,7 @@ class TestTaylorRefusal:
         ladder = zeta_module.ReflectionLadder.__init__
         monkeypatch.setattr(zeta_module.ReflectionLadder, "__init__",
                             lambda *args: ladders.append(1) or ladder(*args))
-        monkeypatch.setattr(extended, "_cannot_converge",
+        monkeypatch.setattr(zeta_module, "_cannot_converge",
                             lambda *args: checks.append(1) or False)
         for name in ("auto_unit_circle", "complex_angle", "imaginary_axis"):
             for kind, nu, s, x in grids.GRIDS[name]():
@@ -1245,13 +1295,13 @@ class TestTaylorRefusal:
         assert ladders and not checks
 
     @staticmethod
-    def _counted(monkeypatch, names):
-        calls = []
-        for name in names:
-            def counted(*args, _name=name, _inner=getattr(extended, name), **kwargs):
-                calls.append(_name)
-                return _inner(*args, **kwargs)
-            monkeypatch.setattr(extended, name, counted)
+    def _counted(monkeypatch, f):
+        """The calls of f's Taylor coefficients: zeta(s-k, a) for be,
+        Phi(-1, s-k, a) for fd, each counted once, not within another."""
+        name = "lerch_minus_one" if f is ext_fd else "hurwitz_zeta"
+        calls, inner = [], getattr(zeta_module, name)
+        monkeypatch.setattr(zeta_module, name,
+                            lambda *args, **kwargs: calls.append(name) or inner(*args, **kwargs))
         return calls
 
     @pytest.mark.parametrize("f, p", [
@@ -1261,7 +1311,7 @@ class TestTaylorRefusal:
     def test_large_nu_keeps_the_full_sum(self, monkeypatch, f, p):
         # The grow-streak detector refuses these terms, which grow like
         # (nu x)^k / k!, at k = 23.  AUTO takes the defining series there.
-        calls = self._counted(monkeypatch, ("hurwitz_zeta", "_fd_zero"))
+        calls = self._counted(monkeypatch, f)
         with pytest.raises(ConvergenceError, match="stopped decreasing"):
             f(p, Strategy.POWER_SERIES_X)
         assert len(calls) <= 24
@@ -1275,7 +1325,7 @@ class TestTaylorRefusal:
     def test_divergent_forced_point_stops_at_the_cap(self, monkeypatch, f, p):
         # Forced PowerSeriesX still expands about 0, so points near its
         # radius diverge; they raise after at most 40 coefficients.
-        calls = self._counted(monkeypatch, ("hurwitz_zeta", "_fd_zero"))
+        calls = self._counted(monkeypatch, f)
         with pytest.raises(ConvergenceError):
             f(p, Strategy.POWER_SERIES_X)
         assert len(calls) <= 40

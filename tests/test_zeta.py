@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import zetakit.zeta as zeta_module
 from zetakit.result import EvalResult
-from zetakit import extended
 from zetakit import (
     ConvergenceError,
     DomainError,
@@ -182,7 +181,7 @@ class TestHurwitzZeta:
         got = [(r.value, r.err_estimate, r.work) for r in (
             hurwitz_zeta(-4.5, 0.3), hurwitz_zeta(-7.25 + 2j, 2.6),
             hurwitz_zeta(-60.5, 1.5), hurwitz_zeta(-9.5, 1.25, abs_tol=1e-3),
-            extended._fd_zero(2.125 + 0j, -6.75 - 1.5j, 1e-6),
+            zeta_module.lerch_minus_one(-6.75 - 1.5j, 3.125 + 0j, 1e-6),
         )]
         assert got == [
             ((0.0038058819301665784+0j), 4.654935154248504e-16, 555),
@@ -205,7 +204,7 @@ class TestHurwitzZeta:
         # near -218 (alternating, fd at x = 0) and -259 (zeta); beyond that
         # the series raises OverflowError, never a NaN.
         mpmath = pytest.importorskip("mpmath")
-        got = extended._fd_zero(0.5 + 0j, -170.5 + 0j)
+        got = zeta_module.lerch_minus_one(-170.5 + 0j, 1.5 + 0j)
         with mpmath.workdps(30):
             s = mpmath.mpf(-170.5)
             want = 2 ** -s * (mpmath.zeta(s, 0.75) - mpmath.zeta(s, 1.25))
@@ -215,7 +214,7 @@ class TestHurwitzZeta:
             got = hurwitz_zeta(-255.5, 1.5)
             assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
         with pytest.raises(OverflowError):
-            extended._fd_zero(0.5 + 0j, -218.5 + 0j)
+            zeta_module.lerch_minus_one(-218.5 + 0j, 1.5 + 0j)
         with pytest.raises(OverflowError):
             hurwitz_zeta(-260.5, 1.5)
 
@@ -624,20 +623,23 @@ class TestLerchPhi:
         assert rel(got.value, lerch_phi(LerchParams(0.5, 2.0, 2.0)).value) <= 1e-15
 
     def test_budget_exhaustion_raises(self):
+        # |z| = 0.9: the direct sum, predicted at 285 terms, serves.
         with mock.patch.object(zeta_module, "MAX_TERMS", 3):
             with pytest.raises(ConvergenceError):
-                lerch_phi(LerchParams(0.99, 1.001, 1.0))
+                lerch_phi(LerchParams(0.9, 1.001, 1.0))
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1)),
-            lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, 1 + 1j)),
-            lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2, -0.5)),
+            # lerch_phi takes the Taylor series in log z at these three
+            # (TestUnitCircle.test_next_to_one_takes_the_mu_series).
+            lambda: zeta_module._direct_rung(math.exp(-1e-6), 2, 1),
+            lambda: zeta_module._direct_rung(math.exp(-1e-6), 2, 1 + 1j),
+            lambda: zeta_module._direct_rung(math.exp(-1e-6), 2, -0.5),
             # r^N = 1e-5: at Re s < 0 the terms grow until k = N.
             lambda: lerch_phi(LerchParams(math.exp(-2.3e-5), -40, 1)),
             lambda: ext_fd(ExtParams(0, -1.5, 1e-7), Strategy.XSERIES),
-            lambda: ext_be(ExtParams(0, 2, 1e-6), Strategy.XSERIES),
+            lambda: ext_be(ExtParams(0, -2, 1e-6), Strategy.XSERIES),
         ],
         ids=["lerch", "lerch-complex-a", "lerch-negative-a",
              "lerch-negative-order", "fd", "be"],
@@ -662,10 +664,12 @@ class TestLerchPhi:
     @pytest.mark.parametrize(
         "call, want",
         [
-            (lambda: lerch_phi(LerchParams(math.exp(-1e-6), 3, 1)), None),
+            # The direct sum itself: lerch_phi takes the Taylor series in
+            # log z at these two.
+            (lambda: zeta_module._direct_rung(math.exp(-1e-6), 3, 1), None),
             # |(n+a)^{-s}| carries e^{800 arg(n+a)}, past the double range
             # at small n: the refusal must not overflow on the way.
-            (lambda: lerch_phi(LerchParams(math.exp(-1e-6), 2 - 800j, 0.5 + 2j)),
+            (lambda: zeta_module._direct_rung(math.exp(-1e-6), 2 - 800j, 0.5 + 2j),
              None),
             # Next to |z| = 1 off the real axis lerch_phi takes the CVZ
             # circle sum, m n = 4 x 32 powers, and sums no direct term.
@@ -700,16 +704,16 @@ class TestLerchPhi:
         # and the sum raises.  lerch_phi itself takes the CVZ circle sum
         # there, 1,509 terms, and agrees within the two estimates.
         z, s, a = math.exp(-1e-3) * cmath.exp(1j), 2 - 400j, 0.5 + 2j
-        got = zeta_module._lerch_direct(z, s, a)
-        assert (got.strategy, got.work) == ("lerch/direct-sum", 33_053)
+        value, err, work = zeta_module._direct_rung(z, s, a)[:3]
+        assert work == 33_053
         with mock.patch.object(zeta_module, "MAX_TERMS", 33_052):
-            assert zeta_module._lerch_direct(z, s, a) == got
+            assert zeta_module._direct_rung(z, s, a)[:3] == (value, err, work)
         with mock.patch.object(zeta_module, "MAX_TERMS", 33_051):
             with pytest.raises(ConvergenceError):
-                zeta_module._lerch_direct(z, s, a)
+                zeta_module._direct_rung(z, s, a)
         cvz = lerch_phi(LerchParams(z, s, a))
         assert (cvz.strategy, cvz.work) == ("lerch/cvz-circle", 1_509)
-        assert abs(cvz.value - got.value) <= cvz.err_estimate + got.err_estimate
+        assert abs(cvz.value - value) <= cvz.err_estimate + err
 
     @pytest.mark.parametrize("f, p", [
         (ext_be, ExtParams(2.745048424289283, 3.7434708545701 + 17.006277493720262j,
@@ -827,6 +831,8 @@ class TestLerchPhi:
             need = cap + 1
         elif full.strategy == "lerch/direct-sum":
             need = full.work - 1
+        elif full.strategy == "lerch/mu-series":
+            return   # its reflection coefficients cap their terms at MAX_TERMS
         else:
             need = 0   # a route that takes no term budget
         top = min(need, cap)
@@ -992,17 +998,55 @@ class TestUnitCircle:
             assert abs(mpmath.mpc(value) - want) <= err, (z, s, a)
         assert 1 in pieces and max(pieces) > 4
 
+    def test_next_to_one_grid_against_mpmath(self):
+        # Seeded grid (grids.lerch_near_one_grid) of lerch_phi and polylog
+        # within |arg z| <= 0.13 of the positive real axis, on |z| = 1 and
+        # inside it past the direct sum's 300-term crossover, at Re s in
+        # (0, 4]: every point takes the Taylor series in log z and returns
+        # within its estimate and 1e-12 of the frozen mpmath reference.
+        for (fn, z, s, a), ref in grid_refs("lerch_near_one"):
+            got = polylog(z, s) if fn == "polylog" else lerch_phi(LerchParams(z, s, a))
+            assert got.strategy == f"{fn}/mu-series", (fn, z, s, a)
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= Decimal(got.err_estimate), (fn, z, s, a)
+            assert gap <= Decimal(1e-12) * ref_abs, (fn, z, s, a)
+
     @pytest.mark.parametrize(
         "p",
         [LerchParams(cmath.exp(0.1j), 2, 1),
          LerchParams(cmath.exp(-0.1j), 0.5 + 3j, -2.5 + 1j),
-         LerchParams(cmath.exp(1j), -1.5, 1.01),
+         LerchParams(math.exp(-1e-6), 2, 1),
+         LerchParams(math.exp(-1e-6), 2, 1 + 1j),
+         LerchParams(math.exp(-1e-6), 2, -0.5),
+         LerchParams(math.exp(-1e-6), 3, 1),
+         LerchParams(0.999999, 2, 1)],
+        ids=["order-2", "complex-a", "lerch", "lerch-complex-a", "lerch-negative-a",
+             "lerch-order-3", "cli"],
+    )
+    def test_next_to_one_takes_the_mu_series(self, p):
+        # Within 2 pi/(3 MULT_CAP) of the positive real axis at Re s > 0 no
+        # CVZ sum reaches z, and lerch_phi refused: past the cap on the
+        # circle, with its direct sum's budget short inside it.  The
+        # Taylor series in log z returns each point within its estimate
+        # and 1e-12 of mpmath, from a few dozen coefficients.
+        mpmath = pytest.importorskip("mpmath")
+        got = lerch_phi(p)
+        assert got.strategy == "lerch/mu-series" and got.work < 1_000
+        with mpmath.workdps(40):
+            want = mpmath.lerchphi(mpmath.mpc(p.z), mpmath.mpc(p.s), mpmath.mpc(p.a))
+            gap = abs(mpmath.mpc(got.value) - want)
+        assert gap <= got.err_estimate and gap <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize(
+        "p",
+        [LerchParams(cmath.exp(1j), -1.5, 1.01),
          LerchParams(cmath.exp(2j), -2.5 + 1j, 3.995)],
-        ids=["order-2", "complex-a", "order--1.5", "a-next-to-4"],
+        ids=["order--1.5", "a-next-to-4"],
     )
     def test_past_the_cap_refused_with_bounded_work(self, p, monkeypatch):
-        # Below the cap's angle the circle sum would need more than
-        # MULT_CAP pieces; lerch_phi refuses before summing.
+        # At Re s <= 0 with a next to an integer, the inner circle sums of
+        # Lerch's transformation would need more than MULT_CAP pieces;
+        # lerch_phi refuses before summing.
         calls = 0
         cpow = zeta_module.cpow
 
@@ -1150,7 +1194,8 @@ class TestOrderLadders:
              (math.exp(-0.3), -4.5 + 1j, 3.0, None),
              (-cmath.exp(-0.3 - 2j), -2.5 - 3j, 2.0, None),
              (math.exp(-2.5), -1.0, 1.0, None),
-             (math.exp(-1e-13), -2.5, 2.0, None)]
+             (math.exp(-1e-13), -2.5, 2.0, None),
+             (cmath.exp(complex(-1e-3, 0.05)), -1.5 + 1j, 0.5, None)]
 
     @staticmethod
     def _counted(monkeypatch):
@@ -1172,7 +1217,7 @@ class TestOrderLadders:
         # each regime.
         routes = set()
         for z, s, a, afresh in self.LERCH:
-            orders = zeta_module.lerch_orders(z, s, a)
+            orders = zeta_module.lerch_orders(z, s, a, cmath.log(z))
             for k in range(41):
                 calls = self._counted(monkeypatch)
                 rung = next(orders)
@@ -1188,18 +1233,18 @@ class TestOrderLadders:
                 elif laddered and not first:
                     assert calls[0] == 0 and rung.work == want.work, (z, s, a, k)
         assert routes == {"lerch/direct-sum", "lerch/cvz-alternating", "lerch/cvz-circle",
-                          "lerch/hurwitz-delegate"}
+                          "lerch/hurwitz-delegate", "lerch/mu-series"}
 
     def test_fd_zero_rungs_agree_with_each_order(self):
         # fd at x = 0: reflection at Re <= -4, the Hurwitz halves on
         # (-4, 0] and at order 1, the alternating sum above 0, whose rungs
         # step.  s = -6.5 crosses -4 and 0; s = -2 meets 0 and 1.
         for m, s in ((1, -6.5), (2, -2.0), (1, -0.75 + 3j), (3, 0.5)):
-            orders = extended._fd_zero_orders(complex(m), complex(s))
+            orders = zeta_module.minus_one_orders(complex(s), complex(m + 1))
             tags = []
             for k in range(41):
                 rung = next(orders)
-                want = extended._fd_zero(complex(m), s + k)
+                want = zeta_module.lerch_minus_one(s + k, complex(m + 1))
                 tags.append(rung.strategy)
                 assert rung.strategy == want.strategy, (m, s, k)
                 assert abs(rung.value - want.value) <= rung.err_estimate + want.err_estimate
