@@ -26,17 +26,19 @@ crossover of the routes below:
   and s = 1; or at Re(s) <= -4 with real nu one Fourier reflection series
   over odd n; Hurwitz zeta for be, with its order-1 pole surfaced as
   PoleError).
-* Re(s) <= 0 near the circle with real nu, x real, complex or on the
-  imaginary axis: the defining series, summed by Lerch's transformation at
-  the complex angle theta = arg z + i Re x of z = -+e^{-x} (tag
+* Re(s) <= 0 near the circle, x real, complex or on the imaginary axis:
+  the defining series, summed by Lerch's transformation at the complex
+  angle theta = -i log z = arg z + i Re x of z = -+e^{-x} (tag
   {fd,be}/xseries-lerch-transform; :func:`zeta.lerch_transform`).  Its
   inner sums take the complex parameters lam = theta/(2 pi) and 1 - lam;
   for be at real x, Re lam = 0, their term k = 0 is the Taylor route's
-  singular part x^{s-1} Gamma(1-s).  It serves wherever its inner circle
-  sums stay within their cap (nu within about 0.02 of an integer, not on
-  it, is left out), m Re x <= 1 for the m = ceil(nu) terms that reduce
-  nu + 1 to (0, 1], which cancel by up to e^{m Re x}, and z lies 1e-12 or
-  more from 1 (nearer, x stands for a be centre).
+  singular part x^{s-1} Gamma(1-s).  It serves where lerch_phi's rule
+  does (:func:`zeta.lerch_transform_serves` at ln|z| = -Re x: real nu
+  whose inner circle sums stay within their cap, so nu within about 0.02
+  of an integer, not on it, is left out, and m Re x <= 1 for the
+  m = ceil(nu) terms that reduce nu + 1 to (0, 1], which cancel by up to
+  e^{m Re x}) and z lies 1e-12 or more from 1 (nearer, x stands for a be
+  centre).
 * be at real x > 0 near the circle at Re(s) > 0 and the points the
   transformation leaves: the Taylor series in x (eqs. 4.14/4.15;
   :func:`zeta.mu_series`, Phi's expansion about z = 1 in mu = log z =
@@ -120,11 +122,11 @@ from .zeta import (
     direct_length,
     hurwitz_halves,
     hurwitz_zeta,
+    lerch_by_route,
     lerch_minus_one,
     lerch_orders,
     lerch_phi,
     lerch_route,
-    lerch_transform,
     lerch_transform_serves,
     minus_one_orders,
     mu_series,
@@ -218,40 +220,34 @@ _LERCH_TAG_MAP = {
     "cvz-alternating": "xseries-cvz",
     "cvz-circle": "xseries-cvz-circle",
     "lerch-transform": "xseries-lerch-transform",
+    "mu-series": "xseries-mu-series",
     "single-term": "xseries-direct",
 }
 
 
-def _lerch_z(kind: str, x: complex) -> complex:
-    """z = -+e^{-x} of the defining series."""
-    return (-1.0 if kind == "fd" else 1.0) * cmath.exp(-x)
+def _lerch_z(kind: str, x: complex) -> tuple[complex, complex]:
+    """z = -+e^{-x} of the defining series and its log, -Re x + i arg z:
+    arg z carries the exact argument reduction of cos and sin, so log z is
+    read to a few ulps of its modulus, also next to z = 1, where the
+    double z holds it only to 1.1e-16 absolute."""
+    z = (-1.0 if kind == "fd" else 1.0) * cmath.exp(-x)
+    return z, complex(-x.real, cmath.phase(z))
 
 
-def _series_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    z = _lerch_z(kind, x)
-    params = LerchParams(z, s, nu + 1.0)
-    if x.real == 0.0 and s.real <= 0.0 and abs(z - 1.0) >= 1e-12:
-        # z lies on the circle exactly, though its double may not: take
-        # Lerch's transformation at its angle, where lerch_phi would charge
-        # the step off the circle.  LerchParams has refused complex nu here.
-        return _transformed(kind, nu, s, x)
-    if (direct_length(-x.real) > SERIES_CROSSOVER and near_one(cmath.phase(z))
-            and lerch_route(z, s, nu + 1.0) == "mu-series"):
-        # lerch_phi would read mu = log z off the double z, to 1.1e-16
-        # absolute next to z = 1: take mu from x, as AUTO does.
-        inner = _about_centre(kind, nu, s, x, *_centre(kind, x))
-        return EvalResult(inner.value, inner.err_estimate, f"{kind}/xseries-mu-series", inner.work)
+def _series_route(kind: str, nu: complex, s: complex, x: complex,
+                  z: complex, log_z: complex) -> EvalResult:
+    """The defining series e^{-(nu+1) x} Phi(z, s, nu+1) by lerch_phi's
+    route at z.  Next to the circle its two routes that read log z,
+    Lerch's transformation (Re s <= 0) and the Taylor series in log z (in
+    :func:`zeta.near_one`'s wedge), take the log z of :func:`_lerch_z`
+    (:func:`zeta.lerch_by_route`) in place of the double z's."""
+    a = nu + 1.0
+    params = LerchParams(z, s, a)
+    if direct_length(-x.real) > SERIES_CROSSOVER and (s.real <= 0.0 or near_one(log_z.imag)):
+        route = lerch_route(z, s, a)
+        if route in ("lerch-transform", "mu-series"):
+            return _scaled(kind, nu, x, lerch_by_route(route, z, s, a, log_z))
     return _scaled(kind, nu, x, lerch_phi(params))
-
-
-def _transformed(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
-    """The defining series at real nu and Re(s) <= 0 by Lerch's
-    transformation at the angle theta = arg z + i Re x of z = -+e^{-x}
-    (:func:`zeta.lerch_transform`).  arg z carries the exact argument
-    reduction of cos and sin, so theta is read to a few ulps of each of
-    lam and 1 - lam, also next to a be centre."""
-    theta = complex(cmath.phase(_lerch_z(kind, x)), x.real)
-    return _scaled(kind, nu, x, lerch_transform(theta, s, nu.real + 1.0))
 
 
 # The least positive double: a factor e^{-(nu+1) x} that underflows is off
@@ -286,8 +282,8 @@ def _nu_coefficients(kind: str, m: int, s: complex, x: complex
     Phi(-+e^{-x}, s + k, m + 1) at x != 0 (:func:`zeta.lerch_orders` at the
     exact log z), else the x = 0 values, zeta for be at m = 0."""
     if x != 0.0:
-        z = _lerch_z(kind, x)
-        return lerch_orders(z, s, m + 1.0, complex(-x.real, cmath.phase(z)))
+        z, log_z = _lerch_z(kind, x)
+        return lerch_orders(z, s, m + 1.0, log_z)
     if kind == "fd":
         return minus_one_orders(s, m + 1.0)
     if m == 0:
@@ -524,16 +520,17 @@ def _negint_route(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
 # AUTO dispatch and the public pair
 # ---------------------------------------------------------------------------
 
-def _centre(kind: str, x: complex) -> tuple[str, complex, int]:
-    """(centre, mu, j) of the Taylor route next to the circle: mu = log(+-z)
-    about z = 1 ("be") where |arg z| <= 2 pi/3, else about z = -1 ("fd"),
-    and j with x + mu = i j pi.  mu = -Re x + i arg(+-z) takes its phase
-    from cmath, whose argument reduction is exact, so mu is read to a few
-    ulps of its modulus however large Im x; real x gets mu = -x exactly."""
-    z = _lerch_z(kind, x)
-    theta = cmath.phase(z)
-    centre = "be" if abs(theta) <= 2.0 * _PI / 3.0 else "fd"
-    mu = complex(-x.real, theta if centre == "be" else cmath.phase(-z))
+def _centre(x: complex, z: complex, log_z: complex) -> tuple[str, complex, int]:
+    """(centre, mu, j) of the Taylor route next to the circle at z = -+e^{-x}
+    and its log z (:func:`_lerch_z`): mu = log(+-z) about z = 1 ("be")
+    where |arg z| <= 2 pi/3, else about z = -1 ("fd"), and j with
+    x + mu = i j pi.  mu = -Re x + i arg(+-z) takes its phase from cmath,
+    whose argument reduction is exact, so mu is read to a few ulps of its
+    modulus however large Im x; real x gets mu = -x exactly."""
+    if abs(log_z.imag) <= 2.0 * _PI / 3.0:
+        centre, mu = "be", log_z
+    else:
+        centre, mu = "fd", complex(log_z.real, cmath.phase(-z))
     return centre, mu, round((x.imag + mu.imag) / _PI)
 
 
@@ -560,18 +557,6 @@ def _about_centre(kind: str, nu: complex, s: complex, x: complex,
     return EvalResult(value, err, f"{kind}/circle-{centre}", inner.work)
 
 
-def _transform_serves(kind: str, nu: complex, x: complex) -> bool:
-    """Whether AUTO takes Lerch's transformation near the circle at
-    Re(s) <= 0: real nu whose inner sums stay within their cap
-    (:func:`zeta.lerch_transform_serves`), m Re(x) <= 1 for the m terms
-    of its reduction of a = nu + 1, which cancel by up to e^{m Re x}, and
-    z off 1 by 1e-12, where x stands for a be centre."""
-    if nu.imag != 0.0 or not lerch_transform_serves(nu + 1.0):
-        return False
-    m = math.ceil(nu.real + 1.0) - 1
-    return m * x.real <= 1.0 and abs(_lerch_z(kind, x) - 1.0) >= 1e-12
-
-
 def _series_serves(nu: complex, s: complex, x: complex, mu: complex) -> bool:
     """Whether AUTO takes the defining series near the circle in place of
     the Taylor route: |nu+1| times the distance |mu| from x to the Taylor
@@ -592,14 +577,17 @@ def _series_serves(nu: complex, s: complex, x: complex, mu: complex) -> bool:
 def _auto(kind: str, nu: complex, s: complex, x: complex) -> EvalResult:
     if x == 0.0:
         return lerch_minus_one(s, nu + 1.0) if kind == "fd" else _be_zero(nu, s)
+    z, log_z = _lerch_z(kind, x)
     if direct_length(-x.real) <= SERIES_CROSSOVER:
-        return _series_route(kind, nu, s, x)
-    if s.real <= 0.0 and _transform_serves(kind, nu, x):
-        return _transformed(kind, nu, s, x)
-    centre, mu, j = _centre(kind, x)
+        return _series_route(kind, nu, s, x, z, log_z)
+    # lerch_phi's rule at Re(s) <= 0 at ln|z| = -Re x; z within 1e-12 of 1
+    # stands for a be centre.
+    if s.real <= 0.0 and lerch_transform_serves(nu + 1.0, -x.real) and abs(z - 1.0) >= 1e-12:
+        return _scaled(kind, nu, x, lerch_by_route("lerch-transform", z, s, nu + 1.0, log_z))
+    centre, mu, j = _centre(x, z, log_z)
     # At Re(s) > 0 the series serves but in zeta.near_one's wedge, as in lerch_phi.
     if _series_serves(nu, s, x, mu) or s.real > 0.0 and not (centre == "be" and near_one(mu.imag)):
-        return _series_route(kind, nu, s, x)
+        return _series_route(kind, nu, s, x, z, log_z)
     return _about_centre(kind, nu, s, x, centre, mu, j)
 
 
@@ -608,7 +596,7 @@ def _dispatch(kind: str, p: ExtParams, strategy: Strategy) -> EvalResult:
     if strategy is Strategy.AUTO:
         out = _auto(kind, nu, s, x)
     elif strategy is Strategy.XSERIES:
-        out = _series_route(kind, nu, s, x)
+        out = _series_route(kind, nu, s, x, *_lerch_z(kind, x))
     elif strategy is Strategy.WEYL_QUAD:
         out = _weyl_route(kind, nu, s, x)
     elif strategy is Strategy.POWER_SERIES_X:

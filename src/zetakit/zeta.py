@@ -97,7 +97,8 @@ class LerchParams:
 
     |z| <= 1, read as 1 within 1e-14, and a off the non-positive integers.
     On |z| = 1 with z != 1 an order Re(s) <= 0 needs real a, which Lerch's
-    transformation serves (see :func:`lerch_phi`).
+    transformation serves (see :func:`lerch_phi`); it reads a z up to 1e-14
+    outside the circle by continuation at z itself.
     """
 
     z: complex
@@ -965,16 +966,19 @@ def direct_ladder(z: complex, s: complex, a: complex
         k, made = k + 1, 0
 
 
-def lerch_transform_serves(a: complex) -> bool:
-    """Whether :func:`lerch_phi` serves |z| = 1, z != 1, at Re(s) <= 0 for
-    this a: real a whose fractional part alpha in (0, 1] is 1 (Hurwitz
-    zeta inside) or leaves the inner circle sums at e^{-+2 pi i alpha}
-    within ``MULT_CAP`` pieces."""
+def lerch_transform_serves(a: complex, log_r: float) -> bool:
+    """Whether Lerch's transformation serves Phi at |z| = e^{log_r} and
+    Re(s) <= 0 for this a: real a whose fractional part alpha in (0, 1] is
+    1 (Hurwitz zeta inside) or leaves the inner circle sums at
+    e^{-+2 pi i alpha} within ``MULT_CAP`` pieces, and whose reduction to
+    alpha through m = ceil(a) - 1 terms cancels by at most e^{-m log_r}
+    <= e."""
     if a.imag != 0.0:
         return False
-    alpha = a.real - (math.ceil(a.real) - 1)
-    return alpha == 1.0 or circle_pieces(
-        cmath.phase(cmath.exp(2j * _PI * alpha))) <= MULT_CAP
+    m = math.ceil(a.real) - 1
+    alpha = a.real - m
+    return m * -log_r <= 1.0 and (alpha == 1.0 or circle_pieces(
+        cmath.phase(cmath.exp(2j * _PI * alpha))) <= MULT_CAP)
 
 
 def _lerch_head(log_z: complex, s: complex, b: complex, k: int) -> tuple[complex, float]:
@@ -1103,8 +1107,9 @@ def _inner_sums(w: complex, t: complex, lams: tuple[complex, complex],
 def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     """Phi(e^{i theta}, s, a) for Re(s) <= 0 and real a off the non-positive
     integers, by Lerch's transformation at the angle theta, real or
-    complex: Re(theta) in [-pi, pi], Im(theta) >= 0 (|z| = e^{-Im theta} <=
-    1) and theta != 0.  See :func:`lerch_phi`.
+    complex: Re(theta) in [-pi, pi], theta != 0 and Im(theta) >= 0
+    (|z| = e^{-Im theta} <= 1), or down to -1e-14 for a z that
+    :class:`LerchParams` reads as on the circle.  See :func:`lerch_phi`.
 
     With lam = theta/(2 pi), its real part moved into [0, 1) by whole
     turns, the transformation holds for complex lam as for real (Poisson
@@ -1124,7 +1129,7 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     cancels by up to |z|^{-m} = e^{m Im theta}; the estimate carries that
     factor.  At s = 0 the value is 1/(1 - e^{i theta}) for every a;
     elsewhere ConvergenceError up front where
-    :func:`lerch_transform_serves` fails.
+    :func:`lerch_transform_serves` fails at ln|z| = -Im(theta).
     """
     theta = complex(theta)
     log_z = complex(-theta.imag, theta.real)
@@ -1133,10 +1138,10 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     if s == 0.0:
         value = 1.0 / gap
         return EvalResult(value, 2.2e-15 * abs(value), "lerch/lerch-transform", 1)
-    if not lerch_transform_serves(complex(a)):
+    if not lerch_transform_serves(complex(a), -theta.imag):
         raise ConvergenceError(
             f"Lerch's transformation at a = {a!r} needs inner circle sums "
-            f"past {MULT_CAP} pieces")
+            f"past {MULT_CAP} pieces or a reduction past e")
     turn, height = theta.real / (2.0 * _PI), theta.imag / (2.0 * _PI)
     lo, hi = (turn, 1.0 - turn) if theta.real >= 0.0 else (1.0 + turn, -turn)
     lams = (complex(lo, height), complex(hi, -height))
@@ -1424,43 +1429,6 @@ def _be_pole_limit(a: complex, s: complex, x: complex, k: int) -> EvalResult:
     return EvalResult(value, err, "be/pole-limit", 2)
 
 
-def _log_sum_exp(logs: list[float]) -> float:
-    """log sum_k e^{logs_k}, with no overflow on the way."""
-    top = max(logs)
-    return top + math.log(math.fsum(math.exp(v - top) for v in logs))
-
-
-def _radial_slope(theta: float, s: complex, a: float, size: float) -> float:
-    """A bound on |d Phi(r e^{i theta}, s, a)/dr| for r within 1e-14 of 1,
-    at Re(s) < 0 and real a, given |Phi(e^{i theta}, s, a)| <= size.
-
-    r dPhi/dr = Phi(z, s-1, a) - a Phi(z, s, a).  With a = alpha + m,
-    |Phi(z, s-1, a)| is at most |Phi(z, s-1, alpha)| plus |m| terms
-    (j+a)^{1-s} or (j+alpha)^{1-s}, each at most max(|a|, 1)^{1-Re s},
-    times e^{pi |Im s|} where j + a < 0.  Lerch's transformation at order
-    s - 1 bounds |Phi(z, s-1, alpha)| on the circle by |Gamma(2-s)|
-    (2 pi)^{Re s-2} e^{pi |Im s|/2} (zeta(2-Re s, lam) + zeta(2-Re s,
-    1-lam)), each zeta(sigma, x) <= x^{-sigma} + pi^2/6.  Off the circle
-    |log z|, on which the part singular at z = 1 depends, only grows; the
-    bound is doubled for the rest.  Summed in logarithms, since lam^{-sigma}
-    overflows where the product need not.
-    """
-    sigma = 2.0 - s.real
-    turn = abs(theta) / (2.0 * _PI)
-    zetas = [-sigma * math.log(turn), -sigma * math.log(1.0 - turn),
-             math.log(_PI * _PI / 3.0)]
-    logs = [ln_gamma(2.0 - s).real - sigma * _LN_2PI + 0.5 * _PI * abs(s.imag)
-            + _log_sum_exp(zetas)]
-    if size > 0.0:
-        logs.append(math.log(size) + math.log(abs(a)))
-    m = math.ceil(a) - 1
-    if m:
-        logs.append(math.log(abs(m)) + (1.0 - s.real) * math.log(max(abs(a), 1.0))
-                    + (_PI * abs(s.imag) if m < 0 else 0.0))
-    total = _log_sum_exp(logs)
-    return 2.0 * math.exp(total) if total < 709.0 else math.inf
-
-
 def lerch_route(z: complex, s: complex, a: complex) -> str:
     """The route :func:`lerch_phi` takes at (z, s, a), named as its tag:
     single-term, hurwitz-delegate, cvz-alternating, cvz-circle, mu-series,
@@ -1471,8 +1439,9 @@ def lerch_route(z: complex, s: complex, a: complex) -> str:
     if abs(z - 1.0) < 1e-12:
         return "hurwitz-delegate"
     inside = abs(z) < 1.0 - 1e-14
+    log_r = math.log(abs(z))
+    budget = direct_length(log_r) if inside else math.inf
     if s.real > 0.0:
-        budget = direct_length(math.log(abs(z))) if inside else math.inf
         if z.real < 0.0 and abs(z.imag) < 1e-12:
             if _cvz_length(s) < budget:
                 return "cvz-alternating"
@@ -1482,7 +1451,34 @@ def lerch_route(z: complex, s: complex, a: complex) -> str:
                 return "mu-series"
         elif not inside or budget > _CVZ_MIN and _circle_length(z, s, a) < budget:
             return "cvz-circle"
-    return "direct-sum" if inside else "lerch-transform"
+    elif not inside or budget > SERIES_CROSSOVER and lerch_transform_serves(a, log_r):
+        return "lerch-transform"
+    return "direct-sum"
+
+
+def lerch_by_route(route: str, z: complex, s: complex, a: complex, log_z: complex
+                   ) -> EvalResult:
+    """Phi(z, s, a) by ``route`` (:func:`lerch_route`), with log z read as
+    ``log_z``: the circle sum's head, the Taylor series in mu = log z and
+    Lerch's transformation at theta = -i log z take it, so a caller that
+    knows log z better than the double z does (the extended pair, from x)
+    passes it.  The value passes the ``lerch_phi`` fault hook."""
+    if route == "direct-sum":
+        value, err, work, _, _ = _direct_rung(z, s, a)
+    elif route == "lerch-transform":
+        out = lerch_transform(-1j * log_z, s, a.real)
+        value, err, work = out.value, out.err_estimate, out.work
+    elif route == "single-term":
+        value, work = cpow(a, -s), 1
+        err = 2.2e-16 * (1.0 + abs(s) * (1.0 + abs(cmath.log(a)))) * abs(value)
+    elif route == "hurwitz-delegate":
+        inner = hurwitz_zeta(s, a)
+        value, err, work = inner.value, inner.err_estimate, inner.work
+    elif route == "cvz-alternating":
+        value, err, work = alternating_lerch(s, a, cmath.log(-z))
+    else:
+        value, err, work = _head_shifted(route, z, s, a, log_z)
+    return EvalResult(faults.perturb("lerch_phi", value), err, "lerch/" + route, work)
 
 
 def lerch_orders(z: complex, s: complex, a: complex, log_z: complex
@@ -1493,7 +1489,7 @@ def lerch_orders(z: complex, s: complex, a: complex, log_z: complex
     the rungs of one ladder (:func:`direct_ladder`,
     :func:`alternating_ladder`), which makes each order's terms from the
     last order's by one division by n + a; the other routes run order by
-    order; the Taylor series in log z at ``log_z``, which a z rounded from
+    order (:func:`lerch_by_route`) at ``log_z``, which a z rounded from
     e^{-x} holds only to 1.1e-16 absolute.  A rung's value passes the
     ``lerch_phi`` fault hook as a ``lerch_phi`` value does."""
     z, s, a = complex(z), complex(s), complex(a)
@@ -1506,10 +1502,8 @@ def lerch_orders(z: complex, s: complex, a: complex, log_z: complex
             ladder = direct_ladder(z, order, a)
         elif route == "cvz-alternating":
             ladder = alternating_ladder(order, a, cmath.log(-z))
-        elif route == "mu-series":   # one order at a time, at the caller's log z
-            ladder = (_head_shifted(route, z, s + j, a, log_z) for j in itertools.count(k))
         else:
-            yield lerch_phi(LerchParams(z, order, a))
+            yield lerch_by_route(route, z, order, a, log_z)
             k += 1
             continue
         positive = order.real > 0.0
@@ -1543,26 +1537,25 @@ def lerch_phi(p: LerchParams) -> EvalResult:
       zeta(s-k, a) mu^k/k!], on |z| = 1 always, inside where its terms
       cancel little, |a| |mu| <= ``TAYLOR_REACH``.
 
-    Other |z| < 1 -> direct geometric-tail summation.  Other |z| = 1
-    (within 1e-14):
-
-    * Re(s) <= 0, real a: Lerch's transformation (1887; Apostol 1951).
-      With a reduced to alpha = a - m in (0, 1] through m terms and
-      z = e^{2 pi i lam},
-      Phi(z, s, alpha) = Gamma(1-s) (2 pi)^{s-1} [e^{i pi (1-s)/2 - 2 pi i
-      alpha lam} Phi(e^{-2 pi i alpha}, 1-s, lam) + e^{-i pi (1-s)/2 +
-      2 pi i alpha (1-lam)} Phi(e^{2 pi i alpha}, 1-s, 1-lam)].  The inner
-      orders have real part >= 1: Hurwitz zeta at alpha = 1, taken without
-      its pole so that the pair's poles +-1/s cancel exactly next to
-      s = 0, the alternating sum at alpha = 1/2, the circle sum otherwise.
-      At s = 0 the value is 1/(1 - z).  ConvergenceError up front where the
-      inner circle sums would pass ``MULT_CAP`` pieces
-      (:func:`lerch_transform_serves`); LerchParams refuses complex a.
-      The transformation runs at e^{i arg z} (:func:`lerch_transform`,
-      which also takes the complex angle of a z inside the circle; the
-      extended pair's AUTO route calls it there); the estimate adds
-      ||z|^2 - 1| times a bound on |d Phi/dr|, which grows like
-      |1 - z|^{Re s - 2} next to z = 1.
+    At Re(s) <= 0, on |z| = 1 (within 1e-14) and inside wherever the
+    direct sum is predicted past ``SERIES_CROSSOVER`` terms, Lerch's
+    transformation (1887; Apostol 1951) where it serves
+    (:func:`lerch_transform_serves`: real a, inner circle sums within
+    ``MULT_CAP`` pieces, a reduction of a that cancels by at most e).
+    With a reduced to alpha = a - m in (0, 1] through m terms and
+    z = e^{2 pi i lam},
+    Phi(z, s, alpha) = Gamma(1-s) (2 pi)^{s-1} [e^{i pi (1-s)/2 - 2 pi i
+    alpha lam} Phi(e^{-2 pi i alpha}, 1-s, lam) + e^{-i pi (1-s)/2 +
+    2 pi i alpha (1-lam)} Phi(e^{2 pi i alpha}, 1-s, 1-lam)].  The inner
+    orders have real part >= 1: Hurwitz zeta at alpha = 1, taken without
+    its pole so that the pair's poles +-1/s cancel exactly next to s = 0,
+    the alternating sum at alpha = 1/2, the circle sum otherwise.  It runs
+    at the complex angle theta = -i log z (:func:`lerch_transform`), lam =
+    theta/(2 pi) complex inside the circle, so it reads the double z
+    itself, on, inside or just outside |z| = 1, and charges no step to the
+    circle.  At s = 0 the value is 1/(1 - z).  On the circle where it does
+    not serve, ConvergenceError up front; LerchParams refuses complex a
+    there.  Elsewhere inside, the direct geometric-tail summation.
 
     The direct sum raises ConvergenceError when N = ``MAX_TERMS`` terms do
     not reach ``REL_TOL``; at n = 1, 2, 4, ... it also raises once no later
@@ -1572,34 +1565,8 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     every term to the tail bound, so it holds where the terms cancel.
     """
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
-    route = lerch_route(z, s, a)
-
-    if route == "direct-sum":
-        value, err, work, _, _ = _direct_rung(z, s, a)
-    elif route == "single-term":
-        value, work = cpow(a, -s), 1
-        err = 2.2e-16 * (1.0 + abs(s) * (1.0 + abs(cmath.log(a)))) * abs(value)
-    elif route == "hurwitz-delegate":
-        inner = hurwitz_zeta(s, a)
-        value, err, work = inner.value, inner.err_estimate, inner.work
-    elif route == "cvz-alternating":
-        value, err, work = alternating_lerch(s, a, cmath.log(-z))
-    elif route in ("cvz-circle", "mu-series"):
-        # cmath.log reads ln|z| by log1p next to |z| = 1, to a few ulps.
-        value, err, work = _head_shifted(route, z, s, a, cmath.log(z))
-    elif s == 0.0:
-        # sum z^n, exact at z itself: near 1, 1 - z is exact.
-        value = 1.0 / (1.0 - z)
-        err, work = 4.4e-16 * abs(value), 1
-    else:
-        out = lerch_transform(cmath.phase(z), s, a.real)
-        value, err, work = out.value, out.err_estimate, out.work
-        # ||z|^2 - 1| >= ||z| - 1|; next to z = 1, where it matters, x - 1
-        # is exact and this is good to a few ulps, while |z| rounds to 1.
-        radial = abs((z.real - 1.0) * (z.real + 1.0) + z.imag * z.imag)
-        if radial > 0.0:
-            err += radial * _radial_slope(cmath.phase(z), s, a.real, abs(value) + err)
-    return EvalResult(faults.perturb("lerch_phi", value), err, "lerch/" + route, work)
+    # cmath.log reads ln|z| by log1p next to |z| = 1, to a few ulps.
+    return lerch_by_route(lerch_route(z, s, a), z, s, a, cmath.log(z) if z else 0j)
 
 
 def polylog(z: complex, s: complex) -> EvalResult:

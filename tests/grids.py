@@ -147,6 +147,46 @@ def lerch_near_one_grid():
         yield fn, z, s, a
 
 
+def lerch_inside_grid():
+    """(fn, z, s, a) for lerch_phi and polylog (a = 1) inside the circle
+    past the direct sum's 300-term crossover, |z| = e^{-r} with r in
+    [1e-10, 0.0997], at Re s in [-8, 0], real, an integer or with
+    |Im s| <= 10, where Lerch's transformation serves: a = alpha + m in
+    (0, 6] with alpha 1, 1/2 or in [0.05, 0.95] and m r <= 1.  arg z is 0,
+    pi, within 1e-6 to 0.1 of 0, or anywhere."""
+    rng = random.Random(20261202)
+    for _ in range(200):
+        fn = rng.choice(("lerch", "polylog"))
+        r = 10 ** rng.uniform(-10.0, math.log10(0.0997))
+        theta = rng.choice((0.0, math.pi, rng.uniform(-math.pi, math.pi),
+                            rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-6.0, -1.0)))
+        z = cmath.exp(complex(-r, theta))
+        sigma = rng.uniform(-8.0, 0.0)
+        s = rng.choice((complex(sigma), complex(round(sigma)),
+                        complex(sigma, rng.uniform(-10.0, 10.0))))
+        alpha = rng.choice((1.0, 0.5, rng.uniform(0.05, 0.95)))
+        a = 1.0 if fn == "polylog" else alpha + rng.randint(0, min(5, math.floor(1.0 / r)))
+        yield fn, z, s, a
+
+
+def nu_series_be_centre_grid():
+    """(kind, nu, s, x) for the NuSeries route within 1e-9 to 0.13 of a be
+    centre, where z = -+e^{-x} is next to 1: Im x = c + d with c = 2 pi j
+    for be and pi (2j + 1) for fd, |j| <= 30, and Re x = 0 or in
+    [1e-12, 0.09]; Re s in [-6, 0], real or with |Im s| <= 6; nu real in
+    [0, 3] or with |Im nu| <= 1."""
+    rng = random.Random(20261203)
+    for _ in range(60):
+        kind = rng.choice(("fd", "be"))
+        j = rng.randint(-30, 30)
+        centre = 2 * j * math.pi if kind == "be" else (2 * j + 1) * math.pi
+        d = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-9.0, math.log10(0.13))
+        x = complex(rng.choice((0.0, 10 ** rng.uniform(-12.0, math.log10(0.09)))), centre + d)
+        s = complex(rng.uniform(-6.0, 0.0), rng.choice((0.0, rng.uniform(-6.0, 6.0))))
+        nu = complex(rng.uniform(0.0, 3.0), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+        yield kind, nu, s, x
+
+
 def pole_free_grid():
     """(t, c) where Lerch's transformation at alpha = 1 takes pole-free
     Hurwitz zeta, zeta(t, c) - 1/(t - 1): t = 1 - s in [1, 7.5] (real,
@@ -196,6 +236,8 @@ GRIDS = {
     "large_nu": large_nu_grid,
     "imaginary_axis": imaginary_axis_grid,
     "lerch_near_one": lerch_near_one_grid,
+    "lerch_inside": lerch_inside_grid,
+    "nu_series_be_centre": nu_series_be_centre_grid,
     "pole_free": pole_free_grid,
     "nu_series": nu_series_grid,
     "nu_series_real_nu": nu_series_real_nu_grid,

@@ -2,7 +2,7 @@
 seeded grids in grids.py, e^{-(nu+1)x} mpmath.lerchphi(-+e^{-x}, s, nu+1),
 its x = 0 value by Hurwitz zeta on the NuSeries grids,
 zeta(t, c) - 1/(t - 1) on the pole-free grid, or mpmath.lerchphi(z, s, a)
-itself (z times it for polylog) on the Lerch grid.
+itself (z times it for polylog) on the Lerch grids.
 
 Run offline from the repository root, once, or after a grid changes:
 
@@ -27,7 +27,8 @@ import grids  # noqa: E402
 # Working precision of a grid's references where 20 digits do not suffice:
 # within 1e-6 of z = 1, 1 - z = 1 - e^{-x} loses six of them.
 WORK_DPS = {"complex_angle": 40, "large_nu": 30, "imaginary_axis": 40, "pole_free": 40,
-            "nu_series": 30, "nu_series_real_nu": 30, "lerch_near_one": 40}
+            "nu_series": 30, "nu_series_real_nu": 30, "lerch_near_one": 40,
+            "lerch_inside": 40, "nu_series_be_centre": 40}
 
 
 def reference(kind, nu, s, x, dps=20):
@@ -76,7 +77,8 @@ def lerch_reference(fn, z, s, a, dps=20):
 
 
 REFERENCES = {"pole_free": pole_free_reference, "nu_series": nu_series_reference,
-              "nu_series_real_nu": nu_series_reference, "lerch_near_one": lerch_reference}
+              "nu_series_real_nu": nu_series_reference, "lerch_near_one": lerch_reference,
+              "lerch_inside": lerch_reference, "nu_series_be_centre": nu_series_reference}
 
 
 def main() -> None:

@@ -118,10 +118,12 @@ class TestEval:
 
     def test_convergence_exit_code(self, capsys):
         # |z| so close to 1 that the term budget cannot reach the tolerance:
-        # at Re s <= 0 inside the circle the direct sum serves, and refuses
-        # up front.  (At s = 2 the Taylor series in log z returns.)
+        # at Re s <= 0 inside the circle, with a = 2.01 next to an integer,
+        # where Lerch's transformation would pass MULT_CAP pieces, the
+        # direct sum serves, and refuses up front.  (At a = 1 the
+        # transformation returns, and at s = 2 the Taylor series in log z.)
         code = main(
-            ["eval", "--fn", "lerch", "--z", "0.999999", "--s=-2", "--a", "1"]
+            ["eval", "--fn", "lerch", "--z", "0.999999", "--s=-2", "--a", "2.01"]
         )
         assert code == EXIT_CONVERGENCE
 

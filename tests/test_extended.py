@@ -535,7 +535,7 @@ class TestStrategies:
         # reduction elsewhere.
         for (kind, nu, s, x), ref in grid_refs("auto_unit_circle"):
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
-            if zeta_module.lerch_transform_serves(nu + 1.0):
+            if zeta_module.lerch_transform_serves(nu + 1.0, -x.real):
                 assert got.strategy == f"{kind}/xseries-lerch-transform"
             else:
                 assert got.strategy.startswith(f"{kind}/circle-")
@@ -558,19 +558,35 @@ class TestStrategies:
             got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x))
             gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
-            serves = zeta_module.lerch_transform_serves(nu + 1.0)
-            if serves and math.ceil(nu) * x.real <= 1.0:
+            serves = zeta_module.lerch_transform_serves(nu + 1.0, -x.real)
+            if serves:
                 assert got.strategy == f"{kind}/xseries-lerch-transform", (kind, nu, s, x)
                 assert gap <= decimal.Decimal(1e-12) * ref_abs, (kind, nu, s, x)
                 routes["transform"] += 1
             else:
                 assert not got.strategy.endswith("/xseries-lerch-transform"), (kind, nu, s, x)
-                routes["near-integer" if not serves else "long-reduction"] += 1
+                near = not zeta_module.lerch_transform_serves(nu + 1.0, 0.0)
+                routes["near-integer" if near else "long-reduction"] += 1
             if got.strategy.startswith(f"{kind}/circle-"):
                 assert gap <= decimal.Decimal(1e-12) * ref_abs, (kind, nu, s, x)
                 routes["expanded"] += 1
         assert routes == {"transform": 115, "near-integer": 25, "long-reduction": 20,
                           "expanded": 22}
+
+    def test_auto_transformation_passes_the_lerch_phi_fault_hook(self):
+        # AUTO's and forced XSeries' Lerch transformation, at real, complex
+        # and imaginary x, and inside the circle past the crossover, is a
+        # lerch_phi value: an armed lerch_phi fault moves it by 1e-6.
+        points = [(ext_fd, ExtParams(0.5, -2.5, 0.01), Strategy.AUTO),
+                  (ext_be, ExtParams(1.25, -1.5 + 2j, 0.02 + 1j), Strategy.AUTO),
+                  (ext_be, ExtParams(0.3, -4.5 + 1j, 3j), Strategy.AUTO),
+                  (ext_fd, ExtParams(0.5, -2.5, 1e-7), Strategy.XSERIES)]
+        for f, p, strategy in points:
+            clean = f(p, strategy)
+            with faults.inject("lerch_phi"):
+                faulty = f(p, strategy)
+            assert clean.strategy.endswith("/xseries-lerch-transform"), p
+            assert rel(faulty.value - clean.value, 1e-6 * clean.value) <= 1e-5, p
 
     def test_auto_next_to_a_far_be_centre_takes_the_exact_phase(self):
         # z within 1e-10 of 1 at Im x next to 2 pi j for large j.  The
@@ -721,7 +737,7 @@ class TestStrategies:
         # the pole limit's -log x takes the phase of z.
         taken = 0
         for (kind, nu, s, x), ref in grid_refs("circle_positive_order"):
-            got = extended._about_centre(kind, complex(nu), s, x, *extended._centre(kind, x))
+            got = extended._about_centre(kind, complex(nu), s, x, *extended._centre(x, *extended._lerch_z(kind, x)))
             assert got.strategy.startswith(f"{kind}/circle-")
             gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
@@ -824,7 +840,7 @@ class TestStrategies:
                         continue
                     if strategy is Strategy.POWER_SERIES_X:
                         assert got.strategy == f"{kind}/power-series-x"
-                    elif zeta_module.lerch_transform_serves(nu + 1.0):
+                    elif zeta_module.lerch_transform_serves(nu + 1.0, -x.real):
                         assert got.strategy == f"{kind}/xseries-lerch-transform"
                     elif x.imag == 0.0:
                         assert got.strategy == f"{kind}/power-series-x"
@@ -914,6 +930,20 @@ class TestStrategies:
             gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
             assert gap <= decimal.Decimal(1e-10) * ref_abs, (kind, nu, s, x)
+
+    def test_nu_series_next_to_a_be_centre_grid_against_mpmath(self):
+        # grids.nu_series_be_centre_grid: x within 1e-9 to 0.13 of a be
+        # centre, on the circle and inside it, at Re s in [-6, 0], real
+        # and complex nu.  The coefficients at Re(s + k) <= 0 take Lerch's
+        # transformation at the exact log z, inside the circle as on it,
+        # where the direct sum refused: every point returns within its
+        # estimate and 1e-12 of the frozen reference.
+        for (kind, nu, s, x), ref in grid_refs("nu_series_be_centre"):
+            got = (ext_fd if kind == "fd" else ext_be)(ExtParams(nu, s, x), Strategy.NU_SERIES)
+            assert got.strategy == f"{kind}/nu-series", (kind, nu, s, x)
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
+            assert gap <= decimal.Decimal(1e-12) * ref_abs, (kind, nu, s, x)
 
     def test_nu_series_ladder_grid_against_mpmath(self):
         # grids.nu_series_grid: x in {0, 0.05, 0.3, 1, 2.5, 0.3 + 2i}, Re s
@@ -1164,11 +1194,10 @@ class TestAlternatingLength:
         assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate
 
     def test_forced_xseries_names_the_lerch_route(self):
-        # The tag map is indexed strictly; every lerch_phi route maps but
-        # the Taylor series in log z, which the forced series reads from x.
+        # The tag map is indexed strictly; every lerch_phi route maps.
         assert set(extended._LERCH_TAG_MAP) == {
             "single-term", "hurwitz-delegate", "cvz-alternating",
-            "direct-sum", "cvz-circle", "lerch-transform"}
+            "direct-sum", "cvz-circle", "lerch-transform", "mu-series"}
         for f, p, tag in (
             (ext_be, ExtParams(0.5, 2.5, 0.05), "be/xseries-mu-series"),
             (ext_fd, ExtParams(0.0, 0.5 + 60j, 0.0), "fd/xseries-cvz"),

@@ -636,10 +636,12 @@ class TestLerchPhi:
             lambda: zeta_module._direct_rung(math.exp(-1e-6), 2, 1),
             lambda: zeta_module._direct_rung(math.exp(-1e-6), 2, 1 + 1j),
             lambda: zeta_module._direct_rung(math.exp(-1e-6), 2, -0.5),
-            # r^N = 1e-5: at Re s < 0 the terms grow until k = N.
-            lambda: lerch_phi(LerchParams(math.exp(-2.3e-5), -40, 1)),
-            lambda: ext_fd(ExtParams(0, -1.5, 1e-7), Strategy.XSERIES),
-            lambda: ext_be(ExtParams(0, -2, 1e-6), Strategy.XSERIES),
+            # r^N = 1e-5: at Re s < 0 the terms grow until k = N.  The
+            # public calls at these three take Lerch's transformation
+            # (test_next_to_one_at_nonpositive_order_takes_the_transformation).
+            lambda: zeta_module._direct_rung(math.exp(-2.3e-5), -40, 1),
+            lambda: zeta_module._direct_rung(-math.exp(-1e-7), -1.5, 1),
+            lambda: zeta_module._direct_rung(math.exp(-1e-6), -2, 1),
         ],
         ids=["lerch", "lerch-complex-a", "lerch-negative-a",
              "lerch-negative-order", "fd", "be"],
@@ -660,6 +662,27 @@ class TestLerchPhi:
         with pytest.raises(ConvergenceError):
             call()
         assert calls < 10
+
+    @pytest.mark.parametrize("call, tag, ref", [
+        (lambda: lerch_phi(LerchParams(math.exp(-2.3e-5), -40, 1)), "lerch/lerch-transform",
+         lambda mp: mp.lerchphi(mp.mpf(math.exp(-2.3e-5)), -40, 1)),
+        (lambda: ext_fd(ExtParams(0, -1.5, 1e-7), Strategy.XSERIES), "fd/xseries-lerch-transform",
+         lambda mp: mp.exp(-mp.mpf(1e-7)) * mp.lerchphi(-mp.exp(-mp.mpf(1e-7)), -1.5, 1)),
+        (lambda: ext_be(ExtParams(0, -2, 1e-6), Strategy.XSERIES), "be/xseries-lerch-transform",
+         lambda mp: mp.exp(-mp.mpf(1e-6)) * mp.lerchphi(mp.exp(-mp.mpf(1e-6)), -2, 1)),
+    ], ids=["lerch", "fd", "be"])
+    def test_next_to_one_at_nonpositive_order_takes_the_transformation(self, call, tag, ref):
+        # Inside the circle at Re s <= 0, where the direct sum is predicted
+        # past SERIES_CROSSOVER terms and refuses, Lerch's transformation at
+        # the complex angle of z returns, against Phi at the double z for
+        # lerch_phi and at the exact e^{-x} for the extended pair.
+        mpmath = pytest.importorskip("mpmath")
+        got = call()
+        with mpmath.workdps(40):
+            want = ref(mpmath)
+            gap = abs(mpmath.mpc(got.value) - want)
+        assert got.strategy == tag
+        assert gap <= got.err_estimate and gap <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize(
         "call, want",
@@ -885,7 +908,7 @@ class TestUnitCircle:
             a = rng.choice((rng.uniform(1e-3, 4.0), 1.0, rng.randint(0, 3) + 0.5,
                             rng.randint(1, 3) + rng.choice((-1, 1)) * rng.uniform(0.0, 0.03)))
             p = LerchParams(z, s, a)
-            if not zeta_module.lerch_transform_serves(complex(a)):
+            if not zeta_module.lerch_transform_serves(complex(a), 0.0):
                 with pytest.raises(ConvergenceError, match="pieces"):
                     lerch_phi(p)
                 refused += 1
@@ -897,36 +920,41 @@ class TestUnitCircle:
         assert 0 < refused < 20
 
     def test_transformation_next_to_one_at_the_double_z(self):
-        # lam within 1e-6 to 1e-2 of 0 or 1, where Phi moves fast with |z|:
-        # the double z lies off the circle by up to about 1e-16, and the
-        # estimate charges that step.  The reference is at the z passed.
-        # Lerch's transformation at the angle itself stays within its own,
-        # tighter estimate of the value at e^{i arg z}.
+        # lam within 1e-6 to 1e-2 of 0 or 1, where Phi moves fast with |z|,
+        # and |z| on the circle or up to 1e-14 off it on either side.  The
+        # transformation reads the double z at its complex angle -i log z,
+        # so lerch_phi is within its estimate and 1e-13 of Phi at the z
+        # passed.  Lerch's transformation at the real angle stays within
+        # its estimate of the value at e^{i arg z}.
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 20
         rng = random.Random(20261021)
         returned = 0
-        for i in range(30):
-            d = 10 ** rng.uniform(-6.0, -2.0)
-            lam = rng.choice((d, 1.0 - d))
-            z = cmath.exp(2j * math.pi * lam)
-            sigma = rng.uniform(-6.0, 0.0)
-            s = rng.choice((complex(sigma), complex(round(sigma) or -1),
-                            complex(sigma, rng.uniform(-4.0, 4.0))))
-            a = rng.choice((rng.uniform(1e-3, 4.0), 1.0, rng.randint(0, 3) + 0.5))
-            if not zeta_module.lerch_transform_serves(complex(a)):
-                continue
-            got = lerch_phi(LerchParams(z, s, a))
-            want = mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), a)
-            assert abs(mpmath.mpc(got.value) - want) <= got.err_estimate, (lam, s, a)
-            if i < 8:
-                theta = cmath.phase(z)
-                on = zeta_module.lerch_transform(theta, s, a)
-                want = mpmath.lerchphi(mpmath.expj(theta), mpmath.mpc(s), a)
-                assert abs(mpmath.mpc(on.value) - want) <= on.err_estimate, (lam, s, a)
-                assert on.err_estimate <= got.err_estimate
-            returned += 1
-        assert returned > 20
+        sides = set()
+        with mpmath.workdps(40):
+            for i in range(30):
+                d = 10 ** rng.uniform(-6.0, -2.0)
+                lam = rng.choice((d, 1.0 - d))
+                off = rng.choice((-1, 1)) * 10 ** rng.uniform(-16.0, -14.05)
+                z = (1.0 + rng.choice((0.0, off))) * cmath.exp(2j * math.pi * lam)
+                sigma = rng.uniform(-6.0, 0.0)
+                s = rng.choice((complex(sigma), complex(round(sigma) or -1),
+                                complex(sigma, rng.uniform(-4.0, 4.0))))
+                a = rng.choice((rng.uniform(1e-3, 4.0), 1.0, rng.randint(0, 3) + 0.5))
+                if not zeta_module.lerch_transform_serves(complex(a), 0.0):
+                    continue
+                got = lerch_phi(LerchParams(z, s, a))
+                assert got.strategy == "lerch/lerch-transform"
+                want = mpmath.lerchphi(mpmath.mpc(z), mpmath.mpc(s), a)
+                gap = abs(mpmath.mpc(got.value) - want)
+                assert gap <= got.err_estimate and gap <= 1e-13 * abs(want), (z, s, a)
+                if i < 8:
+                    theta = cmath.phase(z)
+                    on = zeta_module.lerch_transform(theta, s, a)
+                    want = mpmath.lerchphi(mpmath.expj(theta), mpmath.mpc(s), a)
+                    assert abs(mpmath.mpc(on.value) - want) <= on.err_estimate, (lam, s, a)
+                sides.add(abs(z) > 1.0)
+                returned += 1
+        assert returned > 20 and sides == {False, True}
 
     def test_transformation_at_integer_a_next_to_order_zero(self):
         # At integer a the inner Hurwitz values carry poles +-1/s that
@@ -968,7 +996,7 @@ class TestUnitCircle:
                 s = complex(rng.uniform(-8.0, 0.0), rng.choice((0.0, rng.uniform(-10.0, 10.0))))
                 a = rng.choice((rng.uniform(1e-3, 7.0), float(rng.randint(1, 7)),
                                 rng.randint(0, 6) + 0.5))
-                if not zeta_module.lerch_transform_serves(complex(a)):
+                if not zeta_module.lerch_transform_serves(complex(a), -x.real):
                     continue
                 got = zeta_module.lerch_transform(theta, s, a)
                 want = mpmath.lerchphi(sign * mpmath.exp(-mpmath.mpc(x)), mpmath.mpc(s), a)
@@ -1010,6 +1038,22 @@ class TestUnitCircle:
             gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= Decimal(got.err_estimate), (fn, z, s, a)
             assert gap <= Decimal(1e-12) * ref_abs, (fn, z, s, a)
+
+    def test_inside_at_nonpositive_order_grid_against_mpmath(self):
+        # Seeded grid (grids.lerch_inside_grid) of lerch_phi and polylog
+        # inside the circle past the direct sum's 300-term crossover, at
+        # Re s in [-8, 0], where Lerch's transformation serves: every point
+        # takes it at the complex angle of z and returns within its
+        # estimate and 1e-12 of the frozen mpmath reference.  Next to the
+        # zero of Li_{-4} at z = -1 the value is a difference of terms of
+        # order 1, so there the bound is 1e-15 absolute: two points, 1e-7
+        # inside, are 1.9e-9 and 3.7e-9 relative off (4e-17 absolute).
+        for (fn, z, s, a), ref in grid_refs("lerch_inside"):
+            got = polylog(z, s) if fn == "polylog" else lerch_phi(LerchParams(z, s, a))
+            assert got.strategy == f"{fn}/lerch-transform", (fn, z, s, a)
+            gap, ref_abs = ref_gap(got.value, ref)
+            assert gap <= Decimal(got.err_estimate), (fn, z, s, a)
+            assert gap <= Decimal(1e-12) * ref_abs or gap <= Decimal(1e-15), (fn, z, s, a)
 
     @pytest.mark.parametrize(
         "p",
@@ -1233,7 +1277,7 @@ class TestOrderLadders:
                 elif laddered and not first:
                     assert calls[0] == 0 and rung.work == want.work, (z, s, a, k)
         assert routes == {"lerch/direct-sum", "lerch/cvz-alternating", "lerch/cvz-circle",
-                          "lerch/hurwitz-delegate", "lerch/mu-series"}
+                          "lerch/hurwitz-delegate", "lerch/mu-series", "lerch/lerch-transform"}
 
     def test_fd_zero_rungs_agree_with_each_order(self):
         # fd at x = 0: reflection at Re <= -4, the Hurwitz halves on
