@@ -737,7 +737,8 @@ class TestStrategies:
         # the pole limit's -log x takes the phase of z.
         taken = 0
         for (kind, nu, s, x), ref in grid_refs("circle_positive_order"):
-            got = extended._about_centre(kind, complex(nu), s, x, *extended._centre(x, *extended._lerch_z(kind, x)))
+            centre = extended._centre(x, *extended._lerch_z(kind, x))
+            got = extended._about_centre(kind, complex(nu), s, x, *centre)
             assert got.strategy.startswith(f"{kind}/circle-")
             gap, ref_abs = ref_gap(got.value, ref)
             assert gap <= decimal.Decimal(got.err_estimate), (kind, nu, s, x)
@@ -1205,6 +1206,7 @@ class TestAlternatingLength:
             (ext_fd, ExtParams(0.5, 2.5, 1.0), "fd/xseries-direct"),
             (ext_fd, ExtParams(0.5, 2.5, 1.0j), "fd/xseries-cvz-circle"),
             (ext_fd, ExtParams(0.5, -2.5, 1.0j), "fd/xseries-lerch-transform"),
+            (ext_fd, ExtParams(0.5, -2.5, 0.01), "fd/xseries-lerch-transform"),
         ):
             assert f(p, Strategy.XSERIES).strategy == tag, p
 
