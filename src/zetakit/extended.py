@@ -94,7 +94,7 @@ import cmath
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -107,7 +107,7 @@ from .numeric_core import (
     euler_poly_coeffs,
     require_finite,
 )
-from .result import EvalResult
+from .result import EvalResult, Record
 from .weyl import (
     KernelSpec,
     weyl_negative_order,
@@ -162,22 +162,21 @@ class Strategy(enum.Enum):
     AUTO = "Auto"
 
 
-@dataclass(frozen=True)
-class ExtParams:
-    """Point (nu, s, x) with Re(nu) >= 0 and Re(x) >= 0."""
+class ExtParams(Record, namedtuple("ExtParams", "nu s x")):
+    """Point (nu, s, x) with Re(nu) >= 0 and Re(x) >= 0, an immutable
+    record (see :mod:`zetakit.result`) holding the numbers as given."""
 
-    nu: complex
-    s: complex
-    x: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        nu = require_finite(self.nu, "nu")
-        require_finite(self.s, "s")
-        x = require_finite(self.x, "x")
-        if nu.real < 0.0:
-            raise DomainError(f"require Re(nu) >= 0, got nu={nu!r}")
-        if x.real < 0.0:
-            raise DomainError(f"require Re(x) >= 0, got x={x!r}")
+    def __new__(cls, nu: complex, s: complex, x: complex):
+        nu_c = require_finite(nu, "nu")
+        require_finite(s, "s")
+        x_c = require_finite(x, "x")
+        if nu_c.real < 0.0:
+            raise DomainError(f"require Re(nu) >= 0, got nu={nu_c!r}")
+        if x_c.real < 0.0:
+            raise DomainError(f"require Re(x) >= 0, got x={x_c!r}")
+        return tuple.__new__(cls, (nu, s, x))
 
 
 def _near_nonpos_int(s: complex) -> bool:

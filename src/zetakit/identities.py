@@ -21,7 +21,7 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
@@ -41,6 +41,7 @@ from .numeric_core import (
     cpow,
     euler_poly_coeffs,
 )
+from .result import Record
 from .weyl import KernelSpec, weyl_transform
 from .zeta import (
     LerchParams,
@@ -75,33 +76,28 @@ _REL_FLOOR = 1e-30   # divides |lhs - rhs| when both sides are tiny
 _ABS_NEAR_ZERO = 1e-12  # near-zero points compare absolutely against this
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    """One named identity: evaluators, grid, and tolerance."""
+class IdentitySpec(Record, namedtuple("IdentitySpec", "name lhs rhs grid tol")):
+    """One named identity: evaluators, grid, and tolerance (an immutable
+    record, see :mod:`zetakit.result`)."""
 
-    name: str
-    lhs: Evaluator
-    rhs: Evaluator
-    grid: tuple[dict, ...]
-    tol: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.grid:
-            raise DomainError(f"identity {self.name!r} has an empty grid")
-        if not self.tol > 0:
-            raise DomainError(f"identity {self.name!r} needs tol > 0")
+    def __new__(cls, name: str, lhs: Evaluator, rhs: Evaluator,
+                grid: tuple[dict, ...], tol: float = 1e-10):
+        if not grid:
+            raise DomainError(f"identity {name!r} has an empty grid")
+        if not tol > 0:
+            raise DomainError(f"identity {name!r} needs tol > 0")
+        return tuple.__new__(cls, (name, lhs, rhs, grid, tol))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residual summary for one identity over its grid."""
+class IdentityReport(Record, namedtuple(
+        "IdentityReport",
+        "name points_tested max_rel_err mean_rel_err worst_point passed")):
+    """Residual summary for one identity over its grid (an immutable record,
+    see :mod:`zetakit.result`)."""
 
-    name: str
-    points_tested: int
-    max_rel_err: float
-    mean_rel_err: float
-    worst_point: dict | None
-    passed: bool
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

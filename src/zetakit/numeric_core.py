@@ -40,12 +40,13 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from . import faults
 from .errors import ConvergenceError, DomainError, PoleError, RangeError
+from .result import Record
 
 __all__ = [
     "MAX_POLY_DEGREE",
@@ -245,15 +246,16 @@ def bernoulli_number(n: int) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Exact polynomial coefficients, ascending powers of x."""
+class PolyCoeffs(Record, namedtuple("PolyCoeffs", "coeffs")):
+    """Exact polynomial coefficients, ascending powers of x: an immutable
+    record (see :mod:`zetakit.result`) of one non-empty tuple."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __new__(cls, coeffs: tuple[Fraction, ...]):
+        if not coeffs:
             raise ValueError("empty coefficient list")
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def degree(self) -> int:

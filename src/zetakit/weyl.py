@@ -28,12 +28,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError
 from .numeric_core import compensated_sum, is_nonpos_int, ln_gamma, require_finite
-from .result import EvalResult
+from .result import EvalResult, Record
 
 __all__ = [
     "KernelSpec",
@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A kernel omega(t) on [0, inf) suitable for the transform.
+class KernelSpec(Record, namedtuple("KernelSpec", "value derivative decay_b")):
+    """A kernel omega(t) on [0, inf) suitable for the transform, as an
+    immutable record (see :mod:`zetakit.result`).
 
     Attributes:
         value: t -> omega(t), finite on finite subintervals.
@@ -56,13 +56,14 @@ class KernelSpec:
             0 < Re(s) < decay_b.
     """
 
-    value: Callable[[float], complex]
-    derivative: Optional[Callable[[int, float], complex]] = None
-    decay_b: float = math.inf
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.decay_b > 0:
+    def __new__(cls, value: Callable[[float], complex],
+                derivative: Optional[Callable[[int, float], complex]] = None,
+                decay_b: float = math.inf):
+        if not decay_b > 0:
             raise DomainError("decay_b must be positive (math.inf allowed)")
+        return tuple.__new__(cls, (value, derivative, decay_b))
 
 
 # Fixed quadrature tolerances and panel budget; see the module docstring.

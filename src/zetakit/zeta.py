@@ -23,7 +23,7 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator
 
@@ -43,7 +43,7 @@ from .numeric_core import (
     max_abs_log,
     require_finite,
 )
-from .result import EvalResult
+from .result import EvalResult, Record
 
 __all__ = [
     "LerchParams",
@@ -91,9 +91,10 @@ SERIES_CROSSOVER = 300
 TAYLOR_REACH = 4.0
 
 
-@dataclass(frozen=True)
-class LerchParams:
-    """Arguments (z, s, a) of the transcendent sum_{n>=0} z^n (n+a)^{-s}.
+class LerchParams(Record, namedtuple("LerchParams", "z s a")):
+    """Arguments (z, s, a) of the transcendent sum_{n>=0} z^n (n+a)^{-s},
+    an immutable record (see :mod:`zetakit.result`) holding the numbers as
+    given.
 
     |z| <= 1, read as 1 within 1e-14, and a off the non-positive integers.
     On |z| = 1 with z != 1 an order Re(s) <= 0 needs real a, which Lerch's
@@ -101,21 +102,20 @@ class LerchParams:
     outside the circle by continuation at z itself.
     """
 
-    z: complex
-    s: complex
-    a: complex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_finite(self.z, "z")
-        require_finite(self.s, "s")
-        if is_nonpos_int(require_finite(self.a, "a")):
+    def __new__(cls, z: complex, s: complex, a: complex):
+        z_c = require_finite(z, "z")
+        s_c = require_finite(s, "s")
+        a_c = require_finite(a, "a")
+        if is_nonpos_int(a_c):
             raise DomainError("a must avoid the non-positive integers")
-        if abs(self.z) > 1.0 + 1e-14:
+        if abs(z_c) > 1.0 + 1e-14:
             raise DomainError("require |z| <= 1")
-        z = complex(self.z)
-        if (abs(abs(z) - 1.0) <= 1e-14 and abs(z - 1.0) > 1e-12
-                and complex(self.s).real <= 0.0 and complex(self.a).imag != 0.0):
+        if (abs(abs(z_c) - 1.0) <= 1e-14 and abs(z_c - 1.0) > 1e-12
+                and s_c.real <= 0.0 and a_c.imag != 0.0):
             raise DomainError("|z| = 1 with z != 1 at Re(s) <= 0 needs real a")
+        return tuple.__new__(cls, (z, s, a))
 
 
 def _cexpm1(u: complex) -> complex:
@@ -489,10 +489,11 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0,
         # offsets the 1/Gamma(s) growth of the corrections.
         n_shift = max(1, round(4.5 + 0.25 * abs(s.imag) - a.real))
 
-    direct = [cpow(k + a, -s) for k in range(n_shift)]
+    minus_s = -s
+    direct = [cpow(k + a, minus_s) for k in range(n_shift)]
     head = compensated_sum(direct)
     q = n_shift + a
-    q_pow_ms = cpow(q, -s)  # q^{-s}
+    q_pow_ms = cpow(q, minus_s)  # q^{-s}
     integral_err = 0.0
     if pole_free:
         # ((N+a)^{1-s} - 1)/(s-1) = -log q (e^u - 1)/u at u = (1-s) log q,
@@ -509,45 +510,51 @@ def hurwitz_zeta(s: complex, a: complex, *, abs_tol: float = 0.0,
 
     # Correction terms T_k = B_{2k}/(2k)! * (s)_{2k-1} * q^{-s-2k+1};
     # extend beyond the baseline _EM_MIN_PAIRS while they keep shrinking
-    # (asymptotic series: stop at the smallest term).
-    max_pairs = (MAX_POLY_DEGREE - 2) // 2
+    # (asymptotic series: stop at the smallest term).  Where the table
+    # runs out, the last term computed stands in for the next.
+    pairs = range(1, (MAX_POLY_DEGREE - 2) // 2 + 1)
     poch = s                     # (s)_{2k-1}, starting at (s)_1
     qfac = q_pow_ms / q          # q^{-s-2k+1}, starting at q^{-s-1}
+    q2 = q * q
     corrections: list[complex] = []
     mags = [abs(t) for t in direct] + [abs(integral), abs(half)]
-    peak = max(mags)
-    mass = sum(mags)    # grows by every correction term's size below
-    body = abs(head + integral + half)
+    mass = sum(mags)    # grows left to right by every correction's size
     em_coeffs = _em_coeffs()
     trunc_err = 0.0
-    k = 1
-    while k <= max_pairs:
-        if terminating and poch == 0.0:
-            trunc_err = 0.0  # finite exact formula fully summed
-            break
-        term = em_coeffs[k] * poch * qfac
-        mag = abs(term)
-        if corrections and mag > abs(corrections[-1]) and not terminating:
-            if k > _EM_MIN_PAIRS:
-                trunc_err = abs(corrections[-1])  # asymptotic floor reached
-                break
-        corrections.append(term)
-        peak = max(peak, mag)
-        mass += mag
-        if (
-            not terminating
-            and mag <= 1e-18 * max(body, 1e-300)
-            and k >= _EM_MIN_PAIRS
-        ):
+    if terminating:
+        for k in pairs:
+            if poch == 0.0:
+                break    # finite exact formula fully summed
+            term = em_coeffs[k] * poch * qfac
+            mag = abs(term)
+            corrections.append(term)
+            mags.append(mag)
+            mass += mag
+            poch *= (s + 2 * k - 1) * (s + 2 * k)
+            qfac /= q2
+        else:
             trunc_err = mag
-            k += 1
-            break
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-        qfac /= q * q
-        k += 1
     else:
-        # Ran out of table; charge the next (uncomputed) term via the last.
-        trunc_err = abs(corrections[-1]) if corrections else 0.0
+        negligible = 1e-18 * max(abs(head + integral + half), 1e-300)
+        last = math.inf
+        for k in pairs:
+            term = em_coeffs[k] * poch * qfac
+            mag = abs(term)
+            if mag > last and k > _EM_MIN_PAIRS:
+                trunc_err = last    # asymptotic floor reached
+                break
+            corrections.append(term)
+            mags.append(mag)
+            mass += mag
+            if mag <= negligible and k >= _EM_MIN_PAIRS:
+                trunc_err = mag
+                break
+            poch *= (s + 2 * k - 1) * (s + 2 * k)
+            qfac /= q2
+            last = mag
+        else:
+            trunc_err = last
+    peak = max(mags)
 
     value = head + integral + half + compensated_sum(corrections)
     # Every term is a power (n+a)^e with |e| <= |s| + 1 and |log(n+a)| <=
@@ -1016,13 +1023,17 @@ def near_one(theta: float) -> bool:
     return circle_pieces(theta) > MULT_CAP
 
 
-def _head_shifted(route: str, z: complex, s: complex, a: complex, log_z: complex
-                  ) -> tuple[complex, float, int]:
+def _head_shifted(route: str, z: complex, s: complex, a: complex,
+                  log_z: complex | None) -> tuple[complex, float, int]:
     """(value, err, work) of Phi at 0 < |z| <= 1 off [-1, 0], Re(s) > 0, by
     the circle sum (``route`` cvz-circle) or the Taylor series at mu = log_z,
     log z to a few ulps of its modulus, after k terms that move a to
-    Re(a + k) > 0; e^{-(a+k) mu} is charged 1.3e-15 |(a+k) mu| for both."""
+    Re(a + k) > 0; e^{-(a+k) mu} is charged 1.3e-15 |(a+k) mu| for both.
+    ``log_z`` None stands for cmath.log(z), taken only where it is read:
+    by the Taylor series and by the k head terms."""
     k = _head_length(a)
+    if log_z is None and (k or route == "mu-series"):
+        log_z = cmath.log(z)
     if route == "mu-series":
         inner = mu_series("be", s, a + k, log_z)
         pre = cmath.exp(-(a + k) * log_z)
@@ -1129,7 +1140,8 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     cancels by up to |z|^{-m} = e^{m Im theta}; the estimate carries that
     factor.  At s = 0 the value is 1/(1 - e^{i theta}) for every a;
     elsewhere ConvergenceError up front where
-    :func:`lerch_transform_serves` fails at ln|z| = -Im(theta).
+    :func:`lerch_transform_serves` fails at ln|z| = -Im(theta).  The value
+    is a ``lerch_phi`` value and passes that fault hook.
     """
     theta = complex(theta)
     log_z = complex(-theta.imag, theta.real)
@@ -1137,7 +1149,8 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
     gap = -_cexpm1(log_z)
     if s == 0.0:
         value = 1.0 / gap
-        return EvalResult(value, 2.2e-15 * abs(value), "lerch/lerch-transform", 1)
+        return EvalResult(faults.perturb("lerch_phi", value), 2.2e-15 * abs(value),
+                          "lerch/lerch-transform", 1)
     if not lerch_transform_serves(complex(a), -theta.imag):
         raise ConvergenceError(
             f"Lerch's transformation at a = {a!r} needs inner circle sums "
@@ -1181,22 +1194,23 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
             (expo_err + 2.8e-15 * abs(lams[0]) + 4.4e-16) * abs(pole)
             + 2.2e-16 * _PI * math.cosh(0.5 * _PI * s.imag))
     if m == 0:
-        return EvalResult(inner, inner_err + 1e-16 * abs(inner),
-                          "lerch/lerch-transform", work)
-    # a = alpha + m: Phi(z, s, alpha) = sum_{j<m} z^j (j+alpha)^{-s}
-    # + z^m Phi(z, s, a) for m > 0, and the other way round for m < 0;
-    # |z^{-m}| = e^{m Im theta}.
-    grow = math.exp(m * theta.imag)
-    if m > 0:
-        head, head_err = _lerch_head(log_z, s, alpha, m)
-        value = cmath.exp(-m * log_z) * (inner - head)
-        err = grow * (inner_err + head_err)
+        value, err = inner, inner_err + 1e-16 * abs(inner)
     else:
-        head, head_err = _lerch_head(log_z, s, a, -m)
-        value = head + cmath.exp(-m * log_z) * inner
-        err = head_err + grow * inner_err
-    err += 2.2e-16 * (2.0 + abs(m * theta)) * abs(value)
-    return EvalResult(value, err, "lerch/lerch-transform", work + abs(m))
+        # a = alpha + m: Phi(z, s, alpha) = sum_{j<m} z^j (j+alpha)^{-s}
+        # + z^m Phi(z, s, a) for m > 0, and the other way round for m < 0;
+        # |z^{-m}| = e^{m Im theta}.
+        grow = math.exp(m * theta.imag)
+        if m > 0:
+            head, head_err = _lerch_head(log_z, s, alpha, m)
+            value = cmath.exp(-m * log_z) * (inner - head)
+            err = grow * (inner_err + head_err)
+        else:
+            head, head_err = _lerch_head(log_z, s, a, -m)
+            value = head + cmath.exp(-m * log_z) * inner
+            err = head_err + grow * inner_err
+        err += 2.2e-16 * (2.0 + abs(m * theta)) * abs(value)
+    return EvalResult(faults.perturb("lerch_phi", value), err, "lerch/lerch-transform",
+                      work + abs(m))
 
 
 # ---------------------------------------------------------------------------
@@ -1204,11 +1218,11 @@ def lerch_transform(theta: complex, s: complex, a: float) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 def _near_pos_int(s: complex) -> bool:
-    return (
-        s.imag == 0.0
-        and abs(s.real - round(s.real)) <= 1e-12
-        and round(s.real) >= 1
-    )
+    """Whether s lies within 1e-12 of a positive integer m, real or not:
+    there :func:`hurwitz_zeta` refuses the coefficient zeta(s - k, a) at
+    k = m - 1 as its pole, and Gamma(1 - s) can overflow."""
+    m = round(s.real)
+    return m >= 1 and abs(s - m) <= 1e-12
 
 
 def _minus_one_cvz(s: complex) -> bool:
@@ -1456,18 +1470,21 @@ def lerch_route(z: complex, s: complex, a: complex) -> str:
     return "direct-sum"
 
 
-def lerch_by_route(route: str, z: complex, s: complex, a: complex, log_z: complex
-                   ) -> EvalResult:
+def lerch_by_route(route: str, z: complex, s: complex, a: complex,
+                   log_z: complex | None = None) -> EvalResult:
     """Phi(z, s, a) by ``route`` (:func:`lerch_route`), with log z read as
     ``log_z``: the circle sum's head, the Taylor series in mu = log z and
     Lerch's transformation at theta = -i log z take it, so a caller that
     knows log z better than the double z does (the extended pair, from x)
-    passes it.  The value passes the ``lerch_phi`` fault hook."""
+    passes it.  None stands for cmath.log(z), which reads ln|z| by log1p
+    next to |z| = 1 to a few ulps, taken only on the routes that read it.
+    The value passes the ``lerch_phi`` fault hook."""
+    if route == "lerch-transform":
+        if log_z is None:
+            log_z = cmath.log(z)
+        return lerch_transform(-1j * log_z, s, a.real)
     if route == "direct-sum":
         value, err, work, _, _ = _direct_rung(z, s, a)
-    elif route == "lerch-transform":
-        out = lerch_transform(-1j * log_z, s, a.real)
-        value, err, work = out.value, out.err_estimate, out.work
     elif route == "single-term":
         value, work = cpow(a, -s), 1
         err = 2.2e-16 * (1.0 + abs(s) * (1.0 + abs(cmath.log(a)))) * abs(value)
@@ -1565,8 +1582,7 @@ def lerch_phi(p: LerchParams) -> EvalResult:
     every term to the tail bound, so it holds where the terms cancel.
     """
     z, s, a = complex(p.z), complex(p.s), complex(p.a)
-    # cmath.log reads ln|z| by log1p next to |z| = 1, to a few ulps.
-    return lerch_by_route(lerch_route(z, s, a), z, s, a, cmath.log(z) if z else 0j)
+    return lerch_by_route(lerch_route(z, s, a), z, s, a)
 
 
 def polylog(z: complex, s: complex) -> EvalResult:

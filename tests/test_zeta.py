@@ -814,6 +814,24 @@ class TestLerchPhi:
             LerchParams(r * cmath.exp(1j * theta), complex(sigma, t), a), frac
         )
 
+    @pytest.mark.parametrize("z, s, a, route", [
+        (cmath.exp(2j), -2.5, 0.3, "lerch-transform"),
+        (0.999 * cmath.exp(0.5j), -2.5, 2.3, "lerch-transform"),
+        (math.exp(-1e-6), 2.0, -0.5, "mu-series"),
+        (0.9 * cmath.exp(2j), 1.5, -1.5, "cvz-circle"),
+        (cmath.exp(2j), 1.5, 0.5, "cvz-circle"),
+        (0.5, -1.5, 1.0, "direct-sum"),
+    ], ids=["circle", "inside-reduced", "mu-series", "circle-sum-head",
+            "circle-sum", "direct"])
+    def test_routes_that_read_log_z_get_cmath_log(self, z, s, a, route):
+        # lerch_phi takes log z only on the routes that read it (Lerch's
+        # transformation, the Taylor series in log z, the circle sum's
+        # head terms), and each gets cmath.log(z) bit for bit.
+        got = lerch_phi(LerchParams(z, s, a))
+        assert got.strategy == "lerch/" + route
+        assert got == zeta_module.lerch_by_route(
+            route, complex(z), complex(s), complex(a), cmath.log(z))
+
     @given(
         r=RADII,
         theta=st.floats(-math.pi, math.pi),
@@ -1080,6 +1098,34 @@ class TestUnitCircle:
             want = mpmath.lerchphi(mpmath.mpc(p.z), mpmath.mpc(p.s), mpmath.mpc(p.a))
             gap = abs(mpmath.mpc(got.value) - want)
         assert gap <= got.err_estimate and gap <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize(
+        "p",
+        [LerchParams(0.99, complex(1.9999999999999991, 2.2250738585e-313), 1.0),
+         LerchParams(0.9375, complex(1.0, 2.2250738585e-313), 1.0),
+         LerchParams(0.95 * cmath.exp(0.005j), complex(3.0, -4e-13), 0.7),
+         LerchParams(0.93, complex(1.0 + 3e-13, 5e-13), 2.45),
+         LerchParams(cmath.exp(0.01j), complex(2.0, 1e-13), 1.5)],
+        ids=["order-2-subnormal", "order-1-subnormal", "order-3", "order-1",
+             "order-2-circle"],
+    )
+    def test_next_to_one_at_an_order_next_to_an_integer(self, p):
+        # Within 1e-12 of a positive integer m, real or not, the Taylor
+        # series in log z takes the joint limit of the singular part and
+        # the coefficient zeta(s - m + 1, a); with an imaginary part it
+        # once took both apart and raised PoleError (hurwitz_zeta's pole
+        # test) or OverflowError (Gamma(1 - s)).  mpmath reads a
+        # subnormal imaginary part of the order wrongly at 40 digits, so
+        # there the reference is taken at the real order, which moves Phi
+        # by far less than an ulp.
+        mpmath = pytest.importorskip("mpmath")
+        got = lerch_phi(p)
+        assert got.strategy == "lerch/mu-series"
+        s = complex(p.s.real) if abs(p.s.imag) < 1e-300 else p.s
+        with mpmath.workdps(40):
+            want = mpmath.lerchphi(mpmath.mpc(p.z), mpmath.mpc(s), mpmath.mpc(p.a))
+            gap = abs(mpmath.mpc(got.value) - want)
+        assert gap <= got.err_estimate and gap <= 1e-11 * abs(want)
 
     @pytest.mark.parametrize(
         "p",
